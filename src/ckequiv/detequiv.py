@@ -27,16 +27,23 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .freeconv import DEFAULT_CONFIG, FixedPointConfig, mp_boxtimes_stieltjes, mp_stieltjes_closed, solve_l
+from .freeconv import DEFAULT_CONFIG, FixedPointConfig, mp_boxtimes_stieltjes, solve_l
 from .gauss_cov import max_norm
 from .hermite import Activation, QuadratureRule, coeff_vector, default_rule, gaussian_norm_sq
-from .measures import AffinePush, DiscreteMeasure, Measure, MpBoxtimes, dirac, esd_from_eigenvalues
+from .measures import (
+    B_ZERO_TOL,
+    AffinePush,
+    DiscreteMeasure,
+    Measure,
+    MpBoxtimes,
+    dirac,
+    esd_from_eigenvalues,
+)
 
 if TYPE_CHECKING:
     from .netsim import NetworkSpec
 
 DEFAULT_R_MAX = 20
-B_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -155,13 +162,6 @@ def gbox_from_sigma(sigma, gamma: float, z: complex, cfg: FixedPointConfig = DEF
     return (vec * core) @ vec.T
 
 
-def _scaled_mp_stieltjes(a: float, gamma: float, w: complex) -> complex:
-    """Stieltjes transform of a * MP(gamma) (a >= 0) at w."""
-    if a < B_ZERO_TOL:
-        return -1.0 / w
-    return mp_stieltjes_closed(gamma, w / a) / a
-
-
 def gbox_composed(
     H: Callable[[complex], np.ndarray],
     tau: Measure,
@@ -184,7 +184,8 @@ def gbox_composed(
     if abs(b) < B_ZERO_TOL:
         if n is None:
             raise ValueError("n is required when b = 0")
-        return _scaled_mp_stieltjes(a, gamma, z) * np.eye(n, dtype=complex)
+        # a may sit a rounding error below zero; a MP(gamma) is then delta_0
+        return MpBoxtimes(gamma, dirac(max(a, 0.0)), cfg).stieltjes(z) * np.eye(n, dtype=complex)
     pushed = AffinePush(a, b, tau)
     l = solve_l(pushed, gamma, z, cfg).l
     w = (l - a) / b
@@ -235,7 +236,7 @@ def _chain_builder(n, g0, consts, chis, upto):
         for j in range(upto - 1, -1, -1):
             const = consts[j]
             if const.b == 0.0:
-                g = _scaled_mp_stieltjes(const.a, chis[j].gamma, w)
+                g = chis[j].stieltjes(w)
                 return coef * g * np.eye(n, dtype=complex)
             l = chis[j].companion_l(w)
             coef *= l / (w * const.b)

@@ -29,8 +29,11 @@ Picard step is therefore followed by a secant extrapolation through the
 last two residuals, kept only where it lands in D(z) and strictly reduces
 the residual.  The safeguarded iteration matches plain damped Picard on
 easy points and cuts the near-axis cost by two to three orders of
-magnitude.  From a
-solution, the transform of nu itself is recovered through
+magnitude.  Every step is pointwise in z, so a grid solve freezes each
+point once it meets the tolerance and keeps iterating only the rest;
+nested transforms of mu are then evaluated on the active points alone,
+and a grid solve gives the same values as solving its points one by one.
+From a solution, the transform of nu itself is recovered through
 
     g_nu(z) = (-1 / l - (gamma - 1) / z) / gamma.
 
@@ -135,7 +138,10 @@ def solve_l_grid(
     ``mu`` is any object with a vectorized ``stieltjes(w)`` method (and
     optionally ``support_min()``, checked to be >= -1e-12).  Returns
     ``(l, iterations, residual)`` where l and residual are shaped like z and
-    iterations is the total Picard step count.  An optional warm start l0 is
+    iterations is the number of sweeps, i.e. the step count of the slowest
+    point.  A point leaves the sweep as soon as its residual meets
+    ``cfg.tol`` and keeps that iterate, so only unconverged points cost
+    further evaluations of ``mu.stieltjes``.  An optional warm start l0 is
     projected onto D(z) before use.
     """
     gamma = float(gamma)
@@ -148,8 +154,8 @@ def solve_l_grid(
     if floor is not None and floor < -1e-12:
         raise ValueError("measure must be supported on the nonnegative reals")
 
-    def step(w):
-        return z + gamma * w + gamma * w * w * mu.stieltjes(w)
+    def step(w, zz):
+        return zz + gamma * w + gamma * w * w * mu.stieltjes(w)
 
     def semi_res(w, r):
         # residual in the contraction semi-metric |a - b| / sqrt(Im a Im b);
@@ -157,39 +163,45 @@ def solve_l_grid(
         den = w.imag * (w + r).imag
         return np.where(den > 0.0, np.abs(r) / np.sqrt(np.maximum(den, 1e-300)), np.inf)
 
-    l = project_domain(np.array(z if l0 is None else np.broadcast_to(l0, z.shape),
-                                dtype=complex, copy=True), z)
-    r = step(l) - l
+    def converged(w, r):
+        return np.abs(r) <= cfg.tol * np.maximum(1.0, np.abs(w))
+
+    zf = z.ravel()
+    l = project_domain(np.array(zf if l0 is None else np.broadcast_to(l0, z.shape).ravel(),
+                                dtype=complex, copy=True), zf)
+    r = step(l, zf) - l
     sres = semi_res(l, r)
-    alpha = np.full(z.shape, cfg.damping)
+    alpha = np.full(zf.shape, cfg.damping)
     alpha_min = cfg.damping / 64.0
+    # indices still iterating; a point is frozen once it meets tol
+    act = np.flatnonzero(~converged(l, r))
     iterations = 0
-    for _ in range(cfg.max_iter):
-        if np.all(np.abs(r) <= cfg.tol * np.maximum(1.0, np.abs(l))):
-            break
-        l_pic = project_domain(l + alpha * r, z)
-        r_pic = step(l_pic) - l_pic
+    while act.size and iterations < cfg.max_iter:
+        za, la, ra, sa, aa = zf[act], l[act], r[act], sres[act], alpha[act]
+        l_pic = project_domain(la + aa * ra, za)
+        r_pic = step(l_pic, za) - l_pic
         sres_pic = semi_res(l_pic, r_pic)
         # secant extrapolation through the two residuals, where well posed
-        dr = r_pic - r
-        ok = np.abs(dr) > 1e-14 * (np.abs(r) + np.abs(r_pic))
+        dr = r_pic - ra
+        ok = np.abs(dr) > 1e-14 * (np.abs(ra) + np.abs(r_pic))
         with np.errstate(divide="ignore", invalid="ignore"):
-            l_sec = l_pic - r_pic * (l_pic - l) / dr
-        l_sec = project_domain(np.where(ok, l_sec, l_pic), z)
-        r_sec = step(l_sec) - l_sec
+            l_sec = l_pic - r_pic * (l_pic - la) / dr
+        l_sec = project_domain(np.where(ok, l_sec, l_pic), za)
+        r_sec = step(l_sec, za) - l_sec
         sres_sec = semi_res(l_sec, r_sec)
         use = ok & (sres_sec < sres_pic)
         # halve the damping where the plain step regressed, recover otherwise
-        alpha = np.where(
-            sres_pic > sres,
-            np.maximum(alpha / 2.0, alpha_min),
-            np.minimum(alpha * 1.25, cfg.damping),
+        alpha[act] = np.where(
+            sres_pic > sa,
+            np.maximum(aa / 2.0, alpha_min),
+            np.minimum(aa * 1.25, cfg.damping),
         )
-        l = np.where(use, l_sec, l_pic)
-        r = np.where(use, r_sec, r_pic)
-        sres = np.where(use, sres_sec, sres_pic)
+        l[act] = np.where(use, l_sec, l_pic)
+        r[act] = np.where(use, r_sec, r_pic)
+        sres[act] = np.where(use, sres_sec, sres_pic)
         iterations += 1
-    ok = np.abs(r) <= cfg.tol * np.maximum(1.0, np.abs(l))
+        act = act[~converged(l[act], r[act])]
+    ok = converged(l, r)
     res = np.abs(r)
     if raise_on_fail and not np.all(ok):
         worst = float(np.max(res / np.maximum(1.0, np.abs(l))))
@@ -198,7 +210,7 @@ def solve_l_grid(
             f"({int(np.sum(~ok))} of {z.size} points, worst residual {worst:.3e})",
             worst,
         )
-    return l, iterations, res
+    return l.reshape(z.shape), iterations, res.reshape(z.shape)
 
 
 def solve_l(

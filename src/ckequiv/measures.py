@@ -5,8 +5,8 @@ A measure is represented structurally: a finite atomic measure
 measure (:class:`AffinePush`), the companion mixture
 (1 - gamma) delta_0 + gamma inner (:class:`AtomMix`, a signed measure when
 gamma > 1), or a multiplicative Marchenko-Pastur convolution
-MP(gamma) (x) base evaluated through the fixed-point solver
-(:class:`MpBoxtimes`).
+MP(gamma) (x) base evaluated through the fixed-point solver, or in closed
+form when the base is a single atom (:class:`MpBoxtimes`).
 
 Every variant exposes a vectorized Stieltjes transform
 g(z) = integral of 1 / (t - z), defined off the real axis, which maps the
@@ -27,11 +27,13 @@ import threading
 
 import numpy as np
 
-from .freeconv import DEFAULT_CONFIG, FixedPointConfig, solve_l_grid
+from .freeconv import DEFAULT_CONFIG, FixedPointConfig, mp_stieltjes_closed, solve_l_grid
 
 DEFAULT_ETA = 1e-3
+# layer scales (and point-mass locations) below this count as zero
+B_ZERO_TOL = 1e-10
 
-_CHUNK = 1 << 21
+_CHUNK = 1 << 18
 
 
 class SignedMeasureError(ValueError):
@@ -48,7 +50,8 @@ def _herglotz_check(g, z, probability: bool):
         return
     gi = np.atleast_1d(np.asarray(g).imag)
     zi = np.atleast_1d(np.asarray(z).imag)
-    assert np.all(gi[zi > 0] > 0), "Stieltjes transform left the upper half-plane"
+    if not np.all(gi[zi > 0] > 0):
+        raise ArithmeticError("Stieltjes transform left the upper half-plane")
 
 
 class Measure:
@@ -282,9 +285,12 @@ class AtomMix(Measure):
 class MpBoxtimes(Measure):
     """MP(gamma) (x) base, with transforms evaluated by the fixed point.
 
-    Holds an internal, lock-guarded warm-start table (last solution per
-    argument shape); warm starts only change iteration counts, never the
-    converged values beyond solver tolerance.
+    A single-atom base delta_c gives the dilation c MP(gamma), whose
+    transforms come from the closed form (delta_0 when c < B_ZERO_TOL);
+    any other base goes through :func:`solve_l_grid`.  Every solve starts
+    cold from l = z: the object keeps no warm-start state, so a transform
+    depends only on its arguments, whichever thread asks.  Only the CDF
+    tables are cached, per eta.
     """
 
     def __init__(self, gamma: float, base: Measure, solver: FixedPointConfig = DEFAULT_CONFIG):
@@ -299,31 +305,36 @@ class MpBoxtimes(Measure):
         self.base = base
         self.solver = solver
         self._lock = threading.Lock()
-        self._warm: dict = {}
         self._tables: dict = {}
 
     def __repr__(self):
         return f"MpBoxtimes(gamma={self.gamma:g}, {self.base!r})"
 
-    def _solve(self, z):
-        with self._lock:
-            l0 = self._warm.get(z.shape)
-        l, _, _ = solve_l_grid(self.base, self.gamma, z, self.solver, l0=l0)
-        with self._lock:
-            self._warm[z.shape] = l
-        return l
+    def _solve(self, z, raise_on_fail: bool):
+        """Companion reciprocal l(z) on the upper half-plane, with ok flags."""
+        base = self.base
+        if isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
+            c = float(base.atoms[0])
+            if c < B_ZERO_TOL:
+                l = z.copy()
+            else:
+                g = mp_stieltjes_closed(self.gamma, z / c) / c
+                l = -1.0 / ((self.gamma - 1.0) / z + self.gamma * g)
+            return l, np.ones(z.shape, dtype=bool)
+        l, _, res = solve_l_grid(base, self.gamma, z, self.solver, raise_on_fail=raise_on_fail)
+        return l, res <= self.solver.tol * np.maximum(1.0, np.abs(l))
+
+    def _transform(self, z, raise_on_fail: bool):
+        # lower half-plane points by reflection, g(conj z) = conj g(z)
+        neg = z.imag < 0
+        zz = np.where(neg, np.conj(z), z)
+        l, ok = self._solve(zz, raise_on_fail)
+        g = (-1.0 / l - (self.gamma - 1.0) / zz) / self.gamma
+        return np.where(neg, np.conj(g), g), ok
 
     def stieltjes(self, z):
         z, scalar = _as_z(z)
-        neg = z.imag < 0
-        if np.any(neg):
-            zz = np.where(neg, np.conj(z), z)
-        else:
-            zz = z
-        l = self._solve(zz)
-        g = (-1.0 / l - (self.gamma - 1.0) / zz) / self.gamma
-        if np.any(neg):
-            g = np.where(neg, np.conj(g), g)
+        g, _ = self._transform(z, raise_on_fail=True)
         _herglotz_check(g, z, True)
         return complex(g) if scalar else g
 
@@ -332,7 +343,7 @@ class MpBoxtimes(Measure):
         z, scalar = _as_z(z)
         if np.any(z.imag <= 0):
             raise ValueError("z must lie in the open upper half-plane")
-        l = self._solve(z)
+        l, _ = self._solve(z, raise_on_fail=True)
         return complex(l) if scalar else l
 
     def stieltjes_checked(self, z):
@@ -341,26 +352,14 @@ class MpBoxtimes(Measure):
         Returns ``(g, ok)`` where ok is a boolean mask shaped like z; entries
         with ok False did not meet the solver tolerance and carry the last
         iterate rather than a trusted value.  Unlike ``stieltjes`` this never
-        raises on divergence, so callers can flag bad grid points and move on.
+        raises on divergence of its own solve, so callers can flag bad grid
+        points and move on.
         """
         z, scalar = _as_z(z)
-        neg = z.imag < 0
-        zz = np.where(neg, np.conj(z), z) if np.any(neg) else z
-        with self._lock:
-            l0 = self._warm.get(zz.shape)
-        l, _, res = solve_l_grid(
-            self.base, self.gamma, zz, self.solver, l0=l0, raise_on_fail=False
-        )
-        ok = res <= self.solver.tol * np.maximum(1.0, np.abs(l))
-        if np.all(ok):
-            with self._lock:
-                self._warm[zz.shape] = l
-        g = (-1.0 / l - (self.gamma - 1.0) / zz) / self.gamma
-        if np.any(neg):
-            g = np.where(neg, np.conj(g), g)
+        g, ok = self._transform(z, raise_on_fail=False)
         if scalar:
-            return complex(g), bool(np.all(ok))
-        return g, np.asarray(ok, dtype=bool)
+            return complex(g), bool(ok)
+        return g, ok
 
     def support_min(self) -> float:
         return 0.0

@@ -236,6 +236,33 @@ class TestDensityCommand:
         assert "network" in capsys.readouterr().err
 
 
+class TestDeterminism:
+    """Reruns write the same bytes whatever the worker count."""
+
+    def _tree(self, outdir):
+        layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
+        tree = smoke_tree(outdir, z_grid={"x_min": 0.0, "x_max": 4.0, "step": 0.25, "eta": [0.05, 0.02]})
+        tree["network"].update(dims=[64, 64], layers=[layer, layer])
+        return tree
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("density", ["density.csv"]),
+            ("compare", ["compare_rows.csv", "compare_layers.csv"]),
+        ],
+    )
+    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys, monkeypatch, command, names):
+        cpath = write_cfg(tmp_path, self._tree(tmp_path))
+        for workers in ("1", "4"):
+            monkeypatch.setenv("CKEQUIV_WORKERS", workers)
+            out = str(tmp_path / f"w{workers}")
+            assert main([command, "--config", cpath, "--out", out, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+
+
 class TestSimulateCommand:
     def test_row_counts_and_seed_override(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))

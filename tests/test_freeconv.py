@@ -151,3 +151,61 @@ class TestDensityClosedForm:
     def test_zero_outside_support(self):
         assert mp_density_closed(0.5, 0.05) == 0.0
         assert mp_density_closed(0.5, 3.5) == 0.0
+
+
+def _wedge_root_mp(atoms, weights, gamma, z, start, dps=50):
+    """The root of l = z + gamma l + gamma l^2 g_mu(l) in D(z), by mpmath.
+
+    Newton at ``dps`` digits from ``start``; the root in D(z) is unique, so
+    a limit that lies in D(z) is the solution whatever the starting point.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        zz = mpmath.mpc(z.real, z.imag)
+
+        def f(l):
+            g = mpmath.fsum(mpmath.mpf(w) / (mpmath.mpf(t) - l) for t, w in zip(atoms, weights))
+            return zz + (gamma - 1) * l + gamma * l * l * g
+
+        root = mpmath.findroot(f, mpmath.mpc(start.real, start.imag))
+        assert root.imag >= zz.imag and (root / zz).imag >= 0
+        return complex(root)
+
+
+def test_active_set_solve_matches_high_precision_root():
+    atoms, weights = [0.5, 1.0, 2.5], [0.2, 0.5, 0.3]
+    mu = DiscreteMeasure(atoms, weights)
+    zs = np.array([0.3 + 1e-3j, 1.2 + 1e-3j, 4.0 + 1e-3j, 2.0 + 0.1j, -1.0 + 1.0j, 6.0 + 10.0j])
+    for gamma in (0.5, 1.5):
+        l, _, _ = solve_l_grid(mu, gamma, zs)
+        want = np.array([_wedge_root_mp(atoms, weights, gamma, z, s) for z, s in zip(zs, l)])
+        assert np.max(np.abs(l - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+
+
+def test_grid_solve_matches_pointwise_solves():
+    # points freeze independently, so batching must not change any value
+    mu = DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3])
+    xs = np.linspace(-1.0, 7.0, 41)
+    zs = np.concatenate([xs + 1e-3j, xs + 0.1j, xs + 1.0j])
+    for gamma in (0.5, 1.5):
+        l_grid, _, _ = solve_l_grid(mu, gamma, zs)
+        l_point = np.array([complex(solve_l_grid(mu, gamma, np.asarray(z))[0]) for z in zs])
+        assert np.max(np.abs(l_grid - l_point)) <= 1e-12
+
+
+def test_only_the_starved_point_is_flagged():
+    mu = DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3])
+    easy = np.array([2.0 + 1.0j, 0.5 + 0.5j, 6.0 + 3.0j])
+    hard = 1.0 + 1e-4j
+    easy_iters = max(solve_l_grid(mu, 1.5, np.asarray(z))[1] for z in easy)
+    assert solve_l_grid(mu, 1.5, np.asarray(hard))[1] > easy_iters
+    zs = np.concatenate([easy[:2], [hard], easy[2:]])
+    cfg = FixedPointConfig(max_iter=easy_iters)
+    l, iters, res = solve_l_grid(mu, 1.5, zs, cfg, raise_on_fail=False)
+    ok = res <= cfg.tol * np.maximum(1.0, np.abs(l))
+    assert ok.tolist() == [True, True, False, True]
+    assert iters == easy_iters
+    l_easy, _, _ = solve_l_grid(mu, 1.5, easy)
+    assert np.max(np.abs(l[ok] - l_easy)) <= 1e-12
+    with pytest.raises(DivergenceError, match="1 of 4 points"):
+        solve_l_grid(mu, 1.5, zs, cfg)

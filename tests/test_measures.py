@@ -1,11 +1,15 @@
 """Spectral measure objects: transforms, CDF tables, serialization."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ckequiv.freeconv import DivergenceError, FixedPointConfig, mp_stieltjes_closed
+import ckequiv
+from ckequiv.freeconv import DivergenceError, FixedPointConfig, mp_stieltjes_closed, solve_l_grid
 from ckequiv.measures import (
     AffinePush,
     AtomMix,
@@ -199,8 +203,27 @@ class TestMpBoxtimes:
         g1, ok1 = m.stieltjes_checked(1.0 + 1j)
         assert isinstance(g1, complex) and ok1 is True
 
+    def test_point_base_closed_form_matches_iterative_solver(self):
+        xs = np.linspace(-1.0, 7.0, 81)
+        zs = np.concatenate([xs + 1e-3j, xs + 0.1j, xs + 1.0j])
+        for gamma in (0.5, 1.0, 2.0):
+            for c in (0.0, 0.3, 1.0):
+                m = MpBoxtimes(gamma, dirac(c))
+                l_fp, _, _ = solve_l_grid(dirac(c), gamma, zs)
+                l_cf = m.companion_l(zs)
+                assert np.max(np.abs(l_cf - l_fp) / np.maximum(1.0, np.abs(l_fp))) <= 1e-10
+                # g = (-1/l - (gamma - 1)/z) / gamma amplifies an error in l by
+                # 1/|l|^2 near z = 0, so g is checked against the dilation
+                # c MP(gamma) directly rather than against the solver's l
+                want = -1.0 / zs if c == 0.0 else mp_stieltjes_closed(gamma, zs / c) / c
+                g, ok = m.stieltjes_checked(zs)
+                assert np.all(ok)
+                assert np.max(np.abs(g - want) / np.abs(want)) <= 1e-12
+
     def test_checked_route_flags_starved_solver(self):
-        m = MpBoxtimes(1.0, dirac(1.0), solver=FixedPointConfig(max_iter=2))
+        # a two-atom base: a point-mass base is taken in closed form
+        base = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
+        m = MpBoxtimes(1.0, base, solver=FixedPointConfig(max_iter=2))
         g, ok = m.stieltjes_checked(np.array([1.0 + 1e-3j]))
         assert not ok[0]
         with pytest.raises(DivergenceError):
@@ -241,3 +264,23 @@ def test_discrete_csv_round_trip(tmp_path):
 def test_module_level_cdf_helper_dispatches():
     m = dirac(1.0)
     assert cdf(m, 2.0, DEFAULT_ETA) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_herglotz_check_raises_under_optimize():
+    # the check must survive python -O, which strips assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ckequiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import numpy as np\n"
+        "from ckequiv.measures import _herglotz_check\n"
+        "_herglotz_check(np.array([1.0 + 1.0j]), np.array([0.5 + 0.1j]), True)\n"
+        "try:\n"
+        "    _herglotz_check(np.array([1.0 - 1e-3j]), np.array([0.5 + 0.1j]), True)\n"
+        "except ArithmeticError as ex:\n"
+        "    print('raised:', ex)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "raised: Stieltjes transform left the upper half-plane" in out.stdout
