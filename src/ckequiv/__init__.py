@@ -68,7 +68,6 @@ from .netsim import (
     SimResult,
     SpectralFactory,
     conjugate_kernel,
-    empirical_stieltjes,
     orthogonality_stats,
     run_network,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "conjugate_kernel",
     "default_rule",
     "dirac",
-    "empirical_stieltjes",
     "equicorrelated_equivalent",
     "equicorrelated_stieltjes",
     "esd_from_eigenvalues",

@@ -609,7 +609,7 @@ def _resolved_seeds(cfg: ExperimentConfig, args) -> tuple:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     spec = to_network_spec(cfg)
     seeds = _resolved_seeds(cfg, args)
-    results = _pool.pmap(lambda s: run_network(spec, (), s), seeds)
+    results = _pool.pmap(lambda s: run_network(spec, s), seeds)
     eig_rows = []
     stat_rows = []
     for res in results:
@@ -645,7 +645,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     seeds = _resolved_seeds(cfg, args)
     xs = cfg.z_grid.points()
     zs = np.array([complex(x, eta) for eta in cfg.z_grid.eta for x in xs])
-    results = _pool.pmap(lambda s: run_network(spec, (), s), seeds)
+    results = _pool.pmap(lambda s: run_network(spec, s), seeds)
     n = spec.n
     rows = []
     layer_rows = []

@@ -2,9 +2,11 @@
 
 Samples the network X -> f(W X / sqrt(d) + B) + D layer by layer,
 forms the conjugate kernel K = Y^T Y / d at every depth, and extracts
-the quantities the deterministic theory predicts: eigenvalues,
-resolvents, empirical Stieltjes transforms, and the deviation stats of
-K from a multiple of the identity.
+the quantities the deterministic theory predicts: the eigenvalues
+(one eigenvalue-only decomposition per kernel) and the deviation stats
+of K from a multiple of the identity.  Resolvents and Stieltjes
+transforms come from ``SpectralFactory(K)``, which keeps the
+eigenvectors of one kernel for every z.
 
 Randomness is fanned out from one master seed into independent
 substreams keyed by (layer, role), so enlarging the evaluation grid or
@@ -201,21 +203,12 @@ class SpectralFactory:
         if z.imag <= 0:
             raise ValueError("z must lie in the open upper half-plane")
         core = 1.0 / (self.eigenvalues - z)
-        return (self._vectors * core) @ self._vectors.T
-
-
-def empirical_stieltjes(k, z: complex) -> complex:
-    """g_K(z) = mean of 1/(lambda_i - z) over the spectrum of K."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the open upper half-plane")
-    lam = np.linalg.eigvalsh(np.asarray(k, dtype=float))
-    return complex(np.mean(1.0 / (lam - z)))
-
-
-def resolvent(k, z: complex) -> np.ndarray:
-    """(K - z I)^{-1} assembled from the eigendecomposition."""
-    return SpectralFactory(k).resolvent(z)
+        v = self._vectors
+        # two real products: a complex one would first promote v.T to complex
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        out.real = (v * core.real) @ v.T
+        out.imag = (v * core.imag) @ v.T
+        return out
 
 
 class OrthoStats(NamedTuple):
@@ -224,16 +217,25 @@ class OrthoStats(NamedTuple):
     spec_norm: float
 
 
-def orthogonality_stats(k, sigma2: float) -> OrthoStats:
-    """Deviation of K from sigma2 * I: entrywise max, diagonal 2-norm, |K|."""
+def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
+    """Deviation of K from sigma2 * I: entrywise max, diagonal 2-norm, |K|.
+
+    eigenvalues is the spectrum of the symmetric K; |K|_2 is its largest
+    absolute value, so no SVD is taken.
+    """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("K must be square")
-    delta = k - sigma2 * np.eye(k.shape[0])
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.shape != (k.shape[0],):
+        raise ValueError(f"need {k.shape[0]} eigenvalues, got shape {lam.shape}")
+    diag = np.diag(k) - sigma2
+    delta = k.copy()
+    np.fill_diagonal(delta, diag)
     return OrthoStats(
-        max_dev=float(np.max(np.abs(delta))),
-        diag_norm=float(np.linalg.norm(np.diag(delta))),
-        spec_norm=float(np.linalg.norm(k, 2)),
+        max_dev=float(np.max(np.abs(delta, out=delta))),
+        diag_norm=float(np.linalg.norm(diag)),
+        spec_norm=float(np.max(np.abs(lam))),
     )
 
 
@@ -250,10 +252,8 @@ class SimResult:
     """
 
     seed: int
-    z_grid: tuple
     kernels: tuple
     eigenvalues: tuple
-    resolvents: tuple
     stats: tuple
 
     def __post_init__(self):
@@ -275,14 +275,14 @@ def _output_variance(lspec: LayerSpec, sigma_x2: float, rule) -> float:
     return gaussian_norm_sq(ft, rule) + lspec.sigma_d2
 
 
-def run_network(spec: NetworkSpec, z_grid, seed: int) -> SimResult:
+def run_network(spec: NetworkSpec, seed: int) -> SimResult:
     """Sample one network and collect kernels, spectra, and stats.
 
-    z_grid lists the points where resolvent snapshots are stored; pass
-    an empty sequence to skip them (eigenvalues are always computed).
+    Each kernel gets one eigenvalue-only decomposition (O(n^3), no
+    eigenvectors, no SVD).  For resolvents, build
+    ``SpectralFactory(result.kernels[l])``.
     """
     rule = default_rule()
-    z_grid = tuple(complex(z) for z in z_grid)
     x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
     kernels = [conjugate_kernel(x, spec.d0)]
     sigma2s = [spec.data.input_variance()]
@@ -293,22 +293,10 @@ def run_network(spec: NetworkSpec, z_grid, seed: int) -> SimResult:
         d_prev = spec.dims[i - 1]
         kernels.append(conjugate_kernel(x, d_prev))
         sigma2s.append(_output_variance(lspec, sigma2s[-1], rule))
-    eigenvalues = []
-    resolvents = []
-    stats = []
-    for k, s2 in zip(kernels, sigma2s):
-        fac = SpectralFactory(k)
-        eigenvalues.append(fac.eigenvalues)
-        resolvents.append(tuple(fac.resolvent(z) for z in z_grid))
-        stats.append(orthogonality_stats(k, s2))
-    return SimResult(
-        seed=int(seed),
-        z_grid=z_grid,
-        kernels=tuple(kernels),
-        eigenvalues=tuple(eigenvalues),
-        resolvents=tuple(resolvents),
-        stats=tuple(stats),
-    )
+    # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
+    eigenvalues = tuple(np.linalg.eigvalsh(k) for k in kernels)
+    stats = tuple(orthogonality_stats(k, s2, lam) for k, s2, lam in zip(kernels, sigma2s, eigenvalues))
+    return SimResult(seed=int(seed), kernels=tuple(kernels), eigenvalues=eigenvalues, stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from ckequiv.measures import (
     esd_from_eigenvalues,
     kolmogorov_distance,
 )
-from ckequiv.netsim import EquicorrelatedData, IidData, NetworkSpec, run_network
+from ckequiv.netsim import EquicorrelatedData, IidData, NetworkSpec, SpectralFactory, run_network
 
 TANH_LAYER = LayerSpec(1.0, 1.0, 1.0, tanh_activation(), 1.0)
 
@@ -220,13 +220,13 @@ def test_criterion_6_single_layer_end_to_end():
 
     dgs, kss, gaps = [], [], []
     for seed in (0, 1, 2):
-        res = run_network(spec, (z,), seed)
+        res = run_network(spec, seed)
         lam = res.eigenvalues[1]
         g_sim = complex(np.mean(1.0 / (lam - z)))
         dgs.append(abs(g_sim - g_det))
         grid = np.linspace(lam[0] - 0.5, lam[-1] + 0.5, 801)
         kss.append(kolmogorov_distance(esd_from_eigenvalues(lam), chi, grid))
-        gaps.append(float(np.max(np.abs(res.resolvents[1][0] - g_mat))))
+        gaps.append(float(np.max(np.abs(SpectralFactory(res.kernels[1]).resolvent(z) - g_mat))))
     assert max(dgs) < 0.02
     assert max(kss) < 0.05
     assert max(gaps) < 0.1
@@ -256,7 +256,7 @@ def test_criterion_7_three_layer_network():
     dgs = np.zeros((3, 3))
     kss = np.zeros((3, 3))
     for si, seed in enumerate((0, 1, 2)):
-        res = run_network(spec, (), seed)
+        res = run_network(spec, seed)
         for li in range(3):
             lam = res.eigenvalues[li + 1]
             g_sim = complex(np.mean(1.0 / (lam - z)))
@@ -271,7 +271,7 @@ def test_criterion_7_three_layer_network():
     # the entrywise deviation from sigma_y2 * I shrinks with width
     avg_dev = {}
     for m in (250, 500, 1000):
-        stats = [run_network(spec_for(m), (), seed).stats for seed in (0, 1, 2)]
+        stats = [run_network(spec_for(m), seed).stats for seed in (0, 1, 2)]
         avg_dev[m] = np.array([np.mean([s[li + 1].max_dev for s in stats]) for li in range(3)])
     for li in range(3):
         assert avg_dev[250][li] > avg_dev[500][li] > avg_dev[1000][li]

@@ -250,6 +250,7 @@ class TestDeterminism:
         [
             ("density", ["density.csv"]),
             ("compare", ["compare_rows.csv", "compare_layers.csv"]),
+            ("simulate", ["simulate_eigenvalues.csv", "simulate_stats.csv"]),
         ],
     )
     def test_worker_count_does_not_change_bytes(self, tmp_path, capsys, monkeypatch, command, names):

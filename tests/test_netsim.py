@@ -21,7 +21,6 @@ from ckequiv.netsim import (
     NetworkSpec,
     SpectralFactory,
     conjugate_kernel,
-    empirical_stieltjes,
     forward_layer,
     orthogonality_stats,
     run_network,
@@ -132,14 +131,15 @@ class TestSpectralFactory:
         lam = np.linalg.eigvalsh(k)
         direct = np.mean(1.0 / (lam - z))
         assert abs(fac.stieltjes(z) - direct) < 1e-12
-        assert abs(empirical_stieltjes(k, z) - direct) < 1e-12
+        assert np.max(np.abs(fac.eigenvalues - lam)) < 1e-12
         assert fac.dim == 40
 
     def test_resolvent_matches_inverse(self):
         k = conjugate_kernel(np.random.default_rng(2).standard_normal((60, 40)), 60)
-        z = 0.8 + 0.25j
-        direct = np.linalg.inv(k - z * np.eye(40))
-        assert np.max(np.abs(SpectralFactory(k).resolvent(z) - direct)) < 1e-12
+        fac = SpectralFactory(k)
+        for z in (0.8 + 0.25j, -0.5 + 1e-3j, 3.0 + 2.0j):
+            direct = np.linalg.inv(k - z * np.eye(40))
+            assert np.max(np.abs(fac.resolvent(z) - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
     def test_upper_half_plane_only(self):
         fac = SpectralFactory(np.eye(3))
@@ -153,10 +153,23 @@ class TestSpectralFactory:
 
     def test_orthogonality_stats_small_case(self):
         k = np.array([[2.0, 1.0], [1.0, 2.0]])
-        st = orthogonality_stats(k, 1.0)
+        st = orthogonality_stats(k, 1.0, np.linalg.eigvalsh(k))
         assert st.max_dev == pytest.approx(1.0)
         assert st.diag_norm == pytest.approx(np.sqrt(2.0))
         assert st.spec_norm == pytest.approx(3.0)
+        with pytest.raises(ValueError, match="eigenvalues"):
+            orthogonality_stats(k, 1.0, [3.0])
+
+    @pytest.mark.parametrize("shift", [-4.0, 0.0, 4.0])
+    def test_spec_norm_matches_svd_norm_on_indefinite_matrices(self, shift):
+        # the shift moves the largest |eigenvalue| from one end of the spectrum to the other
+        a = np.random.default_rng(3).standard_normal((50, 50))
+        k = 0.5 * (a + a.T) + shift * np.eye(50)
+        lam = np.linalg.eigvalsh(k)
+        assert lam[0] < 0 < lam[-1]
+        want = np.linalg.norm(k, 2)
+        got = orthogonality_stats(k, 1.0, lam).spec_norm
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestRunNetwork:
@@ -172,32 +185,64 @@ class TestRunNetwork:
 
     def test_deterministic_given_seed(self):
         net = self.network()
-        r1 = run_network(net, (1j,), seed=5)
-        r2 = run_network(net, (1j,), seed=5)
+        r1 = run_network(net, seed=5)
+        r2 = run_network(net, seed=5)
         assert np.array_equal(r1.kernels[1], r2.kernels[1])
-        r3 = run_network(net, (1j,), seed=6)
+        assert np.array_equal(r1.eigenvalues[1], r2.eigenvalues[1])
+        assert np.array_equal(
+            SpectralFactory(r1.kernels[1]).resolvent(1j), SpectralFactory(r2.kernels[1]).resolvent(1j)
+        )
+        r3 = run_network(net, seed=6)
         assert not np.array_equal(r1.kernels[1], r3.kernels[1])
 
     def test_result_layout(self):
         net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
-        zs = (1j, 1.0 + 0.5j)
-        res = run_network(net, zs, seed=0)
+        res = run_network(net, seed=0)
         assert res.depth == 2
-        assert len(res.kernels) == 3
-        assert all(len(r) == len(zs) for r in res.resolvents)
+        assert len(res.kernels) == len(res.eigenvalues) == len(res.stats) == 3
         assert all(lam.size == net.n for lam in res.eigenvalues)
         assert all(lam[0] >= -1e-8 for lam in res.eigenvalues)
-        z = zs[1]
+        z = 1.0 + 0.5j
         direct = np.linalg.inv(res.kernels[2] - z * np.eye(net.n))
-        assert np.max(np.abs(res.resolvents[2][1] - direct)) < 1e-10
-        empty = run_network(net, (), seed=0)
-        assert all(r == () for r in empty.resolvents)
+        assert np.max(np.abs(SpectralFactory(res.kernels[2]).resolvent(z) - direct)) < 1e-10
+
+    def test_eigenvalues_match_full_decomposition(self):
+        net = self.network(n=120, layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
+        res = run_network(net, seed=4)
+        for k, lam, st in zip(res.kernels, res.eigenvalues, res.stats):
+            want = np.linalg.eigh(k)[0]
+            assert np.max(np.abs(lam - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert st.spec_norm == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
+
+    def test_one_eigenvalue_only_decomposition_per_kernel(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        norm = np.linalg.norm
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                calls["norm2"] += 1
+            return norm(x, ord, *args, **kwargs)
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
+        run_network(net, seed=0)
+        assert calls == {"eigh": 0, "eigvalsh": 3, "svd": 0, "norm2": 0}
 
     def test_kernel_norms_stay_bounded_in_width(self):
         norms = {}
         for n in (100, 400):
             norms[n] = max(
-                run_network(self.network(n=n), (), seed).stats[1].spec_norm
+                run_network(self.network(n=n), seed).stats[1].spec_norm
                 for seed in (0, 1)
             )
         assert norms[400] <= 2.0 * norms[100]
@@ -214,7 +259,7 @@ class TestRunNetwork:
             NetworkSpec(32, 16, (32,), EquicorrelatedData(), (good,))
 
     def test_csv_round_trips(self, tmp_path):
-        res = run_network(self.network(n=8), (), seed=3)
+        res = run_network(self.network(n=8), seed=3)
         epath = tmp_path / "eig.csv"
         write_eigenvalues_csv(res, epath)
         with open(epath, newline="") as fh:
@@ -248,7 +293,7 @@ class TestAgainstLimitLaws:
         net = NetworkSpec(
             n=n, d0=n, dims=(n,), data=data, layers=(identity_layer(),)
         )
-        res = run_network(net, (), seed=seed)
+        res = run_network(net, seed=seed)
         return esd_from_eigenvalues(res.eigenvalues[1])
 
     def test_near_identity_input_gives_plain_mp(self):
