@@ -46,7 +46,7 @@ for seed in (0, 1, 2):
     res = run_network(spec, seed)
     lam = res.eigenvalues[1]
     fac = SpectralFactory(res.kernels[1])
-    for j, z in enumerate(zs):
+    for z in zs:
         g_det, g_mat = equicorrelated_equivalent(n, a, b, z)
         g_sim = np.mean(1.0 / (lam - z))
         entry_gap = np.max(np.abs(fac.resolvent(z) - g_mat))

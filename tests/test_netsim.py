@@ -139,7 +139,7 @@ class TestSpectralFactory:
         fac = SpectralFactory(k)
         for z in (0.8 + 0.25j, -0.5 + 1e-3j, 3.0 + 2.0j):
             direct = np.linalg.inv(k - z * np.eye(40))
-            assert np.max(np.abs(fac.resolvent(z) - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+            assert np.max(np.abs(fac.resolvent(z) - direct)) < 1e-12
 
     def test_upper_half_plane_only(self):
         fac = SpectralFactory(np.eye(3))
