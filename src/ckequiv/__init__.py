@@ -26,10 +26,8 @@ from .freeconv import (
     FixedPointConfig,
     mp_density_closed,
     mp_stieltjes_closed,
-    solve_l,
     solve_l_grid,
 )
-from .freeconv import mp_boxtimes_stieltjes
 from .measures import (
     AffinePush,
     AtomMix,
@@ -116,7 +114,6 @@ __all__ = [
     "kolmogorov_distance",
     "layer_constants",
     "make_rule",
-    "mp_boxtimes_stieltjes",
     "mp_density_closed",
     "mp_stieltjes_closed",
     "orthogonality_stats",
@@ -126,7 +123,6 @@ __all__ = [
     "sigma_expansion",
     "sigma_lin",
     "sigma_mc_oracle",
-    "solve_l",
     "solve_l_grid",
     "__version__",
 ]

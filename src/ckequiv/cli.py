@@ -558,15 +558,10 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
     etas = cfg.z_grid.eta
 
     def one_eta(eta):
-        # nested input measures solve their own fixed points inside this
-        # call, so divergence can surface as an exception rather than a
-        # cleared flag; either way the whole table is still written
-        try:
-            g, ok = chi.stieltjes_checked(xs + 1j * eta)
-            dens = np.where(ok, np.maximum(g.imag, 0.0) / math.pi, np.nan)
-        except DivergenceError:
-            dens = np.full(xs.shape, np.nan)
-            ok = np.zeros(xs.shape, dtype=bool)
+        # the checked transform flags unconverged points of every layer;
+        # the CDF table raises instead, which clears the whole column
+        g, ok = chi.stieltjes_checked(xs + 1j * eta)
+        dens = np.where(ok, np.maximum(g.imag, 0.0) / math.pi, np.nan)
         try:
             cdf = chi.cdf(xs, eta)
             cdf_ok = True
@@ -651,11 +646,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     layer_rows = []
     n_bad = 0
     for li, layer in enumerate(chain.layers, start=1):
-        try:
-            g_det, ok = layer.chi.stieltjes_checked(zs)
-        except DivergenceError:
-            g_det = np.full(zs.shape, np.nan, dtype=complex)
-            ok = np.zeros(zs.shape, dtype=bool)
+        g_det, ok = layer.chi.stieltjes_checked(zs)
         factories = [SpectralFactory(res.kernels[li]) for res in results]
         g_sim = np.array([[fac.stieltjes(z) for z in zs] for fac in factories])
         g_mean = g_sim.mean(axis=0)

@@ -16,8 +16,9 @@ the companion fixed point l(z):
     K(z) = (l / (z b)) H((l - a) / b)        composed from the upstream
                                              equivalent resolvent map H.
 
-Chaining the composition through several layers costs one fixed-point
-solve per layer and a single evaluation of the base resolvent map.
+Chaining the composition through several layers costs one stacked
+fixed-point solve for all layers at once (``MpBoxtimes.companion_levels``)
+and a single evaluation of the base resolvent map.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .freeconv import DEFAULT_CONFIG, FixedPointConfig, mp_boxtimes_stieltjes, solve_l
+from .freeconv import DEFAULT_CONFIG, FixedPointConfig, solve_l_grid
 from .gauss_cov import max_norm
 from .hermite import Activation, QuadratureRule, coeff_vector, default_rule, gaussian_norm_sq
 from .measures import (
@@ -157,7 +158,7 @@ def gbox_from_sigma(sigma, gamma: float, z: complex, cfg: FixedPointConfig = DEF
         raise ValueError("z must lie in the open upper half-plane")
     lam, vec = _eigh_psd(sigma)
     mu = esd_from_eigenvalues(lam)
-    l = solve_l(mu, gamma, z, cfg).l
+    l = complex(solve_l_grid(mu, gamma, np.asarray(z), cfg)[0])
     core = (l / z) / (lam - l)
     return (vec * core) @ vec.T
 
@@ -187,7 +188,7 @@ def gbox_composed(
         # a may sit a rounding error below zero; a MP(gamma) is then delta_0
         return MpBoxtimes(gamma, dirac(max(a, 0.0)), cfg).stieltjes(z) * np.eye(n, dtype=complex)
     pushed = AffinePush(a, b, tau)
-    l = solve_l(pushed, gamma, z, cfg).l
+    l = complex(solve_l_grid(pushed, gamma, np.asarray(z), cfg)[0])
     w = (l - a) / b
     if w.imag <= 0:
         raise ArithmeticError(
@@ -233,12 +234,17 @@ def _chain_builder(n, g0, consts, chis, upto):
             raise ValueError("z must lie in the open upper half-plane")
         coef = 1.0 + 0.0j
         w = z
+        # l of every nested layer from one stacked solve at z; a layer below
+        # the chain it returned (if any) is solved at its own argument
+        ls = []
         for j in range(upto - 1, -1, -1):
             const = consts[j]
             if const.b == 0.0:
                 g = chis[j].stieltjes(w)
                 return coef * g * np.eye(n, dtype=complex)
-            l = chis[j].companion_l(w)
+            if not ls:
+                ls = list(chis[j].companion_levels(w))
+            l = ls.pop(0)
             coef *= l / (w * const.b)
             w = (l - const.a) / const.b
             if w.imag <= 0:
@@ -312,7 +318,7 @@ def equicorrelated_stieltjes(
         raise ValueError("n must be >= 2")
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
-    return mp_boxtimes_stieltjes(_two_atom_measure(n, a, b), 1.0, complex(z), cfg)
+    return MpBoxtimes(1.0, _two_atom_measure(n, a, b), cfg).stieltjes(complex(z))
 
 
 def equicorrelated_equivalent(

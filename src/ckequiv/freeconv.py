@@ -14,7 +14,7 @@ and is the unique solution in the closed wedge
 
     D(z) = { w : Im w >= Im z  and  Im(w / z) >= 0 }.
 
-``solve_l`` finds it by damped Picard iteration started at l = z (which lies
+``solve_l_grid`` finds it by damped Picard iteration started at l = z (which lies
 in D(z) and is already exact when mu = delta_0), projecting every iterate
 back onto D(z) and halving the damping factor whenever the residual grows.
 F is a strict contraction on D(z) for the semi-metric
@@ -37,6 +37,21 @@ From a solution, the transform of nu itself is recovered through
 
     g_nu(z) = (-1 / l - (gamma - 1) / z) / gamma.
 
+When mu is itself the pushforward t -> a + b t of such a law,
+g_mu(l) = g_inner(u) / b at u = (l - a) / b, and g_inner(u) comes from the
+inner law's own l at u.  Picard on the outer level would then solve the
+inner level afresh at every step, so cost multiplies with depth.
+``solve_chain_grid`` instead solves all levels (l_L, ..., l_1) of a chain
+as one system by complex Newton.  Its Jacobian is tridiagonal and
+analytic: each residual depends on its own level, the level above
+(through its argument, with derivative 1 / b) and the level below (through
+g_inner = (-1 / l_inner - (gamma_inner - 1) / u) / gamma_inner).  A
+continuation in Im z, projection onto the wedges and pointwise
+backtracking keep every iterate in the wedges, and a point counts only
+when the converged root has every level in its wedge D(u_k): the root in
+D(u_k) being unique level by level, such a point is the nested solution.
+Cost per point is then linear in depth.
+
 ``mp_stieltjes_closed`` provides the independent closed form for mu = delta_1:
 g = g_MP(gamma) solves the quadratic gamma z g^2 + (z + gamma - 1) g + 1 = 0,
 taking the root with positive imaginary part.
@@ -53,7 +68,8 @@ import numpy as np
 class DivergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance.
 
-    Carries the worst relative residual seen at the final iterate.
+    Carries the worst relative residual seen at the final iterate (inf
+    where it is not tracked, as for a nested chain of levels).
     """
 
     def __init__(self, message: str, residual: float):
@@ -77,15 +93,6 @@ class FixedPointConfig:
 
 
 DEFAULT_CONFIG = FixedPointConfig()
-
-
-@dataclass(frozen=True)
-class LSolution:
-    """Converged value of l(z) together with iteration diagnostics."""
-
-    l: complex
-    iterations: int
-    residual: float
 
 
 def contraction_constant(z: complex) -> float:
@@ -213,36 +220,225 @@ def solve_l_grid(
     return l.reshape(z.shape), iterations, res.reshape(z.shape)
 
 
-def solve_l(
-    mu,
-    gamma: float,
-    z: complex,
-    cfg: FixedPointConfig = DEFAULT_CONFIG,
-    l0: complex | None = None,
-) -> LSolution:
-    """Scalar wrapper around :func:`solve_l_grid`."""
-    zz = np.asarray(complex(z))
-    start = None if l0 is None else np.asarray(complex(l0))
-    l, iterations, res = solve_l_grid(mu, gamma, zz, cfg, l0=start)
-    return LSolution(l=complex(l), iterations=iterations, residual=float(res))
+def in_wedge(l, z) -> np.ndarray:
+    """Membership of l in the closed wedge D(z), up to a 1e-12 relative slack."""
+    slack = 1e-12
+    cross = l.imag * z.real - l.real * z.imag  # |z|^2 Im(l / z)
+    return (l.imag >= z.imag * (1.0 - slack)) & (cross >= -slack * np.abs(l) * np.abs(z))
 
 
-def mp_boxtimes_stieltjes(
-    mu,
-    gamma: float,
-    z,
-    cfg: FixedPointConfig = DEFAULT_CONFIG,
-    l0=None,
-):
-    """Stieltjes transform of MP(gamma) (x) mu via the fixed point.
+# A continuation stage hands over to the next, lower one at this residual;
+# only the last stage, at the requested height, must meet cfg.tol.
+_STAGE_TOL = 1e-3
+# Newton converges in a few steps from the previous stage's root; a point
+# that needs more than this many at one height, or more step halvings in
+# one line search, is left uncertified
+_STAGE_STEPS = 30
+_MAX_HALVINGS = 30
+_BLOCK = 2048
 
-    Vectorized over z; scalar in, scalar out.
+
+def _chain_args(l, z, shifts, scales):
+    """Level arguments: u_0 = z and u_{i+1} = (l_i - a_i) / b_i."""
+    u = np.empty_like(l)
+    u[0] = z
+    u[1:] = (l[:-1] - shifts) / scales
+    return u
+
+
+def _project_chain(l, z, shifts, scales):
+    """Project each level onto its wedge, top first; returns (l, u).
+
+    u_0 = z and u_{i+1} = (l_i - a_i) / b_i is taken from the projected l_i.
     """
+    u = np.empty_like(l)
+    u[0] = z
+    for i in range(l.shape[0]):
+        l[i] = project_domain(l[i], u[i])
+        if i + 1 < l.shape[0]:
+            u[i + 1] = (l[i] - shifts[i]) / scales[i]
+    return l, u
+
+
+def _chain_system(l, u, gammas, scales, bottom):
+    """Residuals and Jacobian bands of the stacked system at l.
+
+    Level i (top first) has residual
+    R_i = u_i + (gamma_i - 1) l_i + gamma_i l_i^2 h_i, where h_i is the
+    transform of level i's base at l_i: g_{i+1}(u_{i+1}) / b_i with the next
+    level's g recovered from l_{i+1}, and ``bottom`` for the last level.
+    Returns R, the diagonal dR_i/dl_i and the upper band dR_i/dl_{i+1}; the
+    lower band dR_{i+1}/dl_i is 1 / b_i.
+    """
+    g_next = gammas[1:]
+    h = np.empty_like(l)
+    dh = np.empty_like(l)
+    h[:-1] = (-1.0 / l[1:] - (g_next - 1.0) / u[1:]) / (g_next * scales)
+    dh[:-1] = (g_next - 1.0) / (g_next * scales**2 * u[1:] ** 2)
+    h[-1], dh[-1] = bottom(l[-1])
+    gl2 = gammas * l * l
+    r = u + (gammas - 1.0) * l + gl2 * h
+    diag = (gammas - 1.0) + 2.0 * gammas * l * h + gl2 * dh
+    upper = gl2[:-1] / (scales * g_next * l[1:] ** 2)
+    return r, diag, upper
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Solve tridiagonal systems column by column (one per grid point)."""
+    m = diag.shape[0]
+    c = np.empty_like(upper)
+    x = np.empty_like(rhs)
+    beta = diag[0]
+    x[0] = rhs[0] / beta
+    for i in range(1, m):
+        c[i - 1] = upper[i - 1] / beta
+        beta = diag[i] - lower[i - 1] * c[i - 1]
+        x[i] = (rhs[i] - lower[i - 1] * x[i - 1]) / beta
+    for i in range(m - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return x
+
+
+def _scaled_residual(r, l):
+    """Per point, max over levels of |R_i| / max(1, |l_i|); inf where not finite."""
+    with np.errstate(invalid="ignore"):
+        out = np.max(np.abs(r) / np.maximum(1.0, np.abs(l)), axis=0)
+    return np.where(np.isfinite(out), out, np.inf)
+
+
+def solve_chain_grid(
+    gammas, shifts, scales, bottom, z, radius: float, cfg: FixedPointConfig = DEFAULT_CONFIG
+):
+    """Stacked Newton solve of a chain of nested companion fixed points.
+
+    Level i = 0..m-1, top first, is MP(gamma_i) (x) base_i.  For i < m-1,
+    base_i is the pushforward t -> a_i + b_i t (b_i > 0) of level i+1's
+    law, so level i+1 is evaluated at u_{i+1} = (l_i - a_i) / b_i; the last
+    base is given by ``bottom(v) -> (g(v), g'(v))``.  All unknowns
+    (l_0, ..., l_{m-1}) of a grid point are solved together by complex
+    Newton with the tridiagonal analytic Jacobian (one Thomas sweep per
+    step for the whole grid).  The start is l_i = u_i at the raised height
+    Im z = max(Im z, 1, radius / 4), where ``radius`` bounds the top law's
+    support, and the height is halved down to Im z whenever the residual
+    falls below a stage tolerance.  Every trial step is projected onto the
+    wedges D(u_i), top first, and halved pointwise until the residual
+    falls.
+
+    A point is certified when its residual meets ``cfg.tol`` at the
+    requested height and one more full Newton step keeps every level in
+    its wedge D(u_i) with the residual still within ``cfg.tol``.  Each
+    level's root in D(u_i) is unique, so, taken from the bottom up, a
+    certified point is the nested solution.  ``cfg.max_iter`` caps the
+    Newton steps.
+
+    Returns ``(l, ok, steps)``: l shaped (m,) + z.shape, ok the certificate
+    per point (l of an uncertified point is not to be used) and the number
+    of Newton steps taken.
+    """
+    gammas = np.asarray(gammas, dtype=float)[:, None]
+    shifts = np.asarray(shifts, dtype=float)[:, None]
+    scales = np.asarray(scales, dtype=float)[:, None]
+    if np.any(scales <= 0):
+        raise ValueError("chain scales must be positive")
     z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    l, _, _ = solve_l_grid(mu, gamma, z, cfg, l0=l0)
-    g = (-1.0 / l - (gamma - 1.0) / z) / gamma
-    return complex(g) if scalar else g
+    zf = z.ravel()
+    m = gammas.shape[0]
+    l = np.empty((m, zf.size), dtype=complex)
+    ok = np.empty(zf.shape, dtype=bool)
+    steps = 0
+    # points are independent; blocks bound the working memory
+    for start in range(0, zf.size, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        l[:, part], ok[part], block_steps = _newton_block(
+            zf[part], gammas, shifts, scales, bottom, radius, cfg
+        )
+        steps = max(steps, block_steps)
+    return l.reshape((m,) + z.shape), ok.reshape(z.shape), steps
+
+
+def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg):
+    m = gammas.shape[0]
+    lower_band = 1.0 / scales
+
+    def system(l, u):
+        # bases are evaluated only at points whose levels all lie in their
+        # wedges, where every argument is in the upper half-plane
+        inside = np.flatnonzero(np.all(in_wedge(l, u), axis=0))
+        with np.errstate(all="ignore"):
+            r, diag, upper = _chain_system(l[:, inside], u[:, inside], gammas, scales, bottom)
+        return inside, r, diag, upper, _scaled_residual(r, l[:, inside])
+
+    height = np.maximum(zf.imag, max(1.0, radius / 4.0))
+    zc = zf.real + 1j * height
+    l = np.empty((m, zf.size), dtype=complex)
+    l[0] = zc
+    for i in range(1, m):
+        l[i] = (l[i - 1] - shifts[i - 1]) / scales[i - 1]
+    u = l.copy()
+    r = np.empty_like(l)
+    diag = np.empty_like(l)
+    upper = np.empty((m - 1, zf.size), dtype=complex)
+    res = np.empty(zf.shape)
+
+    def refresh(cols):
+        # residual and Jacobian at the current iterate of these points
+        inside, r_in, diag_in, upper_in, res_in = system(l[:, cols], u[:, cols])
+        res[cols] = np.inf
+        sel = cols[inside]
+        r[:, sel], diag[:, sel], upper[:, sel], res[sel] = r_in, diag_in, upper_in, res_in
+
+    refresh(np.arange(zf.size))
+    ok = np.zeros(zf.shape, dtype=bool)
+    act = np.arange(zf.size)
+    stage_steps = np.zeros(zf.shape, dtype=int)
+    steps = 0
+    while act.size:
+        final = height[act] == zf.imag[act]
+        met = res[act] <= np.where(final, cfg.tol, _STAGE_TOL)
+        done = act[met & final]
+        if done.size:
+            # one more full step brings a converged point to rounding level
+            with np.errstate(all="ignore"):
+                lt = l[:, done] + _thomas(lower_band, diag[:, done], upper[:, done], -r[:, done])
+                ut = _chain_args(lt, zc[done], shifts, scales)
+            inside, _, _, _, rt_res = system(lt, ut)
+            l[:, done] = lt
+            ok[done[inside]] = rt_res <= cfg.tol
+        lower = act[met & ~final]
+        if lower.size:
+            height[lower] = np.maximum(height[lower] / 2.0, zf.imag[lower])
+            stage_steps[lower] = 0
+            zc[lower] = zf.real[lower] + 1j * height[lower]
+            # the iterate may lie outside the lowered wedges: project it back
+            l[:, lower], u[:, lower] = _project_chain(l[:, lower], zc[lower], shifts, scales)
+            refresh(lower)
+        act = act[~(met & final) & np.isfinite(res[act]) & (stage_steps[act] < _STAGE_STEPS)]
+        if not act.size or steps == cfg.max_iter:
+            break
+        with np.errstate(all="ignore"):
+            step = _thomas(lower_band, diag[:, act], upper[:, act], -r[:, act])
+        base = res[act]
+        pos = np.arange(act.size)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            idx = act[pos]
+            with np.errstate(all="ignore"):
+                lt, ut = _project_chain(l[:, idx] + t * step[:, pos], zc[idx], shifts, scales)
+            inside, rt, dt, upt, rt_res = system(lt, ut)
+            good = rt_res <= (1.0 - 1e-4 * t) * base[pos[inside]]
+            sel = inside[good]
+            keep = idx[sel]
+            l[:, keep], u[:, keep], r[:, keep] = lt[:, sel], ut[:, sel], rt[:, good]
+            diag[:, keep], upper[:, keep], res[keep] = dt[:, good], upt[:, good], rt_res[good]
+            pos = np.delete(pos, sel)
+            if not pos.size:
+                break
+            t /= 2.0
+        # a point whose line search found no acceptable step stays uncertified
+        act = np.delete(act, pos)
+        stage_steps[act] += 1
+        steps += 1
+    return l, ok, steps
 
 
 def mp_stieltjes_closed(gamma: float, z):

@@ -27,7 +27,14 @@ import threading
 
 import numpy as np
 
-from .freeconv import DEFAULT_CONFIG, FixedPointConfig, mp_stieltjes_closed, solve_l_grid
+from .freeconv import (
+    DEFAULT_CONFIG,
+    DivergenceError,
+    FixedPointConfig,
+    mp_stieltjes_closed,
+    solve_chain_grid,
+    solve_l_grid,
+)
 
 DEFAULT_ETA = 1e-3
 # layer scales (and point-mass locations) below this count as zero
@@ -119,6 +126,17 @@ class DiscreteMeasure(Measure):
         out = out.reshape(z.shape)
         _herglotz_check(out, z, True)
         return complex(out) if scalar else out
+
+    def _stieltjes_pair(self, v):
+        """g(v) and g'(v) = sum of w / (t - v)^2 on a flat array v."""
+        g = np.empty(v.shape, dtype=complex)
+        dg = np.empty(v.shape, dtype=complex)
+        block = max(1, _CHUNK // self.atoms.size)
+        for i in range(0, v.size, block):
+            inv = 1.0 / (self.atoms[:, None] - v[None, i : i + block])
+            g[i : i + block] = self.weights @ inv
+            dg[i : i + block] = self.weights @ (inv * inv)
+        return g, dg
 
     def support_min(self) -> float:
         return float(self.atoms[0])
@@ -286,11 +304,21 @@ class MpBoxtimes(Measure):
     """MP(gamma) (x) base, with transforms evaluated by the fixed point.
 
     A single-atom base delta_c gives the dilation c MP(gamma), whose
-    transforms come from the closed form (delta_0 when c < B_ZERO_TOL);
-    any other base goes through :func:`solve_l_grid`.  Every solve starts
-    cold from l = z: the object keeps no warm-start state, so a transform
-    depends only on its arguments, whichever thread asks.  Only the CDF
-    tables are cached, per eta.
+    transforms come from the closed form (delta_0 when c < B_ZERO_TOL).
+    A base that needs no fixed point of its own (atoms, their affine
+    pushforwards, closed-form dilations) goes through :func:`solve_l_grid`.
+    A base that nests further solver-backed laws, through pushforwards
+    t -> a + b t with b > 0, forms a chain of levels; all of them are
+    solved at once by :func:`solve_chain_grid`, a stacked Newton solve
+    whose cost per point grows linearly with depth.  A point counts as
+    solved only when every level meets the tolerance inside its wedge
+    D(u_k); that root is unique, so it equals the nested fixed point.
+    Points that Newton does not certify fall back to the nested route,
+    :func:`solve_l_grid` on the base with inner levels solved (again by
+    this rule) for each evaluation, so correctness never rests on Newton.
+    Every solve starts cold: the object keeps no warm-start state, so a
+    transform depends only on its arguments, whichever thread asks.
+    Only the CDF tables are cached, per eta.
     """
 
     def __init__(self, gamma: float, base: Measure, solver: FixedPointConfig = DEFAULT_CONFIG):
@@ -310,26 +338,99 @@ class MpBoxtimes(Measure):
     def __repr__(self):
         return f"MpBoxtimes(gamma={self.gamma:g}, {self.base!r})"
 
-    def _solve(self, z, raise_on_fail: bool):
-        """Companion reciprocal l(z) on the upper half-plane, with ok flags."""
+    def _closed_atom(self) -> float | None:
+        """c when the base is a single atom delta_c (0 below B_ZERO_TOL), else None."""
         base = self.base
         if isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
             c = float(base.atoms[0])
-            if c < B_ZERO_TOL:
-                l = z.copy()
-            else:
-                g = mp_stieltjes_closed(self.gamma, z / c) / c
-                l = -1.0 / ((self.gamma - 1.0) / z + self.gamma * g)
-            return l, np.ones(z.shape, dtype=bool)
-        l, _, res = solve_l_grid(base, self.gamma, z, self.solver, raise_on_fail=raise_on_fail)
-        return l, res <= self.solver.tol * np.maximum(1.0, np.abs(l))
+            return 0.0 if c < B_ZERO_TOL else c
+        return None
+
+    def _closed_pair(self, v):
+        """g(v) and g'(v) of the closed-form law c MP(gamma) (delta_0 when c = 0).
+
+        g' of MP(gamma) follows from differentiating its quadratic
+        gamma u g^2 + (u + gamma - 1) g + 1 = 0.
+        """
+        c = self._closed_atom()
+        if c == 0.0:
+            return -1.0 / v, 1.0 / (v * v)
+        u = v / c
+        g = mp_stieltjes_closed(self.gamma, u)
+        dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
+        return g / c, dg / (c * c)
+
+    def _levels(self):
+        """Levels of the solver chain under this law, top first, and their links.
+
+        Returns ``(levels, links)``: level k + 1 is the law inside level k's
+        base, which is its pushforward t -> a + b t for ``links[k] = (a, b)``
+        (b > 0).  The last level's base needs no solver of its own when
+        :func:`_closed_pair` accepts it.
+        """
+        levels, links = [self], []
+        while True:
+            base = levels[-1].base
+            a, b, inner = (base.a, base.b, base.inner) if isinstance(base, AffinePush) else (0.0, 1.0, base)
+            if not (b > 0.0 and isinstance(inner, MpBoxtimes) and inner._closed_atom() is None):
+                return levels, links
+            levels.append(inner)
+            links.append((a, b))
+
+    def _solve(self, z, raise_on_fail: bool):
+        """Companion reciprocals on the upper half-plane, with ok flags.
+
+        Returns ``(l, ok)``: l stacks l(z) of this law and of each solver
+        level nested under it (top first, shaped (m,) + z.shape) and ok
+        holds per point when every level converged.
+        """
+        if self._closed_atom() is not None:
+            g, _ = self._closed_pair(z)
+            l = -1.0 / ((self.gamma - 1.0) / z + self.gamma * g)
+            return l[None], np.ones(z.shape, dtype=bool)
+        levels, links = self._levels()
+        if len(levels) == 1:
+            l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver, raise_on_fail=raise_on_fail)
+            return l[None], res <= self.solver.tol * np.maximum(1.0, np.abs(l))
+        bottom = _closed_pair(levels[-1].base)
+        if bottom is None:
+            l = np.empty((len(levels),) + z.shape, dtype=complex)
+            ok = np.zeros(z.shape, dtype=bool)
+        else:
+            shifts, scales = zip(*links)
+            gammas = [level.gamma for level in levels]
+            l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom, z, self.support_max(), self.solver)
+        l = l.reshape(len(levels), -1)
+        ok = ok.ravel()
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            l[:, bad], ok[bad] = self._nested(z.ravel()[bad], links[0], levels[1])
+        if raise_on_fail and not np.all(ok):
+            raise DivergenceError(
+                f"no convergence at {int(np.sum(~ok))} of {z.size} points "
+                f"of a {len(levels)}-level chain",
+                float("inf"),
+            )
+        return l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
+
+    def _nested(self, z, link, inner):
+        """The nested route: Picard on the base, inner levels solved per evaluation.
+
+        Inner solves flag instead of raising; the returned flags cover
+        every level at the final iterate.
+        """
+        a, b = link
+        l, _, res = solve_l_grid(_FlaggedPush(a, b, inner), self.gamma, z, self.solver, raise_on_fail=False)
+        l_inner, ok_inner = inner._solve((l - a) / b, raise_on_fail=False)
+        ok = (res <= self.solver.tol * np.maximum(1.0, np.abs(l))) & ok_inner
+        return np.concatenate([l[None], l_inner]), ok
 
     def _transform(self, z, raise_on_fail: bool):
         # lower half-plane points by reflection, g(conj z) = conj g(z)
         neg = z.imag < 0
         zz = np.where(neg, np.conj(z), z)
         l, ok = self._solve(zz, raise_on_fail)
-        g = (-1.0 / l - (self.gamma - 1.0) / zz) / self.gamma
+        g = (-1.0 / l[0] - (self.gamma - 1.0) / zz) / self.gamma
         return np.where(neg, np.conj(g), g), ok
 
     def stieltjes(self, z):
@@ -340,19 +441,30 @@ class MpBoxtimes(Measure):
 
     def companion_l(self, z):
         """Reciprocal transform l(z) = -1 / g_companion(z), vectorized."""
-        z, scalar = _as_z(z)
+        l = self.companion_levels(z)[0]
+        return complex(l) if l.ndim == 0 else l
+
+    def companion_levels(self, z):
+        """l(z) of this law and of every solver level nested under it.
+
+        Shaped (m,) + z.shape, top first: entry k + 1 is the inner law's l
+        at u = (l_k - a) / b, its argument inside level k's base.  One
+        stacked solve gives them all; raises DivergenceError unless every
+        level converged.
+        """
+        z = np.asarray(z, dtype=complex)
         if np.any(z.imag <= 0):
             raise ValueError("z must lie in the open upper half-plane")
-        l, _ = self._solve(z, raise_on_fail=True)
-        return complex(l) if scalar else l
+        return self._solve(z, raise_on_fail=True)[0]
 
     def stieltjes_checked(self, z):
         """Stieltjes transform with per-point convergence flags.
 
         Returns ``(g, ok)`` where ok is a boolean mask shaped like z; entries
-        with ok False did not meet the solver tolerance and carry the last
-        iterate rather than a trusted value.  Unlike ``stieltjes`` this never
-        raises on divergence of its own solve, so callers can flag bad grid
+        with ok False did not meet the solver tolerance, at this level or at
+        any level nested under it, and carry the last iterate rather than a
+        trusted value.  Unlike ``stieltjes`` this never raises on divergence,
+        of its own solve or of a nested one, so callers can flag bad grid
         points and move on.
         """
         z, scalar = _as_z(z)
@@ -418,6 +530,42 @@ class MpBoxtimes(Measure):
         out = np.interp(t, xs, cont, left=0.0, right=float(cont[-1]))
         out = out + self._atom0() * (t >= 0.0)
         return float(out) if t.shape == () else out
+
+
+class _FlaggedPush:
+    """The base t -> a + b t of an inner law, for the nested fallback.
+
+    Its transform solves the inner law without raising, so a starved inner
+    level shows up in the flags rather than as an exception.
+    """
+
+    def __init__(self, a: float, b: float, inner: MpBoxtimes):
+        self.a, self.b, self.inner = a, b, inner
+
+    def stieltjes(self, w):
+        g, _ = self.inner._transform((w - self.a) / self.b, raise_on_fail=False)
+        return g / self.b
+
+
+def _closed_pair(mu):
+    """Evaluator v -> (g(v), g'(v)) for a law needing no fixed-point solve, else None."""
+    if isinstance(mu, DiscreteMeasure):
+        return mu._stieltjes_pair
+    if isinstance(mu, MpBoxtimes) and mu._closed_atom() is not None:
+        return mu._closed_pair
+    if isinstance(mu, AffinePush):
+        if mu.b == 0.0:
+            return lambda v: (1.0 / (mu.a - v), 1.0 / (mu.a - v) ** 2)
+        inner = _closed_pair(mu.inner) if mu.b > 0.0 else None
+        if inner is None:
+            return None
+
+        def pushed(v):
+            g, dg = inner((v - mu.a) / mu.b)
+            return g / mu.b, dg / (mu.b * mu.b)
+
+        return pushed
+    return None
 
 
 # ---------------------------------------------------------------------------

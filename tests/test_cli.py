@@ -420,6 +420,33 @@ class TestExitCodes:
         assert main(["simulate", "--config", cpath, "--out", str(blocker)]) == 4
         capsys.readouterr()
 
+    def test_starved_inner_layers_flag_only_their_rows(self, tmp_path, capsys):
+        # three layers: a starved inner layer clears its points' flags
+        # instead of raising, so only the unconverged rows lose their values
+        layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
+        grid = {"x_min": -2.0, "x_max": 8.0, "step": 1.0, "eta": [4.0, 0.01]}
+        tree = smoke_tree(tmp_path, z_grid=grid, solver={"max_iter": 3})
+        tree["network"].update(dims=[64] * 3, layers=[layer] * 3)
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["density", "--config", cpath, "--no-timestamp"]) == 3
+        capsys.readouterr()
+        starved = read_csv(tmp_path / "density.csv")
+        del tree["solver"]
+        cpath = write_cfg(tmp_path, tree, "full.json")
+        assert main(["density", "--config", cpath, "--out", str(tmp_path / "full"), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        full = read_csv(tmp_path / "full" / "density.csv")
+        assert all(r["converged_eta4"] == "1" for r in starved)
+        dens = np.array([float(r["density_eta0.01"]) for r in starved])
+        want = np.array([float(r["density_eta0.01"]) for r in full])
+        solved = ~np.isnan(dens)
+        # x = 0, 1, 2 sit in the bulk near the axis, where three steps are too few
+        assert (~solved).tolist() == [False, False, True, True, True] + [False] * 6
+        assert np.max(np.abs(dens[solved] - want[solved])) <= 1e-10
+        # the eta's CDF table did not converge, which clears the whole column
+        assert all(r["converged_eta0.01"] == "0" for r in starved)
+        assert all(r["cdf_eta0.01"] == "nan" for r in starved)
+
     def test_starved_solver_still_writes_flagged_table(self, tmp_path, capsys):
         tree = smoke_tree(tmp_path, solver={"max_iter": 2})
         cpath = write_cfg(tmp_path, tree)

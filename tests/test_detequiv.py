@@ -22,6 +22,7 @@ from ckequiv.hermite import (
 )
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues
 from ckequiv.netsim import IidData, NetworkSpec
+from nested_oracle import PicardLaw, Pushed
 
 # frozen one-layer constants for tanh with every variance set to 1
 TANH_A = 1.2895524620057048
@@ -204,6 +205,40 @@ class TestChain:
         assert len(calls) == 1
         assert abs(np.trace(g2) / n - chi2.stieltjes(z)) < 1e-9
         assert np.linalg.norm(g2, 2) <= 1.0 / z.imag + 1e-9
+
+    def test_depth_three_builder_matches_layer_by_layer_composition(self, monkeypatch):
+        def no_fallback(*args):
+            raise AssertionError("a point was left to the nested fallback")
+
+        monkeypatch.setattr(MpBoxtimes, "_nested", no_fallback)
+        # explicit input kernel: a discrete input law and a full resolvent
+        n = 40
+        kx = random_psd(n, 3)
+        lam, vec = np.linalg.eigh(kx)
+        chi0 = esd_from_eigenvalues(lam)
+
+        def g0(w):
+            return (vec * (1.0 / (lam - w))) @ vec.T
+
+        layers = [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma) for gamma in (1.0, 2.0, 1.0)]
+        net = NetworkSpec(n=n, d0=n, dims=(40, 20, 40), data=IidData(1.0), layers=tuple(layers))
+        chain = build_chain(net, chi0, g0, 1.0)
+        consts = [layer.constants for layer in chain.layers]
+
+        # one gbox_composed per layer, each law solved by the nested route
+        laws = [chi0]
+        for c, spec in zip(consts[:-1], layers):
+            laws.append(PicardLaw(spec.gamma, Pushed(c.a, c.b, laws[-1])))
+
+        def composed(k, w):
+            inner = g0 if k == 0 else (lambda v: composed(k - 1, v))
+            c = consts[k]
+            return gbox_composed(inner, laws[k], c.a, c.b, layers[k].gamma, w)
+
+        for z in (0.8 + 1e-3j, 2.5 + 0.05j, -0.5 + 0.5j):
+            got = chain.layers[2].gbuilder(z)
+            want = composed(2, z)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_constants_propagate_output_variance(self):
         net = self.network([LayerSpec(1.0, 1.0, 1.0, tanh_activation(), 1.0)] * 2)

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import ckequiv
-from ckequiv.freeconv import DivergenceError, FixedPointConfig, mp_stieltjes_closed, solve_l_grid
+import ckequiv.measures as measures
+from ckequiv.freeconv import (
+    DEFAULT_CONFIG,
+    DivergenceError,
+    FixedPointConfig,
+    mp_stieltjes_closed,
+    solve_l_grid,
+)
 from ckequiv.measures import (
     AffinePush,
     AtomMix,
@@ -25,6 +32,8 @@ from ckequiv.measures import (
     read_discrete_csv,
     write_discrete_csv,
 )
+
+from nested_oracle import PicardLaw, Pushed
 
 # exact CDF of the square aspect-ratio MP law at 1: 1/3 + sqrt(3)/(2 pi)
 MP1_CDF_AT_1 = 1.0 / 3.0 + math.sqrt(3.0) / (2.0 * math.pi)
@@ -228,6 +237,91 @@ class TestMpBoxtimes:
         assert not ok[0]
         with pytest.raises(DivergenceError):
             m.stieltjes(np.array([1.0 + 1e-3j]))
+
+
+# links t -> a + b t of tanh layers with unit variances, with aspect ratios
+TANH_LINKS = [(0.3298, 0.2865, 1.0), (0.3250, 0.2802, 2.0), (0.2896, 0.2304, 1.0), (0.2750, 0.2200, 2.0)]
+
+
+def layer_chain(depth, cfg=DEFAULT_CONFIG):
+    """MpBoxtimes layers over the closed-form law MP(1), and the nested oracle."""
+    chi = MpBoxtimes(1.0, dirac(1.0), cfg)
+    oracle = chi
+    for a, b, gamma in TANH_LINKS[:depth]:
+        chi = MpBoxtimes(gamma, AffinePush(a, b, chi), cfg)
+        oracle = PicardLaw(gamma, Pushed(a, b, oracle))
+    return chi, oracle
+
+
+def chain_grid(chi, etas):
+    edge = chi.support_max()
+    # below the support, inside the bulk and past its upper edge
+    xs = np.array([-1.0, -0.2, 0.2 * edge, 0.5 * edge, 0.8 * edge, edge + 0.5, 2.0 * edge])
+    return np.concatenate([xs + 1j * eta for eta in etas])
+
+
+class TestLayerChain:
+    """Nested MpBoxtimes layers, solved by one stacked Newton solve."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_stacked_route_matches_nested_oracle(self, monkeypatch, depth):
+        def no_fallback(*args):
+            raise AssertionError("a point was left to the nested fallback")
+
+        monkeypatch.setattr(MpBoxtimes, "_nested", no_fallback)
+        chi, oracle = layer_chain(depth)
+        zs = chain_grid(chi, (1e-3, 1e-2, 0.5))
+        g, ok = chi.stieltjes_checked(zs)
+        assert np.all(ok)
+        want = oracle.stieltjes(zs)
+        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+        assert chi.companion_levels(zs).shape == (depth,) + zs.shape
+
+    def test_newton_stage_stubbed_out_gives_nested_values(self, monkeypatch):
+        def certifies_nothing(gammas, shifts, scales, bottom, z, radius, cfg):
+            l = np.full((len(gammas),) + z.shape, np.nan, dtype=complex)
+            return l, np.zeros(z.shape, dtype=bool), 0
+
+        monkeypatch.setattr(measures, "solve_chain_grid", certifies_nothing)
+        chi, oracle = layer_chain(3)
+        zs = chain_grid(chi, (1e-2, 0.5))
+        g, ok = chi.stieltjes_checked(zs)
+        assert np.all(ok)
+        want = oracle.stieltjes(zs)
+        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+    def test_closed_form_bottoms_give_exact_derivatives(self):
+        laws = [
+            DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
+            AffinePush(0.4, 1.7, DiscreteMeasure([0.5, 2.0], [0.5, 0.5])),
+            AffinePush(0.8, 0.0, dirac(3.0)),
+            MpBoxtimes(2.0, dirac(1.5)),
+            MpBoxtimes(0.5, dirac(0.0)),
+            AffinePush(0.3, 0.6, MpBoxtimes(1.0, dirac(1.0))),
+        ]
+        v = np.array([0.9 + 0.2j, -0.5 + 1.0j, 3.0 + 0.05j])
+        h = 1e-6
+        for law in laws:
+            pair = measures._closed_pair(law)
+            g, dg = pair(v)
+            assert np.max(np.abs(g - law.stieltjes(v))) <= 1e-13
+            fd = (pair(v + h)[0] - pair(v - h)[0]) / (2 * h)
+            assert np.max(np.abs(dg - fd) / np.abs(dg)) <= 1e-6
+        # a base that needs its own fixed point has no closed form
+        assert measures._closed_pair(MpBoxtimes(1.0, DiscreteMeasure([1.0, 2.0], [0.5, 0.5]))) is None
+
+    def test_starved_inner_layers_flag_instead_of_raising(self):
+        zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j])
+        starved, _ = layer_chain(3, FixedPointConfig(max_iter=3))
+        # no DivergenceError from a nested layer: every failure is a flag
+        g, ok = starved.stieltjes_checked(zs)
+        assert ok.tolist() == [True, False, True, False, True]
+        want = layer_chain(3)[0].stieltjes(zs)
+        gap = np.abs(g - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(gap[ok] <= 1e-10)
+        assert np.all(gap[~ok] > 1e-10)
+        with pytest.raises(DivergenceError, match="2 of 5 points"):
+            starved.stieltjes(zs)
 
 
 def test_density_from_stieltjes_nonnegative_and_localized():
