@@ -14,7 +14,6 @@ from .hermite import (
     coeff_vector,
     default_rule,
     gaussian_norm_sq,
-    hermite_coeff,
     hermite_h,
     hermite_normalized,
     make_rule,
@@ -108,7 +107,6 @@ __all__ = [
     "gaussian_norm_sq",
     "gbox_composed",
     "gbox_from_sigma",
-    "hermite_coeff",
     "hermite_h",
     "hermite_normalized",
     "kolmogorov_distance",

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _pool
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig, mp_stieltjes_closed
-from .hermite import activation_by_name, coeff_vector, default_rule, gaussian_norm_sq
+from .hermite import activation_by_name
 from .measures import (
     DiscreteMeasure,
     MpBoxtimes,
@@ -46,8 +46,8 @@ from .measures import (
     kolmogorov_distance,
 )
 from .detequiv import (
-    B_ZERO_TOL,
     LayerSpec,
+    _ungated_constants,
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
@@ -122,19 +122,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = DEFAULT_CONFIG.tol
-    max_iter: int = DEFAULT_CONFIG.max_iter
-    damping: float = DEFAULT_CONFIG.damping
-
-    def fixed_point(self) -> FixedPointConfig:
-        try:
-            return FixedPointConfig(self.tol, self.max_iter, self.damping)
-        except ValueError as ex:
-            raise ConfigError(f"solver: {ex}") from None
-
-
-@dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
     formats: tuple = ("csv",)
@@ -145,7 +132,7 @@ class ExperimentConfig:
     network: NetworkConfig | None = None
     z_grid: ZGridConfig = ZGridConfig()
     sim: SimConfig = SimConfig()
-    solver: SolverConfig = SolverConfig()
+    solver: FixedPointConfig = DEFAULT_CONFIG
     output: OutputConfig = OutputConfig()
 
 
@@ -261,16 +248,17 @@ def _parse_sim(tree: dict) -> SimConfig:
     return SimConfig(seeds=seeds, replicas=replicas)
 
 
-def _parse_solver(tree: dict) -> SolverConfig:
+def _parse_solver(tree: dict) -> FixedPointConfig:
     _check_keys(tree, {"tol", "max_iter", "damping"}, "solver")
-    d = SolverConfig()
-    out = SolverConfig(
-        tol=_number(tree, "tol", "solver", default=d.tol),
-        max_iter=_number(tree, "max_iter", "solver", default=d.max_iter, kind=int),
-        damping=_number(tree, "damping", "solver", default=d.damping),
-    )
-    out.fixed_point()
-    return out
+    d = DEFAULT_CONFIG
+    try:
+        return FixedPointConfig(
+            tol=_number(tree, "tol", "solver", default=d.tol),
+            max_iter=_number(tree, "max_iter", "solver", default=d.max_iter, kind=int),
+            damping=_number(tree, "damping", "solver", default=d.damping),
+        )
+    except ValueError as ex:
+        raise ConfigError(f"solver: {ex}") from None
 
 
 def _parse_output(tree: dict) -> OutputConfig:
@@ -413,10 +401,9 @@ def chain_inputs(cfg: ExperimentConfig, spec: NetworkSpec, solver: FixedPointCon
 
 
 def _build_chain(cfg: ExperimentConfig, spec: NetworkSpec):
-    solver = cfg.solver.fixed_point()
-    chi0, g0, sx2 = chain_inputs(cfg, spec, solver)
+    chi0, g0, sx2 = chain_inputs(cfg, spec, cfg.solver)
     try:
-        return build_chain(spec, chi0, g0, sx2, cfg=solver)
+        return build_chain(spec, chi0, g0, sx2, cfg=cfg.solver)
     except ValueError as ex:
         raise ConfigError(str(ex)) from None
 
@@ -486,8 +473,15 @@ def _print_table(header, rows, file=sys.stdout) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(), file=file)
 
 
-def _ensure_outdir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+def _write_tables(cfg: ExperimentConfig, args, tables) -> None:
+    """Write (name, header, rows) tables where flags or config say; print each path."""
+    outdir = args.out if args.out is not None else cfg.output.directory
+    os.makedirs(outdir, exist_ok=True)
+    stamp = None if args.no_timestamp else _stamp()
+    formats = args.formats or cfg.output.formats
+    for name, header, rows in tables:
+        for path in write_table(outdir, name, header, rows, formats, stamp):
+            print(f"wrote {path}")
 
 
 def _eta_tag(eta: float) -> str:
@@ -510,19 +504,12 @@ def cmd_coeffs(args) -> int:
     else:
         sw2, sx2, sb2 = args.sigma_w2, args.sigma_x2, args.sigma_b2
     sd2 = args.sigma_d2
-    st2 = sw2 * sx2 + sb2
-    if st2 <= 0 or sw2 < 0 or sx2 < 0 or sb2 < 0 or sd2 < 0:
+    if sw2 * sx2 + sb2 <= 0 or sw2 < 0 or sx2 < 0 or sb2 < 0 or sd2 < 0:
         raise ConfigError("variances must be nonnegative with sigma_w2*sigma_x2 + sigma_b2 > 0")
-    rule = default_rule()
-    ft = f.scaled(math.sqrt(st2))
-    zeta = coeff_vector(ft, args.r_max, rule)
-    norm2 = gaussian_norm_sq(ft, rule)
-    # constants computed arithmetically, with no zero-mean gate: this table
+    # the constants the theory uses, without its zero-mean gate: this table
     # is diagnostic and should also show activations that need recentering
-    b = zeta[1] ** 2 * sw2 / st2
-    if b < B_ZERO_TOL:
-        b = 0.0
-    a = norm2 - (sw2 * sx2 / st2) * zeta[1] ** 2 + sd2
+    const = _ungated_constants(f, sw2, sx2, sb2, sd2, r_max=args.r_max)
+    zeta, norm2, st2 = const.zeta, const.norm2, const.sigma_tilde2
     coeff_rows = [(r, zeta[r], abs(zeta[r]) < 1e-10) for r in range(args.r_max + 1)]
     summary_rows = [
         ("sigma_w2", sw2),
@@ -532,9 +519,9 @@ def cmd_coeffs(args) -> int:
         ("sigma_tilde2", st2),
         ("norm_sq", norm2),
         ("tail", norm2 - float(zeta @ zeta)),
-        ("a", a),
-        ("b", b),
-        ("sigma_y2", norm2 + sd2),
+        ("a", const.a),
+        ("b", const.b),
+        ("sigma_y2", const.sigma_y2),
     ]
     coeff_header = ["r", "zeta", "is_zero"]
     summary_header = ["quantity", "value"]
@@ -543,7 +530,7 @@ def cmd_coeffs(args) -> int:
     print()
     _print_table(summary_header, summary_rows)
     if args.out is not None:
-        _ensure_outdir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         stamp = None if args.no_timestamp else _stamp()
         write_table(args.out, "coeffs", coeff_header, coeff_rows, args.formats, stamp)
         write_table(args.out, "coeffs_summary", summary_header, summary_rows, args.formats, stamp)
@@ -581,14 +568,8 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
         for dens, cdf, ok, cdf_ok in per_eta:
             row += [dens[i], cdf[i], bool(ok[i]) and cdf_ok]
         rows.append(row)
-    outdir = args.out if args.out is not None else cfg.output.directory
-    _ensure_outdir(outdir)
-    stamp = None if args.no_timestamp else _stamp()
-    formats = args.formats or cfg.output.formats
-    paths = write_table(outdir, "density", header, rows, formats, stamp)
+    _write_tables(cfg, args, [("density", header, rows)])
     bad = sum(int(np.sum(~ok)) + int(not cdf_ok) for _, _, ok, cdf_ok in per_eta)
-    for p in paths:
-        print(f"wrote {p}")
     if bad:
         print(f"{bad} grid point(s) did not converge; see converged_* columns", file=sys.stderr)
         return EXIT_NUMERIC
@@ -614,23 +595,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
             )
         for layer, st in enumerate(res.stats):
             stat_rows.append((res.seed, layer, st.max_dev, st.diag_norm, st.spec_norm))
-    outdir = args.out if args.out is not None else cfg.output.directory
-    _ensure_outdir(outdir)
-    stamp = None if args.no_timestamp else _stamp()
-    formats = args.formats or cfg.output.formats
-    paths = write_table(
-        outdir, "simulate_eigenvalues", ["seed", "layer", "index", "eigenvalue"], eig_rows, formats, stamp
-    )
-    paths += write_table(
-        outdir,
-        "simulate_stats",
-        ["seed", "layer", "max_dev", "diag_norm", "spec_norm"],
-        stat_rows,
-        formats,
-        stamp,
-    )
-    for p in paths:
-        print(f"wrote {p}")
+    _write_tables(cfg, args, [
+        ("simulate_eigenvalues", ["seed", "layer", "index", "eigenvalue"], eig_rows),
+        ("simulate_stats", ["seed", "layer", "max_dev", "diag_norm", "spec_norm"], stat_rows),
+    ])
     return EXIT_OK
 
 
@@ -697,10 +665,6 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             n_bad += 1
         stats = np.array([results[k].stats[li] for k in range(len(results))])
         layer_rows.append((li, ks, *stats.mean(axis=0)))
-    outdir = args.out if args.out is not None else cfg.output.directory
-    _ensure_outdir(outdir)
-    stamp = None if args.no_timestamp else _stamp()
-    formats = args.formats or cfg.output.formats
     row_header = [
         "layer",
         "z_re",
@@ -714,17 +678,10 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         "max_entry_gap",
         "converged",
     ]
-    paths = write_table(outdir, "compare_rows", row_header, rows, formats, stamp)
-    paths += write_table(
-        outdir,
-        "compare_layers",
-        ["layer", "kolmogorov", "max_dev", "diag_norm", "spec_norm"],
-        layer_rows,
-        formats,
-        stamp,
-    )
-    for p in paths:
-        print(f"wrote {p}")
+    _write_tables(cfg, args, [
+        ("compare_rows", row_header, rows),
+        ("compare_layers", ["layer", "kolmogorov", "max_dev", "diag_norm", "spec_norm"], layer_rows),
+    ])
     print(f"{len(seeds)} seed(s), {zs.size} grid point(s), {chain.depth} layer(s)")
     if n_bad:
         print(f"{n_bad} row(s) did not converge", file=sys.stderr)
@@ -735,7 +692,6 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 def cmd_example55(cfg: ExperimentConfig, args) -> int:
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
-    solver = cfg.solver.fixed_point()
     if args.a is None or args.b is None:
         const = layer_constants(
             LayerSpec(1.0, 1.0, 1.0, activation_by_name("tanh"), 1.0), 1.0
@@ -753,15 +709,15 @@ def cmd_example55(cfg: ExperimentConfig, args) -> int:
     zs = [complex(x, eta) for eta in cfg.z_grid.eta for x in xs]
     rows = []
     for z in zs:
-        g, g_mat = equicorrelated_equivalent(n, a, b, z, solver)
-        g_generic = gbox_from_sigma(sigma, 1.0, z, solver)
+        g, g_mat = equicorrelated_equivalent(n, a, b, z, cfg.solver)
+        g_generic = gbox_from_sigma(sigma, 1.0, z, cfg.solver)
         agreement = float(np.linalg.norm(g_mat - g_generic, 2))
         trace_gap = abs(np.trace(g_mat) / n - g)
         rows.append((z.real, z.imag, g.real, g.imag, agreement, trace_gap))
     sweep_rows = []
     g_inf = mp_stieltjes_closed(1.0, 1j / (a + b)) / (a + b)
     for m in (100, 1000, 10000):
-        gm = equicorrelated_stieltjes(m, a, b, 1j, solver)
+        gm = equicorrelated_stieltjes(m, a, b, 1j, cfg.solver)
         sweep_rows.append((m, abs(gm - g_inf)))
     grid_header = ["z_re", "z_im", "g_re", "g_im", "agreement", "trace_gap"]
     sweep_header = ["n", "abs_gap_at_i"]
@@ -769,14 +725,10 @@ def cmd_example55(cfg: ExperimentConfig, args) -> int:
     _print_table(grid_header, rows)
     print()
     _print_table(sweep_header, sweep_rows)
-    outdir = args.out if args.out is not None else cfg.output.directory
-    _ensure_outdir(outdir)
-    stamp = None if args.no_timestamp else _stamp()
-    formats = args.formats or cfg.output.formats
-    paths = write_table(outdir, "example55_grid", grid_header, rows, formats, stamp)
-    paths += write_table(outdir, "example55_sweep", sweep_header, sweep_rows, formats, stamp)
-    for p in paths:
-        print(f"wrote {p}")
+    _write_tables(cfg, args, [
+        ("example55_grid", grid_header, rows),
+        ("example55_sweep", sweep_header, sweep_rows),
+    ])
     return EXIT_OK
 
 

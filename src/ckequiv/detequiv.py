@@ -24,7 +24,7 @@ and a single evaluation of the base resolvent map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -85,11 +85,49 @@ class LayerConstants:
     sigma_y2: float
 
     def __post_init__(self):
-        if self.a < -1e-10:
+        # a is a difference of terms of size sigma_y2, so its rounding error is too
+        scale = max(1.0, self.sigma_y2)
+        if self.a < -1e-10 * scale:
             raise ValueError(f"a must be nonnegative, got {self.a:.3e}")
         gap = abs(self.a + self.b * self.sigma_x2 - self.sigma_y2)
-        if gap > 1e-8:
+        if gap > 1e-8 * scale:
             raise ValueError(f"constants violate a + b*sx2 = sy2 by {gap:.3e}")
+
+
+def _ungated_constants(
+    f: Activation,
+    sigma_w2: float,
+    sigma_x2: float,
+    sigma_b2: float,
+    sigma_d2: float,
+    rule: QuadratureRule | None = None,
+    r_max: int = DEFAULT_R_MAX,
+) -> LayerConstants:
+    """Constants of one layer, whatever the Gaussian mean of ft.
+
+    b counts as zero where |zeta_1| < B_ZERO_TOL, and an a that rounding
+    left just below zero (by 1e-10 max(1, sigma_y2) at most) is clamped to 0.
+    """
+    rule = default_rule() if rule is None else rule
+    st2 = sigma_w2 * sigma_x2 + sigma_b2
+    ft = f.scaled(np.sqrt(st2))
+    zeta = coeff_vector(ft, r_max, rule)
+    norm2 = gaussian_norm_sq(ft, rule)
+    z1 = zeta[1]
+    b = 0.0 if abs(z1) < B_ZERO_TOL else z1 * z1 * sigma_w2 / st2
+    a = norm2 - (sigma_w2 * sigma_x2 / st2) * z1 * z1 + sigma_d2
+    sigma_y2 = norm2 + sigma_d2
+    if -1e-10 * max(1.0, sigma_y2) < a < 0:
+        a = 0.0
+    return LayerConstants(
+        sigma_x2=sigma_x2,
+        sigma_tilde2=st2,
+        zeta=zeta,
+        norm2=norm2,
+        a=a,
+        b=b,
+        sigma_y2=sigma_y2,
+    )
 
 
 def layer_constants(
@@ -106,33 +144,17 @@ def layer_constants(
     sigma_x2 = float(sigma_x2)
     if sigma_x2 <= 0:
         raise ValueError("sigma_x2 must be positive")
-    rule = default_rule() if rule is None else rule
-    st2 = spec.sigma_w2 * sigma_x2 + spec.sigma_b2
-    ft = spec.f.scaled(np.sqrt(st2))
-    zeta = coeff_vector(ft, r_max, rule)
-    if abs(zeta[0]) >= 1e-6:
-        raise ValueError(
-            f"rescaled activation {ft.name!r} is not Gaussian-centered "
-            f"(zeta_0 = {zeta[0]:.3e}); use f.shifted({zeta[0]!r})"
-        )
-    norm2 = gaussian_norm_sq(ft, rule)
-    z1 = zeta[1]
-    if abs(z1) < B_ZERO_TOL:
-        b = 0.0
-    else:
-        b = z1 * z1 * spec.sigma_w2 / st2
-    a = norm2 - (spec.sigma_w2 * sigma_x2 / st2) * z1 * z1 + spec.sigma_d2
-    if -1e-10 < a < 0:
-        a = 0.0
-    return LayerConstants(
-        sigma_x2=sigma_x2,
-        sigma_tilde2=st2,
-        zeta=zeta,
-        norm2=norm2,
-        a=a,
-        b=b,
-        sigma_y2=norm2 + spec.sigma_d2,
+    const = _ungated_constants(
+        spec.f, spec.sigma_w2, sigma_x2, spec.sigma_b2, spec.sigma_d2, rule, r_max
     )
+    zeta0 = const.zeta[0]
+    if abs(zeta0) >= 1e-6:
+        name = spec.f.scaled(np.sqrt(const.sigma_tilde2)).name
+        raise ValueError(
+            f"rescaled activation {name!r} is not Gaussian-centered "
+            f"(zeta_0 = {zeta0:.3e}); use f.shifted({zeta0!r})"
+        )
+    return const
 
 
 # ---------------------------------------------------------------------------

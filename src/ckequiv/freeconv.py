@@ -69,7 +69,7 @@ class DivergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance.
 
     Carries the worst relative residual seen at the final iterate (inf
-    where it is not tracked, as for a nested chain of levels).
+    where only per-point flags are kept, as for ``MpBoxtimes`` transforms).
     """
 
     def __init__(self, message: str, residual: float):
@@ -132,12 +132,21 @@ def _support_floor(mu) -> float | None:
     return None if fn is None else float(fn())
 
 
+def _converged(l, res, tol: float) -> np.ndarray:
+    """Stop test of the companion fixed point: |residual| <= tol |l|.
+
+    The test is relative also where |l| < 1.  There g = (-1 / l - (gamma - 1) / z)
+    / gamma amplifies an error in l by 1 / |l|^2, so an absolute test on l
+    would leave g short of tol.  l lies in D(z), so |l| >= Im z > 0.
+    """
+    return res <= tol * np.abs(l)
+
+
 def solve_l_grid(
     mu,
     gamma: float,
     z,
     cfg: FixedPointConfig = DEFAULT_CONFIG,
-    l0=None,
     raise_on_fail: bool = True,
 ):
     """Vectorized damped Picard solve of l = z + gamma l + gamma l^2 g_mu(l).
@@ -148,8 +157,7 @@ def solve_l_grid(
     iterations is the number of sweeps, i.e. the step count of the slowest
     point.  A point leaves the sweep as soon as its residual meets
     ``cfg.tol`` and keeps that iterate, so only unconverged points cost
-    further evaluations of ``mu.stieltjes``.  An optional warm start l0 is
-    projected onto D(z) before use.
+    further evaluations of ``mu.stieltjes``.  Every solve starts at l = z.
     """
     gamma = float(gamma)
     if gamma <= 0:
@@ -170,18 +178,14 @@ def solve_l_grid(
         den = w.imag * (w + r).imag
         return np.where(den > 0.0, np.abs(r) / np.sqrt(np.maximum(den, 1e-300)), np.inf)
 
-    def converged(w, r):
-        return np.abs(r) <= cfg.tol * np.maximum(1.0, np.abs(w))
-
     zf = z.ravel()
-    l = project_domain(np.array(zf if l0 is None else np.broadcast_to(l0, z.shape).ravel(),
-                                dtype=complex, copy=True), zf)
+    l = zf.copy()
     r = step(l, zf) - l
     sres = semi_res(l, r)
     alpha = np.full(zf.shape, cfg.damping)
     alpha_min = cfg.damping / 64.0
     # indices still iterating; a point is frozen once it meets tol
-    act = np.flatnonzero(~converged(l, r))
+    act = np.flatnonzero(~_converged(l, np.abs(r), cfg.tol))
     iterations = 0
     while act.size and iterations < cfg.max_iter:
         za, la, ra, sa, aa = zf[act], l[act], r[act], sres[act], alpha[act]
@@ -207,11 +211,11 @@ def solve_l_grid(
         r[act] = np.where(use, r_sec, r_pic)
         sres[act] = np.where(use, sres_sec, sres_pic)
         iterations += 1
-        act = act[~converged(l[act], r[act])]
-    ok = converged(l, r)
+        act = act[~_converged(l[act], np.abs(r[act]), cfg.tol)]
     res = np.abs(r)
+    ok = _converged(l, res, cfg.tol)
     if raise_on_fail and not np.all(ok):
-        worst = float(np.max(res / np.maximum(1.0, np.abs(l))))
+        worst = float(np.max(res / np.abs(l)))
         raise DivergenceError(
             f"no convergence after {iterations} iterations "
             f"({int(np.sum(~ok))} of {z.size} points, worst residual {worst:.3e})",

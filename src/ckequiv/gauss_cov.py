@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pool
-from .hermite import Activation, QuadratureRule, coeff_vector, default_rule, gaussian_norm_sq
+from .hermite import Activation, QuadratureRule, _hermite_all, coeff_vector, default_rule, gaussian_norm_sq
 
 _EIG_FLOOR = -1e-10
 
@@ -91,13 +91,7 @@ def _scaled_coeff_table(model: CovModel, r_max: int, rule: QuadratureRule):
     """zeta_r(f_i) for every index i and r = 0..r_max, one quadrature pass."""
     sig = np.sqrt(np.diag(model.s))
     vals = model.f(sig[:, None] * rule.nodes[None, :])
-    # normalized Hermite values at the nodes, built by the monic recurrence
-    mono = np.empty((r_max + 1, rule.nodes.size))
-    mono[0] = 1.0
-    if r_max >= 1:
-        mono[1] = rule.nodes
-    for r in range(1, r_max):
-        mono[r + 1] = rule.nodes * mono[r] - r * mono[r - 1]
+    mono = _hermite_all(r_max, rule.nodes)
     norms = np.array([math.sqrt(math.factorial(r)) for r in range(r_max + 1)])
     zeta = (vals * rule.weights[None, :]) @ mono.T / norms[None, :]
     return sig, zeta

@@ -244,13 +244,6 @@ def activation_by_name(name: str) -> Activation:
 # Coefficients
 
 
-def hermite_coeff(f: Activation, r: int, rule: QuadratureRule) -> float:
-    """zeta_r(f) = E[f(N) hh_r(N)] by quadrature."""
-    r = _check_degree(r)
-    hh = hermite_h(r, rule.nodes) / math.sqrt(math.factorial(r))
-    return float(rule.weights @ (f(rule.nodes) * hh))
-
-
 def coeff_vector(f: Activation, r_max: int, rule: QuadratureRule) -> np.ndarray:
     """zeta_0(f) .. zeta_{r_max}(f) in one pass over the nodes."""
     r_max = _check_degree(r_max)
@@ -273,13 +266,3 @@ def psi(f: Activation, r: int, sigma: float, rule: QuadratureRule) -> float:
         raise ValueError("sigma must be positive")
     vals = f(sigma * rule.nodes) * hermite_h(r, rule.nodes)
     return float(rule.weights @ vals) / sigma**r
-
-
-def scaled_coeff(f: Activation, sigma: float, r: int, rule: QuadratureRule) -> float:
-    """zeta_r of the dilation t -> f(sigma t)."""
-    r = _check_degree(r)
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    hh = hermite_h(r, rule.nodes) / math.sqrt(math.factorial(r))
-    return float(rule.weights @ (f(sigma * rule.nodes) * hh))

@@ -31,6 +31,7 @@ from .freeconv import (
     DEFAULT_CONFIG,
     DivergenceError,
     FixedPointConfig,
+    _converged,
     mp_stieltjes_closed,
     solve_chain_grid,
     solve_l_grid,
@@ -377,12 +378,13 @@ class MpBoxtimes(Measure):
             levels.append(inner)
             links.append((a, b))
 
-    def _solve(self, z, raise_on_fail: bool):
+    def _solve(self, z):
         """Companion reciprocals on the upper half-plane, with ok flags.
 
         Returns ``(l, ok)``: l stacks l(z) of this law and of each solver
         level nested under it (top first, shaped (m,) + z.shape) and ok
-        holds per point when every level converged.
+        holds per point when every level converged.  Nothing here raises on
+        divergence; the public transforms raise from the flags.
         """
         if self._closed_atom() is not None:
             g, _ = self._closed_pair(z)
@@ -390,8 +392,8 @@ class MpBoxtimes(Measure):
             return l[None], np.ones(z.shape, dtype=bool)
         levels, links = self._levels()
         if len(levels) == 1:
-            l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver, raise_on_fail=raise_on_fail)
-            return l[None], res <= self.solver.tol * np.maximum(1.0, np.abs(l))
+            l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver, raise_on_fail=False)
+            return l[None], _converged(l, res, self.solver.tol)
         bottom = _closed_pair(levels[-1].base)
         if bottom is None:
             l = np.empty((len(levels),) + z.shape, dtype=complex)
@@ -405,12 +407,6 @@ class MpBoxtimes(Measure):
         bad = np.flatnonzero(~ok)
         if bad.size:
             l[:, bad], ok[bad] = self._nested(z.ravel()[bad], links[0], levels[1])
-        if raise_on_fail and not np.all(ok):
-            raise DivergenceError(
-                f"no convergence at {int(np.sum(~ok))} of {z.size} points "
-                f"of a {len(levels)}-level chain",
-                float("inf"),
-            )
         return l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
 
     def _nested(self, z, link, inner):
@@ -421,28 +417,30 @@ class MpBoxtimes(Measure):
         """
         a, b = link
         l, _, res = solve_l_grid(_FlaggedPush(a, b, inner), self.gamma, z, self.solver, raise_on_fail=False)
-        l_inner, ok_inner = inner._solve((l - a) / b, raise_on_fail=False)
-        ok = (res <= self.solver.tol * np.maximum(1.0, np.abs(l))) & ok_inner
-        return np.concatenate([l[None], l_inner]), ok
+        l_inner, ok_inner = inner._solve((l - a) / b)
+        return np.concatenate([l[None], l_inner]), _converged(l, res, self.solver.tol) & ok_inner
 
-    def _transform(self, z, raise_on_fail: bool):
+    def _transform(self, z):
         # lower half-plane points by reflection, g(conj z) = conj g(z)
         neg = z.imag < 0
         zz = np.where(neg, np.conj(z), z)
-        l, ok = self._solve(zz, raise_on_fail)
+        l, ok = self._solve(zz)
         g = (-1.0 / l[0] - (self.gamma - 1.0) / zz) / self.gamma
         return np.where(neg, np.conj(g), g), ok
 
+    def _raise_unless(self, ok):
+        if not np.all(ok):
+            raise DivergenceError(
+                f"no convergence at {int(np.sum(~ok))} of {ok.size} points of {self!r}",
+                float("inf"),
+            )
+
     def stieltjes(self, z):
         z, scalar = _as_z(z)
-        g, _ = self._transform(z, raise_on_fail=True)
+        g, ok = self._transform(z)
+        self._raise_unless(ok)
         _herglotz_check(g, z, True)
         return complex(g) if scalar else g
-
-    def companion_l(self, z):
-        """Reciprocal transform l(z) = -1 / g_companion(z), vectorized."""
-        l = self.companion_levels(z)[0]
-        return complex(l) if l.ndim == 0 else l
 
     def companion_levels(self, z):
         """l(z) of this law and of every solver level nested under it.
@@ -455,7 +453,9 @@ class MpBoxtimes(Measure):
         z = np.asarray(z, dtype=complex)
         if np.any(z.imag <= 0):
             raise ValueError("z must lie in the open upper half-plane")
-        return self._solve(z, raise_on_fail=True)[0]
+        l, ok = self._solve(z)
+        self._raise_unless(ok)
+        return l
 
     def stieltjes_checked(self, z):
         """Stieltjes transform with per-point convergence flags.
@@ -468,7 +468,7 @@ class MpBoxtimes(Measure):
         points and move on.
         """
         z, scalar = _as_z(z)
-        g, ok = self._transform(z, raise_on_fail=False)
+        g, ok = self._transform(z)
         if scalar:
             return complex(g), bool(ok)
         return g, ok
@@ -543,7 +543,7 @@ class _FlaggedPush:
         self.a, self.b, self.inner = a, b, inner
 
     def stieltjes(self, w):
-        g, _ = self.inner._transform((w - self.a) / self.b, raise_on_fail=False)
+        g, _ = self.inner._transform((w - self.a) / self.b)
         return g / self.b
 
 
@@ -570,14 +570,6 @@ def _closed_pair(mu):
 
 # ---------------------------------------------------------------------------
 # Module-level operations
-
-
-def stieltjes(m: Measure, z):
-    return m.stieltjes(z)
-
-
-def cdf(m: Measure, t, eta: float = DEFAULT_ETA):
-    return m.cdf(t, eta)
 
 
 def density_from_stieltjes(m: Measure, x, eta: float = DEFAULT_ETA):

@@ -13,15 +13,14 @@ substreams keyed by (layer, role), so enlarging the evaluation grid or
 adding probes never changes the sampled network.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .detequiv import LayerSpec
-from .hermite import default_rule, gaussian_norm_sq
+from .detequiv import LayerSpec, _ungated_constants
+from .hermite import default_rule
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
 
@@ -269,12 +268,6 @@ class SimResult:
         return len(self.kernels) - 1
 
 
-def _output_variance(lspec: LayerSpec, sigma_x2: float, rule) -> float:
-    st2 = lspec.sigma_w2 * sigma_x2 + lspec.sigma_b2
-    ft = lspec.f.scaled(math.sqrt(st2))
-    return gaussian_norm_sq(ft, rule) + lspec.sigma_d2
-
-
 def run_network(spec: NetworkSpec, seed: int) -> SimResult:
     """Sample one network and collect kernels, spectra, and stats.
 
@@ -292,31 +285,13 @@ def run_network(spec: NetworkSpec, seed: int) -> SimResult:
         x = forward_layer(x, lspec, d_prev, rngs)
         d_prev = spec.dims[i - 1]
         kernels.append(conjugate_kernel(x, d_prev))
-        sigma2s.append(_output_variance(lspec, sigma2s[-1], rule))
+        sigma2s.append(
+            _ungated_constants(
+                lspec.f, lspec.sigma_w2, sigma2s[-1], lspec.sigma_b2, lspec.sigma_d2, rule
+            ).sigma_y2
+        )
     # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
     eigenvalues = tuple(np.linalg.eigvalsh(k) for k in kernels)
     stats = tuple(orthogonality_stats(k, s2, lam) for k, s2, lam in zip(kernels, sigma2s, eigenvalues))
     return SimResult(seed=int(seed), kernels=tuple(kernels), eigenvalues=eigenvalues, stats=stats)
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def write_eigenvalues_csv(result: SimResult, path) -> None:
-    """One row per eigenvalue: (seed, layer, index, eigenvalue)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "layer", "index", "eigenvalue"])
-        for layer, lam in enumerate(result.eigenvalues):
-            for idx, v in enumerate(lam):
-                w.writerow([result.seed, layer, idx, repr(float(v))])
-
-
-def write_stats_csv(result: SimResult, path) -> None:
-    """One row per layer: the orthogonality statistics."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "layer", "max_dev", "diag_norm", "spec_norm"])
-        for layer, st in enumerate(result.stats):
-            w.writerow([result.seed, layer, repr(st.max_dev), repr(st.diag_norm), repr(st.spec_norm)])

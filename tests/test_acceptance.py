@@ -325,3 +325,11 @@ def test_criterion_8_trace_identity_and_resolvent_bound():
         f"criterion 8: worst trace gap {worst_trace:.2e} (budget {1e-9 * n:.1e}), "
         f"worst norm excess {worst_norm_excess:.2e}"
     )
+
+
+def test_public_names_resolve():
+    import ckequiv
+
+    missing = [name for name in ckequiv.__all__ if not hasattr(ckequiv, name)]
+    assert missing == []
+    assert len(set(ckequiv.__all__)) == len(ckequiv.__all__)

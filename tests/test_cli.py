@@ -14,7 +14,9 @@ from ckequiv.cli import (
     parse_config,
     serialize_config,
 )
+from ckequiv.detequiv import LayerSpec, layer_constants
 from ckequiv.freeconv import mp_density_closed
+from ckequiv.hermite import identity_activation, tanh_activation
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues, kolmogorov_distance
 
 
@@ -171,6 +173,34 @@ class TestCoeffsCommand:
         by_r = {row[0]: row for row in coeffs["rows"]}
         assert by_r[1][1] == pytest.approx(2.0, abs=1e-12)
         assert all(row[2] for row in coeffs["rows"] if row[0] != 1)
+
+    def test_summary_constants_are_the_theory_constants(self, tmp_path, capsys):
+        # the same a, b, sigma_y2 as layer_constants, to the last bit; at the
+        # identity defaults a is a rounding error that only its clamp zeroes
+        cases = [
+            (["identity"], LayerSpec(1.0, 0.0, 0.0, identity_activation(), 1.0), 1.0),
+            (
+                ["tanh", "--sigma-w2", "2", "--sigma-x2", "0.8", "--sigma-b2", "0.5", "--sigma-d2", "0.1"],
+                LayerSpec(2.0, 0.5, 0.1, tanh_activation(), 1.0),
+                0.8,
+            ),
+        ]
+        for argv, spec, sx2 in cases:
+            out = tmp_path / argv[0]
+            assert main(["coeffs", *argv, "--out", str(out), "--no-timestamp"]) == 0
+            summary = {r["quantity"]: r["value"] for r in read_csv(out / "coeffs_summary.csv")}
+            const = layer_constants(spec, sx2)
+            for key in ("a", "b", "sigma_y2"):
+                assert summary[key] == repr(float(getattr(const, key)))
+        capsys.readouterr()
+
+    def test_uncentered_activation_is_shown(self, tmp_path, capsys):
+        # the table has no zero-mean gate: layer_constants would reject this
+        rc, coeffs, summary = self.run_json(tmp_path, ["coeffs", "centered-relu", "--sigma-tilde2", "2"])
+        assert rc == 0
+        assert coeffs["rows"][0][2] is False
+        assert summary["a"] + summary["b"] == pytest.approx(summary["sigma_y2"], abs=1e-10)
+        capsys.readouterr()
 
     def test_unknown_activation(self, capsys):
         assert main(["coeffs", "swish"]) == 2

@@ -21,7 +21,7 @@ from ckequiv.hermite import (
     tanh_activation,
 )
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues
-from ckequiv.netsim import IidData, NetworkSpec
+from ckequiv.netsim import IidData, NetworkSpec, run_network
 from nested_oracle import PicardLaw, Pushed
 
 # frozen one-layer constants for tanh with every variance set to 1
@@ -75,6 +75,17 @@ class TestLayerConstants:
         c = layer_constants(spec, 1.0)
         assert c.b == 0.0
         assert c.a == pytest.approx(1.0, abs=1e-10)
+
+    def test_rounding_floor_scales_with_output_variance(self):
+        # a = |ft|^2 - zeta_1^2 cancels terms of size 1e6 here: its rounding
+        # error is above an absolute 1e-10, yet a is exactly 0 for the identity
+        spec = LayerSpec(1e6, 0.0, 0.0, identity_activation(), 1.0)
+        c = layer_constants(spec, 1.0)
+        assert c.a == 0.0
+        assert c.b == pytest.approx(1e6, rel=1e-12)
+        assert c.sigma_y2 == pytest.approx(1e6, rel=1e-12)
+        net = NetworkSpec(n=8, d0=8, dims=(8,), data=IidData(1.0), layers=(spec,))
+        assert run_network(net, seed=0).stats[1].max_dev > 0
 
     def test_off_center_activation_rejected(self):
         spec = LayerSpec(1.0, 0.0, 0.0, identity_activation().shifted(-0.2), 1.0)

@@ -15,7 +15,7 @@ from ckequiv.freeconv import (
     solve_chain_grid,
     solve_l_grid,
 )
-from ckequiv.measures import DiscreteMeasure, dirac
+from ckequiv.measures import DiscreteMeasure, MpBoxtimes, dirac
 from nested_oracle import PicardLaw, Pushed
 
 
@@ -110,15 +110,6 @@ def test_hard_points_below_lower_edge_converge():
     assert np.max(np.abs(g - mp_stieltjes_closed(gamma, zs))) < 1e-9
 
 
-def test_warm_start_does_not_change_solution():
-    mu = DiscreteMeasure([1.0, 3.0], [0.7, 0.3])
-    zs = np.linspace(0.5, 8.0, 40) + 0.05j
-    l_cold, _, _ = solve_l_grid(mu, 1.0, zs)
-    l_warm, iters, _ = solve_l_grid(mu, 1.0, zs, l0=l_cold)
-    assert np.max(np.abs(l_warm - l_cold)) < 1e-9
-    assert iters <= 5
-
-
 def test_contraction_constant_below_one_and_monotone_in_height():
     c_low = contraction_constant(1.0 + 0.5j)
     c_high = contraction_constant(1.0 + 5j)
@@ -188,6 +179,18 @@ def test_active_set_solve_matches_high_precision_root():
         l, _, _ = solve_l_grid(mu, gamma, zs)
         want = np.array([_wedge_root_mp(atoms, weights, gamma, z, s) for z, s in zip(zs, l)])
         assert np.max(np.abs(l - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+
+
+def test_single_level_transform_near_zero_matches_high_precision_root():
+    # |l| is about 2e-3 here and g = (-1/l - (gamma - 1)/z) / gamma amplifies
+    # an error in l by 1/|l|^2, so the stop test must be relative in l
+    atoms, weights, gamma = [0.5, 1.0, 2.5], [0.2, 0.5, 0.3], 0.5
+    law = MpBoxtimes(gamma, DiscreteMeasure(atoms, weights))
+    for z in (1e-3j, 1e-3 + 1e-4j):
+        got = law.stieltjes(z)
+        root = _wedge_root_mp(atoms, weights, gamma, z, law.companion_levels(z)[0], dps=40)
+        want = (-1.0 / root - (gamma - 1.0) / z) / gamma
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_grid_solve_matches_pointwise_solves():

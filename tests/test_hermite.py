@@ -15,13 +15,11 @@ from ckequiv.hermite import (
     default_rule,
     gaussian_norm_sq,
     hermite2_activation,
-    hermite_coeff,
     hermite_h,
     hermite_normalized,
     identity_activation,
     make_rule,
     psi,
-    scaled_coeff,
     table_activation,
     tanh_activation,
 )
@@ -78,13 +76,13 @@ class TestCoefficients:
         assert np.allclose(zeta, want, atol=1e-13)
 
     def test_tanh_first_coefficient_frozen(self):
-        got = hermite_coeff(tanh_activation(), 1, RULE)
+        got = coeff_vector(tanh_activation(), 1, RULE)[1]
         assert abs(got - TANH_ZETA1) < 1e-12
 
     def test_tanh_stein_identity(self):
         # E[Z tanh Z] = E[sech^2 Z] = 1 - E[tanh^2 Z]
         f = tanh_activation()
-        z1 = hermite_coeff(f, 1, RULE)
+        z1 = coeff_vector(f, 1, RULE)[1]
         assert abs(z1 - (1.0 - gaussian_norm_sq(f, RULE))) < 1e-12
 
     def test_tanh_norm_and_tail_frozen(self):
@@ -97,7 +95,7 @@ class TestCoefficients:
 
     def test_centered_relu_linear_coefficient(self):
         # P(Z > 0) = 1/2; the kink costs quadrature accuracy but not much
-        z1 = hermite_coeff(centered_relu(), 1, RULE)
+        z1 = coeff_vector(centered_relu(), 1, RULE)[1]
         assert abs(z1 - 0.5) < 5e-3
 
     def test_hermite2_is_pure_second_mode(self):
@@ -128,14 +126,15 @@ def test_scaled_activation_semantics():
 
 def test_shifted_activation_recenters():
     f = identity_activation().shifted(0.25)
-    assert abs(hermite_coeff(f, 0, RULE) + 0.25) < 1e-13
+    assert abs(coeff_vector(f, 0, RULE)[0] + 0.25) < 1e-13
 
 
 def test_scaled_coeff_matches_manual_dilation():
+    # zeta_r(f_sigma) = sigma^r Psi_r(sigma) / sqrt(r!), the link in the module docstring
     f = tanh_activation()
     for sig in (0.7, 1.3):
-        a = scaled_coeff(f, sig, 3, RULE)
-        b = hermite_coeff(f.scaled(sig), 3, RULE)
+        a = sig**3 * psi(f, 3, sig, RULE) / math.sqrt(math.factorial(3))
+        b = coeff_vector(f.scaled(sig), 3, RULE)[3]
         assert abs(a - b) < 1e-13
 
 

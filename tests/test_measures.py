@@ -24,7 +24,6 @@ from ckequiv.measures import (
     DiscreteMeasure,
     MpBoxtimes,
     SignedMeasureError,
-    cdf,
     density_from_stieltjes,
     dirac,
     esd_from_eigenvalues,
@@ -69,8 +68,8 @@ class TestDiscreteMeasure:
     def test_cdf_smoothing_and_left_limit(self):
         m = DiscreteMeasure([1.0], [1.0])
         # far from the atom the smoothed cdf saturates
-        assert cdf(m, 5.0, 1e-4) > 1.0 - 1e-3
-        assert cdf(m, -3.0, 1e-4) < 1e-3
+        assert m.cdf(5.0, 1e-4) > 1.0 - 1e-3
+        assert m.cdf(-3.0, 1e-4) < 1e-3
         assert m.cdf(1.0, 1e-6) == pytest.approx(1.0, abs=1e-3)
         assert m.cdf_left(1.0, 1e-6) == pytest.approx(0.0, abs=1e-3)
 
@@ -167,7 +166,7 @@ class TestMpBoxtimes:
     def test_companion_reciprocal_identity(self):
         m = MpBoxtimes(2.0, dirac(1.0))
         z = 1.5 + 0.4j
-        l = m.companion_l(z)
+        l = m.companion_levels(z)[0]
         g = m.stieltjes(z)
         assert abs(g - (-1.0 / l - 1.0 / z) / 2.0) < 1e-12
 
@@ -219,7 +218,7 @@ class TestMpBoxtimes:
             for c in (0.0, 0.3, 1.0):
                 m = MpBoxtimes(gamma, dirac(c))
                 l_fp, _, _ = solve_l_grid(dirac(c), gamma, zs)
-                l_cf = m.companion_l(zs)
+                l_cf = m.companion_levels(zs)[0]
                 assert np.max(np.abs(l_cf - l_fp) / np.maximum(1.0, np.abs(l_fp))) <= 1e-10
                 # g = (-1/l - (gamma - 1)/z) / gamma amplifies an error in l by
                 # 1/|l|^2 near z = 0, so g is checked against the dilation
@@ -237,6 +236,8 @@ class TestMpBoxtimes:
         assert not ok[0]
         with pytest.raises(DivergenceError):
             m.stieltjes(np.array([1.0 + 1e-3j]))
+        with pytest.raises(DivergenceError, match="1 of 1 points"):
+            m.companion_levels(np.array([1.0 + 1e-3j]))
 
 
 # links t -> a + b t of tanh layers with unit variances, with aspect ratios
@@ -357,7 +358,7 @@ def test_discrete_csv_round_trip(tmp_path):
 
 def test_module_level_cdf_helper_dispatches():
     m = dirac(1.0)
-    assert cdf(m, 2.0, DEFAULT_ETA) == pytest.approx(1.0, abs=1e-3)
+    assert m.cdf(2.0, DEFAULT_ETA) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_herglotz_check_raises_under_optimize():

@@ -1,12 +1,14 @@
 """Sampled networks, their kernels, and the seeded randomness layout."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from ckequiv.detequiv import LayerSpec
-from ckequiv.hermite import identity_activation, tanh_activation
+from ckequiv.cli import main
+from ckequiv.detequiv import LayerSpec, _ungated_constants, layer_constants
+from ckequiv.hermite import hermite2_activation, identity_activation, tanh_activation
 from ckequiv.measures import (
     AffinePush,
     MpBoxtimes,
@@ -26,8 +28,6 @@ from ckequiv.netsim import (
     run_network,
     sample_gaussian,
     stream,
-    write_eigenvalues_csv,
-    write_stats_csv,
 )
 
 
@@ -206,6 +206,18 @@ class TestRunNetwork:
         direct = np.linalg.inv(res.kernels[2] - z * np.eye(net.n))
         assert np.max(np.abs(SpectralFactory(res.kernels[2]).resolvent(z) - direct)) < 1e-10
 
+    def test_uncentered_layer_uses_shared_output_variance(self):
+        # hermite2 at sigma_tilde2 = 2 has a nonzero Gaussian mean, which the
+        # theory side rejects; the simulation side samples it all the same
+        lspec = LayerSpec(2.0, 0.0, 0.0, hermite2_activation(), 1.0)
+        with pytest.raises(ValueError, match="shifted"):
+            layer_constants(lspec, 1.0)
+        res = run_network(self.network(n=16, layers=[lspec]), seed=1)
+        sy2 = _ungated_constants(lspec.f, 2.0, 1.0, 0.0, 0.0).sigma_y2
+        # E[f(sqrt(2) N)^2] = (3 * 4 - 2 * 2 + 1) / 2 for f(t) = (t^2 - 1) / sqrt(2)
+        assert sy2 == pytest.approx(4.5, rel=1e-12)
+        assert res.stats[1] == orthogonality_stats(res.kernels[1], sy2, res.eigenvalues[1])
+
     def test_eigenvalues_match_full_decomposition(self):
         net = self.network(n=120, layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         res = run_network(net, seed=4)
@@ -258,24 +270,29 @@ class TestRunNetwork:
         with pytest.raises(ValueError):
             NetworkSpec(32, 16, (32,), EquicorrelatedData(), (good,))
 
-    def test_csv_round_trips(self, tmp_path):
+    def test_csv_round_trips(self, tmp_path, capsys):
+        # the simulate tables carry run_network's values exactly
         res = run_network(self.network(n=8), seed=3)
-        epath = tmp_path / "eig.csv"
-        write_eigenvalues_csv(res, epath)
-        with open(epath, newline="") as fh:
+        layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
+        tree = {
+            "network": {"n": 8, "d0": 8, "dims": [8], "data": {"kind": "iid"}, "layers": [layer]},
+            "sim": {"seeds": [3]},
+        }
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(tree))
+        assert main(["simulate", "--config", str(cpath), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "simulate_eigenvalues.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8 * 2
-        back = np.array(
-            [float(r["eigenvalue"]) for r in rows if r["layer"] == "1"]
-        )
-        assert np.array_equal(np.sort(back), res.eigenvalues[1])
+        for k in (0, 1):
+            back = np.array([float(r["eigenvalue"]) for r in rows if r["layer"] == str(k)])
+            assert np.array_equal(back, res.eigenvalues[k])
 
-        spath = tmp_path / "stats.csv"
-        write_stats_csv(res, spath)
-        with open(spath, newline="") as fh:
+        with open(tmp_path / "simulate_stats.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
-        assert float(rows[1]["max_dev"]) == res.stats[1].max_dev
+        assert [float(r["max_dev"]) for r in rows] == [st.max_dev for st in res.stats]
 
 
 class TestAgainstLimitLaws:
