@@ -29,7 +29,6 @@ from .freeconv import (
 )
 from .measures import (
     AffinePush,
-    AtomMix,
     DiscreteMeasure,
     Measure,
     MpBoxtimes,
@@ -53,7 +52,6 @@ from .detequiv import (
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
-    gbox_composed,
     gbox_from_sigma,
     layer_constants,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "IidData",
     "LayerConstants",
     "LayerSpec",
-    "AtomMix",
     "Measure",
     "MpBoxtimes",
     "NetworkSpec",
@@ -105,7 +102,6 @@ __all__ = [
     "esd_from_eigenvalues",
     "expansion_tail",
     "gaussian_norm_sq",
-    "gbox_composed",
     "gbox_from_sigma",
     "hermite_h",
     "hermite_normalized",

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _pool
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig, mp_stieltjes_closed
-from .hermite import activation_by_name
+from .hermite import MAX_DEGREE, activation_by_name
 from .measures import (
     DiscreteMeasure,
     MpBoxtimes,
@@ -497,8 +497,8 @@ def cmd_coeffs(args) -> int:
         f = activation_by_name(args.activation)
     except ValueError as ex:
         raise ConfigError(str(ex)) from None
-    if args.r_max < 1:
-        raise ConfigError("--r-max must be >= 1")
+    if not 1 <= args.r_max <= MAX_DEGREE:
+        raise ConfigError(f"--r-max must lie in [1, {MAX_DEGREE}]")
     if args.sigma_tilde2 is not None:
         sw2, sx2, sb2 = args.sigma_tilde2, 1.0, 0.0
     else:
@@ -614,37 +614,30 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     layer_rows = []
     n_bad = 0
     for li, layer in enumerate(chain.layers, start=1):
-        g_det, ok = layer.chi.stieltjes_checked(zs)
         factories = [SpectralFactory(res.kernels[li]) for res in results]
         g_sim = np.array([[fac.stieltjes(z) for z in zs] for fac in factories])
         g_mean = g_sim.mean(axis=0)
         g_std = g_sim.std(axis=0)
-        for j, z in enumerate(zs):
+        # one solve per layer gives g, the flags and each point's equivalent
+        for z, gm, gs, (g_det, g_eq, ok) in zip(zs, g_mean, g_std, layer.gbuilder(zs)):
             gap = np.nan
-            if ok[j]:
-                try:
-                    g_eq = layer.gbuilder(complex(z))
-                    gap = max(
-                        float(np.max(np.abs(fac.resolvent(complex(z)) - g_eq)))
-                        for fac in factories
-                    )
-                except (DivergenceError, ArithmeticError):
-                    ok[j] = False
-            if not ok[j]:
+            if ok:
+                gap = max(float(np.max(np.abs(fac.resolvent(complex(z)) - g_eq))) for fac in factories)
+            else:
                 n_bad += 1
             rows.append(
                 (
                     li,
                     z.real,
                     z.imag,
-                    g_mean[j].real,
-                    g_mean[j].imag,
-                    float(g_std[j]),
-                    g_det[j].real if ok[j] else np.nan,
-                    g_det[j].imag if ok[j] else np.nan,
-                    abs(g_mean[j] - g_det[j]) if ok[j] else np.nan,
+                    gm.real,
+                    gm.imag,
+                    float(gs),
+                    g_det.real if ok else np.nan,
+                    g_det.imag if ok else np.nan,
+                    abs(gm - g_det) if ok else np.nan,
                     gap,
-                    bool(ok[j]),
+                    ok,
                 )
             )
         lo = min(layer.chi.support_min(), min(float(r.eigenvalues[li][0]) for r in results))

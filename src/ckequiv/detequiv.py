@@ -9,26 +9,28 @@ st^2 = sw2 * sx2 + sb2:
     sy2 = |ft|^2 + sd2            (the output variance; a + b*sx2 = sy2).
 
 The limiting kernel spectrum of the layer output is MP(gamma) boxtimes
-(a + b * chi_in), and the equivalent resolvent matrix is assembled from
-the companion fixed point l(z):
+(a + b * chi_in), and its equivalent resolvent matrix comes from one rule,
+applied once per layer on the companion fixed point l(z):
 
-    G(z) = (l/z) (Sigma - l I)^{-1}          for an explicit covariance,
-    K(z) = (l / (z b)) H((l - a) / b)        composed from the upstream
-                                             equivalent resolvent map H.
+    K(z) = (l / (z b)) H((l - a) / b),
 
-Chaining the composition through several layers costs one stacked
-fixed-point solve for all layers at once (``MpBoxtimes.companion_levels``)
-and a single evaluation of the base resolvent map.
+with H the equivalent resolvent map of the layer's input.  ``_compose``
+writes it once, over a whole z grid: one flagged solve gives l of every
+nested layer, and walking them down gives each point its prefactor and the
+argument of the base map, which is the input resolvent for a chain, or the
+resolvent of Sigma for an explicit covariance (a = 0, b = 1, so
+G(z) = (l/z) (Sigma - l I)^{-1}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .freeconv import DEFAULT_CONFIG, FixedPointConfig, solve_l_grid
+from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig
 from .gauss_cov import max_norm
 from .hermite import Activation, QuadratureRule, coeff_vector, default_rule, gaussian_norm_sq
 from .measures import (
@@ -173,50 +175,41 @@ def _eigh_psd(sigma):
     return np.maximum(lam, 0.0), vec
 
 
+def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z):
+    """The layer composition rule K(z) = (l / (z b)) H((l - a) / b) on a z grid.
+
+    chi's top ``depth`` levels are laws MP(gamma) (x) (a + b t) of the level
+    below; H is the equivalent resolvent map under the last of them.  One
+    flagged solve gives every level's l at every point; the walk
+    u_0 = z, coef <- coef l_k / (u_k b_k), u_{k+1} = (l_k - a_k) / b_k then
+    gives each point its prefactor and the argument of H.  Returns an
+    iterator of (g, G, ok) per point of z, with g chi's transform; G is
+    built when its point is reached and is None where ok is False: a level
+    did not converge, or the argument left the upper half-plane.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    if np.any(z.imag <= 0):
+        raise ValueError("z must lie in the open upper half-plane")
+    g, l, ok = chi._solve(z)
+    levels, _ = chi._levels()
+    coef = np.ones(z.shape, dtype=complex)
+    u = z
+    for l_k, level in zip(l[:depth], levels):
+        a, b = level.base.a, level.base.b
+        coef = coef * (l_k / (u * b))
+        u = (l_k - a) / b
+    ok = ok & (u.imag > 0)
+    return ((g[j], coef[j] * np.asarray(H(u[j])) if ok[j] else None, bool(ok[j])) for j in range(z.size))
+
+
 def gbox_from_sigma(sigma, gamma: float, z: complex, cfg: FixedPointConfig = DEFAULT_CONFIG):
     """Equivalent resolvent G(z) = (l/z)(Sigma - l I)^{-1} for explicit Sigma."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the open upper half-plane")
     lam, vec = _eigh_psd(sigma)
-    mu = esd_from_eigenvalues(lam)
-    l = complex(solve_l_grid(mu, gamma, np.asarray(z), cfg)[0])
-    core = (l / z) / (lam - l)
-    return (vec * core) @ vec.T
-
-
-def gbox_composed(
-    H: Callable[[complex], np.ndarray],
-    tau: Measure,
-    a: float,
-    b: float,
-    gamma: float,
-    z: complex,
-    cfg: FixedPointConfig = DEFAULT_CONFIG,
-    n: int | None = None,
-):
-    """Compose the layer equivalent from the upstream resolvent map H.
-
-    tau is the upstream spectral measure; a, b the layer constants.  For
-    b = 0 the result is g_{a MP(gamma)}(z) I and H, tau are unused (n
-    then fixes the matrix size).
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the open upper half-plane")
-    if abs(b) < B_ZERO_TOL:
-        if n is None:
-            raise ValueError("n is required when b = 0")
-        # a may sit a rounding error below zero; a MP(gamma) is then delta_0
-        return MpBoxtimes(gamma, dirac(max(a, 0.0)), cfg).stieltjes(z) * np.eye(n, dtype=complex)
-    pushed = AffinePush(a, b, tau)
-    l = complex(solve_l_grid(pushed, gamma, np.asarray(z), cfg)[0])
-    w = (l - a) / b
-    if w.imag <= 0:
-        raise ArithmeticError(
-            f"composed argument left the upper half-plane (Im = {w.imag:.3e})"
-        )
-    return (l / (z * b)) * np.asarray(H(w))
+    chi = MpBoxtimes(gamma, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), cfg)
+    ((_, G, ok),) = _compose(chi, 1, lambda w: (vec / (lam - w)) @ vec.T, [z])
+    if not ok:
+        raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}", float("inf"))
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +218,15 @@ def gbox_composed(
 
 @dataclass(frozen=True)
 class ChainLayer:
+    """Layer constants, limiting law chi and the equivalent resolvent builder.
+
+    ``gbuilder(zs)`` solves once for the whole grid and hands out
+    (g, G, ok) per point, one n x n matrix at a time (see ``_compose``).
+    """
+
     constants: LayerConstants
     chi: Measure
-    gbuilder: Callable[[complex], np.ndarray]
-    gamma: float
+    gbuilder: Callable[[np.ndarray], Iterator[tuple]]
 
 
 @dataclass(frozen=True)
@@ -249,33 +247,8 @@ class EquivalentChain:
         return len(self.layers)
 
 
-def _chain_builder(n, g0, consts, chis, upto):
-    def build(z):
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValueError("z must lie in the open upper half-plane")
-        coef = 1.0 + 0.0j
-        w = z
-        # l of every nested layer from one stacked solve at z; a layer below
-        # the chain it returned (if any) is solved at its own argument
-        ls = []
-        for j in range(upto - 1, -1, -1):
-            const = consts[j]
-            if const.b == 0.0:
-                g = chis[j].stieltjes(w)
-                return coef * g * np.eye(n, dtype=complex)
-            if not ls:
-                ls = list(chis[j].companion_levels(w))
-            l = ls.pop(0)
-            coef *= l / (w * const.b)
-            w = (l - const.a) / const.b
-            if w.imag <= 0:
-                raise ArithmeticError(
-                    f"composed argument left the upper half-plane at layer {j + 1}"
-                )
-        return coef * np.asarray(g0(w))
-
-    return build
+def _scalar_equivalent(chi: MpBoxtimes, n: int, w) -> np.ndarray:
+    return chi.stieltjes(w) * np.eye(n, dtype=complex)
 
 
 def build_chain(
@@ -291,34 +264,31 @@ def build_chain(
 
     chi0 and G0 describe the input kernel (its spectral measure and
     resolvent map); sigma_x2_0 is the input entry variance.  Builders
-    evaluate G0 once per z at the fully composed argument.
+    evaluate G0 once per z at the fully composed argument.  A layer with
+    b = 0 forgets its input: its equivalent is g_chi(z) I, which is also
+    the base map of the layers above it.
     """
     rule = default_rule() if rule is None else rule
-    consts: list[LayerConstants] = []
-    chis: list[MpBoxtimes] = []
-    links: list[ChainLayer] = []
+    layers: list[ChainLayer] = []
     sx2 = float(sigma_x2_0)
     prev: Measure = chi0
+    # H is the equivalent map under the run of b > 0 layers ending here
+    H, depth = G0, 0
     for i, lspec in enumerate(net.layers, start=1):
         try:
             const = layer_constants(lspec, sx2, rule, r_max)
         except ValueError as ex:
             raise ValueError(f"layer {i}: {ex}") from ex
-        base = dirac(const.a) if const.b == 0.0 else AffinePush(const.a, const.b, prev)
-        chi = MpBoxtimes(lspec.gamma, base, solver=cfg)
-        consts.append(const)
-        chis.append(chi)
-        links.append(
-            ChainLayer(
-                constants=const,
-                chi=chi,
-                gbuilder=_chain_builder(net.n, G0, consts[:], chis[:], i),
-                gamma=lspec.gamma,
-            )
-        )
+        if const.b == 0.0:
+            chi = MpBoxtimes(lspec.gamma, dirac(const.a), solver=cfg)
+            H, depth = partial(_scalar_equivalent, chi, net.n), 0
+        else:
+            chi = MpBoxtimes(lspec.gamma, AffinePush(const.a, const.b, prev), solver=cfg)
+            depth += 1
+        layers.append(ChainLayer(constants=const, chi=chi, gbuilder=partial(_compose, chi, depth, H)))
         prev = chi
         sx2 = const.sigma_y2
-    return EquivalentChain(n=net.n, chi0=chi0, g0=G0, layers=tuple(links))
+    return EquivalentChain(n=net.n, chi0=chi0, g0=G0, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -95,15 +95,6 @@ class FixedPointConfig:
 DEFAULT_CONFIG = FixedPointConfig()
 
 
-def contraction_constant(z: complex) -> float:
-    """Worst-case Picard contraction rate on the wedge D(z)."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the open upper half-plane")
-    q = abs(z) / z.imag**2
-    return q / (1.0 + q)
-
-
 def project_domain(l: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Euclidean projection onto D(z) = {Im w >= Im z, Im(w/z) >= 0}.
 

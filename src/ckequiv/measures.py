@@ -2,11 +2,12 @@
 
 A measure is represented structurally: a finite atomic measure
 (:class:`DiscreteMeasure`), an affine pushforward t -> a + b t of another
-measure (:class:`AffinePush`), the companion mixture
-(1 - gamma) delta_0 + gamma inner (:class:`AtomMix`, a signed measure when
-gamma > 1), or a multiplicative Marchenko-Pastur convolution
-MP(gamma) (x) base evaluated through the fixed-point solver, or in closed
-form when the base is a single atom (:class:`MpBoxtimes`).
+measure (:class:`AffinePush`), or a multiplicative Marchenko-Pastur
+convolution MP(gamma) (x) base evaluated through the fixed-point solver, or
+in closed form when the base is a single atom (:class:`MpBoxtimes`).  The
+convolution serves every transform from one flagged solve,
+``MpBoxtimes._solve``, which also hands the companion level of every layer
+nested under it to the equivalent-resolvent rule of :mod:`ckequiv.detequiv`.
 
 Every variant exposes a vectorized Stieltjes transform
 g(z) = integral of 1 / (t - z), defined off the real axis, which maps the
@@ -21,7 +22,6 @@ O(eta) tail bias of the Poisson kernel).
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 
@@ -171,9 +171,6 @@ class DiscreteMeasure(Measure):
         out = cum[idx]
         return float(out) if t.shape == () else out
 
-    def second_moment(self) -> float:
-        return float(self.weights @ self.atoms**2)
-
 
 def dirac(a: float) -> DiscreteMeasure:
     return DiscreteMeasure([float(a)], [1.0])
@@ -258,49 +255,6 @@ class AffinePush(Measure):
         return float(out) if t.shape == () else out
 
 
-class AtomMix(Measure):
-    """(1 - gamma) delta_0 + gamma inner; signed when gamma > 1."""
-
-    def __init__(self, gamma: float, inner: Measure):
-        gamma = float(gamma)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = gamma
-        self.inner = inner
-        self.is_probability = gamma <= 1.0 and inner.is_probability
-
-    def __repr__(self):
-        return f"AtomMix(gamma={self.gamma:g}, {self.inner!r})"
-
-    def stieltjes(self, z):
-        z, scalar = _as_z(z)
-        out = (self.gamma - 1.0) / z + self.gamma * self.inner.stieltjes(z)
-        _herglotz_check(out, z, self.is_probability)
-        return complex(out) if scalar else out
-
-    def support_min(self) -> float:
-        return min(0.0, self.inner.support_min())
-
-    def support_max(self) -> float:
-        return max(0.0, self.inner.support_max())
-
-    def atom_points(self) -> np.ndarray:
-        return np.union1d([0.0], self.inner.atom_points())
-
-    def atom_mass(self, t):
-        t = np.asarray(t, dtype=float)
-        at0 = np.where(np.abs(t) <= 1e-12, 1.0 - self.gamma, 0.0)
-        out = at0 + self.gamma * self.inner.atom_mass(t)
-        return float(out) if t.shape == () else out
-
-    def cdf(self, t, eta: float = DEFAULT_ETA):
-        if not self.is_probability:
-            raise SignedMeasureError("cdf undefined for a signed companion measure")
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - self.gamma) * (t >= 0.0) + self.gamma * self.inner.cdf(t, eta)
-        return float(out) if t.shape == () else out
-
-
 class MpBoxtimes(Measure):
     """MP(gamma) (x) base, with transforms evaluated by the fixed point.
 
@@ -379,35 +333,38 @@ class MpBoxtimes(Measure):
             links.append((a, b))
 
     def _solve(self, z):
-        """Companion reciprocals on the upper half-plane, with ok flags.
+        """The one solve behind every transform, on the upper half-plane.
 
-        Returns ``(l, ok)``: l stacks l(z) of this law and of each solver
-        level nested under it (top first, shaped (m,) + z.shape) and ok
-        holds per point when every level converged.  Nothing here raises on
-        divergence; the public transforms raise from the flags.
+        Returns ``(g, l, ok)``: l stacks l(z) of this law and of each solver
+        level nested under it (top first, shaped (m,) + z.shape), g is this
+        law's transform recovered from the top level, and ok holds per point
+        when every level converged.  Nothing here raises on divergence.
         """
+        levels, links = self._levels()
         if self._closed_atom() is not None:
             g, _ = self._closed_pair(z)
-            l = -1.0 / ((self.gamma - 1.0) / z + self.gamma * g)
-            return l[None], np.ones(z.shape, dtype=bool)
-        levels, links = self._levels()
-        if len(levels) == 1:
+            l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
+            ok = np.ones(z.shape, dtype=bool)
+        elif len(levels) == 1:
             l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver, raise_on_fail=False)
-            return l[None], _converged(l, res, self.solver.tol)
-        bottom = _closed_pair(levels[-1].base)
-        if bottom is None:
-            l = np.empty((len(levels),) + z.shape, dtype=complex)
-            ok = np.zeros(z.shape, dtype=bool)
+            l, ok = l[None], _converged(l, res, self.solver.tol)
         else:
-            shifts, scales = zip(*links)
-            gammas = [level.gamma for level in levels]
-            l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom, z, self.support_max(), self.solver)
-        l = l.reshape(len(levels), -1)
-        ok = ok.ravel()
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            l[:, bad], ok[bad] = self._nested(z.ravel()[bad], links[0], levels[1])
-        return l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
+            bottom = _closed_pair(levels[-1].base)
+            if bottom is None:
+                l = np.empty((len(levels),) + z.shape, dtype=complex)
+                ok = np.zeros(z.shape, dtype=bool)
+            else:
+                shifts, scales = zip(*links)
+                gammas = [level.gamma for level in levels]
+                l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom, z, self.support_max(), self.solver)
+            l = l.reshape(len(levels), -1)
+            ok = ok.ravel()
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                l[:, bad], ok[bad] = self._nested(z.ravel()[bad], links[0], levels[1])
+            l, ok = l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
+        g = (-1.0 / l[0] - (self.gamma - 1.0) / z) / self.gamma
+        return g, l, ok
 
     def _nested(self, z, link, inner):
         """The nested route: Picard on the base, inner levels solved per evaluation.
@@ -417,45 +374,18 @@ class MpBoxtimes(Measure):
         """
         a, b = link
         l, _, res = solve_l_grid(_FlaggedPush(a, b, inner), self.gamma, z, self.solver, raise_on_fail=False)
-        l_inner, ok_inner = inner._solve((l - a) / b)
+        _, l_inner, ok_inner = inner._solve((l - a) / b)
         return np.concatenate([l[None], l_inner]), _converged(l, res, self.solver.tol) & ok_inner
 
-    def _transform(self, z):
-        # lower half-plane points by reflection, g(conj z) = conj g(z)
-        neg = z.imag < 0
-        zz = np.where(neg, np.conj(z), z)
-        l, ok = self._solve(zz)
-        g = (-1.0 / l[0] - (self.gamma - 1.0) / zz) / self.gamma
-        return np.where(neg, np.conj(g), g), ok
-
-    def _raise_unless(self, ok):
-        if not np.all(ok):
-            raise DivergenceError(
-                f"no convergence at {int(np.sum(~ok))} of {ok.size} points of {self!r}",
-                float("inf"),
-            )
-
     def stieltjes(self, z):
-        z, scalar = _as_z(z)
-        g, ok = self._transform(z)
-        self._raise_unless(ok)
+        g, ok = self.stieltjes_checked(z)
+        bad = np.size(ok) - np.count_nonzero(ok)
+        if bad:
+            raise DivergenceError(
+                f"no convergence at {bad} of {np.size(ok)} points of {self!r}", float("inf")
+            )
         _herglotz_check(g, z, True)
-        return complex(g) if scalar else g
-
-    def companion_levels(self, z):
-        """l(z) of this law and of every solver level nested under it.
-
-        Shaped (m,) + z.shape, top first: entry k + 1 is the inner law's l
-        at u = (l_k - a) / b, its argument inside level k's base.  One
-        stacked solve gives them all; raises DivergenceError unless every
-        level converged.
-        """
-        z = np.asarray(z, dtype=complex)
-        if np.any(z.imag <= 0):
-            raise ValueError("z must lie in the open upper half-plane")
-        l, ok = self._solve(z)
-        self._raise_unless(ok)
-        return l
+        return g
 
     def stieltjes_checked(self, z):
         """Stieltjes transform with per-point convergence flags.
@@ -468,7 +398,10 @@ class MpBoxtimes(Measure):
         points and move on.
         """
         z, scalar = _as_z(z)
-        g, ok = self._transform(z)
+        # lower half-plane points by reflection, g(conj z) = conj g(z)
+        neg = z.imag < 0
+        g, _, ok = self._solve(np.where(neg, np.conj(z), z))
+        g = np.where(neg, np.conj(g), g)
         if scalar:
             return complex(g), bool(ok)
         return g, ok
@@ -543,7 +476,7 @@ class _FlaggedPush:
         self.a, self.b, self.inner = a, b, inner
 
     def stieltjes(self, w):
-        g, _ = self.inner._transform((w - self.a) / self.b)
+        g, _ = self.inner.stieltjes_checked((w - self.a) / self.b)
         return g / self.b
 
 
@@ -602,22 +535,3 @@ def kolmogorov_distance(a: Measure, b: Measure, grid, eta: float = DEFAULT_ETA) 
     left = np.abs(a.cdf_left(pts, eta) - b.cdf_left(pts, eta))
     return float(max(right.max(), left.max()))
 
-
-def write_discrete_csv(m: DiscreteMeasure, path) -> None:
-    """Serialize a discrete measure as (atom, weight) rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["atom", "weight"])
-        for a, p in zip(m.atoms, m.weights):
-            w.writerow([repr(float(a)), repr(float(p))])
-
-
-def read_discrete_csv(path) -> DiscreteMeasure:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["atom", "weight"]:
-        raise ValueError(f"{path}: expected header 'atom,weight'")
-    data = np.array([[float(a), float(p)] for a, p in rows[1:]])
-    if data.size == 0:
-        raise ValueError(f"{path}: no atoms")
-    return DiscreteMeasure(data[:, 0], data[:, 1])

@@ -3,8 +3,9 @@
 Before the stacked Newton solve, MP(gamma) (x) base was evaluated by
 damped Picard on the base alone, and a base that pushes forward another
 such law solved that law afresh at every evaluation, so the cost
-multiplied with depth.  These two classes rebuild that route from
-``solve_l_grid`` alone, independent of ``MpBoxtimes``.
+multiplied with depth.  These two classes and ``compose``, one layer's
+equivalent resolvent, rebuild that route from ``solve_l_grid`` alone,
+independent of ``MpBoxtimes`` and of ``detequiv._compose``.
 """
 
 import numpy as np
@@ -44,3 +45,9 @@ class Pushed:
 
     def stieltjes(self, v):
         return self.inner.stieltjes((v - self.a) / self.b) / self.b
+
+
+def compose(H, tau, a, b, gamma, z):
+    """One layer's equivalent (l / (z b)) H((l - a) / b), l solved on a + b tau."""
+    l = complex(solve_l_grid(Pushed(a, b, tau), gamma, np.asarray(z, dtype=complex))[0])
+    return (l / (z * b)) * np.asarray(H((l - a) / b))

@@ -15,8 +15,8 @@ from ckequiv.detequiv import (
     LayerSpec,
     build_chain,
     equicorrelated_equivalent,
+    _compose,
     equicorrelated_stieltjes,
-    gbox_composed,
     gbox_from_sigma,
     layer_constants,
 )
@@ -31,6 +31,7 @@ from ckequiv.hermite import (
     tanh_activation,
 )
 from ckequiv.measures import (
+    AffinePush,
     DiscreteMeasure,
     MpBoxtimes,
     dirac,
@@ -170,7 +171,8 @@ def test_criterion_4_composed_route_matches_direct_route():
         def resolvent(w, lam=lam, vec=vec):
             return (vec * (1.0 / (lam - w))) @ vec.T
 
-        left = gbox_composed(resolvent, tau, a, b, gamma, z)
+        ((_, left, ok),) = _compose(MpBoxtimes(gamma, AffinePush(a, b, tau)), 1, resolvent, [z])
+        assert ok
         right = gbox_from_sigma(a * np.eye(n) + b * kx, gamma, z)
         worst = max(worst, float(np.linalg.norm(left - right, 2)))
     assert worst < 1e-8
@@ -305,14 +307,18 @@ def test_criterion_8_trace_identity_and_resolvent_bound():
     chi0 = MpBoxtimes(1.0, dirac(1.0))
     chain = build_chain(chain_net, chi0, lambda w: chi0.stieltjes(w) * np.eye(n), 1.0)
 
+    zs = [0.3 + 0.05j, 1j, 2.0 + 0.5j, -1.0 + 1.0j]
+    composed = _compose(MpBoxtimes(1.3, AffinePush(a, b, tau)), 1, resolvent, zs)
+    chained = chain.layers[1].gbuilder(zs)
     worst_trace = 0.0
     worst_norm_excess = -np.inf
-    for z in (0.3 + 0.05j, 1j, 2.0 + 0.5j, -1.0 + 1.0j):
+    for z, (_, g_composed, ok_composed), (_, g_chained, ok_chained) in zip(zs, composed, chained):
+        assert ok_composed and ok_chained
         cases = [
             (gbox_from_sigma(a * np.eye(n) + b * kx, 1.3, z), chi_sigma.stieltjes(z)),
-            (gbox_composed(resolvent, tau, a, b, 1.3, z), chi_sigma.stieltjes(z)),
+            (g_composed, chi_sigma.stieltjes(z)),
             equicorrelated_equivalent(n, a, b, z)[::-1],
-            (chain.layers[1].gbuilder(z), chain.layers[1].chi.stieltjes(z)),
+            (g_chained, chain.layers[1].chi.stieltjes(z)),
         ]
         for g_mat, g in cases:
             worst_trace = max(worst_trace, abs(np.trace(g_mat) - n * g))
@@ -333,3 +339,63 @@ def test_public_names_resolve():
     missing = [name for name in ckequiv.__all__ if not hasattr(ckequiv, name)]
     assert missing == []
     assert len(set(ckequiv.__all__)) == len(ckequiv.__all__)
+
+
+PUBLIC_NAMES = [
+    "ACTIVATIONS",
+    "Activation",
+    "AffinePush",
+    "CovModel",
+    "DEFAULT_CONFIG",
+    "DiscreteMeasure",
+    "DivergenceError",
+    "EquicorrelatedData",
+    "EquivalentChain",
+    "ExplicitData",
+    "FixedPointConfig",
+    "IidData",
+    "LayerConstants",
+    "LayerSpec",
+    "Measure",
+    "MpBoxtimes",
+    "NetworkSpec",
+    "QuadratureRule",
+    "SignedMeasureError",
+    "SimResult",
+    "SpectralFactory",
+    "__version__",
+    "activation_by_name",
+    "build_chain",
+    "coeff_vector",
+    "conjugate_kernel",
+    "default_rule",
+    "dirac",
+    "equicorrelated_equivalent",
+    "equicorrelated_stieltjes",
+    "esd_from_eigenvalues",
+    "expansion_tail",
+    "gaussian_norm_sq",
+    "gbox_from_sigma",
+    "hermite_h",
+    "hermite_normalized",
+    "kolmogorov_distance",
+    "layer_constants",
+    "make_rule",
+    "mp_density_closed",
+    "mp_stieltjes_closed",
+    "orthogonality_stats",
+    "psi",
+    "run_network",
+    "sigma_approx",
+    "sigma_expansion",
+    "sigma_lin",
+    "sigma_mc_oracle",
+    "solve_l_grid",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding a public name, or dropping one, is a deliberate edit of this list
+    import ckequiv
+
+    assert sorted(ckequiv.__all__) == PUBLIC_NAMES

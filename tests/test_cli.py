@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+import ckequiv.cli as cli
 from ckequiv.cli import (
     ConfigError,
     ZGridConfig,
@@ -16,7 +18,7 @@ from ckequiv.cli import (
 )
 from ckequiv.detequiv import LayerSpec, layer_constants
 from ckequiv.freeconv import mp_density_closed
-from ckequiv.hermite import identity_activation, tanh_activation
+from ckequiv.hermite import MAX_DEGREE, identity_activation, tanh_activation
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues, kolmogorov_distance
 
 
@@ -210,6 +212,12 @@ class TestCoeffsCommand:
         assert main(["coeffs", "tanh", "--r-max", "0"]) == 2
         capsys.readouterr()
 
+    def test_r_max_beyond_hermite_degrees_is_config_error(self, capsys):
+        assert main(["coeffs", "tanh", "--r-max", "100"]) == 2
+        assert f"config error: --r-max must lie in [1, {MAX_DEGREE}]" in capsys.readouterr().err
+        assert main(["coeffs", "tanh", "--r-max", str(MAX_DEGREE)]) == 0
+        capsys.readouterr()
+
 
 class TestDensityCommand:
     def test_recovers_known_density(self, tmp_path, capsys):
@@ -345,7 +353,48 @@ class TestSimulateCommand:
         assert kolmogorov_distance(esd_from_eigenvalues(lam), law, grid) < 0.05
 
 
+def explicit_two_layer_tree(outdir, **overrides):
+    """smoke_tree on a fixed explicit input, with two tanh layers and one seed."""
+    path = outdir / "x0.npy"
+    np.save(path, np.random.default_rng(5).standard_normal((64, 64)))
+    tree = smoke_tree(outdir, sim={"seeds": [0], "replicas": 1}, **overrides)
+    tree["network"]["data"] = {"kind": "explicit", "path": str(path)}
+    tree["network"]["dims"] = [64, 64]
+    tree["network"]["layers"] = tree["network"]["layers"] * 2
+    return tree
+
+
 class TestCompareCommand:
+    def test_one_level_solve_per_layer_for_the_whole_grid(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        solve = MpBoxtimes._solve
+
+        def counted(self, z):
+            sizes.append(np.size(z))
+            return solve(self, z)
+
+        monkeypatch.setattr(MpBoxtimes, "_solve", counted)
+        # the Kolmogorov distance solves on CDF grids of its own
+        monkeypatch.setattr(cli, "kolmogorov_distance", lambda a, b, grid: 0.5)
+        cpath = write_cfg(tmp_path, explicit_two_layer_tree(tmp_path))
+        assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        rows = read_csv(tmp_path / "compare_rows.csv")
+        assert len(rows) == 6 and all(r["converged"] == "1" for r in rows)
+        assert sizes == [3, 3]
+
+    def test_starved_solver_flags_rows_and_exits_3(self, tmp_path, capsys):
+        tree = explicit_two_layer_tree(tmp_path, solver={"max_iter": 2})
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["compare", "--config", cpath, "--no-timestamp"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "compare_rows.csv")
+        assert len(rows) == 6 and len(read_csv(tmp_path / "compare_layers.csv")) == 2
+        bad = [r for r in rows if r["converged"] == "0"]
+        assert bad
+        for r in bad:
+            assert math.isnan(float(r["max_entry_gap"])) and math.isnan(float(r["g_det_re"]))
+
     def test_row_layout_and_internal_consistency(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
         assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0

@@ -6,23 +6,23 @@ import pytest
 from ckequiv.detequiv import (
     B_ZERO_TOL,
     LayerSpec,
+    _compose,
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
-    gbox_composed,
     gbox_from_sigma,
     layer_constants,
 )
-from ckequiv.freeconv import mp_stieltjes_closed
+from ckequiv.freeconv import DivergenceError, FixedPointConfig, mp_stieltjes_closed
 from ckequiv.hermite import (
     activation_by_name,
     hermite2_activation,
     identity_activation,
     tanh_activation,
 )
-from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues
+from ckequiv.measures import AffinePush, MpBoxtimes, dirac, esd_from_eigenvalues
 from ckequiv.netsim import IidData, NetworkSpec, run_network
-from nested_oracle import PicardLaw, Pushed
+from nested_oracle import PicardLaw, Pushed, compose
 
 # frozen one-layer constants for tanh with every variance set to 1
 TANH_A = 1.2895524620057048
@@ -129,23 +129,71 @@ class TestEquivalentResolvents:
             return (vec * (1.0 / (lam - w))) @ vec.T
 
         a, b, gamma, z = 0.7, 0.4, 1.5, 1.2 + 0.3j
-        left = gbox_composed(resolvent, tau, a, b, gamma, z)
+        ((_, left, ok),) = _compose(MpBoxtimes(gamma, AffinePush(a, b, tau)), 1, resolvent, [z])
         right = gbox_from_sigma(a * np.eye(n) + b * kx, gamma, z)
+        assert ok
         assert np.linalg.norm(left - right, 2) < 1e-9
 
     def test_composed_without_linear_part_ignores_input(self):
-        n = 25
+        n = 24
         z = 0.8 + 0.4j
-        a, gamma = 1.7, 0.8
 
         def must_not_be_called(w):
             raise AssertionError("input resolvent used despite b = 0")
 
-        g_mat = gbox_composed(must_not_be_called, dirac(1.0), a, 0.0, gamma, z, n=n)
-        g = mp_stieltjes_closed(gamma, z / a) / a
-        assert np.max(np.abs(g_mat - g * np.eye(n))) < 1e-11
-        with pytest.raises(ValueError, match="n"):
-            gbox_composed(must_not_be_called, dirac(1.0), a, 0.0, gamma, z)
+        # hermite2 has no linear part; sigma_d2 = 0.7 puts a at 1.7
+        layers = (
+            LayerSpec(1.0, 0.0, 0.7, hermite2_activation(), 0.8),
+            LayerSpec(1.0, 0.0, 0.0, identity_activation(), 1.0),
+        )
+        net = NetworkSpec(n=n, d0=n, dims=(30, 24), data=IidData(1.0), layers=layers)
+        chi0 = MpBoxtimes(1.0, dirac(1.0))
+        chain = build_chain(net, chi0, must_not_be_called, 1.0)
+        const = chain.layers[0].constants
+        assert const.b == 0.0 and const.a == pytest.approx(1.7, abs=1e-10)
+        ((g, g_mat, ok),) = chain.layers[0].gbuilder([z])
+        want = mp_stieltjes_closed(0.8, z / const.a) / const.a
+        assert ok and abs(g - want) < 1e-11
+        assert np.max(np.abs(g_mat - want * np.eye(n))) < 1e-11
+        # the layer above composes on g_chi1(w) I, still without the input
+        ((g2, g2_mat, ok2),) = chain.layers[1].gbuilder([z])
+        assert ok2 and abs(np.trace(g2_mat) / n - g2) < 1e-10
+
+    def test_unconverged_points_are_flagged_and_raise_in_gbox_from_sigma(self):
+        n = 30
+        sigma = random_psd(n, 4)
+        starved = FixedPointConfig(max_iter=2)
+        with pytest.raises(DivergenceError):
+            gbox_from_sigma(sigma, 1.0, 1.0 + 1e-3j, starved)
+        lam, vec = np.linalg.eigh(sigma)
+        chi = MpBoxtimes(1.0, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), starved)
+        calls = []
+
+        def resolvent(w):
+            calls.append(w)
+            return (vec / (lam - w)) @ vec.T
+
+        zs = [1.0 + 1e-3j, 1.0 + 10j]
+        out = list(_compose(chi, 1, resolvent, zs))
+        assert [ok for _, _, ok in out] == [False, True]
+        assert out[0][1] is None and len(calls) == 1
+
+    def test_argument_leaving_the_upper_half_plane_is_flagged(self, monkeypatch):
+        chi = MpBoxtimes(1.0, AffinePush(0.5, 2.0, dirac(1.0)))
+        solve = MpBoxtimes._solve
+
+        def solve_below_axis(self, z):
+            # a converged level whose l sits below the real axis
+            g, l, ok = solve(self, z)
+            return g, np.conj(l), ok
+
+        monkeypatch.setattr(MpBoxtimes, "_solve", solve_below_axis)
+
+        def must_not_be_called(w):
+            raise AssertionError("base map evaluated off the upper half-plane")
+
+        ((g, G, ok),) = _compose(chi, 1, must_not_be_called, [1.0 + 0.5j])
+        assert not ok and G is None
 
     def test_b_smaller_than_snap_tolerance_counts_as_zero(self):
         assert B_ZERO_TOL < 1e-6
@@ -204,15 +252,14 @@ class TestChain:
 
         # identity layers have a = 0, b = 1, so each step is a plain
         # multiplicative convolution of the previous spectrum
-        from ckequiv.measures import AffinePush
-
         chi1 = MpBoxtimes(1.0, AffinePush(0.0, 1.0, chi0))
         chi2 = MpBoxtimes(1.0, AffinePush(0.0, 1.0, chi1))
         assert abs(chain.layers[0].chi.stieltjes(z) - chi1.stieltjes(z)) < 1e-10
         assert abs(chain.layers[1].chi.stieltjes(z) - chi2.stieltjes(z)) < 1e-10
 
         calls.clear()
-        g2 = chain.layers[1].gbuilder(z)
+        ((_, g2, ok),) = chain.layers[1].gbuilder([z])
+        assert ok
         assert len(calls) == 1
         assert abs(np.trace(g2) / n - chi2.stieltjes(z)) < 1e-9
         assert np.linalg.norm(g2, 2) <= 1.0 / z.imag + 1e-9
@@ -236,7 +283,7 @@ class TestChain:
         chain = build_chain(net, chi0, g0, 1.0)
         consts = [layer.constants for layer in chain.layers]
 
-        # one gbox_composed per layer, each law solved by the nested route
+        # one oracle composition per layer, each law solved by the nested route
         laws = [chi0]
         for c, spec in zip(consts[:-1], layers):
             laws.append(PicardLaw(spec.gamma, Pushed(c.a, c.b, laws[-1])))
@@ -244,10 +291,11 @@ class TestChain:
         def composed(k, w):
             inner = g0 if k == 0 else (lambda v: composed(k - 1, v))
             c = consts[k]
-            return gbox_composed(inner, laws[k], c.a, c.b, layers[k].gamma, w)
+            return compose(inner, laws[k], c.a, c.b, layers[k].gamma, w)
 
-        for z in (0.8 + 1e-3j, 2.5 + 0.05j, -0.5 + 0.5j):
-            got = chain.layers[2].gbuilder(z)
+        zs = [0.8 + 1e-3j, 2.5 + 0.05j, -0.5 + 0.5j]
+        for z, (_, got, ok) in zip(zs, chain.layers[2].gbuilder(zs)):
+            assert ok
             want = composed(2, z)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 

@@ -7,7 +7,6 @@ from ckequiv.freeconv import (
     DEFAULT_CONFIG,
     DivergenceError,
     FixedPointConfig,
-    contraction_constant,
     in_wedge,
     mp_density_closed,
     mp_stieltjes_closed,
@@ -110,14 +109,6 @@ def test_hard_points_below_lower_edge_converge():
     assert np.max(np.abs(g - mp_stieltjes_closed(gamma, zs))) < 1e-9
 
 
-def test_contraction_constant_below_one_and_monotone_in_height():
-    c_low = contraction_constant(1.0 + 0.5j)
-    c_high = contraction_constant(1.0 + 5j)
-    assert 0.0 < c_high < c_low < 1.0
-    with pytest.raises(ValueError):
-        contraction_constant(1.0 - 1j)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         FixedPointConfig(tol=0.0)
@@ -188,7 +179,7 @@ def test_single_level_transform_near_zero_matches_high_precision_root():
     law = MpBoxtimes(gamma, DiscreteMeasure(atoms, weights))
     for z in (1e-3j, 1e-3 + 1e-4j):
         got = law.stieltjes(z)
-        root = _wedge_root_mp(atoms, weights, gamma, z, law.companion_levels(z)[0], dps=40)
+        root = _wedge_root_mp(atoms, weights, gamma, z, law._solve(np.asarray(z))[1][0], dps=40)
         want = (-1.0 / root - (gamma - 1.0) / z) / gamma
         assert abs(got - want) <= 1e-10 * abs(want)
 

@@ -1,4 +1,4 @@
-"""Spectral measure objects: transforms, CDF tables, serialization."""
+"""Spectral measure objects: transforms and CDF tables."""
 
 import math
 import os
@@ -19,17 +19,15 @@ from ckequiv.freeconv import (
 )
 from ckequiv.measures import (
     AffinePush,
-    AtomMix,
     DEFAULT_ETA,
     DiscreteMeasure,
+    Measure,
     MpBoxtimes,
     SignedMeasureError,
     density_from_stieltjes,
     dirac,
     esd_from_eigenvalues,
     kolmogorov_distance,
-    read_discrete_csv,
-    write_discrete_csv,
 )
 
 from nested_oracle import PicardLaw, Pushed
@@ -120,27 +118,21 @@ class TestAffinePush:
         assert np.allclose(m.cdf(t, 1e-5), inner.cdf(t / 2.0, 5e-6), atol=1e-12)
 
 
-class TestAtomMix:
-    def test_companion_transform_identity(self):
-        inner = dirac(1.0)
-        for gamma in (0.5, 1.0):
-            m = AtomMix(gamma, inner)
-            z = 0.4 + 0.6j
-            want = (gamma - 1.0) / z + gamma * inner.stieltjes(z)
-            assert abs(m.stieltjes(z) - want) < 1e-15
-            assert m.is_probability
+class SignedStub(Measure):
+    """-delta_0 + 2 delta_1: a user subclass of Measure that is not a probability."""
 
-    def test_signed_mix_flagged(self):
-        m = AtomMix(2.0, dirac(1.0))
-        assert not m.is_probability
-        assert m.atom_mass(0.0) == pytest.approx(-1.0)
-        with pytest.raises(SignedMeasureError):
-            m.cdf(0.5)
+    is_probability = False
 
-    def test_subprobability_cdf_mixes_step(self):
-        m = AtomMix(0.5, dirac(1.0))
-        assert m.cdf(0.5, 1e-7) == pytest.approx(0.5, abs=1e-4)
-        assert m.cdf(2.0, 1e-7) == pytest.approx(1.0, abs=1e-4)
+    def support_min(self):
+        return 0.0
+
+    def support_max(self):
+        return 1.0
+
+
+def test_signed_measures_are_refused():
+    with pytest.raises(SignedMeasureError):
+        kolmogorov_distance(SignedStub(), dirac(1.0), np.linspace(0.0, 2.0, 5))
 
 
 class TestMpBoxtimes:
@@ -150,7 +142,7 @@ class TestMpBoxtimes:
         with pytest.raises(ValueError):
             MpBoxtimes(1.0, dirac(-1.0))
         with pytest.raises(SignedMeasureError):
-            MpBoxtimes(1.0, AtomMix(2.0, dirac(1.0)))
+            MpBoxtimes(1.0, SignedStub())
 
     def test_matches_closed_form_for_point_base(self):
         zs = np.array([0.5 + 0.05j, 2.0 + 1j, -1.0 + 0.3j, 4.0 + 0.01j])
@@ -166,7 +158,7 @@ class TestMpBoxtimes:
     def test_companion_reciprocal_identity(self):
         m = MpBoxtimes(2.0, dirac(1.0))
         z = 1.5 + 0.4j
-        l = m.companion_levels(z)[0]
+        l = m._solve(np.asarray(z))[1][0]
         g = m.stieltjes(z)
         assert abs(g - (-1.0 / l - 1.0 / z) / 2.0) < 1e-12
 
@@ -218,7 +210,7 @@ class TestMpBoxtimes:
             for c in (0.0, 0.3, 1.0):
                 m = MpBoxtimes(gamma, dirac(c))
                 l_fp, _, _ = solve_l_grid(dirac(c), gamma, zs)
-                l_cf = m.companion_levels(zs)[0]
+                l_cf = m._solve(zs)[1][0]
                 assert np.max(np.abs(l_cf - l_fp) / np.maximum(1.0, np.abs(l_fp))) <= 1e-10
                 # g = (-1/l - (gamma - 1)/z) / gamma amplifies an error in l by
                 # 1/|l|^2 near z = 0, so g is checked against the dilation
@@ -237,7 +229,7 @@ class TestMpBoxtimes:
         with pytest.raises(DivergenceError):
             m.stieltjes(np.array([1.0 + 1e-3j]))
         with pytest.raises(DivergenceError, match="1 of 1 points"):
-            m.companion_levels(np.array([1.0 + 1e-3j]))
+            m.stieltjes(1.0 + 1e-3j)
 
 
 # links t -> a + b t of tanh layers with unit variances, with aspect ratios
@@ -276,7 +268,7 @@ class TestLayerChain:
         assert np.all(ok)
         want = oracle.stieltjes(zs)
         assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
-        assert chi.companion_levels(zs).shape == (depth,) + zs.shape
+        assert chi._solve(zs)[1].shape == (depth,) + zs.shape
 
     def test_newton_stage_stubbed_out_gives_nested_values(self, monkeypatch):
         def certifies_nothing(gammas, shifts, scales, bottom, z, radius, cfg):
@@ -342,18 +334,6 @@ def test_kolmogorov_distance_properties():
     d_ab = kolmogorov_distance(a, b, grid)
     assert d_ab == pytest.approx(kolmogorov_distance(b, a, grid))
     assert 0.3 < d_ab <= 0.5 + 1e-9
-
-
-def test_discrete_csv_round_trip(tmp_path):
-    m = DiscreteMeasure([0.5, 1.25, 4.0], [0.25, 0.5, 0.25])
-    path = tmp_path / "measure.csv"
-    write_discrete_csv(m, path)
-    back = read_discrete_csv(path)
-    assert np.array_equal(back.atoms, m.atoms)
-    assert np.array_equal(back.weights, m.weights)
-    (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        read_discrete_csv(tmp_path / "bad.csv")
 
 
 def test_module_level_cdf_helper_dispatches():
