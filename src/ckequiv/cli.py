@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,11 +48,11 @@ from .measures import (
 )
 from .detequiv import (
     LayerSpec,
+    _sigma_builders,
     _ungated_constants,
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
-    gbox_from_sigma,
     layer_constants,
 )
 from .netsim import (
@@ -608,23 +609,59 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     seeds = _resolved_seeds(cfg, args)
     xs = cfg.z_grid.points()
     zs = np.array([complex(x, eta) for eta in cfg.z_grid.eta for x in xs])
-    results = _pool.pmap(lambda s: run_network(spec, s), seeds)
-    n = spec.n
+
+    def sample(seed):
+        # a seed keeps its spectra, stats and factories; its kernels are freed on return
+        res = run_network(spec, seed)
+        return res.eigenvalues, res.stats, [SpectralFactory(k) for k in res.kernels[1:]]
+
+    samples = _pool.pmap(sample, seeds)
+    # one solve per layer gives g, the flags and a builder of each point's equivalent
+    solved = [layer.gbuilder(zs) for layer in chain.layers]
+
+    def kolmogorov(li):
+        chi = chain.layers[li - 1].chi
+        spectra = [eigenvalues[li] for eigenvalues, _, _ in samples]
+        lo = min(chi.support_min(), min(float(lam[0]) for lam in spectra))
+        hi = max(chi.support_max(), max(float(lam[-1]) for lam in spectra))
+        pad = 0.05 * max(hi - lo, 1.0)
+        grid = np.linspace(lo - pad, hi + pad, 801)
+        try:
+            return float(np.mean([kolmogorov_distance(esd_from_eigenvalues(lam), chi, grid) for lam in spectra]))
+        except DivergenceError:
+            return None
+
+    def entry_gap(li, z, build):
+        # one equivalent per task, each seed's resolvent subtracted from it in place
+        g_eq = build()
+
+        def seed_gap(factories):
+            r = factories[li - 1].resolvent(z)
+            r -= g_eq
+            return float(np.max(np.abs(r)))
+
+        return max(seed_gap(factories) for _, _, factories in samples)
+
+    # the KS tasks go first, so their CDF tables overlap the gap products
+    tasks = [partial(kolmogorov, li) for li in range(1, chain.depth + 1)]
+    tasks += [
+        partial(entry_gap, li, complex(z), build)
+        for li, points in enumerate(solved, start=1)
+        for z, (_, build, ok) in zip(zs, points)
+        if ok
+    ]
+    done = iter(_pool.pmap(lambda task: task(), tasks))
+    ks_values = [next(done) for _ in chain.layers]
     rows = []
     layer_rows = []
     n_bad = 0
-    for li, layer in enumerate(chain.layers, start=1):
-        factories = [SpectralFactory(res.kernels[li]) for res in results]
-        g_sim = np.array([[fac.stieltjes(z) for z in zs] for fac in factories])
+    for li, (points, ks) in enumerate(zip(solved, ks_values), start=1):
+        g_sim = np.array([[factories[li - 1].stieltjes(z) for z in zs] for _, _, factories in samples])
         g_mean = g_sim.mean(axis=0)
         g_std = g_sim.std(axis=0)
-        # one solve per layer gives g, the flags and each point's equivalent
-        for z, gm, gs, (g_det, g_eq, ok) in zip(zs, g_mean, g_std, layer.gbuilder(zs)):
-            gap = np.nan
-            if ok:
-                gap = max(float(np.max(np.abs(fac.resolvent(complex(z)) - g_eq))) for fac in factories)
-            else:
-                n_bad += 1
+        for z, gm, gs, (g_det, _, ok) in zip(zs, g_mean, g_std, points):
+            gap = next(done) if ok else np.nan
+            n_bad += not ok
             rows.append(
                 (
                     li,
@@ -640,23 +677,10 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
                     ok,
                 )
             )
-        lo = min(layer.chi.support_min(), min(float(r.eigenvalues[li][0]) for r in results))
-        hi = max(layer.chi.support_max(), max(float(r.eigenvalues[li][-1]) for r in results))
-        pad = 0.05 * max(hi - lo, 1.0)
-        grid = np.linspace(lo - pad, hi + pad, 801)
-        try:
-            ks = float(
-                np.mean(
-                    [
-                        kolmogorov_distance(esd_from_eigenvalues(r.eigenvalues[li]), layer.chi, grid)
-                        for r in results
-                    ]
-                )
-            )
-        except DivergenceError:
+        if ks is None:
             ks = np.nan
             n_bad += 1
-        stats = np.array([results[k].stats[li] for k in range(len(results))])
+        stats = np.array([st[li] for _, st, _ in samples])
         layer_rows.append((li, ks, *stats.mean(axis=0)))
     row_header = [
         "layer",
@@ -701,9 +725,9 @@ def cmd_example55(cfg: ExperimentConfig, args) -> int:
     xs = cfg.z_grid.points()
     zs = [complex(x, eta) for eta in cfg.z_grid.eta for x in xs]
     rows = []
-    for z in zs:
+    for z, build in zip(zs, _sigma_builders(sigma, 1.0, zs, cfg.solver)):
         g, g_mat = equicorrelated_equivalent(n, a, b, z, cfg.solver)
-        g_generic = gbox_from_sigma(sigma, 1.0, z, cfg.solver)
+        g_generic = build()
         agreement = float(np.linalg.norm(g_mat - g_generic, 2))
         trace_gap = abs(np.trace(g_mat) / n - g)
         rows.append((z.real, z.imag, g.real, g.imag, agreement, trace_gap))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -182,10 +182,11 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     below; H is the equivalent resolvent map under the last of them.  One
     flagged solve gives every level's l at every point; the walk
     u_0 = z, coef <- coef l_k / (u_k b_k), u_{k+1} = (l_k - a_k) / b_k then
-    gives each point its prefactor and the argument of H.  Returns an
-    iterator of (g, G, ok) per point of z, with g chi's transform; G is
-    built when its point is reached and is None where ok is False: a level
-    did not converge, or the argument left the upper half-plane.
+    gives each point its prefactor and the argument of H.  Returns a list
+    of (g, build, ok) per point of z, with g chi's transform and build() the
+    point's n x n equivalent, which any thread may call; build is None where
+    ok is False: a level did not converge, or the argument left the upper
+    half-plane.
     """
     z = np.asarray(z, dtype=complex).ravel()
     if np.any(z.imag <= 0):
@@ -199,17 +200,31 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
         coef = coef * (l_k / (u * b))
         u = (l_k - a) / b
     ok = ok & (u.imag > 0)
-    return ((g[j], coef[j] * np.asarray(H(u[j])) if ok[j] else None, bool(ok[j])) for j in range(z.size))
+    return [(g[j], partial(_scaled, coef[j], H, u[j]) if ok[j] else None, bool(ok[j])) for j in range(z.size)]
+
+
+def _scaled(coef, H, u) -> np.ndarray:
+    return coef * np.asarray(H(u))
+
+
+def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
+    """Builders of G(z) = (l/z)(Sigma - l I)^{-1} over zs from one eigh of Sigma.
+
+    Raises DivergenceError at the first point that did not converge.
+    """
+    lam, vec = _eigh_psd(sigma)
+    chi = MpBoxtimes(gamma, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), cfg)
+    points = _compose(chi, 1, lambda w: (vec / (lam - w)) @ vec.T, zs)
+    for z, (_, _, ok) in zip(np.ravel(zs), points):
+        if not ok:
+            raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}", float("inf"))
+    return [build for _, build, _ in points]
 
 
 def gbox_from_sigma(sigma, gamma: float, z: complex, cfg: FixedPointConfig = DEFAULT_CONFIG):
     """Equivalent resolvent G(z) = (l/z)(Sigma - l I)^{-1} for explicit Sigma."""
-    lam, vec = _eigh_psd(sigma)
-    chi = MpBoxtimes(gamma, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), cfg)
-    ((_, G, ok),) = _compose(chi, 1, lambda w: (vec / (lam - w)) @ vec.T, [z])
-    if not ok:
-        raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}", float("inf"))
-    return G
+    (build,) = _sigma_builders(sigma, gamma, [z], cfg)
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +236,25 @@ class ChainLayer:
     """Layer constants, limiting law chi and the equivalent resolvent builder.
 
     ``gbuilder(zs)`` solves once for the whole grid and hands out
-    (g, G, ok) per point, one n x n matrix at a time (see ``_compose``).
+    (g, build, ok) per point; build() makes that point's n x n matrix
+    (see ``_compose``).
     """
 
     constants: LayerConstants
     chi: Measure
-    gbuilder: Callable[[np.ndarray], Iterator[tuple]]
+    gbuilder: Callable[[np.ndarray], list]
 
 
 @dataclass(frozen=True)
 class EquivalentChain:
     """Per-layer limiting measures chi and equivalent resolvent builders.
 
-    layers[k] describes layer k+1 of the network; chi0/g0 are the input
-    kernel's spectral measure and resolvent map.
+    layers[k] describes layer k+1 of the network; chi0 is the input
+    kernel's spectral measure.
     """
 
     n: int
     chi0: Measure
-    g0: Callable[[complex], np.ndarray]
     layers: tuple[ChainLayer, ...]
 
     @property
@@ -288,7 +303,7 @@ def build_chain(
         layers.append(ChainLayer(constants=const, chi=chi, gbuilder=partial(_compose, chi, depth, H)))
         prev = chi
         sx2 = const.sigma_y2
-    return EquivalentChain(n=net.n, chi0=chi0, g0=G0, layers=tuple(layers))
+    return EquivalentChain(n=net.n, chi0=chi0, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------

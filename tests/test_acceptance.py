@@ -171,10 +171,10 @@ def test_criterion_4_composed_route_matches_direct_route():
         def resolvent(w, lam=lam, vec=vec):
             return (vec * (1.0 / (lam - w))) @ vec.T
 
-        ((_, left, ok),) = _compose(MpBoxtimes(gamma, AffinePush(a, b, tau)), 1, resolvent, [z])
+        ((_, build, ok),) = _compose(MpBoxtimes(gamma, AffinePush(a, b, tau)), 1, resolvent, [z])
         assert ok
         right = gbox_from_sigma(a * np.eye(n) + b * kx, gamma, z)
-        worst = max(worst, float(np.linalg.norm(left - right, 2)))
+        worst = max(worst, float(np.linalg.norm(build() - right, 2)))
     assert worst < 1e-8
     elapsed = time.perf_counter() - start
     print(f"criterion 4: worst spectral gap {worst:.2e} over 50 cases, {elapsed:.1f}s")
@@ -312,13 +312,13 @@ def test_criterion_8_trace_identity_and_resolvent_bound():
     chained = chain.layers[1].gbuilder(zs)
     worst_trace = 0.0
     worst_norm_excess = -np.inf
-    for z, (_, g_composed, ok_composed), (_, g_chained, ok_chained) in zip(zs, composed, chained):
+    for z, (_, composed_build, ok_composed), (_, chained_build, ok_chained) in zip(zs, composed, chained):
         assert ok_composed and ok_chained
         cases = [
             (gbox_from_sigma(a * np.eye(n) + b * kx, 1.3, z), chi_sigma.stieltjes(z)),
-            (g_composed, chi_sigma.stieltjes(z)),
+            (composed_build(), chi_sigma.stieltjes(z)),
             equicorrelated_equivalent(n, a, b, z)[::-1],
-            (g_chained, chain.layers[1].chi.stieltjes(z)),
+            (chained_build(), chain.layers[1].chi.stieltjes(z)),
         ]
         for g_mat, g in cases:
             worst_trace = max(worst_trace, abs(np.trace(g_mat) - n * g))

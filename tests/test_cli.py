@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import ckequiv.cli as cli
+import ckequiv.detequiv as detequiv
 from ckequiv.cli import (
     ConfigError,
     ZGridConfig,
@@ -20,6 +22,7 @@ from ckequiv.detequiv import LayerSpec, layer_constants
 from ckequiv.freeconv import mp_density_closed
 from ckequiv.hermite import MAX_DEGREE, identity_activation, tanh_activation
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues, kolmogorov_distance
+from ckequiv.netsim import SpectralFactory
 
 
 def write_cfg(tmp_path, tree, name="cfg.json"):
@@ -364,6 +367,24 @@ def explicit_two_layer_tree(outdir, **overrides):
     return tree
 
 
+def count_factory_work(monkeypatch):
+    """Lists of the SpectralFactory objects built and of the factory of each resolvent call."""
+    factories, calls = [], []
+    init, resolvent = SpectralFactory.__init__, SpectralFactory.resolvent
+
+    def counted_init(self, k):
+        factories.append(self)
+        init(self, k)
+
+    def counted_resolvent(self, z):
+        calls.append(self)
+        return resolvent(self, z)
+
+    monkeypatch.setattr(SpectralFactory, "__init__", counted_init)
+    monkeypatch.setattr(SpectralFactory, "resolvent", counted_resolvent)
+    return factories, calls
+
+
 class TestCompareCommand:
     def test_one_level_solve_per_layer_for_the_whole_grid(self, tmp_path, capsys, monkeypatch):
         sizes = []
@@ -382,6 +403,60 @@ class TestCompareCommand:
         rows = read_csv(tmp_path / "compare_rows.csv")
         assert len(rows) == 6 and all(r["converged"] == "1" for r in rows)
         assert sizes == [3, 3]
+
+    def test_work_budget_is_one_product_per_seed_point_and_layer(self, tmp_path, capsys, monkeypatch):
+        factories, products = count_factory_work(monkeypatch)
+        grids = []
+        compose = detequiv._compose
+
+        def counted_compose(chi, depth, H, z):
+            grids.append(np.size(z))
+            return compose(chi, depth, H, z)
+
+        monkeypatch.setattr(detequiv, "_compose", counted_compose)
+        tree = explicit_two_layer_tree(tmp_path)
+        tree["sim"] = {"seeds": [0, 1], "replicas": 2}
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        seeds, depth, points = 2, 2, 3
+        # the explicit input's factory, then one per sampled (seed, layer)
+        assert len(factories) == 1 + seeds * depth
+        # each seed's resolvent plus one input-side H(u) per (layer, z)
+        assert len(products) == depth * points * (seeds + 1)
+        assert grids == [points] * depth
+
+    def test_starved_flags_pass_through_the_pool(self, tmp_path, capsys, monkeypatch):
+        factories, calls = count_factory_work(monkeypatch)
+        # two steps solve the eta = 4 rows but not the eta = 0.01 ones
+        grid = {"x_min": 0.0, "x_max": 2.0, "step": 1.0, "eta": [4.0, 0.01]}
+        tree = explicit_two_layer_tree(tmp_path, solver={"max_iter": 2}, z_grid=grid)
+        tree["sim"] = {"seeds": [0, 1], "replicas": 2}
+        cpath = write_cfg(tmp_path, tree)
+        # frequent thread switches, so tasks interleave inside the shared reads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in ("1", "4"):
+                factories.clear()
+                calls.clear()
+                monkeypatch.setenv("CKEQUIV_WORKERS", workers)
+                out = tmp_path / f"w{workers}"
+                assert main(["compare", "--config", cpath, "--out", str(out), "--no-timestamp"]) == 3
+                capsys.readouterr()
+                rows = read_csv(out / "compare_rows.csv")
+                flagged = [r for r in rows if r["converged"] == "0"]
+                assert flagged and all(math.isnan(float(r["max_entry_gap"])) for r in flagged)
+                # the input factory is built first; its resolvent is H at the
+                # composed argument, which only converged rows may ask for
+                converged = len(rows) - len(flagged)
+                assert converged == 6
+                assert sum(f is factories[0] for f in calls) == converged
+                assert len(calls) == converged * 3
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("compare_rows.csv", "compare_layers.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
 
     def test_starved_solver_flags_rows_and_exits_3(self, tmp_path, capsys):
         tree = explicit_two_layer_tree(tmp_path, solver={"max_iter": 2})
@@ -473,6 +548,22 @@ class TestClosedFormCommand:
         gaps = [row[1] for row in sweep["rows"]]
         assert ns == [100, 1000, 10000]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_one_decomposition_for_the_whole_grid(self, tmp_path, capsys, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ctree = {"z_grid": {"x_min": 0.0, "x_max": 1.0, "step": 0.25, "eta": [0.3, 0.1]}}
+        cpath = write_cfg(tmp_path, ctree)
+        assert main(["example55", "--config", cpath, "--n", "40", "--out", str(tmp_path), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        assert len(read_csv(tmp_path / "example55_grid.csv")) == 10
+        assert shapes == [(40, 40)]
 
     def test_argument_validation(self, capsys):
         assert main(["example55", "--n", "1"]) == 2
