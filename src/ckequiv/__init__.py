@@ -63,6 +63,7 @@ from .netsim import (
     SimResult,
     SpectralFactory,
     conjugate_kernel,
+    layer_kernels,
     orthogonality_stats,
     run_network,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "hermite_normalized",
     "kolmogorov_distance",
     "layer_constants",
+    "layer_kernels",
     "make_rule",
     "mp_density_closed",
     "mp_stieltjes_closed",

@@ -62,6 +62,8 @@ from .netsim import (
     NetworkSpec,
     SpectralFactory,
     conjugate_kernel,
+    layer_kernels,
+    orthogonality_stats,
     run_network,
 )
 
@@ -611,9 +613,17 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     zs = np.array([complex(x, eta) for eta in cfg.z_grid.eta for x in xs])
 
     def sample(seed):
-        # a seed keeps its spectra, stats and factories; its kernels are freed on return
-        res = run_network(spec, seed)
-        return res.eigenvalues, res.stats, [SpectralFactory(k) for k in res.kernels[1:]]
+        # a seed keeps the stats and factory of each layer >= 1; each kernel is
+        # freed once decomposed, and layer 0 (never read here) is skipped
+        kernels = layer_kernels(spec, seed)
+        next(kernels)
+        stats, factories = [], []
+        for k, sigma2 in kernels:
+            fac = SpectralFactory(k)
+            stats.append(orthogonality_stats(k, sigma2, fac.eigenvalues))
+            factories.append(fac)
+            del k
+        return stats, factories
 
     samples = _pool.pmap(sample, seeds)
     # one solve per layer gives g, the flags and a builder of each point's equivalent
@@ -621,7 +631,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
     def kolmogorov(li):
         chi = chain.layers[li - 1].chi
-        spectra = [eigenvalues[li] for eigenvalues, _, _ in samples]
+        spectra = [factories[li - 1].eigenvalues for _, factories in samples]
         lo = min(chi.support_min(), min(float(lam[0]) for lam in spectra))
         hi = max(chi.support_max(), max(float(lam[-1]) for lam in spectra))
         pad = 0.05 * max(hi - lo, 1.0)
@@ -640,7 +650,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             r -= g_eq
             return float(np.max(np.abs(r)))
 
-        return max(seed_gap(factories) for _, _, factories in samples)
+        return max(seed_gap(factories) for _, factories in samples)
 
     # the KS tasks go first, so their CDF tables overlap the gap products
     tasks = [partial(kolmogorov, li) for li in range(1, chain.depth + 1)]
@@ -656,7 +666,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     layer_rows = []
     n_bad = 0
     for li, (points, ks) in enumerate(zip(solved, ks_values), start=1):
-        g_sim = np.array([[factories[li - 1].stieltjes(z) for z in zs] for _, _, factories in samples])
+        g_sim = np.array([[factories[li - 1].stieltjes(z) for z in zs] for _, factories in samples])
         g_mean = g_sim.mean(axis=0)
         g_std = g_sim.std(axis=0)
         for z, gm, gs, (g_det, _, ok) in zip(zs, g_mean, g_std, points):
@@ -680,7 +690,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         if ks is None:
             ks = np.nan
             n_bad += 1
-        stats = np.array([st[li] for _, st, _ in samples])
+        stats = np.array([st[li - 1] for st, _ in samples])
         layer_rows.append((li, ks, *stats.mean(axis=0)))
     row_header = [
         "layer",

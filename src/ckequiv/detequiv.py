@@ -207,6 +207,19 @@ def _scaled(coef, H, u) -> np.ndarray:
     return coef * np.asarray(H(u))
 
 
+def _eig_resolvent(lam, vec, w) -> np.ndarray:
+    """(V diag(lam) V^T - w I)^{-1} from an eigendecomposition.
+
+    Assembled as two real products: a complex one would first promote
+    V^T to complex and run as a complex GEMM.
+    """
+    core = 1.0 / (lam - w)
+    out = np.empty((lam.size, lam.size), dtype=complex)
+    out.real = (vec * core.real) @ vec.T
+    out.imag = (vec * core.imag) @ vec.T
+    return out
+
+
 def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
     """Builders of G(z) = (l/z)(Sigma - l I)^{-1} over zs from one eigh of Sigma.
 
@@ -214,7 +227,7 @@ def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
     """
     lam, vec = _eigh_psd(sigma)
     chi = MpBoxtimes(gamma, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), cfg)
-    points = _compose(chi, 1, lambda w: (vec / (lam - w)) @ vec.T, zs)
+    points = _compose(chi, 1, partial(_eig_resolvent, lam, vec), zs)
     for z, (_, _, ok) in zip(np.ravel(zs), points):
         if not ok:
             raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}", float("inf"))

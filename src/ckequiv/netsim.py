@@ -1,12 +1,15 @@
 """Monte Carlo ground truth for random-network kernel spectra.
 
-Samples the network X -> f(W X / sqrt(d) + B) + D layer by layer,
-forms the conjugate kernel K = Y^T Y / d at every depth, and extracts
-the quantities the deterministic theory predicts: the eigenvalues
-(one eigenvalue-only decomposition per kernel) and the deviation stats
-of K from a multiple of the identity.  Resolvents and Stieltjes
-transforms come from ``SpectralFactory(K)``, which keeps the
-eigenvectors of one kernel for every z.
+Samples the network X -> f(W X / sqrt(d) + B) + D layer by layer and
+streams the conjugate kernel K = Y^T Y / d of every depth through
+``layer_kernels``, which holds only the current activations and the
+current kernel.  ``run_network`` takes from each kernel the quantities
+the deterministic theory predicts, the eigenvalues (one eigenvalue-only
+decomposition per kernel) and the deviation stats of K from a multiple
+of the identity, and drops it before the next layer is sampled, so
+memory stays flat in depth.  Resolvents and Stieltjes transforms come
+from ``SpectralFactory(K)``, which keeps the eigenvectors of one kernel
+for every z.
 
 Randomness is fanned out from one master seed into independent
 substreams keyed by (layer, role), so enlarging the evaluation grid or
@@ -19,7 +22,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .detequiv import LayerSpec, _ungated_constants
+from .detequiv import LayerSpec, _eig_resolvent, _ungated_constants
 from .hermite import default_rule
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
@@ -38,7 +41,9 @@ def sample_gaussian(rows: int, cols: int, variance: float, rng: np.random.Genera
         raise ValueError("variance must be nonnegative")
     if variance == 0.0:
         return np.zeros((rows, cols))
-    return math.sqrt(variance) * rng.standard_normal((rows, cols))
+    out = rng.standard_normal((rows, cols))
+    out *= math.sqrt(variance)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +168,28 @@ def forward_layer(x, spec: LayerSpec, d_prev: int, rngs) -> np.ndarray:
     if d_out < 1 or abs(d_out_f - d_out) > 1e-9:
         raise ValueError(f"n/gamma = {d_out_f} is not a positive integer width")
     rng_w, rng_b, rng_d = rngs
-    w = sample_gaussian(d_out, d_prev, spec.sigma_w2, rng_w)
-    b = sample_gaussian(d_out, n, spec.sigma_b2, rng_b)
-    d = sample_gaussian(d_out, n, spec.sigma_d2, rng_d)
-    return spec.f(w @ x / math.sqrt(d_prev) + b) + d
+    # in place, so at most three d x n-sized arrays are alive at once
+    y = sample_gaussian(d_out, d_prev, spec.sigma_w2, rng_w) @ x
+    y /= math.sqrt(d_prev)
+    y += sample_gaussian(d_out, n, spec.sigma_b2, rng_b)
+    y = spec.f(y)
+    if spec.sigma_d2 > 0:
+        y += sample_gaussian(d_out, n, spec.sigma_d2, rng_d)
+    return y
 
 
 def conjugate_kernel(y, d: int) -> np.ndarray:
-    """K = Y^T Y / d, symmetrized against roundoff."""
+    """K = Y^T Y / d, exactly symmetric."""
     if d < 1:
         raise ValueError("d must be >= 1")
     y = np.asarray(y, dtype=float)
-    k = y.T @ y / d
-    return 0.5 * (k + k.T)
+    # numpy takes Y^T Y of a contiguous Y as one syrk, whose result is
+    # exactly symmetric; a strided Y would go through a general product
+    if not (y.flags.c_contiguous or y.flags.f_contiguous):
+        y = np.ascontiguousarray(y)
+    k = y.T @ y
+    k /= d
+    return k
 
 
 class SpectralFactory:
@@ -201,13 +215,7 @@ class SpectralFactory:
         z = complex(z)
         if z.imag <= 0:
             raise ValueError("z must lie in the open upper half-plane")
-        core = 1.0 / (self.eigenvalues - z)
-        v = self._vectors
-        # two real products: a complex one would first promote v.T to complex
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        out.real = (v * core.real) @ v.T
-        out.imag = (v * core.imag) @ v.T
-        return out
+        return _eig_resolvent(self.eigenvalues, self._vectors, z)
 
 
 class OrthoStats(NamedTuple):
@@ -242,21 +250,44 @@ def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
 # Full runs
 
 
+def layer_kernels(spec: NetworkSpec, seed: int):
+    """Yield (K_l, sigma2_l) for l = 0..depth of one sampled network.
+
+    K_0 is the input kernel K_X; K_l is the conjugate kernel after layer
+    l and sigma2_l the shared output variance that K_l's diagonal
+    concentrates on.  Only the current activations and the current kernel
+    are held, so a consumer that drops each kernel before asking for the
+    next keeps one n x n kernel alive, whatever the depth.
+    """
+    rule = default_rule()
+    x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
+    sigma2 = spec.data.input_variance()
+    yield conjugate_kernel(x, spec.d0), sigma2
+    d_prev = spec.d0
+    for i, (lspec, d) in enumerate(zip(spec.layers, spec.dims), start=1):
+        rngs = (stream(seed, i, "W"), stream(seed, i, "B"), stream(seed, i, "D"))
+        x = forward_layer(x, lspec, d_prev, rngs)
+        d_prev = d
+        sigma2 = _ungated_constants(
+            lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2, rule
+        ).sigma_y2
+        yield conjugate_kernel(x, d), sigma2
+
+
 @dataclass(frozen=True)
 class SimResult:
-    """Everything one sampled network exposes to the comparison layer.
+    """Spectra and stats of one sampled network, for the comparison layer.
 
     Index 0 of the per-layer tuples is the input kernel K_X; index l is
     the conjugate kernel after layer l.
     """
 
     seed: int
-    kernels: tuple
     eigenvalues: tuple
     stats: tuple
 
     def __post_init__(self):
-        n = self.kernels[0].shape[0]
+        n = self.eigenvalues[0].size
         for lam in self.eigenvalues:
             if lam.size != n:
                 raise ValueError("eigenvalue count must equal n at every layer")
@@ -265,33 +296,22 @@ class SimResult:
 
     @property
     def depth(self) -> int:
-        return len(self.kernels) - 1
+        return len(self.eigenvalues) - 1
 
 
 def run_network(spec: NetworkSpec, seed: int) -> SimResult:
-    """Sample one network and collect kernels, spectra, and stats.
+    """Sample one network and collect the spectrum and stats of every kernel.
 
     Each kernel gets one eigenvalue-only decomposition (O(n^3), no
-    eigenvectors, no SVD).  For resolvents, build
-    ``SpectralFactory(result.kernels[l])``.
+    eigenvectors, no SVD) and is dropped before the next layer is
+    sampled.  For kernels or resolvents, iterate ``layer_kernels`` and
+    build ``SpectralFactory(K)``.
     """
-    rule = default_rule()
-    x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
-    kernels = [conjugate_kernel(x, spec.d0)]
-    sigma2s = [spec.data.input_variance()]
-    d_prev = spec.d0
-    for i, lspec in enumerate(spec.layers, start=1):
-        rngs = (stream(seed, i, "W"), stream(seed, i, "B"), stream(seed, i, "D"))
-        x = forward_layer(x, lspec, d_prev, rngs)
-        d_prev = spec.dims[i - 1]
-        kernels.append(conjugate_kernel(x, d_prev))
-        sigma2s.append(
-            _ungated_constants(
-                lspec.f, lspec.sigma_w2, sigma2s[-1], lspec.sigma_b2, lspec.sigma_d2, rule
-            ).sigma_y2
-        )
-    # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
-    eigenvalues = tuple(np.linalg.eigvalsh(k) for k in kernels)
-    stats = tuple(orthogonality_stats(k, s2, lam) for k, s2, lam in zip(kernels, sigma2s, eigenvalues))
-    return SimResult(seed=int(seed), kernels=tuple(kernels), eigenvalues=eigenvalues, stats=stats)
-
+    eigenvalues, stats = [], []
+    for k, sigma2 in layer_kernels(spec, seed):
+        # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
+        lam = np.linalg.eigvalsh(k)
+        eigenvalues.append(lam)
+        stats.append(orthogonality_stats(k, sigma2, lam))
+        del k  # free K_l before layer l + 1 is sampled
+    return SimResult(seed=int(seed), eigenvalues=tuple(eigenvalues), stats=tuple(stats))

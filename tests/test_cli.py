@@ -414,6 +414,15 @@ class TestCompareCommand:
             return compose(chi, depth, H, z)
 
         monkeypatch.setattr(detequiv, "_compose", counted_compose)
+        decomps = {"eigh": 0, "eigvalsh": 0}
+        for name in decomps:
+            fn = getattr(np.linalg, name)
+
+            def counted_decomp(*args, _name=name, _fn=fn, **kwargs):
+                decomps[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted_decomp)
         tree = explicit_two_layer_tree(tmp_path)
         tree["sim"] = {"seeds": [0, 1], "replicas": 2}
         cpath = write_cfg(tmp_path, tree)
@@ -422,6 +431,8 @@ class TestCompareCommand:
         seeds, depth, points = 2, 2, 3
         # the explicit input's factory, then one per sampled (seed, layer)
         assert len(factories) == 1 + seeds * depth
+        # each factory is the one decomposition of its kernel; layer 0 is never decomposed
+        assert decomps == {"eigh": 1 + seeds * depth, "eigvalsh": 0}
         # each seed's resolvent plus one input-side H(u) per (layer, z)
         assert len(products) == depth * points * (seeds + 1)
         assert grids == [points] * depth

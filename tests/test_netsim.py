@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ckequiv.netsim import (
     SpectralFactory,
     conjugate_kernel,
     forward_layer,
+    layer_kernels,
     orthogonality_stats,
     run_network,
     sample_gaussian,
@@ -122,6 +124,35 @@ class TestForwardPass:
         with pytest.raises(ValueError):
             conjugate_kernel(y, 0)
 
+    @pytest.mark.parametrize("d, n", [(300, 200), (200, 300), (250, 250)])
+    def test_conjugate_kernel_is_exactly_symmetric_in_any_layout(self, d, n):
+        # eigvalsh reads one triangle of K, so K must be symmetric to the bit
+        wide = np.random.default_rng(1).standard_normal((d, 2 * n))
+        layouts = {
+            "C": np.ascontiguousarray(wide[:, :n]),
+            "F": np.asfortranarray(wide[:, :n]),
+            "strided": wide[:, ::2],
+        }
+        for name, y in layouts.items():
+            k = conjugate_kernel(y, d)
+            assert k.shape == (n, n)
+            assert np.array_equal(k, k.T), name
+            want = np.einsum("ki,kj->ij", y, y) / d
+            assert np.max(np.abs(k - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("sigma_d2", [0.0, 0.25])
+    def test_in_place_layer_matches_the_plain_expression(self, sigma_d2):
+        # same IEEE operations as f(W x / sqrt(d) + B) + D, D added only when sampled
+        lspec = LayerSpec(1.0, 0.5, sigma_d2, tanh_activation(), 2.0)
+        x = np.random.default_rng(4).standard_normal((20, 30))
+        out = forward_layer(x, lspec, 20, tuple(np.random.default_rng(s) for s in (7, 8, 9)))
+        rng_w, rng_b, rng_d = (np.random.default_rng(s) for s in (7, 8, 9))
+        w = rng_w.standard_normal((15, 20))
+        b = np.sqrt(0.5) * rng_b.standard_normal((15, 30))
+        d = np.sqrt(sigma_d2) * rng_d.standard_normal((15, 30))
+        want = np.tanh(w @ x / np.sqrt(20) + b) + d
+        assert np.array_equal(out, want)
+
 
 class TestSpectralFactory:
     def test_stieltjes_matches_eigenvalue_sum(self):
@@ -183,28 +214,30 @@ class TestRunNetwork:
             layers=tuple(layers),
         )
 
+    def kernels(self, net, seed):
+        return [k for k, _ in layer_kernels(net, seed)]
+
     def test_deterministic_given_seed(self):
         net = self.network()
         r1 = run_network(net, seed=5)
         r2 = run_network(net, seed=5)
-        assert np.array_equal(r1.kernels[1], r2.kernels[1])
+        k1, k2 = self.kernels(net, 5)[1], self.kernels(net, 5)[1]
+        assert np.array_equal(k1, k2)
         assert np.array_equal(r1.eigenvalues[1], r2.eigenvalues[1])
-        assert np.array_equal(
-            SpectralFactory(r1.kernels[1]).resolvent(1j), SpectralFactory(r2.kernels[1]).resolvent(1j)
-        )
-        r3 = run_network(net, seed=6)
-        assert not np.array_equal(r1.kernels[1], r3.kernels[1])
+        assert np.array_equal(SpectralFactory(k1).resolvent(1j), SpectralFactory(k2).resolvent(1j))
+        assert not np.array_equal(k1, self.kernels(net, 6)[1])
 
     def test_result_layout(self):
         net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         res = run_network(net, seed=0)
+        kernels = self.kernels(net, 0)
         assert res.depth == 2
-        assert len(res.kernels) == len(res.eigenvalues) == len(res.stats) == 3
+        assert len(kernels) == len(res.eigenvalues) == len(res.stats) == 3
         assert all(lam.size == net.n for lam in res.eigenvalues)
         assert all(lam[0] >= -1e-8 for lam in res.eigenvalues)
         z = 1.0 + 0.5j
-        direct = np.linalg.inv(res.kernels[2] - z * np.eye(net.n))
-        assert np.max(np.abs(SpectralFactory(res.kernels[2]).resolvent(z) - direct)) < 1e-10
+        direct = np.linalg.inv(kernels[2] - z * np.eye(net.n))
+        assert np.max(np.abs(SpectralFactory(kernels[2]).resolvent(z) - direct)) < 1e-10
 
     def test_uncentered_layer_uses_shared_output_variance(self):
         # hermite2 at sigma_tilde2 = 2 has a nonzero Gaussian mean, which the
@@ -212,16 +245,19 @@ class TestRunNetwork:
         lspec = LayerSpec(2.0, 0.0, 0.0, hermite2_activation(), 1.0)
         with pytest.raises(ValueError, match="shifted"):
             layer_constants(lspec, 1.0)
-        res = run_network(self.network(n=16, layers=[lspec]), seed=1)
+        net = self.network(n=16, layers=[lspec])
+        res = run_network(net, seed=1)
         sy2 = _ungated_constants(lspec.f, 2.0, 1.0, 0.0, 0.0).sigma_y2
         # E[f(sqrt(2) N)^2] = (3 * 4 - 2 * 2 + 1) / 2 for f(t) = (t^2 - 1) / sqrt(2)
         assert sy2 == pytest.approx(4.5, rel=1e-12)
-        assert res.stats[1] == orthogonality_stats(res.kernels[1], sy2, res.eigenvalues[1])
+        (_, sx2), (k1, sigma2) = layer_kernels(net, seed=1)
+        assert (sx2, sigma2) == (1.0, sy2)
+        assert res.stats[1] == orthogonality_stats(k1, sy2, res.eigenvalues[1])
 
     def test_eigenvalues_match_full_decomposition(self):
         net = self.network(n=120, layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         res = run_network(net, seed=4)
-        for k, lam, st in zip(res.kernels, res.eigenvalues, res.stats):
+        for k, lam, st in zip(self.kernels(net, 4), res.eigenvalues, res.stats):
             want = np.linalg.eigh(k)[0]
             assert np.max(np.abs(lam - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             assert st.spec_norm == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
@@ -249,6 +285,20 @@ class TestRunNetwork:
         net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         run_network(net, seed=0)
         assert calls == {"eigh": 0, "eigvalsh": 3, "svd": 0, "norm2": 0}
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_peak_memory_is_flat_in_depth(self, depth):
+        # each kernel is dropped before the next layer is sampled: activations,
+        # one kernel and one n x n temporary are alive at once, whatever the depth
+        n = 300
+        net = self.network(n=n, layers=[LayerSpec(1.0, 1.0, 0.5, tanh_activation(), 1.0)] * depth)
+        tracemalloc.start()
+        try:
+            run_network(net, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
 
     def test_kernel_norms_stay_bounded_in_width(self):
         norms = {}
