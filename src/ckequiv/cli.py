@@ -8,8 +8,12 @@ simulate   Sample networks; write per-seed eigenvalue and statistics tables.
 compare    Simulated spectra and resolvents against deterministic equivalents.
 example55  Equicorrelated closed form against the generic resolvent builder.
 
-Configuration is a single JSON tree (see ``parse_config``); unknown keys
-anywhere in the tree are errors, not warnings.  Tables are written as CSV
+Configuration is a single JSON tree that ``parse_config`` walks once,
+straight into the library's objects: a ``NetworkSpec`` (its ``LayerSpec``
+layers and data model, an explicit ``.npy`` input read at that point), a
+``ZGridConfig`` and a ``FixedPointConfig``.  Unknown keys anywhere in the
+tree are errors, not warnings, and every subcommand given a config checks
+its whole network section before running.  Tables are written as CSV
 and/or JSON with complex columns split into ``_re``/``_im`` pairs and floats
 rendered with ``repr`` so identical runs produce identical bytes.  The first
 CSV line is a ``# generated <timestamp>`` comment unless ``--no-timestamp``
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import json
 import math
@@ -82,31 +85,6 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class LayerConfig:
-    sigma_w2: float
-    sigma_b2: float
-    sigma_d2: float
-    activation: str
-    gamma: float
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    kind: str
-    sigma_x2: float = 1.0
-    path: str | None = None
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    n: int
-    d0: int
-    dims: tuple
-    data: DataConfig
-    layers: tuple
-
-
-@dataclass(frozen=True)
 class ZGridConfig:
     x_min: float = -1.0
     x_max: float = 5.0
@@ -119,208 +97,168 @@ class ZGridConfig:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    seeds: tuple = (0, 1, 2)
-    replicas: int = 3
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str = "out"
-    formats: tuple = ("csv",)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    network: NetworkConfig | None = None
-    z_grid: ZGridConfig = ZGridConfig()
-    sim: SimConfig = SimConfig()
-    solver: FixedPointConfig = DEFAULT_CONFIG
-    output: OutputConfig = OutputConfig()
+    network: NetworkSpec | None
+    z_grid: ZGridConfig
+    seeds: tuple
+    solver: FixedPointConfig
+    directory: str
+    formats: tuple
 
 
-def _check_keys(tree: dict, allowed, where: str) -> None:
+_REQUIRED = object()
+
+
+def _section(tree, where: str, fields: dict) -> dict:
+    """Check one mapping of the tree against {key: (kind, default)}.
+
+    kind is float, int, str, a section builder ``(tree, where) -> value``
+    or a one-element list of one of these for a nonempty list.  A missing
+    key takes its default, checked like a given value; a None default
+    stays None and a _REQUIRED one is an error.  Returns {key: value}.
+    """
     if not isinstance(tree, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(tree).__name__}")
-    unknown = sorted(set(tree) - set(allowed))
+        raise ConfigError(f"{where or 'config'} must be a mapping, got {type(tree).__name__}")
+    unknown = sorted(set(tree) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(unknown)}")
+    out = {}
+    for key, (kind, default) in fields.items():
+        name = f"{where}.{key}" if where else key
+        if key in tree:
+            out[key] = _value(tree[key], kind, name)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        else:
+            out[key] = None if default is None else _value(default, kind, name)
+    return out
 
 
-def _num_item(v, where: str, kind=float):
+def _value(v, kind, where: str):
+    if isinstance(kind, list):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{where} must be a nonempty list")
+        return tuple(_value(item, kind[0], f"{where}[{i}]") for i, item in enumerate(v))
+    if kind is str:
+        if not isinstance(v, str) or not v:
+            raise ConfigError(f"{where} must be a nonempty string")
+        return v
+    if kind not in (int, float):
+        return kind(v, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    if kind is int and int(v) != v:
+    if kind is int and isinstance(v, float) and not v.is_integer():
         raise ConfigError(f"{where} must be an integer")
     return kind(v)
 
 
-def _number(tree: dict, key: str, where: str, default=None, kind=float):
-    if key not in tree:
-        if default is None:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    return _num_item(tree[key], f"{where}.{key}", kind)
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a config error at where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as ex:
+        raise ConfigError(f"{where}: {ex}") from None
 
 
-def _parse_layer(tree: dict, where: str) -> LayerConfig:
-    _check_keys(tree, {"sigma_w2", "sigma_b2", "sigma_d2", "activation", "gamma"}, where)
-    act = tree.get("activation")
-    if not isinstance(act, str):
-        raise ConfigError(f"{where}.activation must be a string")
-    return LayerConfig(
-        sigma_w2=_number(tree, "sigma_w2", where),
-        sigma_b2=_number(tree, "sigma_b2", where, default=0.0),
-        sigma_d2=_number(tree, "sigma_d2", where, default=0.0),
-        activation=act,
-        gamma=_number(tree, "gamma", where),
-    )
+def _layer(tree, where: str) -> LayerSpec:
+    v = _section(tree, where, {
+        "sigma_w2": (float, _REQUIRED),
+        "sigma_b2": (float, 0.0),
+        "sigma_d2": (float, 0.0),
+        "activation": (str, _REQUIRED),
+        "gamma": (float, _REQUIRED),
+    })
+    f = _build(where, activation_by_name, v.pop("activation"))
+    return _build(where, LayerSpec, f=f, **v)
 
 
-def _parse_data(tree: dict, where: str) -> DataConfig:
-    _check_keys(tree, {"kind", "sigma_x2", "path"}, where)
-    kind = tree.get("kind")
+def _data(tree, where: str):
+    fields = {"kind": (str, _REQUIRED), "sigma_x2": (float, None), "path": (str, None)}
+    kind, sigma_x2, path = _section(tree, where, fields).values()
     if kind not in ("iid", "equicorrelated", "explicit"):
         raise ConfigError(f"{where}.kind must be one of iid, equicorrelated, explicit")
     if kind == "iid":
-        if "path" in tree:
+        if path is not None:
             raise ConfigError(f"{where}.path only applies to explicit data")
-        return DataConfig(kind="iid", sigma_x2=_number(tree, "sigma_x2", where, default=1.0))
+        return _build(where, IidData, 1.0 if sigma_x2 is None else sigma_x2)
     if kind == "equicorrelated":
-        if "sigma_x2" in tree or "path" in tree:
+        if sigma_x2 is not None or path is not None:
             raise ConfigError(f"{where}: equicorrelated data takes no parameters")
-        return DataConfig(kind="equicorrelated")
-    if "sigma_x2" in tree:
+        return EquicorrelatedData()
+    if sigma_x2 is not None:
         raise ConfigError(f"{where}.sigma_x2 only applies to iid data")
-    path = tree.get("path")
-    if not isinstance(path, str) or not path:
+    if path is None:
         raise ConfigError(f"{where}.path is required for explicit data")
-    return DataConfig(kind="explicit", path=path)
+    return _build(where, ExplicitData, _build(f"{where}.path", np.load, path))
 
 
-def _parse_network(tree: dict) -> NetworkConfig:
-    _check_keys(tree, {"n", "d0", "dims", "data", "layers"}, "network")
-    n = _number(tree, "n", "network", kind=int)
-    d0 = _number(tree, "d0", "network", kind=int)
-    dims = tree.get("dims")
-    if not isinstance(dims, list) or not dims:
-        raise ConfigError("network.dims must be a nonempty list of widths")
-    dims = tuple(_num_item(d, f"network.dims[{i}]", kind=int) for i, d in enumerate(dims))
-    layers = tree.get("layers")
-    if not isinstance(layers, list) or not layers:
-        raise ConfigError("network.layers must be a nonempty list")
-    if len(layers) != len(dims):
-        raise ConfigError("network.layers and network.dims must have the same length")
-    parsed = tuple(_parse_layer(t, f"network.layers[{i}]") for i, t in enumerate(layers))
-    if "data" not in tree:
-        raise ConfigError("network.data is required")
-    return NetworkConfig(n=n, d0=d0, dims=dims, data=_parse_data(tree["data"], "network.data"), layers=parsed)
+def _network(tree, where: str) -> NetworkSpec:
+    v = _section(tree, where, {
+        "n": (int, _REQUIRED),
+        "d0": (int, _REQUIRED),
+        "dims": ([int], _REQUIRED),
+        "layers": ([_layer], _REQUIRED),
+        "data": (_data, _REQUIRED),
+    })
+    if len(v["layers"]) != len(v["dims"]):
+        raise ConfigError(f"{where}.layers and {where}.dims must have the same length")
+    return _build(where, NetworkSpec, **v)
 
 
-def _parse_zgrid(tree: dict) -> ZGridConfig:
-    _check_keys(tree, {"x_min", "x_max", "step", "eta"}, "z_grid")
+def _z_grid(tree, where: str) -> ZGridConfig:
     d = ZGridConfig()
-    eta = tree.get("eta", list(d.eta))
-    if not isinstance(eta, list) or not eta:
-        raise ConfigError("z_grid.eta must be a nonempty list")
-    eta = tuple(_num_item(e, f"z_grid.eta[{i}]") for i, e in enumerate(eta))
-    if any(e <= 0 for e in eta):
-        raise ConfigError("z_grid.eta values must be positive")
-    g = ZGridConfig(
-        x_min=_number(tree, "x_min", "z_grid", default=d.x_min),
-        x_max=_number(tree, "x_max", "z_grid", default=d.x_max),
-        step=_number(tree, "step", "z_grid", default=d.step),
-        eta=eta,
-    )
+    g = ZGridConfig(**_section(tree, where, {
+        "x_min": (float, d.x_min),
+        "x_max": (float, d.x_max),
+        "step": (float, d.step),
+        "eta": ([float], list(d.eta)),
+    }))
+    if any(e <= 0 for e in g.eta):
+        raise ConfigError(f"{where}.eta values must be positive")
     if g.step <= 0:
-        raise ConfigError("z_grid.step must be positive")
+        raise ConfigError(f"{where}.step must be positive")
     if g.x_max < g.x_min:
-        raise ConfigError("z_grid range is empty")
+        raise ConfigError(f"{where} range is empty")
     return g
 
 
-def _parse_sim(tree: dict) -> SimConfig:
-    _check_keys(tree, {"seeds", "replicas"}, "sim")
-    seeds = tree.get("seeds", list(SimConfig().seeds))
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("sim.seeds must be a nonempty list")
-    seeds = tuple(_num_item(s, f"sim.seeds[{i}]", kind=int) for i, s in enumerate(seeds))
-    replicas = _number(tree, "replicas", "sim", default=len(seeds), kind=int)
-    if replicas != len(seeds):
-        raise ConfigError("sim.replicas must equal the number of seeds")
-    return SimConfig(seeds=seeds, replicas=replicas)
+def _seeds(tree, where: str) -> tuple:
+    # replicas is only a consistency check on the seed list
+    seeds, replicas = _section(tree, where, {"seeds": ([int], [0, 1, 2]), "replicas": (int, None)}).values()
+    if replicas is not None and replicas != len(seeds):
+        raise ConfigError(f"{where}.replicas must equal the number of seeds")
+    return seeds
 
 
-def _parse_solver(tree: dict) -> FixedPointConfig:
-    _check_keys(tree, {"tol", "max_iter", "damping"}, "solver")
+def _solver(tree, where: str) -> FixedPointConfig:
     d = DEFAULT_CONFIG
-    try:
-        return FixedPointConfig(
-            tol=_number(tree, "tol", "solver", default=d.tol),
-            max_iter=_number(tree, "max_iter", "solver", default=d.max_iter, kind=int),
-            damping=_number(tree, "damping", "solver", default=d.damping),
-        )
-    except ValueError as ex:
-        raise ConfigError(f"solver: {ex}") from None
+    fields = {"tol": (float, d.tol), "max_iter": (int, d.max_iter), "damping": (float, d.damping)}
+    return _build(where, FixedPointConfig, **_section(tree, where, fields))
 
 
-def _parse_output(tree: dict) -> OutputConfig:
-    _check_keys(tree, {"directory", "formats"}, "output")
-    d = OutputConfig()
-    directory = tree.get("directory", d.directory)
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory must be a nonempty string")
-    formats = tree.get("formats", list(d.formats))
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError("output.formats must be a nonempty list")
+def _output(tree, where: str) -> tuple:
+    directory, formats = _section(tree, where, {"directory": (str, "out"), "formats": ([str], ["csv"])}).values()
     bad = sorted(set(formats) - {"csv", "json"})
     if bad:
-        raise ConfigError(f"output.formats entries must be csv or json, got {bad}")
-    return OutputConfig(directory=directory, formats=tuple(dict.fromkeys(formats)))
+        raise ConfigError(f"{where}.formats entries must be csv or json, got {bad}")
+    return directory, tuple(dict.fromkeys(formats))
 
 
 def parse_config(tree: dict) -> ExperimentConfig:
-    """Strictly validate a JSON-style config tree (unknown keys are errors)."""
-    _check_keys(tree, {"network", "z_grid", "sim", "solver", "output"}, "config")
-    return ExperimentConfig(
-        network=_parse_network(tree["network"]) if "network" in tree else None,
-        z_grid=_parse_zgrid(tree.get("z_grid", {})),
-        sim=_parse_sim(tree.get("sim", {})),
-        solver=_parse_solver(tree.get("solver", {})),
-        output=_parse_output(tree.get("output", {})),
-    )
+    """Strictly validate a JSON-style config tree into the library's objects.
 
-
-def serialize_config(cfg: ExperimentConfig) -> dict:
-    """Inverse of parse_config: parse(serialize(c)) == c."""
-    tree: dict = {}
-    if cfg.network is not None:
-        net = cfg.network
-        data = {"kind": net.data.kind}
-        if net.data.kind == "iid":
-            data["sigma_x2"] = net.data.sigma_x2
-        elif net.data.kind == "explicit":
-            data["path"] = net.data.path
-        tree["network"] = {
-            "n": net.n,
-            "d0": net.d0,
-            "dims": list(net.dims),
-            "data": data,
-            "layers": [dataclasses.asdict(l) for l in net.layers],
-        }
-    tree["z_grid"] = {
-        "x_min": cfg.z_grid.x_min,
-        "x_max": cfg.z_grid.x_max,
-        "step": cfg.z_grid.step,
-        "eta": list(cfg.z_grid.eta),
-    }
-    tree["sim"] = {"seeds": list(cfg.sim.seeds), "replicas": cfg.sim.replicas}
-    tree["solver"] = dataclasses.asdict(cfg.solver)
-    tree["output"] = {
-        "directory": cfg.output.directory,
-        "formats": list(cfg.output.formats),
-    }
-    return tree
+    Unknown keys are errors; the network section, when given, is built in
+    full (its explicit input read from disk) before any command runs.
+    """
+    v = _section(tree, "", {
+        "network": (_network, None),
+        "z_grid": (_z_grid, {}),
+        "sim": (_seeds, {}),
+        "solver": (_solver, {}),
+        "output": (_output, {}),
+    })
+    directory, formats = v["output"]
+    return ExperimentConfig(v["network"], v["z_grid"], v["sim"], v["solver"], directory, formats)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -338,39 +276,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def to_network_spec(cfg: ExperimentConfig) -> NetworkSpec:
-    net = cfg.network
-    if net is None:
+    if cfg.network is None:
         raise ConfigError("this command needs a network section in the config")
-    if net.data.kind == "iid":
-        data = IidData(sigma_x2=net.data.sigma_x2)
-    elif net.data.kind == "equicorrelated":
-        data = EquicorrelatedData()
-    else:
-        try:
-            x0 = np.load(net.data.path)
-        except ValueError as ex:
-            raise ConfigError(f"network.data.path: {ex}") from None
-        try:
-            data = ExplicitData(x0=np.asarray(x0, dtype=float))
-        except ValueError as ex:
-            raise ConfigError(f"network.data: {ex}") from None
-    try:
-        layers = tuple(
-            LayerSpec(
-                sigma_w2=lc.sigma_w2,
-                sigma_b2=lc.sigma_b2,
-                sigma_d2=lc.sigma_d2,
-                f=activation_by_name(lc.activation),
-                gamma=lc.gamma,
-            )
-            for lc in net.layers
-        )
-        return NetworkSpec(n=net.n, d0=net.d0, dims=net.dims, data=data, layers=layers)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
+    return cfg.network
 
 
-def chain_inputs(cfg: ExperimentConfig, spec: NetworkSpec, solver: FixedPointConfig):
+def chain_inputs(spec: NetworkSpec, solver: FixedPointConfig):
     """Input-kernel law chi0, resolvent map G0 and entry variance per data kind.
 
     iid data uses the limiting law (a scaled MP of aspect ratio n/d0) so the
@@ -378,16 +289,15 @@ def chain_inputs(cfg: ExperimentConfig, spec: NetworkSpec, solver: FixedPointCon
     two-atom spectrum and a rank-one-correction resolvent; explicit data uses
     its empirical spectrum.
     """
-    n = spec.n
-    kind = cfg.network.data.kind
-    if kind == "iid":
-        chi0 = MpBoxtimes(n / spec.d0, dirac(spec.data.sigma_x2), solver=solver)
+    n, data = spec.n, spec.data
+    if isinstance(data, IidData):
+        chi0 = MpBoxtimes(n / spec.d0, dirac(data.sigma_x2), solver=solver)
 
         def g0(w):
             return chi0.stieltjes(complex(w)) * np.eye(n)
 
-        return chi0, g0, spec.data.sigma_x2
-    if kind == "equicorrelated":
+        return chi0, g0, data.sigma_x2
+    if isinstance(data, EquicorrelatedData):
         alpha = 1.0 - 1.0 / n
         chi0 = DiscreteMeasure([alpha, alpha + 1.0], [(n - 1) / n, 1.0 / n])
 
@@ -398,13 +308,12 @@ def chain_inputs(cfg: ExperimentConfig, spec: NetworkSpec, solver: FixedPointCon
             return out
 
         return chi0, g0, 1.0
-    x0 = spec.data.x0
-    fac = SpectralFactory(conjugate_kernel(x0, spec.d0))
-    return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent, spec.data.input_variance()
+    fac = SpectralFactory(conjugate_kernel(data.x0, spec.d0))
+    return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent, data.input_variance()
 
 
 def _build_chain(cfg: ExperimentConfig, spec: NetworkSpec):
-    chi0, g0, sx2 = chain_inputs(cfg, spec, cfg.solver)
+    chi0, g0, sx2 = chain_inputs(spec, cfg.solver)
     try:
         return build_chain(spec, chi0, g0, sx2, cfg=cfg.solver)
     except ValueError as ex:
@@ -478,10 +387,10 @@ def _print_table(header, rows, file=sys.stdout) -> None:
 
 def _write_tables(cfg: ExperimentConfig, args, tables) -> None:
     """Write (name, header, rows) tables where flags or config say; print each path."""
-    outdir = args.out if args.out is not None else cfg.output.directory
+    outdir = args.out if args.out is not None else cfg.directory
     os.makedirs(outdir, exist_ok=True)
     stamp = None if args.no_timestamp else _stamp()
-    formats = args.formats or cfg.output.formats
+    formats = args.formats or cfg.formats
     for name, header, rows in tables:
         for path in write_table(outdir, name, header, rows, formats, stamp):
             print(f"wrote {path}")
@@ -582,7 +491,7 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
 def _resolved_seeds(cfg: ExperimentConfig, args) -> tuple:
     if args.seed is not None:
         return (args.seed,)
-    return cfg.sim.seeds
+    return cfg.seeds
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
@@ -820,7 +729,7 @@ def main(argv=None) -> int:
             args.formats = tuple(args.formats) if args.formats else ("csv",)
             return cmd_coeffs(args)
         if args.command == "example55":
-            cfg = load_config(args.config) if args.config else ExperimentConfig()
+            cfg = load_config(args.config) if args.config else parse_config({})
             args.formats = tuple(args.formats) if args.formats else None
             return cmd_example55(cfg, args)
         cfg = load_config(args.config)

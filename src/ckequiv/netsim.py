@@ -139,6 +139,8 @@ class NetworkSpec:
                 )
         if isinstance(self.data, EquicorrelatedData) and self.d0 != self.n:
             raise ValueError("equicorrelated data needs d0 = n")
+        if isinstance(self.data, ExplicitData) and self.data.x0.shape != (self.d0, self.n):
+            raise ValueError(f"x0 has shape {self.data.x0.shape}, expected (d0, n) = {(self.d0, self.n)}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "layers", layers)
 
@@ -193,13 +195,16 @@ def conjugate_kernel(y, d: int) -> np.ndarray:
 
 
 class SpectralFactory:
-    """One eigendecomposition of a symmetric matrix, reused for all z."""
+    """One eigendecomposition of a symmetric matrix, reused for all z.
+
+    Only the lower triangle of the matrix is read.
+    """
 
     def __init__(self, k):
         k = np.asarray(k, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("need a square matrix")
-        self.eigenvalues, self._vectors = np.linalg.eigh(0.5 * (k + k.T))
+        self.eigenvalues, self._vectors = np.linalg.eigh(k)
 
     @property
     def dim(self) -> int:

@@ -16,13 +16,12 @@ from ckequiv.cli import (
     load_config,
     main,
     parse_config,
-    serialize_config,
 )
 from ckequiv.detequiv import LayerSpec, layer_constants
 from ckequiv.freeconv import mp_density_closed
-from ckequiv.hermite import MAX_DEGREE, identity_activation, tanh_activation
+from ckequiv.hermite import MAX_DEGREE, centered_relu, identity_activation, tanh_activation
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues, kolmogorov_distance
-from ckequiv.netsim import SpectralFactory
+from ckequiv.netsim import EquicorrelatedData, ExplicitData, IidData, NetworkSpec, SpectralFactory
 
 
 def write_cfg(tmp_path, tree, name="cfg.json"):
@@ -62,17 +61,58 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-class TestConfigParsing:
-    def test_round_trip(self, tmp_path):
-        tree = smoke_tree(tmp_path)
-        cfg = parse_config(tree)
-        assert parse_config(serialize_config(cfg)) == cfg
+def write_npy(tmp_path, shape, name="x0.npy"):
+    path = tmp_path / name
+    np.save(path, np.random.default_rng(5).standard_normal(shape))
+    return str(path)
 
+
+class TestConfigParsing:
     def test_defaults_without_network(self):
         cfg = parse_config({})
         assert cfg.network is None
-        assert cfg.sim.seeds == (0, 1, 2)
-        assert cfg.output.formats == ("csv",)
+        assert cfg.seeds == (0, 1, 2)
+        assert cfg.formats == ("csv",)
+
+    @pytest.mark.parametrize("kind", ["iid", "equicorrelated", "explicit"])
+    def test_network_section_is_the_library_spec(self, tmp_path, kind):
+        tree = smoke_tree(tmp_path)
+        layer = {"sigma_w2": 2.0, "sigma_b2": 0.5, "activation": "centered-relu", "gamma": 0.5}
+        tree["network"].update(dims=[64, 128], layers=tree["network"]["layers"] + [layer])
+        if kind == "iid":
+            tree["network"]["data"] = {"kind": "iid", "sigma_x2": 2.0}
+            data = IidData(2.0)
+        elif kind == "equicorrelated":
+            tree["network"]["data"] = {"kind": "equicorrelated"}
+            data = EquicorrelatedData()
+        else:
+            path = write_npy(tmp_path, (64, 64))
+            tree["network"]["data"] = {"kind": "explicit", "path": path}
+            data = ExplicitData(np.load(path))
+        want = NetworkSpec(
+            n=64,
+            d0=64,
+            dims=(64, 128),
+            data=data,
+            layers=(
+                LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0),
+                LayerSpec(2.0, 0.5, 0.0, centered_relu(), 0.5),
+            ),
+        )
+        got = parse_config(tree).network
+        assert isinstance(got, NetworkSpec)
+        assert (got.n, got.d0, got.dims) == (want.n, want.d0, want.dims)
+        assert type(got.data) is type(data)
+        if kind == "explicit":
+            assert np.array_equal(got.data.x0, data.x0)
+        else:
+            assert got.data == data
+
+        # each centered-relu holds its own lambda, so activations compare by name
+        def layer_fields(spec):
+            return [(l.sigma_w2, l.sigma_b2, l.sigma_d2, l.f.name, l.gamma) for l in spec.layers]
+
+        assert layer_fields(got) == layer_fields(want)
 
     @pytest.mark.parametrize(
         "tree",
@@ -627,6 +667,26 @@ class TestExitCodes:
         # the eta's CDF table did not converge, which clears the whole column
         assert all(r["converged_eta0.01"] == "0" for r in starved)
         assert all(r["cdf_eta0.01"] == "nan" for r in starved)
+
+    @pytest.mark.parametrize("command", ["density", "simulate", "compare"])
+    def test_explicit_input_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, command):
+        tree = smoke_tree(tmp_path)
+        tree["network"]["data"] = {"kind": "explicit", "path": write_npy(tmp_path, (64, 50))}
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        assert "config error: network: x0 has shape (64, 50)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape, code, message",
+        [((64,), 2, "config error: network.data: x0 must be a matrix"), (None, 4, "i/o error")],
+    )
+    def test_unusable_explicit_input(self, tmp_path, capsys, shape, code, message):
+        path = str(tmp_path / "absent.npy") if shape is None else write_npy(tmp_path, shape)
+        tree = smoke_tree(tmp_path)
+        tree["network"]["data"] = {"kind": "explicit", "path": path}
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["density", "--config", cpath]) == code
+        assert message in capsys.readouterr().err
 
     def test_starved_solver_still_writes_flagged_table(self, tmp_path, capsys):
         tree = smoke_tree(tmp_path, solver={"max_iter": 2})
