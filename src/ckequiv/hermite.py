@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 MAX_DEGREE = 64
 
@@ -107,7 +106,8 @@ def make_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule with m nodes for the standard normal weight.
 
     Nodes and weights come from the symmetric, tridiagonal Jacobi matrix of
-    the monic Hermite recurrence (zero diagonal, off-diagonal sqrt(k)); the
+    the monic Hermite recurrence (zero diagonal, off-diagonal sqrt(k)),
+    built dense and handed to ``np.linalg.eigh`` (Golub-Welsch); the
     eigenvalues are the nodes and the squared first eigenvector components
     are the weights.  Nodes are symmetrized in pairs so that odd moments
     cancel exactly.
@@ -118,7 +118,7 @@ def make_rule(m: int) -> QuadratureRule:
     if m == 1:
         return QuadratureRule(np.zeros(1), np.ones(1))
     off = np.sqrt(np.arange(1.0, m))
-    nodes, vecs = eigh_tridiagonal(np.zeros(m), off)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0] ** 2
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
@@ -132,9 +132,14 @@ def make_rule(m: int) -> QuadratureRule:
 
 DEFAULT_NODES = 128
 
+# built once at import and shared by every caller, so its arrays are read-only
+_DEFAULT_RULE = make_rule(DEFAULT_NODES)
+_DEFAULT_RULE.nodes.flags.writeable = False
+_DEFAULT_RULE.weights.flags.writeable = False
+
 
 def default_rule() -> QuadratureRule:
-    return make_rule(DEFAULT_NODES)
+    return _DEFAULT_RULE
 
 
 # ---------------------------------------------------------------------------

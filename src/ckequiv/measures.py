@@ -116,27 +116,45 @@ class DiscreteMeasure(Measure):
     def __repr__(self):
         return f"DiscreteMeasure({self.atoms.size} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 
+    def _real_blocks(self, v):
+        """Blocks of the flat complex array v in real arithmetic.
+
+        Yields (slice, eta, d*q, q) with d = t - Re v, eta = Im v and
+        q = 1/(d^2 + eta^2), atoms along the rows, so that
+        1/(t - v) = d*q + i*eta*q.
+        """
+        block = max(1, _CHUNK // self.atoms.size)
+        for i in range(0, v.size, block):
+            sl = slice(i, i + block)
+            eta = v.imag[sl]
+            d = self.atoms[:, None] - v.real[None, sl]
+            q = d * d
+            q += eta * eta
+            np.reciprocal(q, out=q)
+            d *= q
+            yield sl, eta, d, q
+
     def stieltjes(self, z):
         z, scalar = _as_z(z)
         flat = z.ravel()
         out = np.empty(flat.shape, dtype=complex)
-        block = max(1, _CHUNK // self.atoms.size)
-        for i in range(0, flat.size, block):
-            part = flat[i : i + block]
-            out[i : i + block] = self.weights @ (1.0 / (self.atoms[:, None] - part[None, :]))
+        w = self.weights
+        for sl, eta, dq, q in self._real_blocks(flat):
+            out[sl] = w @ dq + 1j * eta * (w @ q)
         out = out.reshape(z.shape)
         _herglotz_check(out, z, True)
         return complex(out) if scalar else out
 
     def _stieltjes_pair(self, v):
-        """g(v) and g'(v) = sum of w / (t - v)^2 on a flat array v."""
+        """g(v) and g'(v) = sum of w / (t - v)^2 on a flat complex array v."""
         g = np.empty(v.shape, dtype=complex)
         dg = np.empty(v.shape, dtype=complex)
-        block = max(1, _CHUNK // self.atoms.size)
-        for i in range(0, v.size, block):
-            inv = 1.0 / (self.atoms[:, None] - v[None, i : i + block])
-            g[i : i + block] = self.weights @ inv
-            dg[i : i + block] = self.weights @ (inv * inv)
+        w = self.weights
+        for sl, eta, dq, q in self._real_blocks(v):
+            g[sl] = w @ dq + 1j * eta * (w @ q)
+            q_sq = w @ (q * q)
+            q *= dq
+            dg[sl] = w @ (dq * dq) - eta * eta * q_sq + 2j * eta * (w @ q)
         return g, dg
 
     def support_min(self) -> float:

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -697,3 +699,34 @@ class TestExitCodes:
         rows = read_csv(tmp_path / "density.csv")
         assert len(rows) == 3
         assert all(r["converged_eta0.5"] == "0" for r in rows)
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # the package needs numpy only; scipy would add start-up time and
+    # resident memory to every run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    smoke = write_cfg(tmp_path, smoke_tree(tmp_path / "smoke"))
+    (tmp_path / "explicit").mkdir()
+    explicit = write_cfg(tmp_path, explicit_two_layer_tree(tmp_path / "explicit"), "explicit.json")
+    small = write_cfg(tmp_path, {"z_grid": {"x_min": 0.0, "x_max": 1.0, "step": 0.5, "eta": [0.3]}}, "small.json")
+    runs = [
+        ["coeffs", "tanh", "--out", str(tmp_path / "coeffs")],
+        ["density", "--config", smoke],
+        ["simulate", "--config", smoke],
+        ["compare", "--config", explicit],
+        ["example55", "--config", small, "--n", "40", "--out", str(tmp_path / "example55")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from ckequiv.cli import main\n"
+        "codes = [main(argv + ['--no-timestamp']) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0] * len(runs), "scipy": []}

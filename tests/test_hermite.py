@@ -174,3 +174,36 @@ def test_make_rule_positive_weights():
     rule = make_rule(64)
     assert np.all(rule.weights > 0)
     assert abs(float(rule.weights.sum()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 128, 512])
+def test_rule_even_moments_are_double_factorials(m):
+    # E[N^2k] = (2k - 1)!!; the rule is exact for 2k < 2m.  Golub-Welsch
+    # weights are accurate to rounding in absolute terms only, so the small
+    # weights of the outer nodes carry large relative errors: at m = 512 the
+    # 2k = 22 moment is off by 2.7e-11 and the 2k = 38 one by a factor 41.
+    # The gate therefore stops at 2k = 20, where every m here holds 1e-12.
+    rule = make_rule(m)
+    for two_k in range(0, min(2 * m, 22), 2):
+        want = float(math.prod(range(two_k - 1, 0, -2)))
+        got = float(rule.weights @ rule.nodes**two_k)
+        assert abs(got - want) <= 1e-12 * want, (m, two_k, got, want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 128])
+def test_rule_matches_numpy_hermegauss(m):
+    # an independent construction: Newton-refined roots of He_m, with
+    # weights from the recurrence rather than from eigenvectors
+    x, w = np.polynomial.hermite_e.hermegauss(m)
+    rule = make_rule(m)
+    assert rule.nodes.shape == (m,)
+    assert np.max(np.abs(rule.nodes - x)) < 1e-13
+    assert np.max(np.abs(rule.weights - w / w.sum())) < 1e-13
+
+
+def test_default_rule_is_shared_and_read_only():
+    rule = default_rule()
+    assert rule is default_rule()
+    assert np.array_equal(rule.nodes, make_rule(128).nodes)
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0

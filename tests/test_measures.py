@@ -56,6 +56,31 @@ class TestDiscreteMeasure:
         want = 0.2 / (0.5 - z) + 0.3 / (1.5 - z) + 0.5 / (3.0 - z)
         assert abs(m.stieltjes(z) - want) < 1e-15
 
+    @pytest.mark.parametrize("chunk", [measures._CHUNK, 64])
+    def test_real_arithmetic_transform_matches_mpmath(self, monkeypatch, chunk):
+        # a small chunk splits the points into blocks of 3
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        atoms = np.sort(rng.uniform(0.0, 4.0, 20))
+        weights = rng.uniform(0.5, 1.5, 20)
+        m = DiscreteMeasure(atoms, weights / weights.sum())
+        near = [t + s * d for t in atoms[::4] for d in (1e-3, 1e-6, 1e-9) for s in (-1, 1)]
+        upper = [x + 1j * eta for x in near + [-1.0, 2.0, 7.0] for eta in (1.0, 1e-3, 1e-6, 1e-10)]
+        mids = 0.5 * (atoms[1:] + atoms[:-1])
+        v = np.array(upper + [z.conjugate() for z in upper] + list(mids) + [t + 1e-7 for t in atoms[::5]])
+        g, dg = m._stieltjes_pair(v)
+        assert np.array_equal(m.stieltjes(v), g)
+        with mpmath.workdps(40):
+            for k, z in enumerate(v):
+                zz = mpmath.mpc(z.real, z.imag)
+                inv = [mpmath.mpf(w) / (mpmath.mpf(t) - zz) for t, w in zip(m.atoms, m.weights)]
+                want_g = complex(mpmath.fsum(inv))
+                want_dg = complex(mpmath.fsum(q / (mpmath.mpf(t) - zz) for q, t in zip(inv, m.atoms)))
+                scale = np.abs(m.atoms - z)
+                assert abs(g[k] - want_g) <= 1e-13 * np.sum(m.weights / scale), z
+                assert abs(dg[k] - want_dg) <= 1e-13 * np.sum(m.weights / scale**2), z
+
     def test_atom_mass_and_support(self):
         m = DiscreteMeasure([1.0, 2.0], [0.4, 0.6])
         assert m.atom_mass(1.0) == pytest.approx(0.4)
