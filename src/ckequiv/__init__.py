@@ -14,10 +14,7 @@ from .hermite import (
     coeff_vector,
     default_rule,
     gaussian_norm_sq,
-    hermite_h,
-    hermite_normalized,
     make_rule,
-    psi,
 )
 from .freeconv import (
     DEFAULT_CONFIG,
@@ -39,7 +36,6 @@ from .measures import (
 )
 from .gauss_cov import (
     CovModel,
-    expansion_tail,
     sigma_approx,
     sigma_expansion,
     sigma_lin,
@@ -52,7 +48,6 @@ from .detequiv import (
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
-    gbox_from_sigma,
     layer_constants,
 )
 from .netsim import (
@@ -101,11 +96,7 @@ __all__ = [
     "equicorrelated_equivalent",
     "equicorrelated_stieltjes",
     "esd_from_eigenvalues",
-    "expansion_tail",
     "gaussian_norm_sq",
-    "gbox_from_sigma",
-    "hermite_h",
-    "hermite_normalized",
     "kolmogorov_distance",
     "layer_constants",
     "layer_kernels",
@@ -113,7 +104,6 @@ __all__ = [
     "mp_density_closed",
     "mp_stieltjes_closed",
     "orthogonality_stats",
-    "psi",
     "run_network",
     "sigma_approx",
     "sigma_expansion",

@@ -43,7 +43,6 @@ from . import _pool
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig, mp_stieltjes_closed
 from .hermite import MAX_DEGREE, activation_by_name
 from .measures import (
-    DiscreteMeasure,
     MpBoxtimes,
     dirac,
     esd_from_eigenvalues,
@@ -51,7 +50,9 @@ from .measures import (
 )
 from .detequiv import (
     LayerSpec,
+    _scalar_equivalent,
     _sigma_builders,
+    _two_atom_measure,
     _ungated_constants,
     build_chain,
     equicorrelated_equivalent,
@@ -292,14 +293,10 @@ def chain_inputs(spec: NetworkSpec, solver: FixedPointConfig):
     n, data = spec.n, spec.data
     if isinstance(data, IidData):
         chi0 = MpBoxtimes(n / spec.d0, dirac(data.sigma_x2), solver=solver)
-
-        def g0(w):
-            return chi0.stieltjes(complex(w)) * np.eye(n)
-
-        return chi0, g0, data.sigma_x2
+        return chi0, partial(_scalar_equivalent, chi0, n), data.sigma_x2
     if isinstance(data, EquicorrelatedData):
         alpha = 1.0 - 1.0 / n
-        chi0 = DiscreteMeasure([alpha, alpha + 1.0], [(n - 1) / n, 1.0 / n])
+        chi0 = _two_atom_measure(n, 0.0, 1.0)
 
         def g0(w):
             w = complex(w)

@@ -230,14 +230,8 @@ def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
     points = _compose(chi, 1, partial(_eig_resolvent, lam, vec), zs)
     for z, (_, _, ok) in zip(np.ravel(zs), points):
         if not ok:
-            raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}", float("inf"))
+            raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}")
     return [build for _, build, _ in points]
-
-
-def gbox_from_sigma(sigma, gamma: float, z: complex, cfg: FixedPointConfig = DEFAULT_CONFIG):
-    """Equivalent resolvent G(z) = (l/z)(Sigma - l I)^{-1} for explicit Sigma."""
-    (build,) = _sigma_builders(sigma, gamma, [z], cfg)
-    return build()
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,6 @@ def max_norm(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(m), 2))
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 @dataclass(frozen=True)
 class CovModel:
     """Covariance S of the Gaussian input together with the activation.
@@ -77,16 +68,6 @@ class CovModel:
         return self.s.shape[0]
 
 
-def hadamard_power(m, r: int):
-    """Entrywise r-th power M^{or}, r >= 1."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError("r must be an integer >= 1")
-    return m**r
-
-
 def _scaled_coeff_table(model: CovModel, r_max: int, rule: QuadratureRule):
     """zeta_r(f_i) for every index i and r = 0..r_max, one quadrature pass."""
     sig = np.sqrt(np.diag(model.s))
@@ -116,21 +97,6 @@ def sigma_expansion(model: CovModel, r_max: int = 20, rule: QuadratureRule | Non
         out += np.outer(d, d) * power
         power = power * model.s
     return 0.5 * (out + out.T)
-
-
-def expansion_tail(model: CovModel, r_max: int = 20, rule: QuadratureRule | None = None):
-    """Per-coordinate truncation error |f_i|^2 - sum_{r<=r_max} zeta_r(f_i)^2.
-
-    By Parseval this bounds what sigma_expansion dropped on the diagonal;
-    callers decide whether the truncation level is acceptable.
-    """
-    if np.any(np.diag(model.s) <= 0):
-        raise ValueError("expansion_tail needs S_ii > 0 for every i")
-    rule = default_rule() if rule is None else rule
-    sig, zeta = _scaled_coeff_table(model, r_max, rule)
-    vals = model.f(sig[:, None] * rule.nodes[None, :])
-    norm2 = (vals**2) @ rule.weights
-    return norm2 - np.sum(zeta**2, axis=1)
 
 
 def _centered_coeffs(model: CovModel, rule: QuadratureRule):

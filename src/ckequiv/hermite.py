@@ -17,11 +17,11 @@ The coefficient of an activation ``f`` in the orthonormal basis is
     zeta_r(f) = E[f(N) hh_r(N)],
 
 so ``E[f(N)^2] = sum_r zeta_r(f)^2`` (Parseval).  For dilations
-``f_sigma(t) = f(sigma t)`` the helper ``psi`` computes
+``f_sigma(t) = f(sigma t)``,
 
-    Psi_r(sigma) = sigma^{-r} E[f(sigma N) h_r(N)],
+    Psi_r(sigma) = sigma^{-r} E[f(sigma N) h_r(N)]
 
-which satisfies ``Psi_r'(sigma) = sigma Psi_{r+2}(sigma)`` and links the
+satisfies ``Psi_r'(sigma) = sigma Psi_{r+2}(sigma)`` and links the
 coefficients of ``f`` and ``f_sigma`` through
 ``zeta_r(f_sigma) = sigma^r Psi_r(sigma) / sqrt(r!)``.
 """
@@ -58,20 +58,6 @@ def _hermite_all(r_max: int, t: np.ndarray) -> np.ndarray:
     for r in range(1, r_max):
         out[r + 1] = t * out[r] - r * out[r - 1]
     return out
-
-
-def hermite_h(r: int, t):
-    """Monic Hermite polynomial h_r evaluated at t (scalar or array)."""
-    r = _check_degree(r)
-    t = np.asarray(t, dtype=float)
-    vals = _hermite_all(r, t)[r]
-    return vals if t.shape else float(vals)
-
-
-def hermite_normalized(r: int, t):
-    """Orthonormal Hermite polynomial h_r / sqrt(r!) at t."""
-    r = _check_degree(r)
-    return hermite_h(r, t) / math.sqrt(math.factorial(r))
 
 
 @dataclass(frozen=True)
@@ -148,20 +134,14 @@ def default_rule() -> QuadratureRule:
 
 @dataclass(frozen=True)
 class Activation:
-    """Scalar function applied entrywise, with a known Lipschitz bound.
+    """Scalar function applied entrywise.
 
     ``fn`` must accept and return float arrays and be defined for every
-    real argument.  Derived activations (input scaling, output shift) keep
-    track of the bound.
+    real argument.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    lipschitz_bound: float = 1.0
-
-    def __post_init__(self):
-        if not (self.lipschitz_bound > 0):
-            raise ValueError("lipschitz_bound must be positive")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -179,7 +159,6 @@ class Activation:
         return Activation(
             name=f"{self.name}@x{scale:g}",
             fn=lambda t, _s=scale, _f=base: _f(_s * t),
-            lipschitz_bound=self.lipschitz_bound * abs(scale),
         )
 
     def shifted(self, offset: float) -> "Activation":
@@ -189,22 +168,21 @@ class Activation:
         return Activation(
             name=f"{self.name}-{offset:g}",
             fn=lambda t, _c=offset, _f=base: _f(t) - _c,
-            lipschitz_bound=self.lipschitz_bound,
         )
 
 
 def identity_activation() -> Activation:
-    return Activation("identity", lambda t: t, 1.0)
+    return Activation("identity", lambda t: t)
 
 
 def tanh_activation() -> Activation:
-    return Activation("tanh", np.tanh, 1.0)
+    return Activation("tanh", np.tanh)
 
 
 def centered_relu() -> Activation:
     """max(t, 0) recentered to zero Gaussian mean (subtract 1/sqrt(2 pi))."""
     c = 1.0 / math.sqrt(2.0 * math.pi)
-    return Activation("centered-relu", lambda t: np.maximum(t, 0.0) - c, 1.0)
+    return Activation("centered-relu", lambda t: np.maximum(t, 0.0) - c)
 
 
 def hermite2_activation() -> Activation:
@@ -213,19 +191,7 @@ def hermite2_activation() -> Activation:
     A purely nonlinear activation: its first coefficient vanishes at unit
     input scale, which kills the linear covariance term entirely.
     """
-    return Activation("hermite2", lambda t: (t * t - 1.0) / math.sqrt(2.0), 1.0)
-
-
-def table_activation(ts, ys, name: str = "table") -> Activation:
-    """Piecewise-linear interpolant through (ts, ys), clamped outside."""
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if ts.ndim != 1 or ts.shape != ys.shape or ts.size < 2:
-        raise ValueError("need aligned 1-d sample arrays with >= 2 points")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("sample abscissae must be strictly increasing")
-    lip = float(np.max(np.abs(np.diff(ys) / np.diff(ts))))
-    return Activation(name, lambda t: np.interp(t, ts, ys), max(lip, 1e-300))
+    return Activation("hermite2", lambda t: (t * t - 1.0) / math.sqrt(2.0))
 
 
 ACTIVATIONS = {
@@ -262,12 +228,3 @@ def gaussian_norm_sq(f: Activation, rule: QuadratureRule) -> float:
     vals = f(rule.nodes)
     return float(rule.weights @ vals**2)
 
-
-def psi(f: Activation, r: int, sigma: float, rule: QuadratureRule) -> float:
-    """Psi_r(sigma) = sigma^{-r} E[f(sigma N) h_r(N)] (monic h_r)."""
-    r = _check_degree(r)
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    vals = f(sigma * rule.nodes) * hermite_h(r, rule.nodes)
-    return float(rule.weights @ vals) / sigma**r

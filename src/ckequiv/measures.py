@@ -92,9 +92,6 @@ class Measure:
         """Left limit of the distribution function."""
         return self.cdf(t, eta) - self.atom_mass(t)
 
-    def density(self, x, eta: float = DEFAULT_ETA):
-        return density_from_stieltjes(self, x, eta)
-
 
 class DiscreteMeasure(Measure):
     """Finite atomic probability measure with sorted atoms."""
@@ -364,7 +361,7 @@ class MpBoxtimes(Measure):
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
         elif len(levels) == 1:
-            l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver, raise_on_fail=False)
+            l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver)
             l, ok = l[None], _converged(l, res, self.solver.tol)
         else:
             bottom = _closed_pair(levels[-1].base)
@@ -391,7 +388,7 @@ class MpBoxtimes(Measure):
         every level at the final iterate.
         """
         a, b = link
-        l, _, res = solve_l_grid(_FlaggedPush(a, b, inner), self.gamma, z, self.solver, raise_on_fail=False)
+        l, _, res = solve_l_grid(_FlaggedPush(a, b, inner), self.gamma, z, self.solver)
         _, l_inner, ok_inner = inner._solve((l - a) / b)
         return np.concatenate([l[None], l_inner]), _converged(l, res, self.solver.tol) & ok_inner
 
@@ -400,7 +397,7 @@ class MpBoxtimes(Measure):
         bad = np.size(ok) - np.count_nonzero(ok)
         if bad:
             raise DivergenceError(
-                f"no convergence at {bad} of {np.size(ok)} points of {self!r}", float("inf")
+                f"no convergence at {bad} of {np.size(ok)} points of {self!r}"
             )
         _herglotz_check(g, z, True)
         return g
@@ -521,16 +518,6 @@ def _closed_pair(mu):
 
 # ---------------------------------------------------------------------------
 # Module-level operations
-
-
-def density_from_stieltjes(m: Measure, x, eta: float = DEFAULT_ETA):
-    """Density estimate Im g(x + i eta) / pi, clamped at zero."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=float)
-    g = m.stieltjes(x + 1j * eta)
-    out = np.maximum(np.asarray(g).imag / np.pi, 0.0)
-    return float(out) if x.shape == () else out
 
 
 def kolmogorov_distance(a: Measure, b: Measure, grid, eta: float = DEFAULT_ETA) -> float:

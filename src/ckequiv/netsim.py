@@ -206,10 +206,6 @@ class SpectralFactory:
             raise ValueError("need a square matrix")
         self.eigenvalues, self._vectors = np.linalg.eigh(k)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
     def stieltjes(self, z: complex) -> complex:
         z = complex(z)
         if z.imag <= 0:
@@ -298,10 +294,6 @@ class SimResult:
                 raise ValueError("eigenvalue count must equal n at every layer")
             if lam[0] < -1e-8:
                 raise ValueError(f"kernel has eigenvalue {lam[0]:.3e} < -1e-8")
-
-    @property
-    def depth(self) -> int:
-        return len(self.eigenvalues) - 1
 
 
 def run_network(spec: NetworkSpec, seed: int) -> SimResult:

@@ -6,11 +6,25 @@ such law solved that law afresh at every evaluation, so the cost
 multiplied with depth.  These two classes and ``compose``, one layer's
 equivalent resolvent, rebuild that route from ``solve_l_grid`` alone,
 independent of ``MpBoxtimes`` and of ``detequiv._compose``.
+``solve_l_grid`` flags instead of raising, so every solve here asserts
+that each point converged.  ``gbox_from_sigma`` is the direct route for
+an explicit covariance, which the composed routes are checked against.
 """
 
 import numpy as np
 
-from ckequiv.freeconv import solve_l_grid
+from ckequiv.detequiv import _sigma_builders
+from ckequiv.freeconv import DEFAULT_CONFIG, _converged, solve_l_grid
+
+
+def converged_l(mu, gamma, z):
+    """l of ``solve_l_grid`` at the default config, asserting every point converged."""
+    l, _, res = solve_l_grid(mu, gamma, z)
+    # a raise, not an assert: this module is not rewritten by pytest and the
+    # checks also run under python -O
+    if not np.all(_converged(l, res, DEFAULT_CONFIG.tol)):
+        raise AssertionError("solve_l_grid did not converge")
+    return l
 
 
 class PicardLaw:
@@ -23,8 +37,7 @@ class PicardLaw:
         self.base = base
 
     def companion_l(self, z):
-        l, _, _ = solve_l_grid(self.base, self.gamma, np.asarray(z, dtype=complex))
-        return l
+        return converged_l(self.base, self.gamma, np.asarray(z, dtype=complex))
 
     def stieltjes(self, z):
         z = np.asarray(z, dtype=complex)
@@ -49,5 +62,11 @@ class Pushed:
 
 def compose(H, tau, a, b, gamma, z):
     """One layer's equivalent (l / (z b)) H((l - a) / b), l solved on a + b tau."""
-    l = complex(solve_l_grid(Pushed(a, b, tau), gamma, np.asarray(z, dtype=complex))[0])
+    l = complex(converged_l(Pushed(a, b, tau), gamma, np.asarray(z, dtype=complex)))
     return (l / (z * b)) * np.asarray(H((l - a) / b))
+
+
+def gbox_from_sigma(sigma, gamma, z, cfg=DEFAULT_CONFIG):
+    """G(z) = (l/z)(Sigma - l I)^{-1} for explicit Sigma; raises DivergenceError if unconverged."""
+    (build,) = _sigma_builders(sigma, gamma, [z], cfg)
+    return build()

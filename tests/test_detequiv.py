@@ -10,7 +10,6 @@ from ckequiv.detequiv import (
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
-    gbox_from_sigma,
     layer_constants,
 )
 from ckequiv.freeconv import DivergenceError, FixedPointConfig, mp_stieltjes_closed
@@ -22,7 +21,7 @@ from ckequiv.hermite import (
 )
 from ckequiv.measures import AffinePush, MpBoxtimes, dirac, esd_from_eigenvalues
 from ckequiv.netsim import IidData, NetworkSpec, run_network
-from nested_oracle import PicardLaw, Pushed, compose
+from nested_oracle import PicardLaw, Pushed, compose, gbox_from_sigma
 
 # frozen one-layer constants for tanh with every variance set to 1
 TANH_A = 1.2895524620057048

@@ -1,32 +1,26 @@
 """Covariance expansion of activations applied to correlated Gaussians."""
 
-import math
-
 import numpy as np
 import pytest
 
 from ckequiv.gauss_cov import (
     CovModel,
-    expansion_tail,
-    frobenius_norm,
-    hadamard_power,
     max_norm,
     psd_sqrt,
     sigma_approx,
     sigma_expansion,
     sigma_lin,
     sigma_mc_oracle,
-    spectral_norm,
 )
 from ckequiv.hermite import (
     Activation,
     coeff_vector,
     default_rule,
     gaussian_norm_sq,
-    hermite_normalized,
     identity_activation,
     tanh_activation,
 )
+from hermite_oracle import hermite_normalized
 
 RULE = default_rule()
 
@@ -51,14 +45,12 @@ def polynomial_activation():
             + hermite_normalized(4, t) / 4.0
         )
 
-    return Activation("poly4", fn, 1.0)
+    return Activation("poly4", fn)
 
 
 def test_norm_helpers():
     m = np.array([[1.0, -3.0], [0.0, 2.0]])
     assert max_norm(m) == 3.0
-    assert frobenius_norm(m) == pytest.approx(math.sqrt(14.0))
-    assert spectral_norm(np.diag([2.0, -5.0])) == 5.0
 
 
 def test_cov_model_validation_and_delta():
@@ -73,13 +65,6 @@ def test_cov_model_validation_and_delta():
         CovModel(s=np.array([[1.0, 2.0], [2.0, 1.0]]), f=tanh_activation())
 
 
-def test_hadamard_power():
-    m = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    assert np.allclose(hadamard_power(m, 3), m**3)
-    with pytest.raises(ValueError):
-        hadamard_power(m, 0)
-
-
 def test_identity_activation_recovers_covariance():
     s = near_identity_cov(5, 0.1, 1)
     s[0, 0] = 1.3  # non-unit diagonal entry must survive the rescaling
@@ -92,16 +77,6 @@ def test_uncorrelated_inputs_give_diagonal_parseval():
     zeta = coeff_vector(tanh_activation(), 20, RULE)
     want = float(zeta @ zeta) * np.eye(3)
     assert max_norm(sigma_expansion(model, r_max=20) - want) < 1e-14
-
-
-def test_expansion_tail_nonnegative_and_shrinking():
-    model = CovModel(s=near_identity_cov(3, 0.02, 2), f=tanh_activation())
-    t8 = expansion_tail(model, r_max=8)
-    t20 = expansion_tail(model, r_max=20)
-    assert np.all(t20 >= -1e-14)
-    assert np.all(t20 <= t8 + 1e-14)
-    poly = CovModel(s=np.eye(3), f=polynomial_activation())
-    assert np.max(np.abs(expansion_tail(poly, r_max=6))) < 1e-12
 
 
 def test_expansion_matches_mc_oracle():

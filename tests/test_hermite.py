@@ -9,20 +9,18 @@ from ckequiv.hermite import (
     ACTIVATIONS,
     Activation,
     DegreeOverflowError,
+    _hermite_all,
     activation_by_name,
     centered_relu,
     coeff_vector,
     default_rule,
     gaussian_norm_sq,
     hermite2_activation,
-    hermite_h,
-    hermite_normalized,
     identity_activation,
     make_rule,
-    psi,
-    table_activation,
     tanh_activation,
 )
+from hermite_oracle import hermite_normalized, psi
 
 RULE = default_rule()
 
@@ -34,17 +32,19 @@ TANH_TAIL_R20 = 3.2867510491030316e-06
 
 def test_monic_recurrence_matches_explicit_polynomials():
     t = np.linspace(-3.0, 3.0, 41)
-    assert np.allclose(hermite_h(0, t), np.ones_like(t))
-    assert np.allclose(hermite_h(1, t), t)
-    assert np.allclose(hermite_h(2, t), t**2 - 1)
-    assert np.allclose(hermite_h(3, t), t**3 - 3 * t)
-    assert np.allclose(hermite_h(4, t), t**4 - 6 * t**2 + 3)
+    h = _hermite_all(4, t)
+    assert np.allclose(h[0], np.ones_like(t))
+    assert np.allclose(h[1], t)
+    assert np.allclose(h[2], t**2 - 1)
+    assert np.allclose(h[3], t**3 - 3 * t)
+    assert np.allclose(h[4], t**4 - 6 * t**2 + 3)
 
 
 def test_normalized_is_monic_over_sqrt_factorial():
     t = np.linspace(-2.0, 2.0, 17)
+    h = _hermite_all(6, t)
     for r in range(7):
-        expect = hermite_h(r, t) / math.sqrt(math.factorial(r))
+        expect = h[r] / math.sqrt(math.factorial(r))
         assert np.allclose(hermite_normalized(r, t), expect, atol=1e-13)
 
 
@@ -64,7 +64,7 @@ def test_orthonormality_small_block():
 
 def test_degree_overflow_raises():
     with pytest.raises(DegreeOverflowError):
-        hermite_h(65, np.zeros(3))
+        coeff_vector(tanh_activation(), 65, RULE)
 
 
 class TestCoefficients:
@@ -147,22 +147,13 @@ def test_psi_scaling_of_identity():
 
 
 def test_psi_derivative_identity_smooth_asymmetric():
-    f = Activation("bent", lambda t: np.tanh(t + 0.5), 1.0)
+    f = Activation("bent", lambda t: np.tanh(t + 0.5))
     h = 1e-4
     for sig in (0.9, 1.1):
         for r in (0, 1, 2):
             num = (psi(f, r, sig + h, RULE) - psi(f, r, sig - h, RULE)) / (2 * h)
             rhs = sig * psi(f, r + 2, sig, RULE)
             assert abs(num - rhs) <= 1e-6 * max(1.0, abs(rhs))
-
-
-def test_table_activation_interpolates_and_validates():
-    ts = np.linspace(-4.0, 4.0, 401)
-    f = table_activation(ts, np.tanh(ts))
-    x = np.linspace(-2.0, 2.0, 21)
-    assert np.max(np.abs(f(x) - np.tanh(x))) < 1e-3
-    with pytest.raises(ValueError):
-        table_activation([0.0, 0.0], [1.0, 2.0])
 
 
 def test_activation_by_name_unknown():

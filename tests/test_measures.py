@@ -15,7 +15,6 @@ from ckequiv.freeconv import (
     DivergenceError,
     FixedPointConfig,
     mp_stieltjes_closed,
-    solve_l_grid,
 )
 from ckequiv.measures import (
     AffinePush,
@@ -24,13 +23,12 @@ from ckequiv.measures import (
     Measure,
     MpBoxtimes,
     SignedMeasureError,
-    density_from_stieltjes,
     dirac,
     esd_from_eigenvalues,
     kolmogorov_distance,
 )
 
-from nested_oracle import PicardLaw, Pushed
+from nested_oracle import PicardLaw, Pushed, converged_l
 
 # exact CDF of the square aspect-ratio MP law at 1: 1/3 + sqrt(3)/(2 pi)
 MP1_CDF_AT_1 = 1.0 / 3.0 + math.sqrt(3.0) / (2.0 * math.pi)
@@ -234,7 +232,7 @@ class TestMpBoxtimes:
         for gamma in (0.5, 1.0, 2.0):
             for c in (0.0, 0.3, 1.0):
                 m = MpBoxtimes(gamma, dirac(c))
-                l_fp, _, _ = solve_l_grid(dirac(c), gamma, zs)
+                l_fp = converged_l(dirac(c), gamma, zs)
                 l_cf = m._solve(zs)[1][0]
                 assert np.max(np.abs(l_cf - l_fp) / np.maximum(1.0, np.abs(l_fp))) <= 1e-10
                 # g = (-1/l - (gamma - 1)/z) / gamma amplifies an error in l by
@@ -340,15 +338,6 @@ class TestLayerChain:
         assert np.all(gap[~ok] > 1e-10)
         with pytest.raises(DivergenceError, match="2 of 5 points"):
             starved.stieltjes(zs)
-
-
-def test_density_from_stieltjes_nonnegative_and_localized():
-    m = MpBoxtimes(1.0, dirac(1.0))
-    xs = np.linspace(-1.0, 5.0, 61)
-    d = density_from_stieltjes(m, xs, 1e-3)
-    assert np.all(d >= 0)
-    assert d[xs < -0.5].max() < 0.05
-    assert d[np.argmin(np.abs(xs - 1.0))] > 0.2
 
 
 def test_kolmogorov_distance_properties():

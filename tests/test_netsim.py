@@ -163,7 +163,6 @@ class TestSpectralFactory:
         direct = np.mean(1.0 / (lam - z))
         assert abs(fac.stieltjes(z) - direct) < 1e-12
         assert np.max(np.abs(fac.eigenvalues - lam)) < 1e-12
-        assert fac.dim == 40
 
     def test_resolvent_matches_inverse(self):
         k = conjugate_kernel(np.random.default_rng(2).standard_normal((60, 40)), 60)
@@ -231,7 +230,6 @@ class TestRunNetwork:
         net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         res = run_network(net, seed=0)
         kernels = self.kernels(net, 0)
-        assert res.depth == 2
         assert len(kernels) == len(res.eigenvalues) == len(res.stats) == 3
         assert all(lam.size == net.n for lam in res.eigenvalues)
         assert all(lam[0] >= -1e-8 for lam in res.eigenvalues)
