@@ -48,5 +48,5 @@ for j, x in enumerate(xs):
     bar = "*" * int(round(50 * dens[-1, j] / dens[-1].max()))
     print(f"x = {x:4.1f}  {cells}  {bar}")
 
-masses = np.trapezoid(dens, xs, axis=1)
+masses = 0.5 * ((dens[:, 1:] + dens[:, :-1]) * np.diff(xs)).sum(axis=1)
 print("\napprox bulk mass on [0, 6] per layer:", np.round(masses, 4))

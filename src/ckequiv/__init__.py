@@ -25,11 +25,8 @@ from .freeconv import (
     solve_l_grid,
 )
 from .measures import (
-    AffinePush,
     DiscreteMeasure,
-    Measure,
     MpBoxtimes,
-    SignedMeasureError,
     dirac,
     esd_from_eigenvalues,
     kolmogorov_distance,
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIVATIONS",
     "Activation",
-    "AffinePush",
     "CovModel",
     "DEFAULT_CONFIG",
     "DiscreteMeasure",
@@ -80,11 +76,9 @@ __all__ = [
     "IidData",
     "LayerConstants",
     "LayerSpec",
-    "Measure",
     "MpBoxtimes",
     "NetworkSpec",
     "QuadratureRule",
-    "SignedMeasureError",
     "SimResult",
     "SpectralFactory",
     "activation_by_name",

@@ -572,7 +572,10 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     layer_rows = []
     n_bad = 0
     for li, (points, ks) in enumerate(zip(solved, ks_values), start=1):
-        g_sim = np.array([[factories[li - 1].stieltjes(z) for z in zs] for _, factories in samples])
+        g_sim = np.array([
+            np.mean(1.0 / (factories[li - 1].eigenvalues[None, :] - zs[:, None]), axis=1)
+            for _, factories in samples
+        ])
         g_mean = g_sim.mean(axis=0)
         g_std = g_sim.std(axis=0)
         for z, gm, gs, (g_det, _, ok) in zip(zs, g_mean, g_std, points):

@@ -32,16 +32,8 @@ import numpy as np
 
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig
 from .gauss_cov import max_norm
-from .hermite import Activation, QuadratureRule, coeff_vector, default_rule, gaussian_norm_sq
-from .measures import (
-    B_ZERO_TOL,
-    AffinePush,
-    DiscreteMeasure,
-    Measure,
-    MpBoxtimes,
-    dirac,
-    esd_from_eigenvalues,
-)
+from .hermite import Activation, coeff_vector, default_rule, gaussian_norm_sq
+from .measures import B_ZERO_TOL, DiscreteMeasure, MpBoxtimes, dirac, esd_from_eigenvalues
 
 if TYPE_CHECKING:
     from .netsim import NetworkSpec
@@ -102,7 +94,6 @@ def _ungated_constants(
     sigma_x2: float,
     sigma_b2: float,
     sigma_d2: float,
-    rule: QuadratureRule | None = None,
     r_max: int = DEFAULT_R_MAX,
 ) -> LayerConstants:
     """Constants of one layer, whatever the Gaussian mean of ft.
@@ -110,7 +101,7 @@ def _ungated_constants(
     b counts as zero where |zeta_1| < B_ZERO_TOL, and an a that rounding
     left just below zero (by 1e-10 max(1, sigma_y2) at most) is clamped to 0.
     """
-    rule = default_rule() if rule is None else rule
+    rule = default_rule()
     st2 = sigma_w2 * sigma_x2 + sigma_b2
     ft = f.scaled(np.sqrt(st2))
     zeta = coeff_vector(ft, r_max, rule)
@@ -132,12 +123,7 @@ def _ungated_constants(
     )
 
 
-def layer_constants(
-    spec: LayerSpec,
-    sigma_x2: float,
-    rule: QuadratureRule | None = None,
-    r_max: int = DEFAULT_R_MAX,
-) -> LayerConstants:
+def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
     """Scalar constants of one layer for input entry variance sigma_x2.
 
     The rescaled activation ft must have zero Gaussian mean; otherwise
@@ -146,9 +132,7 @@ def layer_constants(
     sigma_x2 = float(sigma_x2)
     if sigma_x2 <= 0:
         raise ValueError("sigma_x2 must be positive")
-    const = _ungated_constants(
-        spec.f, spec.sigma_w2, sigma_x2, spec.sigma_b2, spec.sigma_d2, rule, r_max
-    )
+    const = _ungated_constants(spec.f, spec.sigma_w2, sigma_x2, spec.sigma_b2, spec.sigma_d2)
     zeta0 = const.zeta[0]
     if abs(zeta0) >= 1e-6:
         name = spec.f.scaled(np.sqrt(const.sigma_tilde2)).name
@@ -192,13 +176,11 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     if np.any(z.imag <= 0):
         raise ValueError("z must lie in the open upper half-plane")
     g, l, ok = chi._solve(z)
-    levels, _ = chi._levels()
     coef = np.ones(z.shape, dtype=complex)
     u = z
-    for l_k, level in zip(l[:depth], levels):
-        a, b = level.base.a, level.base.b
-        coef = coef * (l_k / (u * b))
-        u = (l_k - a) / b
+    for l_k, level in zip(l[:depth], chi._levels()):
+        coef = coef * (l_k / (u * level.b))
+        u = (l_k - level.a) / level.b
     ok = ok & (u.imag > 0)
     return [(g[j], partial(_scaled, coef[j], H, u[j]) if ok[j] else None, bool(ok[j])) for j in range(z.size)]
 
@@ -226,7 +208,7 @@ def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
     Raises DivergenceError at the first point that did not converge.
     """
     lam, vec = _eigh_psd(sigma)
-    chi = MpBoxtimes(gamma, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), cfg)
+    chi = MpBoxtimes(gamma, esd_from_eigenvalues(lam), cfg)
     points = _compose(chi, 1, partial(_eig_resolvent, lam, vec), zs)
     for z, (_, _, ok) in zip(np.ravel(zs), points):
         if not ok:
@@ -248,7 +230,7 @@ class ChainLayer:
     """
 
     constants: LayerConstants
-    chi: Measure
+    chi: MpBoxtimes
     gbuilder: Callable[[np.ndarray], list]
 
 
@@ -261,7 +243,7 @@ class EquivalentChain:
     """
 
     n: int
-    chi0: Measure
+    chi0: DiscreteMeasure | MpBoxtimes
     layers: tuple[ChainLayer, ...]
 
     @property
@@ -275,12 +257,10 @@ def _scalar_equivalent(chi: MpBoxtimes, n: int, w) -> np.ndarray:
 
 def build_chain(
     net: "NetworkSpec",
-    chi0: Measure,
+    chi0: DiscreteMeasure | MpBoxtimes,
     G0: Callable[[complex], np.ndarray],
     sigma_x2_0: float,
-    rule: QuadratureRule | None = None,
     cfg: FixedPointConfig = DEFAULT_CONFIG,
-    r_max: int = DEFAULT_R_MAX,
 ) -> EquivalentChain:
     """Layer-by-layer deterministic equivalents for a whole network.
 
@@ -290,22 +270,21 @@ def build_chain(
     b = 0 forgets its input: its equivalent is g_chi(z) I, which is also
     the base map of the layers above it.
     """
-    rule = default_rule() if rule is None else rule
     layers: list[ChainLayer] = []
     sx2 = float(sigma_x2_0)
-    prev: Measure = chi0
+    prev = chi0
     # H is the equivalent map under the run of b > 0 layers ending here
     H, depth = G0, 0
     for i, lspec in enumerate(net.layers, start=1):
         try:
-            const = layer_constants(lspec, sx2, rule, r_max)
+            const = layer_constants(lspec, sx2)
         except ValueError as ex:
             raise ValueError(f"layer {i}: {ex}") from ex
         if const.b == 0.0:
             chi = MpBoxtimes(lspec.gamma, dirac(const.a), solver=cfg)
             H, depth = partial(_scalar_equivalent, chi, net.n), 0
         else:
-            chi = MpBoxtimes(lspec.gamma, AffinePush(const.a, const.b, prev), solver=cfg)
+            chi = MpBoxtimes(lspec.gamma, prev, solver=cfg, a=const.a, b=const.b)
             depth += 1
         layers.append(ChainLayer(constants=const, chi=chi, gbuilder=partial(_compose, chi, depth, H)))
         prev = chi
@@ -317,7 +296,7 @@ def build_chain(
 # Closed-form equicorrelated example
 
 
-def _two_atom_measure(n: int, a: float, b: float) -> Measure:
+def _two_atom_measure(n: int, a: float, b: float) -> DiscreteMeasure:
     if b == 0.0:
         return dirac(a)
     alpha = a + b - b / n

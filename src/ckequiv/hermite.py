@@ -83,10 +83,6 @@ class QuadratureRule:
         if abs(float(w @ n)) > 1e-10 or abs(float(w @ n**2) - 1.0) > 1e-10:
             raise ValueError("quadrature rule fails Gaussian moment checks")
 
-    def expect(self, values: np.ndarray) -> float:
-        """E[g(N)] for g given by its values at the nodes."""
-        return float(self.weights @ values)
-
 
 def make_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule with m nodes for the standard normal weight.

@@ -1,18 +1,18 @@
 """Spectral measures and their transforms.
 
-A measure is represented structurally: a finite atomic measure
-(:class:`DiscreteMeasure`), an affine pushforward t -> a + b t of another
-measure (:class:`AffinePush`), or a multiplicative Marchenko-Pastur
-convolution MP(gamma) (x) base evaluated through the fixed-point solver, or
-in closed form when the base is a single atom (:class:`MpBoxtimes`).  The
+A law is one of two objects: a finite atomic measure
+(:class:`DiscreteMeasure`), or a layer law MP(gamma) (x) (a + b base), the
+multiplicative Marchenko-Pastur convolution of another law pushed forward by
+t -> a + b t (b > 0), evaluated through the fixed-point solver, or in closed
+form when the base is an unpushed single atom (:class:`MpBoxtimes`).  The
 convolution serves every transform from one flagged solve,
 ``MpBoxtimes._solve``, which also hands the companion level of every layer
 nested under it to the equivalent-resolvent rule of :mod:`ckequiv.detequiv`.
 
-Every variant exposes a vectorized Stieltjes transform
+Both objects expose a vectorized Stieltjes transform
 g(z) = integral of 1 / (t - z), defined off the real axis, which maps the
-upper half-plane into itself for genuine probability measures.  Densities
-and distribution functions of solver-backed measures are recovered by
+upper half-plane into itself: every law here is a probability measure.
+Densities and distribution functions of solver-backed laws are recovered by
 Stieltjes inversion at a small imaginary offset eta: the density estimate is
 Im g(x + i eta) / pi, and the distribution function integrates it on a grid
 of step eta / 3, with any atom at zero split off explicitly and the
@@ -44,56 +44,19 @@ B_ZERO_TOL = 1e-10
 _CHUNK = 1 << 18
 
 
-class SignedMeasureError(ValueError):
-    """Operation requires a probability measure but the input is signed."""
-
-
 def _as_z(z):
     z = np.asarray(z, dtype=complex)
     return z, z.shape == ()
 
 
-def _herglotz_check(g, z, probability: bool):
-    if not probability:
-        return
+def _herglotz_check(g, z):
     gi = np.atleast_1d(np.asarray(g).imag)
     zi = np.atleast_1d(np.asarray(z).imag)
     if not np.all(gi[zi > 0] > 0):
         raise ArithmeticError("Stieltjes transform left the upper half-plane")
 
 
-class Measure:
-    """Common interface; concrete variants implement the hooks."""
-
-    is_probability: bool = True
-
-    # -- hooks ------------------------------------------------------------
-    def stieltjes(self, z):
-        raise NotImplementedError
-
-    def support_min(self) -> float:
-        raise NotImplementedError
-
-    def support_max(self) -> float:
-        raise NotImplementedError
-
-    def atom_points(self) -> np.ndarray:
-        return np.empty(0)
-
-    def atom_mass(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros(t.shape)
-
-    def cdf(self, t, eta: float = DEFAULT_ETA):
-        raise NotImplementedError
-
-    # -- shared -----------------------------------------------------------
-    def cdf_left(self, t, eta: float = DEFAULT_ETA):
-        """Left limit of the distribution function."""
-        return self.cdf(t, eta) - self.atom_mass(t)
-
-
-class DiscreteMeasure(Measure):
+class DiscreteMeasure:
     """Finite atomic probability measure with sorted atoms."""
 
     def __init__(self, atoms, weights):
@@ -139,7 +102,7 @@ class DiscreteMeasure(Measure):
         for sl, eta, dq, q in self._real_blocks(flat):
             out[sl] = w @ dq + 1j * eta * (w @ q)
         out = out.reshape(z.shape)
-        _herglotz_check(out, z, True)
+        _herglotz_check(out, z)
         return complex(out) if scalar else out
 
     def _stieltjes_pair(self, v):
@@ -209,80 +172,21 @@ def esd_from_eigenvalues(eigenvalues) -> DiscreteMeasure:
     return DiscreteMeasure(atoms, weights)
 
 
-class AffinePush(Measure):
-    """Pushforward of ``inner`` under t -> a + b t."""
+class MpBoxtimes:
+    """MP(gamma) (x) (a + b base), with transforms evaluated by the fixed point.
 
-    def __init__(self, a: float, b: float, inner: Measure):
-        self.a = float(a)
-        self.b = float(b)
-        self.inner = inner
-        self.is_probability = inner.is_probability
-
-    def __repr__(self):
-        return f"AffinePush({self.a:g} + {self.b:g} t, {self.inner!r})"
-
-    def stieltjes(self, z):
-        z, scalar = _as_z(z)
-        if self.b == 0.0:
-            out = 1.0 / (self.a - z)
-        elif self.b > 0.0:
-            out = self.inner.stieltjes((z - self.a) / self.b) / self.b
-        else:
-            # (z - a) / b lands in the lower half-plane; use g(conj w) = conj g(w)
-            w = (z - self.a) / self.b
-            out = np.conj(self.inner.stieltjes(np.conj(w))) / self.b
-        _herglotz_check(out, z, self.is_probability)
-        return complex(out) if scalar else out
-
-    def support_min(self) -> float:
-        if self.b == 0.0:
-            return self.a
-        lo, hi = self.inner.support_min(), self.inner.support_max()
-        return self.a + (self.b * lo if self.b > 0 else self.b * hi)
-
-    def support_max(self) -> float:
-        if self.b == 0.0:
-            return self.a
-        lo, hi = self.inner.support_min(), self.inner.support_max()
-        return self.a + (self.b * hi if self.b > 0 else self.b * lo)
-
-    def atom_points(self) -> np.ndarray:
-        if self.b == 0.0:
-            return np.array([self.a])
-        return np.sort(self.a + self.b * self.inner.atom_points())
-
-    def atom_mass(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.b == 0.0:
-            out = np.where(np.abs(t - self.a) <= 1e-12 * np.maximum(1, np.abs(t)), 1.0, 0.0)
-        else:
-            out = self.inner.atom_mass((t - self.a) / self.b)
-        return float(out) if t.shape == () else out
-
-    def cdf(self, t, eta: float = DEFAULT_ETA):
-        t = np.asarray(t, dtype=float)
-        if self.b == 0.0:
-            out = np.where(t >= self.a, 1.0, 0.0)
-        elif self.b > 0.0:
-            out = self.inner.cdf((t - self.a) / self.b, eta / self.b)
-        else:
-            raise ValueError("cdf of a negative-scale pushforward is not supported")
-        return float(out) if t.shape == () else out
-
-
-class MpBoxtimes(Measure):
-    """MP(gamma) (x) base, with transforms evaluated by the fixed point.
-
-    A single-atom base delta_c gives the dilation c MP(gamma), whose
-    transforms come from the closed form (delta_0 when c < B_ZERO_TOL).
-    A base that needs no fixed point of its own (atoms, their affine
-    pushforwards, closed-form dilations) goes through :func:`solve_l_grid`.
-    A base that nests further solver-backed laws, through pushforwards
-    t -> a + b t with b > 0, forms a chain of levels; all of them are
-    solved at once by :func:`solve_chain_grid`, a stacked Newton solve
-    whose cost per point grows linearly with depth.  A point counts as
-    solved only when every level meets the tolerance inside its wedge
-    D(u_k); that root is unique, so it equals the nested fixed point.
+    The layer law: ``base`` (a :class:`DiscreteMeasure` or another
+    MpBoxtimes) pushed forward by t -> a + b t with b > 0, then convolved
+    with MP(gamma).  An unpushed single-atom base delta_c (a = 0, b = 1)
+    gives the dilation c MP(gamma), whose transforms come from the closed
+    form (delta_0 when c < B_ZERO_TOL).  Any other base that needs no fixed
+    point of its own (atoms, closed-form dilations) goes through
+    :func:`solve_l_grid`.  A base that is itself solver-backed forms a
+    chain of levels; all of them are solved at once by
+    :func:`solve_chain_grid`, a stacked Newton solve whose cost per point
+    grows linearly with depth.  A point counts as solved only when every
+    level meets the tolerance inside its wedge D(u_k); that root is unique,
+    so it equals the nested fixed point.
     Points that Newton does not certify fall back to the nested route,
     :func:`solve_l_grid` on the base with inner levels solved (again by
     this rule) for each evaluation, so correctness never rests on Newton.
@@ -291,32 +195,44 @@ class MpBoxtimes(Measure):
     Only the CDF tables are cached, per eta.
     """
 
-    def __init__(self, gamma: float, base: Measure, solver: FixedPointConfig = DEFAULT_CONFIG):
-        gamma = float(gamma)
+    def __init__(
+        self,
+        gamma: float,
+        base: DiscreteMeasure | MpBoxtimes,
+        solver: FixedPointConfig = DEFAULT_CONFIG,
+        *,
+        a: float = 0.0,
+        b: float = 1.0,
+    ):
+        gamma, a, b = float(gamma), float(a), float(b)
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        if base.support_min() < -1e-12:
-            raise ValueError("base measure must be supported on the nonnegative reals")
-        if not base.is_probability:
-            raise SignedMeasureError("MP convolution needs a probability base measure")
+        if not isinstance(base, (DiscreteMeasure, MpBoxtimes)):
+            raise TypeError("base must be a DiscreteMeasure or an MpBoxtimes")
+        if b <= 0:
+            raise ValueError("scale b must be positive")
+        if a + b * base.support_min() < -1e-12:
+            raise ValueError("pushed base must be supported on the nonnegative reals")
         self.gamma = gamma
         self.base = base
+        self.a = a
+        self.b = b
         self.solver = solver
         self._lock = threading.Lock()
         self._tables: dict = {}
 
     def __repr__(self):
-        return f"MpBoxtimes(gamma={self.gamma:g}, {self.base!r})"
+        return f"MpBoxtimes(gamma={self.gamma:g}, {self.a:g} + {self.b:g} t, {self.base!r})"
 
     def _closed_atom(self) -> float | None:
-        """c when the base is a single atom delta_c (0 below B_ZERO_TOL), else None."""
+        """c when the base is an unpushed single atom delta_c (0 below B_ZERO_TOL), else None."""
         base = self.base
-        if isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
+        if self.a == 0.0 and self.b == 1.0 and isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
             c = float(base.atoms[0])
             return 0.0 if c < B_ZERO_TOL else c
         return None
 
-    def _closed_pair(self, v):
+    def _stieltjes_pair(self, v):
         """g(v) and g'(v) of the closed-form law c MP(gamma) (delta_0 when c = 0).
 
         g' of MP(gamma) follows from differentiating its quadratic
@@ -330,22 +246,21 @@ class MpBoxtimes(Measure):
         dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
         return g / c, dg / (c * c)
 
-    def _levels(self):
-        """Levels of the solver chain under this law, top first, and their links.
+    def _inner(self) -> MpBoxtimes | None:
+        """The level nested under this one: the base when it needs a solve of its own."""
+        base = self.base
+        return base if isinstance(base, MpBoxtimes) and base._closed_atom() is None else None
 
-        Returns ``(levels, links)``: level k + 1 is the law inside level k's
-        base, which is its pushforward t -> a + b t for ``links[k] = (a, b)``
-        (b > 0).  The last level's base needs no solver of its own when
-        :func:`_closed_pair` accepts it.
+    def _levels(self) -> list:
+        """Levels of the solver chain under this law, top first.
+
+        Level k + 1 is the base of level k, pushed by level k's (a, b); the
+        last level's base needs no solve of its own.
         """
-        levels, links = [self], []
-        while True:
-            base = levels[-1].base
-            a, b, inner = (base.a, base.b, base.inner) if isinstance(base, AffinePush) else (0.0, 1.0, base)
-            if not (b > 0.0 and isinstance(inner, MpBoxtimes) and inner._closed_atom() is None):
-                return levels, links
+        levels = [self]
+        while (inner := levels[-1]._inner()) is not None:
             levels.append(inner)
-            links.append((a, b))
+        return levels
 
     def _solve(self, z):
         """The one solve behind every transform, on the upper half-plane.
@@ -355,42 +270,42 @@ class MpBoxtimes(Measure):
         law's transform recovered from the top level, and ok holds per point
         when every level converged.  Nothing here raises on divergence.
         """
-        levels, links = self._levels()
+        levels = self._levels()
         if self._closed_atom() is not None:
-            g, _ = self._closed_pair(z)
+            g, _ = self._stieltjes_pair(z)
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
         elif len(levels) == 1:
-            l, _, res = solve_l_grid(self.base, self.gamma, z, self.solver)
-            l, ok = l[None], _converged(l, res, self.solver.tol)
+            l, ok = self._nested(z)
         else:
-            bottom = _closed_pair(levels[-1].base)
-            if bottom is None:
-                l = np.empty((len(levels),) + z.shape, dtype=complex)
-                ok = np.zeros(z.shape, dtype=bool)
-            else:
-                shifts, scales = zip(*links)
-                gammas = [level.gamma for level in levels]
-                l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom, z, self.support_max(), self.solver)
+            shifts = [level.a for level in levels[:-1]]
+            scales = [level.b for level in levels[:-1]]
+            gammas = [level.gamma for level in levels]
+            bottom = _PushedBase(levels[-1]).pair
+            l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom, z, self.support_max(), self.solver)
             l = l.reshape(len(levels), -1)
             ok = ok.ravel()
             bad = np.flatnonzero(~ok)
             if bad.size:
-                l[:, bad], ok[bad] = self._nested(z.ravel()[bad], links[0], levels[1])
+                l[:, bad], ok[bad] = self._nested(z.ravel()[bad])
             l, ok = l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
         g = (-1.0 / l[0] - (self.gamma - 1.0) / z) / self.gamma
         return g, l, ok
 
-    def _nested(self, z, link, inner):
-        """The nested route: Picard on the base, inner levels solved per evaluation.
+    def _nested(self, z):
+        """The nested route: Picard on the pushed base, inner levels solved per evaluation.
 
-        Inner solves flag instead of raising; the returned flags cover
-        every level at the final iterate.
+        A single level is this route with no inner level.  Inner solves
+        flag instead of raising; the returned flags cover every level at
+        the final iterate.
         """
-        a, b = link
-        l, _, res = solve_l_grid(_FlaggedPush(a, b, inner), self.gamma, z, self.solver)
-        _, l_inner, ok_inner = inner._solve((l - a) / b)
-        return np.concatenate([l[None], l_inner]), _converged(l, res, self.solver.tol) & ok_inner
+        l, _, res = solve_l_grid(_PushedBase(self), self.gamma, z, self.solver)
+        ok = _converged(l, res, self.solver.tol)
+        inner = self._inner()
+        if inner is None:
+            return l[None], ok
+        _, l_inner, ok_inner = inner._solve((l - self.a) / self.b)
+        return np.concatenate([l[None], l_inner]), ok & ok_inner
 
     def stieltjes(self, z):
         g, ok = self.stieltjes_checked(z)
@@ -399,7 +314,7 @@ class MpBoxtimes(Measure):
             raise DivergenceError(
                 f"no convergence at {bad} of {np.size(ok)} points of {self!r}"
             )
-        _herglotz_check(g, z, True)
+        _herglotz_check(g, z)
         return g
 
     def stieltjes_checked(self, z):
@@ -426,10 +341,10 @@ class MpBoxtimes(Measure):
 
     def support_max(self) -> float:
         edge = (1.0 + math.sqrt(self.gamma)) ** 2
-        return self.base.support_max() * edge
+        return (self.a + self.b * self.base.support_max()) * edge
 
     def _atom0(self) -> float:
-        p0 = float(self.base.atom_mass(0.0))
+        p0 = float(self.base.atom_mass(-self.a / self.b))
         return max(p0, 1.0 - 1.0 / self.gamma, 0.0)
 
     def atom_points(self) -> np.ndarray:
@@ -479,56 +394,49 @@ class MpBoxtimes(Measure):
         out = out + self._atom0() * (t >= 0.0)
         return float(out) if t.shape == () else out
 
+    def cdf_left(self, t, eta: float = DEFAULT_ETA):
+        """Left limit of the distribution function."""
+        return self.cdf(t, eta) - self.atom_mass(t)
 
-class _FlaggedPush:
-    """The base t -> a + b t of an inner law, for the nested fallback.
 
-    Its transform solves the inner law without raising, so a starved inner
-    level shows up in the flags rather than as an exception.
+class _PushedBase:
+    """The pushed base a + b t of a layer law, as the mu of :func:`solve_l_grid`.
+
+    A solver-backed base is evaluated by its flagged transform, so a
+    starved inner level shows up in the flags rather than as an exception.
+    ``pair`` gives g and g' for a base that needs no solve of its own, the
+    bottom of a stacked chain solve.
     """
 
-    def __init__(self, a: float, b: float, inner: MpBoxtimes):
-        self.a, self.b, self.inner = a, b, inner
+    def __init__(self, law: MpBoxtimes):
+        self.a, self.b, self.base = law.a, law.b, law.base
 
     def stieltjes(self, w):
-        g, _ = self.inner.stieltjes_checked((w - self.a) / self.b)
+        v = (w - self.a) / self.b
+        if isinstance(self.base, MpBoxtimes):
+            g, _ = self.base.stieltjes_checked(v)
+        else:
+            g = self.base.stieltjes(v)
         return g / self.b
 
-
-def _closed_pair(mu):
-    """Evaluator v -> (g(v), g'(v)) for a law needing no fixed-point solve, else None."""
-    if isinstance(mu, DiscreteMeasure):
-        return mu._stieltjes_pair
-    if isinstance(mu, MpBoxtimes) and mu._closed_atom() is not None:
-        return mu._closed_pair
-    if isinstance(mu, AffinePush):
-        if mu.b == 0.0:
-            return lambda v: (1.0 / (mu.a - v), 1.0 / (mu.a - v) ** 2)
-        inner = _closed_pair(mu.inner) if mu.b > 0.0 else None
-        if inner is None:
-            return None
-
-        def pushed(v):
-            g, dg = inner((v - mu.a) / mu.b)
-            return g / mu.b, dg / (mu.b * mu.b)
-
-        return pushed
-    return None
+    def pair(self, w):
+        g, dg = self.base._stieltjes_pair((w - self.a) / self.b)
+        return g / self.b, dg / (self.b * self.b)
 
 
 # ---------------------------------------------------------------------------
 # Module-level operations
 
 
-def kolmogorov_distance(a: Measure, b: Measure, grid, eta: float = DEFAULT_ETA) -> float:
+def kolmogorov_distance(
+    a: DiscreteMeasure | MpBoxtimes, b: DiscreteMeasure | MpBoxtimes, grid, eta: float = DEFAULT_ETA
+) -> float:
     """sup_t |F_a(t) - F_b(t)| over the grid, atoms and their left limits.
 
     The supplied grid is augmented with every atom of either measure, and
     both one-sided values are compared at each point, so the distance is
     exact when both measures are discrete.
     """
-    if not (a.is_probability and b.is_probability):
-        raise SignedMeasureError("Kolmogorov distance needs probability measures")
     pts = np.unique(np.concatenate([
         np.asarray(grid, dtype=float).ravel(),
         a.atom_points(),

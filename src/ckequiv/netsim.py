@@ -23,7 +23,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .detequiv import LayerSpec, _eig_resolvent, _ungated_constants
-from .hermite import default_rule
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
 
@@ -206,12 +205,6 @@ class SpectralFactory:
             raise ValueError("need a square matrix")
         self.eigenvalues, self._vectors = np.linalg.eigh(k)
 
-    def stieltjes(self, z: complex) -> complex:
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValueError("z must lie in the open upper half-plane")
-        return complex(np.mean(1.0 / (self.eigenvalues - z)))
-
     def resolvent(self, z: complex) -> np.ndarray:
         z = complex(z)
         if z.imag <= 0:
@@ -260,7 +253,6 @@ def layer_kernels(spec: NetworkSpec, seed: int):
     are held, so a consumer that drops each kernel before asking for the
     next keeps one n x n kernel alive, whatever the depth.
     """
-    rule = default_rule()
     x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
     sigma2 = spec.data.input_variance()
     yield conjugate_kernel(x, spec.d0), sigma2
@@ -270,7 +262,7 @@ def layer_kernels(spec: NetworkSpec, seed: int):
         x = forward_layer(x, lspec, d_prev, rngs)
         d_prev = d
         sigma2 = _ungated_constants(
-            lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2, rule
+            lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2
         ).sigma_y2
         yield conjugate_kernel(x, d), sigma2
 

@@ -30,8 +30,6 @@ def converged_l(mu, gamma, z):
 class PicardLaw:
     """MP(gamma) (x) base, one Picard solve per evaluation."""
 
-    is_probability = True
-
     def __init__(self, gamma, base):
         self.gamma = gamma
         self.base = base

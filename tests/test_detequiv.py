@@ -19,7 +19,7 @@ from ckequiv.hermite import (
     identity_activation,
     tanh_activation,
 )
-from ckequiv.measures import AffinePush, MpBoxtimes, dirac, esd_from_eigenvalues
+from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues
 from ckequiv.netsim import IidData, NetworkSpec, run_network
 from nested_oracle import PicardLaw, Pushed, compose, gbox_from_sigma
 
@@ -128,7 +128,7 @@ class TestEquivalentResolvents:
             return (vec * (1.0 / (lam - w))) @ vec.T
 
         a, b, gamma, z = 0.7, 0.4, 1.5, 1.2 + 0.3j
-        ((_, build, ok),) = _compose(MpBoxtimes(gamma, AffinePush(a, b, tau)), 1, resolvent, [z])
+        ((_, build, ok),) = _compose(MpBoxtimes(gamma, tau, a=a, b=b), 1, resolvent, [z])
         right = gbox_from_sigma(a * np.eye(n) + b * kx, gamma, z)
         assert ok
         assert np.linalg.norm(build() - right, 2) < 1e-9
@@ -165,7 +165,7 @@ class TestEquivalentResolvents:
         with pytest.raises(DivergenceError):
             gbox_from_sigma(sigma, 1.0, 1.0 + 1e-3j, starved)
         lam, vec = np.linalg.eigh(sigma)
-        chi = MpBoxtimes(1.0, AffinePush(0.0, 1.0, esd_from_eigenvalues(lam)), starved)
+        chi = MpBoxtimes(1.0, esd_from_eigenvalues(lam), starved)
         calls = []
 
         def resolvent(w):
@@ -180,7 +180,7 @@ class TestEquivalentResolvents:
         assert len(calls) == 1
 
     def test_argument_leaving_the_upper_half_plane_is_flagged(self, monkeypatch):
-        chi = MpBoxtimes(1.0, AffinePush(0.5, 2.0, dirac(1.0)))
+        chi = MpBoxtimes(1.0, dirac(1.0), a=0.5, b=2.0)
         solve = MpBoxtimes._solve
 
         def solve_below_axis(self, z):
@@ -253,8 +253,8 @@ class TestChain:
 
         # identity layers have a = 0, b = 1, so each step is a plain
         # multiplicative convolution of the previous spectrum
-        chi1 = MpBoxtimes(1.0, AffinePush(0.0, 1.0, chi0))
-        chi2 = MpBoxtimes(1.0, AffinePush(0.0, 1.0, chi1))
+        chi1 = MpBoxtimes(1.0, chi0)
+        chi2 = MpBoxtimes(1.0, chi1)
         assert abs(chain.layers[0].chi.stieltjes(z) - chi1.stieltjes(z)) < 1e-10
         assert abs(chain.layers[1].chi.stieltjes(z) - chi2.stieltjes(z)) < 1e-10
 
@@ -301,6 +301,22 @@ class TestChain:
             got = build()
             want = composed(2, z)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_single_atom_input_composes_through_every_layer(self):
+        # an explicit input with K_X = I: the law delta_1 and the map w -> I / (1 - w).
+        # Layer 1 pushes that atom, so it is no closed form: layer 2 must walk
+        # both layers' l down to the input map to land on its own g
+        n = 16
+        layers = [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma) for gamma in (1.0, 2.0)]
+        net = NetworkSpec(n=n, d0=n, dims=(16, 8), data=IidData(1.0), layers=tuple(layers))
+        chain = build_chain(net, dirac(1.0), lambda w: np.eye(n) / (1.0 - w), 1.0)
+        # off the axis, where layer 1's Picard stop test leaves l exact to rounding
+        zs = [0.5 + 0.1j, 1.0 + 0.1j, 2.0 + 1.0j, -0.5 + 0.5j, 3.0 + 0.2j]
+        for layer in chain.layers:
+            for z, (g, build, ok) in zip(zs, layer.gbuilder(zs)):
+                assert ok
+                assert abs(g - layer.chi.stieltjes(z)) <= 1e-12
+                assert np.max(np.abs(build() - g * np.eye(n))) <= 1e-12
 
     def test_constants_propagate_output_variance(self):
         net = self.network([LayerSpec(1.0, 1.0, 1.0, tanh_activation(), 1.0)] * 2)

@@ -17,12 +17,9 @@ from ckequiv.freeconv import (
     mp_stieltjes_closed,
 )
 from ckequiv.measures import (
-    AffinePush,
     DEFAULT_ETA,
     DiscreteMeasure,
-    Measure,
     MpBoxtimes,
-    SignedMeasureError,
     dirac,
     esd_from_eigenvalues,
     kolmogorov_distance,
@@ -106,56 +103,54 @@ class TestDiscreteMeasure:
         assert abs(d.stieltjes(1j) - 1.0 / (2.0 - 1j)) < 1e-16
 
 
-class TestAffinePush:
+class TestPushedBase:
+    """MpBoxtimes(gamma, base, a=, b=) is MP(gamma) (x) (a + b base)."""
+
     def test_stieltjes_shift_scale_identity(self):
         inner = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        m = AffinePush(0.5, 2.0, inner)
+        m = MpBoxtimes(1.5, inner, a=0.5, b=2.0)
         z = 1.2 + 0.7j
-        assert abs(m.stieltjes(z) - inner.stieltjes((z - 0.5) / 2.0) / 2.0) < 1e-15
+        pushed = measures._PushedBase(m)
+        assert abs(pushed.stieltjes(z) - inner.stieltjes((z - 0.5) / 2.0) / 2.0) < 1e-15
+        # the pushforward of atoms is the law with the atoms moved
+        moved = MpBoxtimes(1.5, DiscreteMeasure([2.5, 4.5], [0.5, 0.5]))
+        zs = np.array([z, 0.3 + 0.05j, 6.0 + 1e-2j, -1.0 + 2.0j])
+        assert np.max(np.abs(m.stieltjes(zs) - moved.stieltjes(zs))) < 1e-10
 
     def test_support_and_atoms(self):
         inner = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
-        m = AffinePush(1.0, 2.0, inner)
-        assert m.support_min() == 3.0
-        assert m.support_max() == 7.0
-        assert m.atom_points().tolist() == [3.0, 7.0]
-        assert m.atom_mass(3.0) == pytest.approx(0.5)
+        m = MpBoxtimes(0.25, inner, a=1.0, b=2.0)
+        assert m.support_min() == 0.0
+        assert m.support_max() == pytest.approx(7.0 * 2.25)
+        assert m.atom_points().size == 0
+        # t -> t - 1 moves the atom at 1 to 0, where the law keeps its mass
+        m = MpBoxtimes(0.5, inner, a=-1.0, b=1.0)
+        assert m.atom_points().tolist() == [0.0]
+        assert m.atom_mass(0.0) == pytest.approx(0.5)
+        assert m.cdf_left(0.0) == pytest.approx(0.0, abs=1e-3)
 
-    def test_negative_scale_uses_reflection(self):
-        inner = dirac(1.0)
-        m = AffinePush(0.0, -1.0, inner)
-        z = 0.3 + 0.5j
-        assert abs(m.stieltjes(z) - 1.0 / (-1.0 - z)) < 1e-15
-        with pytest.raises(ValueError):
-            m.cdf(0.0)
+    def test_push_is_validated(self):
+        # the scale of the push must be positive, and the pushed base nonnegative
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="scale"):
+                MpBoxtimes(1.0, dirac(1.0), a=2.0, b=scale)
+        two = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            MpBoxtimes(1.0, two, a=-1.5, b=1.0)
+        MpBoxtimes(1.0, two, a=-1.0, b=1.0)
+        # a base is a law of this module, not any object with a transform
+        with pytest.raises(TypeError):
+            MpBoxtimes(1.0, PicardLaw(1.0, dirac(1.0)))
 
-    def test_degenerate_scale_is_point_mass(self):
-        m = AffinePush(1.5, 0.0, dirac(7.0))
-        assert abs(m.stieltjes(1j) - 1.0 / (1.5 - 1j)) < 1e-16
-        assert m.cdf(1.4) == 0.0 and m.cdf(1.6) == 1.0
-
-    def test_cdf_matches_inner(self):
-        inner = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        m = AffinePush(0.0, 2.0, inner)
-        t = np.array([1.5, 3.0, 5.0])
-        assert np.allclose(m.cdf(t, 1e-5), inner.cdf(t / 2.0, 5e-6), atol=1e-12)
-
-
-class SignedStub(Measure):
-    """-delta_0 + 2 delta_1: a user subclass of Measure that is not a probability."""
-
-    is_probability = False
-
-    def support_min(self):
-        return 0.0
-
-    def support_max(self):
-        return 1.0
-
-
-def test_signed_measures_are_refused():
-    with pytest.raises(SignedMeasureError):
-        kolmogorov_distance(SignedStub(), dirac(1.0), np.linspace(0.0, 2.0, 5))
+    def test_solver_backed_base_flags_instead_of_raising(self):
+        inner = MpBoxtimes(1.0, DiscreteMeasure([1.0, 3.0], [0.5, 0.5]), FixedPointConfig(max_iter=2))
+        pushed = measures._PushedBase(MpBoxtimes(1.0, inner, a=0.5, b=2.0))
+        w = np.array([2.5 + 2e-3j])
+        with pytest.raises(DivergenceError):
+            inner.stieltjes((w - 0.5) / 2.0)
+        g, ok = inner.stieltjes_checked((w - 0.5) / 2.0)
+        assert not ok[0]
+        assert np.array_equal(pushed.stieltjes(w), g / 2.0)
 
 
 class TestMpBoxtimes:
@@ -164,8 +159,6 @@ class TestMpBoxtimes:
             MpBoxtimes(0.0, dirac(1.0))
         with pytest.raises(ValueError):
             MpBoxtimes(1.0, dirac(-1.0))
-        with pytest.raises(SignedMeasureError):
-            MpBoxtimes(1.0, SignedStub())
 
     def test_matches_closed_form_for_point_base(self):
         zs = np.array([0.5 + 0.05j, 2.0 + 1j, -1.0 + 0.3j, 4.0 + 0.01j])
@@ -264,7 +257,7 @@ def layer_chain(depth, cfg=DEFAULT_CONFIG):
     chi = MpBoxtimes(1.0, dirac(1.0), cfg)
     oracle = chi
     for a, b, gamma in TANH_LINKS[:depth]:
-        chi = MpBoxtimes(gamma, AffinePush(a, b, chi), cfg)
+        chi = MpBoxtimes(gamma, chi, cfg, a=a, b=b)
         oracle = PicardLaw(gamma, Pushed(a, b, oracle))
     return chi, oracle
 
@@ -307,24 +300,24 @@ class TestLayerChain:
         assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     def test_closed_form_bottoms_give_exact_derivatives(self):
-        laws = [
-            DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
-            AffinePush(0.4, 1.7, DiscreteMeasure([0.5, 2.0], [0.5, 0.5])),
-            AffinePush(0.8, 0.0, dirac(3.0)),
-            MpBoxtimes(2.0, dirac(1.5)),
-            MpBoxtimes(0.5, dirac(0.0)),
-            AffinePush(0.3, 0.6, MpBoxtimes(1.0, dirac(1.0))),
+        # each bottom is the last level's base, pushed by that level's (a, b)
+        bases = [
+            (DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]), 0.0, 1.0),
+            (DiscreteMeasure([0.5, 2.0], [0.5, 0.5]), 0.4, 1.7),
+            (dirac(3.0), 0.8, 0.5),
+            (MpBoxtimes(2.0, dirac(1.5)), 0.0, 1.0),
+            (MpBoxtimes(0.5, dirac(0.0)), 0.0, 1.0),
+            (MpBoxtimes(1.0, dirac(1.0)), 0.3, 0.6),
         ]
         v = np.array([0.9 + 0.2j, -0.5 + 1.0j, 3.0 + 0.05j])
         h = 1e-6
-        for law in laws:
-            pair = measures._closed_pair(law)
-            g, dg = pair(v)
-            assert np.max(np.abs(g - law.stieltjes(v))) <= 1e-13
-            fd = (pair(v + h)[0] - pair(v - h)[0]) / (2 * h)
+        for base, a, b in bases:
+            pushed = measures._PushedBase(MpBoxtimes(1.0, base, a=a, b=b))
+            g, dg = pushed.pair(v)
+            assert np.max(np.abs(g - base.stieltjes((v - a) / b) / b)) <= 1e-13
+            assert np.max(np.abs(g - pushed.stieltjes(v))) <= 1e-13
+            fd = (pushed.pair(v + h)[0] - pushed.pair(v - h)[0]) / (2 * h)
             assert np.max(np.abs(dg - fd) / np.abs(dg)) <= 1e-6
-        # a base that needs its own fixed point has no closed form
-        assert measures._closed_pair(MpBoxtimes(1.0, DiscreteMeasure([1.0, 2.0], [0.5, 0.5]))) is None
 
     def test_starved_inner_layers_flag_instead_of_raising(self):
         zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j])
@@ -362,9 +355,9 @@ def test_herglotz_check_raises_under_optimize():
     code = (
         "import numpy as np\n"
         "from ckequiv.measures import _herglotz_check\n"
-        "_herglotz_check(np.array([1.0 + 1.0j]), np.array([0.5 + 0.1j]), True)\n"
+        "_herglotz_check(np.array([1.0 + 1.0j]), np.array([0.5 + 0.1j]))\n"
         "try:\n"
-        "    _herglotz_check(np.array([1.0 - 1e-3j]), np.array([0.5 + 0.1j]), True)\n"
+        "    _herglotz_check(np.array([1.0 - 1e-3j]), np.array([0.5 + 0.1j]))\n"
         "except ArithmeticError as ex:\n"
         "    print('raised:', ex)\n"
     )
