@@ -9,15 +9,7 @@ columns converge with them, which is visible directly in the table.
 
 import numpy as np
 
-from ckequiv import (
-    IidData,
-    LayerSpec,
-    MpBoxtimes,
-    NetworkSpec,
-    activation_by_name,
-    build_chain,
-    dirac,
-)
+from ckequiv import IidData, LayerSpec, NetworkSpec, activation_by_name, build_chain
 
 depth = 4
 n = 512
@@ -25,14 +17,11 @@ layer = LayerSpec(1.0, 0.5, 0.1, activation_by_name("tanh"), 1.0)
 spec = NetworkSpec(
     n=n, d0=n, dims=(n,) * depth, data=IidData(1.0), layers=(layer,) * depth
 )
-chi0 = MpBoxtimes(1.0, dirac(1.0))
-chain = build_chain(spec, chi0, lambda w: chi0.stieltjes(w) * np.eye(n), 1.0)
+chain = build_chain(spec)
 
-sx2 = 1.0
 for i, cl in enumerate(chain.layers, start=1):
     c = cl.constants
     print(f"layer {i}: a = {c.a:.4f}, b = {c.b:.4f}, output variance = {c.sigma_y2:.4f}")
-    sx2 = c.sigma_y2
 
 xs = np.linspace(0.0, 6.0, 61)
 eta = 0.02

@@ -42,6 +42,7 @@ from .detequiv import (
     EquivalentChain,
     LayerConstants,
     LayerSpec,
+    SpectralFactory,
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
@@ -53,7 +54,6 @@ from .netsim import (
     IidData,
     NetworkSpec,
     SimResult,
-    SpectralFactory,
     conjugate_kernel,
     layer_kernels,
     orthogonality_stats,

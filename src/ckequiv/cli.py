@@ -42,17 +42,11 @@ import numpy as np
 from . import _pool
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig, mp_stieltjes_closed
 from .hermite import MAX_DEGREE, activation_by_name
-from .measures import (
-    MpBoxtimes,
-    dirac,
-    esd_from_eigenvalues,
-    kolmogorov_distance,
-)
+from .measures import esd_from_eigenvalues, kolmogorov_distance
 from .detequiv import (
     LayerSpec,
-    _scalar_equivalent,
+    SpectralFactory,
     _sigma_builders,
-    _two_atom_measure,
     _ungated_constants,
     build_chain,
     equicorrelated_equivalent,
@@ -64,8 +58,6 @@ from .netsim import (
     ExplicitData,
     IidData,
     NetworkSpec,
-    SpectralFactory,
-    conjugate_kernel,
     layer_kernels,
     orthogonality_stats,
     run_network,
@@ -233,7 +225,7 @@ def _seeds(tree, where: str) -> tuple:
 
 def _solver(tree, where: str) -> FixedPointConfig:
     d = DEFAULT_CONFIG
-    fields = {"tol": (float, d.tol), "max_iter": (int, d.max_iter), "damping": (float, d.damping)}
+    fields = {"tol": (float, d.tol), "max_iter": (int, d.max_iter)}
     return _build(where, FixedPointConfig, **_section(tree, where, fields))
 
 
@@ -280,41 +272,6 @@ def to_network_spec(cfg: ExperimentConfig) -> NetworkSpec:
     if cfg.network is None:
         raise ConfigError("this command needs a network section in the config")
     return cfg.network
-
-
-def chain_inputs(spec: NetworkSpec, solver: FixedPointConfig):
-    """Input-kernel law chi0, resolvent map G0 and entry variance per data kind.
-
-    iid data uses the limiting law (a scaled MP of aspect ratio n/d0) so the
-    deterministic side is seed-free; equicorrelated inputs have an exact
-    two-atom spectrum and a rank-one-correction resolvent; explicit data uses
-    its empirical spectrum.
-    """
-    n, data = spec.n, spec.data
-    if isinstance(data, IidData):
-        chi0 = MpBoxtimes(n / spec.d0, dirac(data.sigma_x2), solver=solver)
-        return chi0, partial(_scalar_equivalent, chi0, n), data.sigma_x2
-    if isinstance(data, EquicorrelatedData):
-        alpha = 1.0 - 1.0 / n
-        chi0 = _two_atom_measure(n, 0.0, 1.0)
-
-        def g0(w):
-            w = complex(w)
-            out = np.full((n, n), -1.0 / (n * (alpha - w) * (alpha + 1.0 - w)), dtype=complex)
-            np.fill_diagonal(out, np.diag(out) + 1.0 / (alpha - w))
-            return out
-
-        return chi0, g0, 1.0
-    fac = SpectralFactory(conjugate_kernel(data.x0, spec.d0))
-    return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent, data.input_variance()
-
-
-def _build_chain(cfg: ExperimentConfig, spec: NetworkSpec):
-    chi0, g0, sx2 = chain_inputs(spec, cfg.solver)
-    try:
-        return build_chain(spec, chi0, g0, sx2, cfg=cfg.solver)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +405,10 @@ def cmd_coeffs(args) -> int:
 
 def cmd_density(cfg: ExperimentConfig, args) -> int:
     spec = to_network_spec(cfg)
-    chain = _build_chain(cfg, spec)
+    try:
+        chain = build_chain(spec, cfg.solver)
+    except ValueError as ex:
+        raise ConfigError(str(ex)) from None
     chi = chain.layers[-1].chi
     xs = cfg.z_grid.points()
     etas = cfg.z_grid.eta
@@ -513,7 +473,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     spec = to_network_spec(cfg)
-    chain = _build_chain(cfg, spec)
+    try:
+        chain = build_chain(spec, cfg.solver)
+    except ValueError as ex:
+        raise ConfigError(str(ex)) from None
     seeds = _resolved_seeds(cfg, args)
     xs = cfg.z_grid.points()
     zs = np.array([complex(x, eta) for eta in cfg.z_grid.eta for x in xs])

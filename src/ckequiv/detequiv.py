@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig
-from .gauss_cov import max_norm
 from .hermite import Activation, coeff_vector, default_rule, gaussian_norm_sq
 from .measures import B_ZERO_TOL, DiscreteMeasure, MpBoxtimes, dirac, esd_from_eigenvalues
 
@@ -147,18 +146,6 @@ def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
 # Equivalent resolvent matrices
 
 
-def _eigh_psd(sigma):
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("Sigma must be square")
-    if max_norm(sigma - sigma.T) > 1e-12 * max(1.0, max_norm(sigma)):
-        raise ValueError("Sigma must be symmetric")
-    lam, vec = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    if lam[0] < -1e-10:
-        raise ValueError(f"Sigma must be PSD; min eigenvalue {lam[0]:.3e}")
-    return np.maximum(lam, 0.0), vec
-
-
 def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z):
     """The layer composition rule K(z) = (l / (z b)) H((l - a) / b) on a z grid.
 
@@ -202,14 +189,35 @@ def _eig_resolvent(lam, vec, w) -> np.ndarray:
     return out
 
 
+class SpectralFactory:
+    """One eigendecomposition of a symmetric matrix, reused for all z.
+
+    Only the lower triangle of the matrix is read.
+    """
+
+    def __init__(self, k):
+        k = np.asarray(k, dtype=float)
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise ValueError("need a square matrix")
+        self.eigenvalues, self._vectors = np.linalg.eigh(k)
+
+    def resolvent(self, z: complex) -> np.ndarray:
+        z = complex(z)
+        if z.imag <= 0:
+            raise ValueError("z must lie in the open upper half-plane")
+        return _eig_resolvent(self.eigenvalues, self._vectors, z)
+
+
 def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
     """Builders of G(z) = (l/z)(Sigma - l I)^{-1} over zs from one eigh of Sigma.
 
-    Raises DivergenceError at the first point that did not converge.
+    Sigma is read from its lower triangle; a spectrum below zero is
+    refused by the law's support check.  Raises DivergenceError at the
+    first point that did not converge.
     """
-    lam, vec = _eigh_psd(sigma)
-    chi = MpBoxtimes(gamma, esd_from_eigenvalues(lam), cfg)
-    points = _compose(chi, 1, partial(_eig_resolvent, lam, vec), zs)
+    fac = SpectralFactory(sigma)
+    chi = MpBoxtimes(gamma, esd_from_eigenvalues(fac.eigenvalues), cfg)
+    points = _compose(chi, 1, fac.resolvent, zs)
     for z, (_, _, ok) in zip(np.ravel(zs), points):
         if not ok:
             raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}")
@@ -242,7 +250,6 @@ class EquivalentChain:
     kernel's spectral measure.
     """
 
-    n: int
     chi0: DiscreteMeasure | MpBoxtimes
     layers: tuple[ChainLayer, ...]
 
@@ -255,26 +262,20 @@ def _scalar_equivalent(chi: MpBoxtimes, n: int, w) -> np.ndarray:
     return chi.stieltjes(w) * np.eye(n, dtype=complex)
 
 
-def build_chain(
-    net: "NetworkSpec",
-    chi0: DiscreteMeasure | MpBoxtimes,
-    G0: Callable[[complex], np.ndarray],
-    sigma_x2_0: float,
-    cfg: FixedPointConfig = DEFAULT_CONFIG,
-) -> EquivalentChain:
+def build_chain(net: "NetworkSpec", cfg: FixedPointConfig = DEFAULT_CONFIG) -> EquivalentChain:
     """Layer-by-layer deterministic equivalents for a whole network.
 
-    chi0 and G0 describe the input kernel (its spectral measure and
-    resolvent map); sigma_x2_0 is the input entry variance.  Builders
-    evaluate G0 once per z at the fully composed argument.  A layer with
-    b = 0 forgets its input: its equivalent is g_chi(z) I, which is also
-    the base map of the layers above it.
+    The input kernel's spectral measure chi0, its resolvent map and the
+    input entry variance come from the network's data model (its
+    ``_input_law``).  Builders evaluate the input map once per z at the
+    fully composed argument.  A layer with b = 0 forgets its input: its
+    equivalent is g_chi(z) I, which is also the base map of the layers
+    above it.
     """
-    layers: list[ChainLayer] = []
-    sx2 = float(sigma_x2_0)
-    prev = chi0
     # H is the equivalent map under the run of b > 0 layers ending here
-    H, depth = G0, 0
+    chi0, H, sx2 = net.data._input_law(net.d0, net.n, cfg)
+    prev, depth = chi0, 0
+    layers: list[ChainLayer] = []
     for i, lspec in enumerate(net.layers, start=1):
         try:
             const = layer_constants(lspec, sx2)
@@ -289,7 +290,7 @@ def build_chain(
         layers.append(ChainLayer(constants=const, chi=chi, gbuilder=partial(_compose, chi, depth, H)))
         prev = chi
         sx2 = const.sigma_y2
-    return EquivalentChain(n=net.n, chi0=chi0, layers=tuple(layers))
+    return EquivalentChain(chi0=chi0, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------

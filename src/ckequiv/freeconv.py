@@ -73,15 +73,12 @@ class DivergenceError(RuntimeError):
 class FixedPointConfig:
     tol: float = 1e-12
     max_iter: int = 10_000
-    damping: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise ValueError("tol must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 DEFAULT_CONFIG = FixedPointConfig()
@@ -166,8 +163,8 @@ def solve_l_grid(
     l = zf.copy()
     r = step(l, zf) - l
     sres = semi_res(l, r)
-    alpha = np.full(zf.shape, cfg.damping)
-    alpha_min = cfg.damping / 64.0
+    # per-point damping factor: starts at 1 and stays in [1/64, 1]
+    alpha = np.ones(zf.shape)
     # indices still iterating; a point is frozen once it meets tol
     act = np.flatnonzero(~_converged(l, np.abs(r), cfg.tol))
     iterations = 0
@@ -188,8 +185,8 @@ def solve_l_grid(
         # halve the damping where the plain step regressed, recover otherwise
         alpha[act] = np.where(
             sres_pic > sa,
-            np.maximum(aa / 2.0, alpha_min),
-            np.minimum(aa * 1.25, cfg.damping),
+            np.maximum(aa / 2.0, 1.0 / 64.0),
+            np.minimum(aa * 1.25, 1.0),
         )
         l[act] = np.where(use, l_sec, l_pic)
         r[act] = np.where(use, r_sec, r_pic)

@@ -18,11 +18,14 @@ adding probes never changes the sampled network.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .detequiv import LayerSpec, _eig_resolvent, _ungated_constants
+from .detequiv import LayerSpec, SpectralFactory, _scalar_equivalent, _two_atom_measure, _ungated_constants
+from .freeconv import FixedPointConfig
+from .measures import MpBoxtimes, dirac, esd_from_eigenvalues
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
 
@@ -65,6 +68,15 @@ class IidData:
     def input_variance(self) -> float:
         return self.sigma_x2
 
+    def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
+        """K_X's law, resolvent map and entry variance, as ``build_chain`` takes them.
+
+        The limit MP(n/d0) (x) delta_sigma_x2 and its equivalent g I, so
+        the theory side is seed-free.
+        """
+        chi0 = MpBoxtimes(n / d0, dirac(self.sigma_x2), solver=cfg)
+        return chi0, partial(_scalar_equivalent, chi0, n), self.sigma_x2
+
 
 @dataclass(frozen=True)
 class EquicorrelatedData:
@@ -84,6 +96,21 @@ class EquicorrelatedData:
 
     def input_variance(self) -> float:
         return 1.0
+
+    def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
+        """The exact two-atom spectrum of S, its resolvent and the variance 1.
+
+        The resolvent is a multiple of I plus a rank-one all-ones correction.
+        """
+        alpha = 1.0 - 1.0 / n
+
+        def g0(w):
+            w = complex(w)
+            out = np.full((n, n), -1.0 / (n * (alpha - w) * (alpha + 1.0 - w)), dtype=complex)
+            np.fill_diagonal(out, np.diag(out) + 1.0 / (alpha - w))
+            return out
+
+        return _two_atom_measure(n, 0.0, 1.0), g0, 1.0
 
 
 @dataclass(frozen=True)
@@ -106,6 +133,11 @@ class ExplicitData:
     def input_variance(self) -> float:
         d0 = self.x0.shape[0]
         return float(np.mean(np.einsum("ij,ij->j", self.x0, self.x0)) / d0)
+
+    def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
+        """The spectrum and resolvent of K_X from one eigh, and its entry variance."""
+        fac = SpectralFactory(conjugate_kernel(self.x0, d0))
+        return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent, self.input_variance()
 
 
 DataModel = Union[IidData, EquicorrelatedData, ExplicitData]
@@ -191,25 +223,6 @@ def conjugate_kernel(y, d: int) -> np.ndarray:
     k = y.T @ y
     k /= d
     return k
-
-
-class SpectralFactory:
-    """One eigendecomposition of a symmetric matrix, reused for all z.
-
-    Only the lower triangle of the matrix is read.
-    """
-
-    def __init__(self, k):
-        k = np.asarray(k, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("need a square matrix")
-        self.eigenvalues, self._vectors = np.linalg.eigh(k)
-
-    def resolvent(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValueError("z must lie in the open upper half-plane")
-        return _eig_resolvent(self.eigenvalues, self._vectors, z)
 
 
 class OrthoStats(NamedTuple):

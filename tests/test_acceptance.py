@@ -31,7 +31,6 @@ from ckequiv.hermite import (
     tanh_activation,
 )
 from ckequiv.measures import (
-    DiscreteMeasure,
     MpBoxtimes,
     dirac,
     esd_from_eigenvalues,
@@ -222,11 +221,15 @@ def test_criterion_6_single_layer_end_to_end():
     c = layer_constants(TANH_LAYER, 1.0)
     a, b = float(c.a), float(c.b)
     z = 1j
-    g_det = equicorrelated_stieltjes(n, a, b, z)
-    _, g_mat = equicorrelated_equivalent(n, a, b, z)
-    alpha = a + b - b / n
-    chi = MpBoxtimes(1.0, DiscreteMeasure([alpha, alpha + b], [(n - 1) / n, 1.0 / n]))
     spec = NetworkSpec(n=n, d0=n, dims=(n,), data=EquicorrelatedData(), layers=(TANH_LAYER,))
+    (layer,) = build_chain(spec).layers
+    ((g_det, build, ok),) = layer.gbuilder([z])
+    g_mat = build()
+    chi = layer.chi
+    # the chain on the data model's two-atom input is the closed form
+    g_closed, g_mat_closed = equicorrelated_equivalent(n, a, b, z)
+    assert ok and abs(g_det - g_closed) < 1e-10
+    assert np.max(np.abs(g_mat - g_mat_closed)) < 1e-10
 
     dgs, kss, gaps = [], [], []
     for seed in (0, 1, 2):
@@ -258,10 +261,8 @@ def test_criterion_7_three_layer_network():
             n=n, d0=n, dims=(n, n, n), data=IidData(1.0), layers=(TANH_LAYER,) * 3
         )
 
-    n = 1000
-    spec = spec_for(n)
-    chi0 = MpBoxtimes(1.0, dirac(1.0))
-    chain = build_chain(spec, chi0, lambda w: chi0.stieltjes(w) * np.eye(n), 1.0)
+    spec = spec_for(1000)
+    chain = build_chain(spec)
     g_det = [layer.chi.stieltjes(z) for layer in chain.layers]
 
     dgs = np.zeros((3, 3))
@@ -313,8 +314,7 @@ def test_criterion_8_trace_identity_and_resolvent_bound():
     chi_sigma = MpBoxtimes(1.3, esd_from_eigenvalues(np.linalg.eigvalsh(a * np.eye(n) + b * kx)))
 
     chain_net = NetworkSpec(n=n, d0=n, dims=(n, n), data=IidData(1.0), layers=(TANH_LAYER,) * 2)
-    chi0 = MpBoxtimes(1.0, dirac(1.0))
-    chain = build_chain(chain_net, chi0, lambda w: chi0.stieltjes(w) * np.eye(n), 1.0)
+    chain = build_chain(chain_net)
 
     zs = [0.3 + 0.05j, 1j, 2.0 + 0.5j, -1.0 + 1.0j]
     composed = _compose(MpBoxtimes(1.3, tau, a=a, b=b), 1, resolvent, zs)
@@ -501,3 +501,12 @@ def test_every_public_method_has_a_reader():
         and attr not in read
     )
     assert unread == sorted(UNREAD_PUBLIC_ATTRIBUTES)
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (REPO / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "build_chain" in tour
+    start = time.perf_counter()
+    exec(compile(tour, "README.md (library tour)", "exec"), {})
+    print(f"README library tour: ran in {time.perf_counter() - start:.1f}s")

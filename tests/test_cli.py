@@ -140,7 +140,7 @@ class TestConfigParsing:
             ({"z_grid": {"step": 0.0}}, "step"),
             ({"z_grid": {"x_min": 2.0, "x_max": 1.0}}, "empty"),
             ({"output": {"formats": ["csv", "yaml"]}}, "csv or json"),
-            ({"solver": {"damping": 0.0}}, "solver"),
+            ({"solver": {"tol": 0.0}}, "solver"),
         ],
     )
     def test_value_validation(self, tree, hint):

@@ -20,7 +20,7 @@ from ckequiv.hermite import (
     tanh_activation,
 )
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues
-from ckequiv.netsim import IidData, NetworkSpec, run_network
+from ckequiv.netsim import ExplicitData, IidData, NetworkSpec, conjugate_kernel, run_network
 from nested_oracle import PicardLaw, Pushed, compose, gbox_from_sigma
 
 # frozen one-layer constants for tanh with every variance set to 1
@@ -28,6 +28,17 @@ TANH_A = 1.2895524620057048
 TANH_B = 0.23042328480765903
 TANH_NORM2 = 0.5199757468133639
 TANH_SY2 = 1.519975746813364
+
+
+def with_input_map(monkeypatch, wrap):
+    """Have iid data hand ``build_chain`` the map wrap(G0) instead of its own G0."""
+    law = IidData._input_law
+
+    def wrapped(self, d0, n, cfg):
+        chi0, g0, sx2 = law(self, d0, n, cfg)
+        return chi0, wrap(g0), sx2
+
+    monkeypatch.setattr(IidData, "_input_law", wrapped)
 
 
 def random_psd(n, seed, lift=0.05):
@@ -133,21 +144,21 @@ class TestEquivalentResolvents:
         assert ok
         assert np.linalg.norm(build() - right, 2) < 1e-9
 
-    def test_composed_without_linear_part_ignores_input(self):
+    def test_composed_without_linear_part_ignores_input(self, monkeypatch):
         n = 24
         z = 0.8 + 0.4j
 
         def must_not_be_called(w):
             raise AssertionError("input resolvent used despite b = 0")
 
+        with_input_map(monkeypatch, lambda g0: must_not_be_called)
         # hermite2 has no linear part; sigma_d2 = 0.7 puts a at 1.7
         layers = (
             LayerSpec(1.0, 0.0, 0.7, hermite2_activation(), 0.8),
             LayerSpec(1.0, 0.0, 0.0, identity_activation(), 1.0),
         )
         net = NetworkSpec(n=n, d0=n, dims=(30, 24), data=IidData(1.0), layers=layers)
-        chi0 = MpBoxtimes(1.0, dirac(1.0))
-        chain = build_chain(net, chi0, must_not_be_called, 1.0)
+        chain = build_chain(net)
         const = chain.layers[0].constants
         assert const.b == 0.0 and const.a == pytest.approx(1.7, abs=1e-10)
         ((g, build, ok),) = chain.layers[0].gbuilder([z])
@@ -237,19 +248,25 @@ class TestChain:
             layers=tuple(layers),
         )
 
-    def test_two_identity_layers_unroll(self):
+    def test_two_identity_layers_unroll(self, monkeypatch):
         n = 64
         net = self.network([LayerSpec(1.0, 0.0, 0.0, identity_activation(), 1.0)] * 2, n)
-        chi0 = MpBoxtimes(1.0, dirac(1.0))
         calls = []
 
-        def g0(w):
-            calls.append(complex(w))
-            return chi0.stieltjes(complex(w)) * np.eye(n)
+        def counted(g0):
+            def g(w):
+                calls.append(complex(w))
+                return g0(w)
 
-        chain = build_chain(net, chi0, g0, 1.0)
+            return g
+
+        with_input_map(monkeypatch, counted)
+        chain = build_chain(net)
         assert chain.depth == 2
         z = 0.9 + 0.35j
+        # iid input with n = d0: the input law is MP(1) (x) delta_1
+        chi0 = MpBoxtimes(1.0, dirac(1.0))
+        assert chain.chi0.stieltjes(z) == chi0.stieltjes(z)
 
         # identity layers have a = 0, b = 1, so each step is a plain
         # multiplicative convolution of the previous spectrum
@@ -271,18 +288,18 @@ class TestChain:
             raise AssertionError("a point was left to the nested fallback")
 
         monkeypatch.setattr(MpBoxtimes, "_nested", no_fallback)
-        # explicit input kernel: a discrete input law and a full resolvent
-        n = 40
-        kx = random_psd(n, 3)
-        lam, vec = np.linalg.eigh(kx)
+        # explicit input kernel K_X = x0^T x0 / d0: a discrete input law and a full resolvent
+        n, d0 = 40, 80
+        x0 = np.random.default_rng(3).standard_normal((d0, n))
+        lam, vec = np.linalg.eigh(conjugate_kernel(x0, d0))
         chi0 = esd_from_eigenvalues(lam)
 
         def g0(w):
             return (vec * (1.0 / (lam - w))) @ vec.T
 
         layers = [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma) for gamma in (1.0, 2.0, 1.0)]
-        net = NetworkSpec(n=n, d0=n, dims=(40, 20, 40), data=IidData(1.0), layers=tuple(layers))
-        chain = build_chain(net, chi0, g0, 1.0)
+        net = NetworkSpec(n=n, d0=d0, dims=(40, 20, 40), data=ExplicitData(x0), layers=tuple(layers))
+        chain = build_chain(net)
         consts = [layer.constants for layer in chain.layers]
 
         # one oracle composition per layer, each law solved by the nested route
@@ -308,8 +325,10 @@ class TestChain:
         # both layers' l down to the input map to land on its own g
         n = 16
         layers = [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma) for gamma in (1.0, 2.0)]
-        net = NetworkSpec(n=n, d0=n, dims=(16, 8), data=IidData(1.0), layers=tuple(layers))
-        chain = build_chain(net, dirac(1.0), lambda w: np.eye(n) / (1.0 - w), 1.0)
+        data = ExplicitData(np.sqrt(n) * np.eye(n))
+        net = NetworkSpec(n=n, d0=n, dims=(16, 8), data=data, layers=tuple(layers))
+        chain = build_chain(net)
+        assert np.array_equal(chain.chi0.atoms, [1.0]) and np.array_equal(chain.chi0.weights, [1.0])
         # off the axis, where layer 1's Picard stop test leaves l exact to rounding
         zs = [0.5 + 0.1j, 1.0 + 0.1j, 2.0 + 1.0j, -0.5 + 0.5j, 3.0 + 0.2j]
         for layer in chain.layers:
@@ -318,11 +337,34 @@ class TestChain:
                 assert abs(g - layer.chi.stieltjes(z)) <= 1e-12
                 assert np.max(np.abs(build() - g * np.eye(n))) <= 1e-12
 
+    def test_nested_fallback_rescues_a_point_newton_leaves(self, monkeypatch):
+        # near the hard edge at 0 of two gamma = 1/4 tanh layers, the stacked
+        # Newton solve leaves this point uncertified; the nested route must
+        # then give the converged value, so the fallback is not dead code
+        layers = (LayerSpec(1.0, 0.0, 0.0, tanh_activation(), 0.25),) * 2
+        net = NetworkSpec(n=4, d0=4, dims=(16, 16), data=IidData(1.0), layers=layers)
+        chain = build_chain(net)
+        chi = chain.layers[-1].chi
+        fallen_back = []
+        nested = MpBoxtimes._nested
+
+        def spy(self, z):
+            fallen_back.append(self)
+            return nested(self, z)
+
+        monkeypatch.setattr(MpBoxtimes, "_nested", spy)
+        z = 0.0051 + 1e-4j
+        g, ok = chi.stieltjes_checked(z)
+        assert fallen_back and fallen_back[0] is chi
+        oracle = chain.chi0
+        for layer in chain.layers:
+            oracle = PicardLaw(0.25, Pushed(layer.constants.a, layer.constants.b, oracle))
+        want = complex(oracle.stieltjes(z))
+        assert ok and abs(g - want) <= 1e-10 * abs(want)
+
     def test_constants_propagate_output_variance(self):
         net = self.network([LayerSpec(1.0, 1.0, 1.0, tanh_activation(), 1.0)] * 2)
-        chi0 = MpBoxtimes(1.0, dirac(1.0))
-        chain = build_chain(net, chi0, lambda w: chi0.stieltjes(w) * np.eye(64), 1.0)
-        first, second = chain.layers
+        first, second = build_chain(net).layers
         assert first.constants.sigma_y2 == pytest.approx(TANH_SY2, abs=1e-12)
         assert second.constants.sigma_x2 == pytest.approx(first.constants.sigma_y2)
 
@@ -333,9 +375,8 @@ class TestChain:
                 LayerSpec(1.0, 0.0, 0.0, hermite2_activation(), 1.0),
             ]
         )
-        chi0 = MpBoxtimes(1.0, dirac(1.0))
         with pytest.raises(ValueError, match="layer 2"):
-            build_chain(net, chi0, lambda w: chi0.stieltjes(w) * np.eye(64), 1.0)
+            build_chain(net)
 
     def test_registry_activation_round_trip(self):
         f = activation_by_name("tanh")

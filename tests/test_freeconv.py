@@ -111,8 +111,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FixedPointConfig(tol=0.0)
     with pytest.raises(ValueError):
-        FixedPointConfig(damping=1.5)
-    with pytest.raises(ValueError):
         FixedPointConfig(max_iter=0)
 
 
