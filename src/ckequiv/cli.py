@@ -220,7 +220,15 @@ def _seeds(tree, where: str) -> tuple:
     seeds, replicas = _section(tree, where, {"seeds": ([int], [0, 1, 2]), "replicas": (int, None)}).values()
     if replicas is not None and replicas != len(seeds):
         raise ConfigError(f"{where}.replicas must equal the number of seeds")
+    for i, seed in enumerate(seeds):
+        _nonnegative_seed(seed, f"{where}.seeds[{i}]")
     return seeds
+
+
+def _nonnegative_seed(seed: int, where: str) -> None:
+    # numpy's SeedSequence takes no negative entropy
+    if seed < 0:
+        raise ConfigError(f"{where} must be nonnegative, got {seed}")
 
 
 def _solver(tree, where: str) -> FixedPointConfig:
@@ -447,6 +455,7 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
 
 def _resolved_seeds(cfg: ExperimentConfig, args) -> tuple:
     if args.seed is not None:
+        _nonnegative_seed(args.seed, "--seed")
         return (args.seed,)
     return cfg.seeds
 

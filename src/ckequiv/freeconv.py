@@ -31,8 +31,11 @@ the residual.  The safeguarded iteration matches plain damped Picard on
 easy points and cuts the near-axis cost by two to three orders of
 magnitude.  Every step is pointwise in z, so a grid solve freezes each
 point once it meets the tolerance and keeps iterating only the rest;
-nested transforms of mu are then evaluated on the active points alone,
-and a grid solve gives the same values as solving its points one by one.
+nested transforms of mu are then evaluated on the active points alone.
+A point's iterates therefore depend on the other points only through how
+mu's transform rounds on a batch: a closed-form base gives bitwise the
+same values however the grid is split, while a discrete base, summed one
+block of points at a time, may move the last bits with the batch.
 From a solution, the transform of nu itself is recovered through
 
     g_nu(z) = (-1 / l - (gamma - 1) / z) / gamma.
@@ -50,7 +53,10 @@ continuation in Im z, projection onto the wedges and pointwise
 backtracking keep every iterate in the wedges, and a point counts only
 when the converged root has every level in its wedge D(u_k): the root in
 D(u_k) being unique level by level, such a point is the nested solution.
-Cost per point is then linear in depth.
+Cost per point is then linear in depth.  A caller that knows nearby roots
+may pass a start for every level instead; Newton then begins from it at
+the requested height, and the certificate is the same, so a poor start
+costs a flag, never a wrong value.
 
 ``mp_stieltjes_closed`` provides the independent closed form for mu = delta_1:
 g = g_MP(gamma) solves the quadratic gamma z g^2 + (z + gamma - 1) g + 1 = 0,
@@ -283,7 +289,7 @@ def _scaled_residual(r, l):
 
 
 def solve_chain_grid(
-    gammas, shifts, scales, bottom, z, radius: float, cfg: FixedPointConfig = DEFAULT_CONFIG
+    gammas, shifts, scales, bottom, z, radius: float, cfg: FixedPointConfig = DEFAULT_CONFIG, start=None
 ):
     """Stacked Newton solve of a chain of nested companion fixed points.
 
@@ -293,12 +299,15 @@ def solve_chain_grid(
     base is given by ``bottom(v) -> (g(v), g'(v))``.  All unknowns
     (l_0, ..., l_{m-1}) of a grid point are solved together by complex
     Newton with the tridiagonal analytic Jacobian (one Thomas sweep per
-    step for the whole grid).  The start is l_i = u_i at the raised height
-    Im z = max(Im z, 1, radius / 4), where ``radius`` bounds the top law's
-    support, and the height is halved down to Im z whenever the residual
-    falls below a stage tolerance.  Every trial step is projected onto the
-    wedges D(u_i), top first, and halved pointwise until the residual
-    falls.
+    step for the whole grid).  Without ``start`` it starts cold: at
+    l_i = u_i at the raised height Im z = max(Im z, 1, radius / 4), where
+    ``radius`` bounds the top law's support, and the height is halved down
+    to Im z whenever the residual falls below a stage tolerance.  With
+    ``start``, shaped like the returned l, every point begins at its
+    requested height from its start projected onto the wedges, with no
+    continuation.  Every trial step is projected onto the wedges D(u_i),
+    top first, and halved pointwise until the residual falls.  Points are
+    solved independently: nothing carries over between calls.
 
     A point is certified when its residual meets ``cfg.tol`` at the
     requested height and one more full Newton step keeps every level in
@@ -319,20 +328,23 @@ def solve_chain_grid(
     z = np.asarray(z, dtype=complex)
     zf = z.ravel()
     m = gammas.shape[0]
+    if start is not None:
+        start = np.asarray(start, dtype=complex).reshape(m, zf.size)
     l = np.empty((m, zf.size), dtype=complex)
     ok = np.empty(zf.shape, dtype=bool)
     steps = 0
     # points are independent; blocks bound the working memory
-    for start in range(0, zf.size, _BLOCK):
-        part = slice(start, start + _BLOCK)
+    for first in range(0, zf.size, _BLOCK):
+        part = slice(first, first + _BLOCK)
+        block_start = None if start is None else start[:, part]
         l[:, part], ok[part], block_steps = _newton_block(
-            zf[part], gammas, shifts, scales, bottom, radius, cfg
+            zf[part], gammas, shifts, scales, bottom, radius, cfg, block_start
         )
         steps = max(steps, block_steps)
     return l.reshape((m,) + z.shape), ok.reshape(z.shape), steps
 
 
-def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg):
+def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
     m = gammas.shape[0]
     lower_band = 1.0 / scales
 
@@ -344,13 +356,19 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg):
             r, diag, upper = _chain_system(l[:, inside], u[:, inside], gammas, scales, bottom)
         return inside, r, diag, upper, _scaled_residual(r, l[:, inside])
 
-    height = np.maximum(zf.imag, max(1.0, radius / 4.0))
-    zc = zf.real + 1j * height
-    l = np.empty((m, zf.size), dtype=complex)
-    l[0] = zc
-    for i in range(1, m):
-        l[i] = (l[i - 1] - shifts[i - 1]) / scales[i - 1]
-    u = l.copy()
+    if start is None:
+        height = np.maximum(zf.imag, max(1.0, radius / 4.0))
+        zc = zf.real + 1j * height
+        l = np.empty((m, zf.size), dtype=complex)
+        l[0] = zc
+        for i in range(1, m):
+            l[i] = (l[i - 1] - shifts[i - 1]) / scales[i - 1]
+        u = l.copy()
+    else:
+        # a warm start begins at the requested height: no continuation
+        height = zf.imag.copy()
+        zc = zf.copy()
+        l, u = _project_chain(start.copy(), zc, shifts, scales)
     r = np.empty_like(l)
     diag = np.empty_like(l)
     upper = np.empty((m - 1, zf.size), dtype=complex)

@@ -42,6 +42,8 @@ DEFAULT_ETA = 1e-3
 B_ZERO_TOL = 1e-10
 
 _CHUNK = 1 << 18
+# a CDF table solves every _COARSE-th point cold and warm-starts the rest
+_COARSE = 16
 
 
 def _as_z(z):
@@ -190,7 +192,11 @@ class MpBoxtimes:
     Points that Newton does not certify fall back to the nested route,
     :func:`solve_l_grid` on the base with inner levels solved (again by
     this rule) for each evaluation, so correctness never rests on Newton.
-    Every solve starts cold: the object keeps no warm-start state, so a
+    A transform starts every point cold.  A CDF table of a chain solves
+    every 16th point of its line cold and starts Newton for the rest from
+    the levels' l interpolated between them; a point that start does not
+    certify is solved cold.  That start lives only inside one table
+    build: the object keeps no warm-start state between calls, so a
     transform depends only on its arguments, whichever thread asks.
     Only the CDF tables are cached, per eta.
     """
@@ -262,13 +268,16 @@ class MpBoxtimes:
             levels.append(inner)
         return levels
 
-    def _solve(self, z):
+    def _solve(self, z, start=None):
         """The one solve behind every transform, on the upper half-plane.
 
         Returns ``(g, l, ok)``: l stacks l(z) of this law and of each solver
         level nested under it (top first, shaped (m,) + z.shape), g is this
         law's transform recovered from the top level, and ok holds per point
         when every level converged.  Nothing here raises on divergence.
+        ``start``, shaped like l, warm-starts a chain of two or more levels:
+        Newton begins from it at the requested height, and a point it does
+        not certify is solved again cold.  A single level ignores it.
         """
         levels = self._levels()
         if self._closed_atom() is not None:
@@ -282,11 +291,15 @@ class MpBoxtimes:
             scales = [level.b for level in levels[:-1]]
             gammas = [level.gamma for level in levels]
             bottom = _PushedBase(levels[-1]).pair
-            l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom, z, self.support_max(), self.solver)
+            l, ok, _ = solve_chain_grid(
+                gammas, shifts, scales, bottom, z, self.support_max(), self.solver, start=start
+            )
             l = l.reshape(len(levels), -1)
             ok = ok.ravel()
             bad = np.flatnonzero(~ok)
-            if bad.size:
+            if bad.size and start is not None:
+                _, l[:, bad], ok[bad] = self._solve(z.ravel()[bad])
+            elif bad.size:
                 l[:, bad], ok[bad] = self._nested(z.ravel()[bad])
             l, ok = l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
         g = (-1.0 / l[0] - (self.gamma - 1.0) / z) / self.gamma
@@ -309,6 +322,10 @@ class MpBoxtimes:
 
     def stieltjes(self, z):
         g, ok = self.stieltjes_checked(z)
+        return self._trusted(g, ok, z)
+
+    def _trusted(self, g, ok, z):
+        """g, once every point is flagged converged and g is in the upper half-plane."""
         bad = np.size(ok) - np.count_nonzero(ok)
         if bad:
             raise DivergenceError(
@@ -367,7 +384,8 @@ class MpBoxtimes:
         lo = -pad
         step = eta / 3.0
         xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
-        g = self.stieltjes(xs + 1j * eta)
+        zs = xs + 1j * eta
+        g = self._trusted(*self._line_solve(zs), zs)
         dens = g.imag / np.pi
         if m0 > 0.0:
             dens = dens - m0 * (eta / np.pi) / (xs**2 + eta**2)
@@ -382,6 +400,25 @@ class MpBoxtimes:
         with self._lock:
             self._tables[key] = table
         return table
+
+    def _line_solve(self, z):
+        """(g, ok) on a line Im z = eta sorted by Re z, a chain warm-started from a coarse pass.
+
+        Every _COARSE-th point and the last are solved cold; the rest start
+        from each level's l interpolated linearly in Re z between them.
+        """
+        if len(self._levels()) == 1:
+            return self.stieltjes_checked(z)
+        coarse = np.zeros(z.shape, dtype=bool)
+        coarse[::_COARSE] = True
+        coarse[-1] = True
+        g = np.empty_like(z)
+        ok = np.empty(z.shape, dtype=bool)
+        g[coarse], l_coarse, ok[coarse] = self._solve(z[coarse])
+        x, xc = z.real[~coarse], z.real[coarse]
+        start = np.array([np.interp(x, xc, lk.real) + 1j * np.interp(x, xc, lk.imag) for lk in l_coarse])
+        g[~coarse], _, ok[~coarse] = self._solve(z[~coarse], start)
+        return g, ok
 
     def cdf(self, t, eta: float = DEFAULT_ETA):
         # the atom at zero enters as an exact step, only the continuous part

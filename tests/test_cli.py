@@ -670,6 +670,22 @@ class TestExitCodes:
         assert all(r["converged_eta0.01"] == "0" for r in starved)
         assert all(r["cdf_eta0.01"] == "nan" for r in starved)
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "seeds, flag, message",
+        [
+            ([0, -1], [], "sim.seeds[1] must be nonnegative, got -1"),
+            ([0], ["--seed", "-3"], "--seed must be nonnegative, got -3"),
+        ],
+        ids=["config", "flag"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, seeds, flag, message):
+        tree = smoke_tree(tmp_path, sim={"seeds": seeds})
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"] + flag) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("command", ["density", "simulate", "compare"])
     def test_explicit_input_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, command):
         tree = smoke_tree(tmp_path)

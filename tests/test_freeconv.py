@@ -308,6 +308,41 @@ def test_chain_grid_solve_matches_pointwise_solves():
         assert np.max(np.abs(l_point - l_grid[:, j])) <= 1e-12
 
 
+def test_chain_solve_with_a_closed_form_bottom_does_not_depend_on_the_split(monkeypatch):
+    import ckequiv.freeconv as freeconv
+
+    # the four tanh levels over the closed-form MP(1), on two table lines;
+    # every step is pointwise, so any split gives bitwise the same roots
+    gammas, shifts, scales = TANH_CHAIN
+    law = MpBoxtimes(1.0, dirac(1.0))
+    bottom = law._stieltjes_pair
+    law = MpBoxtimes(gammas[-1], law)
+    for k in range(len(shifts) - 1, -1, -1):
+        law = MpBoxtimes(gammas[k], law, a=shifts[k], b=scales[k])
+    edge = law.support_max()
+    xs = np.linspace(-0.5, 6.0, 301)
+    zs = np.concatenate([xs + 0.02j, xs + 0.01j])
+    half = zs.size // 2 + 7
+
+    def solve(z, start=None):
+        return solve_chain_grid(gammas, shifts, scales, bottom, z, edge, start=start)[:2]
+
+    l, ok = solve(zs)
+    assert np.all(ok)
+    # a warm start from the neighbouring point's root
+    start = np.roll(l, 1, axis=1)
+    l_warm, ok_warm = solve(zs, start)
+    for z0, s0, l0, ok0 in ((zs, None, l, ok), (zs, start, l_warm, ok_warm)):
+        parts = [solve(z0[:half], None if s0 is None else s0[:, :half]),
+                 solve(z0[half:], None if s0 is None else s0[:, half:])]
+        assert np.array_equal(np.concatenate([p[0] for p in parts], axis=1), l0)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), ok0)
+        with monkeypatch.context() as m:
+            m.setattr(freeconv, "_BLOCK", 37)
+            l_small, ok_small = solve(z0, s0)
+        assert np.array_equal(l_small, l0) and np.array_equal(ok_small, ok0)
+
+
 def test_starved_chain_solve_certifies_only_converged_points():
     # the certificate is a computed flag, not an assert: it holds under -O
     gammas, shifts, scales = chain(TANH_CHAIN, 3)

@@ -10,12 +10,14 @@ import pytest
 
 import ckequiv
 import ckequiv.measures as measures
+from ckequiv.detequiv import LayerSpec, build_chain
 from ckequiv.freeconv import (
     DEFAULT_CONFIG,
     DivergenceError,
     FixedPointConfig,
     mp_stieltjes_closed,
 )
+from ckequiv.hermite import tanh_activation
 from ckequiv.measures import (
     DEFAULT_ETA,
     DiscreteMeasure,
@@ -24,6 +26,7 @@ from ckequiv.measures import (
     esd_from_eigenvalues,
     kolmogorov_distance,
 )
+from ckequiv.netsim import ExplicitData, IidData, NetworkSpec
 
 from nested_oracle import PicardLaw, Pushed, converged_l
 
@@ -252,13 +255,17 @@ class TestMpBoxtimes:
 TANH_LINKS = [(0.3298, 0.2865, 1.0), (0.3250, 0.2802, 2.0), (0.2896, 0.2304, 1.0), (0.2750, 0.2200, 2.0)]
 
 
-def layer_chain(depth, cfg=DEFAULT_CONFIG):
-    """MpBoxtimes layers over the closed-form law MP(1), and the nested oracle."""
+def layer_chain(depth, cfg=DEFAULT_CONFIG, gamma=None):
+    """MpBoxtimes layers over the closed-form law MP(1), and the nested oracle.
+
+    ``gamma``, when given, replaces every layer's aspect ratio.
+    """
     chi = MpBoxtimes(1.0, dirac(1.0), cfg)
     oracle = chi
-    for a, b, gamma in TANH_LINKS[:depth]:
-        chi = MpBoxtimes(gamma, chi, cfg, a=a, b=b)
-        oracle = PicardLaw(gamma, Pushed(a, b, oracle))
+    for a, b, link_gamma in TANH_LINKS[:depth]:
+        g = link_gamma if gamma is None else gamma
+        chi = MpBoxtimes(g, chi, cfg, a=a, b=b)
+        oracle = PicardLaw(g, Pushed(a, b, oracle))
     return chi, oracle
 
 
@@ -287,7 +294,7 @@ class TestLayerChain:
         assert chi._solve(zs)[1].shape == (depth,) + zs.shape
 
     def test_newton_stage_stubbed_out_gives_nested_values(self, monkeypatch):
-        def certifies_nothing(gammas, shifts, scales, bottom, z, radius, cfg):
+        def certifies_nothing(gammas, shifts, scales, bottom, z, radius, cfg, start=None):
             l = np.full((len(gammas),) + z.shape, np.nan, dtype=complex)
             return l, np.zeros(z.shape, dtype=bool), 0
 
@@ -331,6 +338,127 @@ class TestLayerChain:
         assert np.all(gap[~ok] > 1e-10)
         with pytest.raises(DivergenceError, match="2 of 5 points"):
             starved.stieltjes(zs)
+
+
+def table_line(eta):
+    """Three windows of a CDF table's line Im z = eta at its spacing eta / 3.
+
+    They lie across 0, in the bulk and towards the upper edge.
+    """
+    xs = np.concatenate([x0 + (eta / 3.0) * np.arange(400) for x0 in (-0.1, 0.45, 1.3)])
+    return np.unique(xs) + 1j * eta
+
+
+def record_warm_flags(monkeypatch):
+    """Certificates of every warm-started chain solve, recorded as they happen."""
+    flags = []
+    real = measures.solve_chain_grid
+
+    def spy(*args, start=None):
+        l, ok, steps = real(*args, start=start)
+        if start is not None:
+            flags.append(ok)
+        return l, ok, steps
+
+    monkeypatch.setattr(measures, "solve_chain_grid", spy)
+    return flags
+
+
+def rel_gap(g, want):
+    return np.max(np.abs(g - want) / np.abs(want))
+
+
+class TestWarmTable:
+    """A CDF table's line: a coarse cold pass, then Newton warm-started from it."""
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-2])
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_warm_line_matches_cold_solve(self, monkeypatch, depth, gamma, eta):
+        warm = record_warm_flags(monkeypatch)
+        chi, oracle = layer_chain(depth, gamma=gamma)
+        zs = table_line(eta)
+        g, ok = chi._line_solve(zs)
+        # every point is certified, and by the warm Newton itself
+        assert np.all(ok)
+        assert sum(f.size for f in warm) >= zs.size * 15 // 16 - 1 and all(np.all(f) for f in warm)
+        g_cold, _, ok_cold = chi._solve(zs)
+        assert np.all(ok_cold)
+        assert rel_gap(g, g_cold) <= 1e-12
+        if depth < 4:
+            # the nested oracle's cost multiplies with depth; depth 4 is
+            # checked against it through the cold solve. Its Picard stops at
+            # the residual tol, so near the axis its own error reaches
+            # tol / (1 - k): 3.9e-10 at depth 2, gamma 0.25, eta 1e-3, where
+            # Picard at tol 1e-15 agrees with g exactly
+            sub = slice(7, None, 150)
+            assert rel_gap(g[sub], oracle.stieltjes(zs[sub])) <= 1e-9
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-2])
+    def test_warm_line_on_a_discrete_bottom(self, monkeypatch, eta):
+        # two layers over an explicit input: the chain's bottom is the input's ESD
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((60, 40)) * np.sqrt(rng.choice([0.5, 1.5], size=40))
+        spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
+        net = NetworkSpec(n=40, d0=60, dims=(40, 40), data=ExplicitData(x0), layers=(spec, spec))
+        chi = build_chain(net).layers[-1].chi
+        assert len(chi._levels()) == 2 and isinstance(chi.base.base, DiscreteMeasure)
+        warm = record_warm_flags(monkeypatch)
+        zs = table_line(eta)
+        g, ok = chi._line_solve(zs)
+        assert np.all(ok) and warm and all(np.all(f) for f in warm)
+        g_cold, _, ok_cold = chi._solve(zs)
+        assert np.all(ok_cold)
+        assert rel_gap(g, g_cold) <= 1e-12
+        inner = chi.base
+        inner_oracle = PicardLaw(inner.gamma, Pushed(inner.a, inner.b, inner.base))
+        oracle = PicardLaw(chi.gamma, Pushed(chi.a, chi.b, inner_oracle))
+        sub = slice(7, None, 150)
+        assert rel_gap(g[sub], oracle.stieltjes(zs[sub])) <= 1e-10
+
+    def test_uncertified_warm_points_get_the_cold_solve(self, monkeypatch):
+        # a starved solver: the cold solve itself leaves two points unconverged
+        chi, _ = layer_chain(3, FixedPointConfig(max_iter=3))
+        zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j, 2.0 + 0.1j])
+        g_cold, l_cold, ok_cold = chi._solve(zs)
+        assert ok_cold.tolist() == [True, False, True, False, True, False]
+        real = measures.solve_chain_grid
+        dropped = np.array([True, True, False, True, False, True])
+
+        def drops_some(*args, start=None):
+            l, ok, steps = real(*args, start=start)
+            if start is not None:
+                l[:, dropped], ok[dropped] = np.nan, False
+            return l, ok, steps
+
+        monkeypatch.setattr(measures, "solve_chain_grid", drops_some)
+        # the warm start is the cold root: the points it keeps agree to rounding
+        g, l, ok = chi._solve(zs, l_cold)
+        assert ok.tolist() == ok_cold.tolist()
+        assert np.array_equal(g[dropped], g_cold[dropped], equal_nan=True)
+        assert np.array_equal(l[:, dropped], l_cold[:, dropped], equal_nan=True)
+        kept = ~dropped & ok_cold
+        assert rel_gap(g[kept], g_cold[kept]) <= 1e-12
+
+    def test_warm_table_needs_a_fraction_of_the_bottom_evaluations(self, monkeypatch):
+        # theory-deep's law: four tanh layers with unit variances at gamma = 1
+        spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
+        net = NetworkSpec(n=1000, d0=1000, dims=(1000,) * 4, data=IidData(1.0), layers=(spec,) * 4)
+        chi = build_chain(net).layers[-1].chi
+        points = [0]
+        real = measures._PushedBase.pair
+
+        def counted(self, w):
+            points[0] += w.size
+            return real(self, w)
+
+        monkeypatch.setattr(measures._PushedBase, "pair", counted)
+        xs, _ = chi._cdf_table(0.01)
+        warm = points[0]
+        points[0] = 0
+        _, _, ok = chi._solve(xs + 0.01j)
+        assert np.all(ok)
+        assert points[0] >= 3 * warm
 
 
 def test_kolmogorov_distance_properties():
