@@ -208,6 +208,8 @@ def _z_grid(tree, where: str) -> ZGridConfig:
     }))
     if any(e <= 0 for e in g.eta):
         raise ConfigError(f"{where}.eta values must be positive")
+    if len({_eta_tag(e) for e in g.eta}) < len(g.eta):
+        raise ConfigError(f"{where}.eta values name columns and must differ in 6 significant digits")
     if g.step <= 0:
         raise ConfigError(f"{where}.step must be positive")
     if g.x_max < g.x_min:
@@ -222,6 +224,8 @@ def _seeds(tree, where: str) -> tuple:
         raise ConfigError(f"{where}.replicas must equal the number of seeds")
     for i, seed in enumerate(seeds):
         _nonnegative_seed(seed, f"{where}.seeds[{i}]")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{where}.seeds must not repeat")
     return seeds
 
 
@@ -373,11 +377,7 @@ def cmd_coeffs(args) -> int:
         raise ConfigError(str(ex)) from None
     if not 1 <= args.r_max <= MAX_DEGREE:
         raise ConfigError(f"--r-max must lie in [1, {MAX_DEGREE}]")
-    if args.sigma_tilde2 is not None:
-        sw2, sx2, sb2 = args.sigma_tilde2, 1.0, 0.0
-    else:
-        sw2, sx2, sb2 = args.sigma_w2, args.sigma_x2, args.sigma_b2
-    sd2 = args.sigma_d2
+    sw2, sx2, sb2, sd2 = args.sigma_w2, args.sigma_x2, args.sigma_b2, args.sigma_d2
     if sw2 * sx2 + sb2 <= 0 or sw2 < 0 or sx2 < 0 or sb2 < 0 or sd2 < 0:
         raise ConfigError("variances must be nonnegative with sigma_w2*sigma_x2 + sigma_b2 > 0")
     # the constants the theory uses, without its zero-mean gate: this table
@@ -670,7 +670,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="Hermite coefficients and layer constants")
     p.add_argument("activation", help="activation name (see hermite.ACTIVATIONS)")
     p.add_argument("--r-max", type=int, default=20)
-    p.add_argument("--sigma-tilde2", type=float, default=None, help="set the rescaling variance directly (implies sigma_w2=sigma_tilde2, sigma_x2=1, sigma_b2=0)")
     p.add_argument("--sigma-w2", type=float, default=1.0)
     p.add_argument("--sigma-x2", type=float, default=1.0)
     p.add_argument("--sigma-b2", type=float, default=0.0)

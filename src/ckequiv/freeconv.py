@@ -14,9 +14,10 @@ and is the unique solution in the closed wedge
 
     D(z) = { w : Im w >= Im z  and  Im(w / z) >= 0 }.
 
-``solve_l_grid`` finds it by damped Picard iteration started at l = z (which lies
-in D(z) and is already exact when mu = delta_0), projecting every iterate
-back onto D(z) and halving the damping factor whenever the residual grows.
+``solve_chain_grid`` below finds it by Newton, as a chain of one level;
+``solve_l_grid``, the fallback where Newton does not certify a point, runs
+damped Picard from l = z (in D(z), and exact when mu = delta_0), projecting
+every iterate back onto D(z) and halving the damping when the residual grows.
 F is a strict contraction on D(z) for the semi-metric
 d(w1, w2) = |w1 - w2| / sqrt(Im w1 Im w2) with constant
 

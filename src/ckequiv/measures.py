@@ -181,21 +181,21 @@ class MpBoxtimes:
     MpBoxtimes) pushed forward by t -> a + b t with b > 0, then convolved
     with MP(gamma).  An unpushed single-atom base delta_c (a = 0, b = 1)
     gives the dilation c MP(gamma), whose transforms come from the closed
-    form (delta_0 when c < B_ZERO_TOL).  Any other base that needs no fixed
-    point of its own (atoms, closed-form dilations) goes through
-    :func:`solve_l_grid`.  A base that is itself solver-backed forms a
-    chain of levels; all of them are solved at once by
-    :func:`solve_chain_grid`, a stacked Newton solve whose cost per point
-    grows linearly with depth.  A point counts as solved only when every
-    level meets the tolerance inside its wedge D(u_k); that root is unique,
-    so it equals the nested fixed point.
+    form (delta_0 when c < B_ZERO_TOL).  Every other law heads a chain of
+    solver levels: itself, then its base as long as that base is
+    solver-backed, down to a last level whose base (atoms or a closed-form
+    dilation) needs no fixed point of its own.  All levels, one or many, are
+    solved at once by :func:`solve_chain_grid`, a stacked Newton solve whose
+    cost per point grows linearly with depth.  A point counts as solved only
+    when every level meets the tolerance inside its wedge D(u_k); that root
+    is unique, so it equals the nested fixed point.
     Points that Newton does not certify fall back to the nested route,
     :func:`solve_l_grid` on the base with inner levels solved (again by
     this rule) for each evaluation, so correctness never rests on Newton.
-    A transform starts every point cold.  A CDF table of a chain solves
-    every 16th point of its line cold and starts Newton for the rest from
-    the levels' l interpolated between them; a point that start does not
-    certify is solved cold.  That start lives only inside one table
+    A transform starts every point cold.  A CDF table solves every 16th
+    point of its line cold and starts Newton for the rest from the levels'
+    l interpolated between them; a point that start does not certify is
+    solved cold.  That start lives only inside one table
     build: the object keeps no warm-start state between calls, so a
     transform depends only on its arguments, whichever thread asks.
     Only the CDF tables are cached, per eta.
@@ -275,18 +275,16 @@ class MpBoxtimes:
         level nested under it (top first, shaped (m,) + z.shape), g is this
         law's transform recovered from the top level, and ok holds per point
         when every level converged.  Nothing here raises on divergence.
-        ``start``, shaped like l, warm-starts a chain of two or more levels:
-        Newton begins from it at the requested height, and a point it does
-        not certify is solved again cold.  A single level ignores it.
+        ``start``, shaped like l, warm-starts the chain: Newton begins from
+        it at the requested height, and a point it does not certify is
+        solved again cold.  A closed-form law ignores it.
         """
-        levels = self._levels()
         if self._closed_atom() is not None:
             g, _ = self._stieltjes_pair(z)
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
-        elif len(levels) == 1:
-            l, ok = self._nested(z)
         else:
+            levels = self._levels()
             shifts = [level.a for level in levels[:-1]]
             scales = [level.b for level in levels[:-1]]
             gammas = [level.gamma for level in levels]
@@ -306,11 +304,10 @@ class MpBoxtimes:
         return g, l, ok
 
     def _nested(self, z):
-        """The nested route: Picard on the pushed base, inner levels solved per evaluation.
+        """The fallback for points Newton leaves: Picard on the pushed base, inner levels solved per evaluation.
 
-        A single level is this route with no inner level.  Inner solves
-        flag instead of raising; the returned flags cover every level at
-        the final iterate.
+        Inner solves flag instead of raising; the returned flags cover
+        every level at the final iterate.
         """
         l, _, res = solve_l_grid(_PushedBase(self), self.gamma, z, self.solver)
         ok = _converged(l, res, self.solver.tol)
@@ -342,9 +339,11 @@ class MpBoxtimes:
         any level nested under it, and carry the last iterate rather than a
         trusted value.  Unlike ``stieltjes`` this never raises on divergence,
         of its own solve or of a nested one, so callers can flag bad grid
-        points and move on.
+        points and move on; a real z raises ValueError before any solve.
         """
         z, scalar = _as_z(z)
+        if np.any(z.imag == 0):
+            raise ValueError("z must lie off the real axis")
         # lower half-plane points by reflection, g(conj z) = conj g(z)
         neg = z.imag < 0
         g, _, ok = self._solve(np.where(neg, np.conj(z), z))
@@ -402,13 +401,11 @@ class MpBoxtimes:
         return table
 
     def _line_solve(self, z):
-        """(g, ok) on a line Im z = eta sorted by Re z, a chain warm-started from a coarse pass.
+        """(g, ok) on a line Im z = eta sorted by Re z, warm-started from a coarse pass.
 
         Every _COARSE-th point and the last are solved cold; the rest start
         from each level's l interpolated linearly in Re z between them.
         """
-        if len(self._levels()) == 1:
-            return self.stieltjes_checked(z)
         coarse = np.zeros(z.shape, dtype=bool)
         coarse[::_COARSE] = True
         coarse[-1] = True

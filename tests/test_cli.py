@@ -141,6 +141,9 @@ class TestConfigParsing:
             ({"z_grid": {"x_min": 2.0, "x_max": 1.0}}, "empty"),
             ({"output": {"formats": ["csv", "yaml"]}}, "csv or json"),
             ({"solver": {"tol": 0.0}}, "solver"),
+            ({"z_grid": {"eta": [0.1, 0.1]}}, "z_grid.eta values name columns"),
+            ({"z_grid": {"eta": [0.1, 0.10000001]}}, "z_grid.eta values name columns"),
+            ({"sim": {"seeds": [0, 2, 0]}}, "sim.seeds must not repeat"),
         ],
     )
     def test_value_validation(self, tree, hint):
@@ -201,7 +204,7 @@ class TestCoeffsCommand:
 
     def test_rescaling_flag(self, tmp_path):
         rc, coeffs, summary = self.run_json(
-            tmp_path, ["coeffs", "tanh", "--sigma-tilde2", "2.0"]
+            tmp_path, ["coeffs", "tanh", "--sigma-w2", "2.0"]
         )
         assert rc == 0
         assert summary["sigma_tilde2"] == 2.0
@@ -214,7 +217,7 @@ class TestCoeffsCommand:
 
     def test_identity_scales_linear_coefficient(self, tmp_path):
         rc, coeffs, _ = self.run_json(
-            tmp_path, ["coeffs", "identity", "--sigma-tilde2", "4.0"]
+            tmp_path, ["coeffs", "identity", "--sigma-w2", "4.0"]
         )
         assert rc == 0
         by_r = {row[0]: row for row in coeffs["rows"]}
@@ -243,7 +246,7 @@ class TestCoeffsCommand:
 
     def test_uncentered_activation_is_shown(self, tmp_path, capsys):
         # the table has no zero-mean gate: layer_constants would reject this
-        rc, coeffs, summary = self.run_json(tmp_path, ["coeffs", "centered-relu", "--sigma-tilde2", "2"])
+        rc, coeffs, summary = self.run_json(tmp_path, ["coeffs", "centered-relu", "--sigma-w2", "2"])
         assert rc == 0
         assert coeffs["rows"][0][2] is False
         assert summary["a"] + summary["b"] == pytest.approx(summary["sigma_y2"], abs=1e-10)

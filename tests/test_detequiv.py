@@ -329,7 +329,7 @@ class TestChain:
         net = NetworkSpec(n=n, d0=n, dims=(16, 8), data=data, layers=tuple(layers))
         chain = build_chain(net)
         assert np.array_equal(chain.chi0.atoms, [1.0]) and np.array_equal(chain.chi0.weights, [1.0])
-        # off the axis, where layer 1's Picard stop test leaves l exact to rounding
+        # off the axis, where every layer's solve leaves l exact to rounding
         zs = [0.5 + 0.1j, 1.0 + 0.1j, 2.0 + 1.0j, -0.5 + 0.5j, 3.0 + 0.2j]
         for layer in chain.layers:
             for z, (g, build, ok) in zip(zs, layer.gbuilder(zs)):

@@ -250,6 +250,56 @@ class TestMpBoxtimes:
         with pytest.raises(DivergenceError, match="1 of 1 points"):
             m.stieltjes(1.0 + 1e-3j)
 
+    @pytest.mark.parametrize("z", [-1.0, 20.0, 100.0, np.array([1.0 + 0.1j, 2.0])], ids=["-1", "20", "100", "array"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_real_z_is_rejected_at_every_depth(self, monkeypatch, depth, z):
+        chi = iid_tanh_law(depth, 1.0)
+
+        def no_solve(*args):
+            raise AssertionError("a real z reached the solver")
+
+        monkeypatch.setattr(MpBoxtimes, "_solve", no_solve)
+        for transform in (chi.stieltjes, chi.stieltjes_checked):
+            with pytest.raises(ValueError, match="real axis"):
+                transform(z)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0])
+    def test_one_layer_transform_matches_high_precision_root(self, gamma):
+        mpmath = pytest.importorskip("mpmath")
+        chi = iid_tanh_law(1, gamma)
+        # the base is the input's law c MP(gamma0), taken in closed form
+        c, gamma0 = float(chi.base.base.atoms[0]), chi.base.gamma
+        zs = np.arange(-1.0, 5.0 + 1e-9, 0.25) + 0.1j
+        got = chi.stieltjes(zs)
+        l_start = chi._solve(zs)[1][0]
+        with mpmath.workdps(40):
+            a, b, gam = mpmath.mpf(chi.a), mpmath.mpf(chi.b), mpmath.mpf(chi.gamma)
+
+            def g_base(u):
+                # root in the upper half-plane of gamma0 v g^2 + (v + gamma0 - 1) g + 1 = 0, v = u / c
+                v = u / c
+                disc = mpmath.sqrt((v + gamma0 - 1) ** 2 - 4 * gamma0 * v)
+                roots = [(-(v + gamma0 - 1) + s * disc) / (2 * gamma0 * v) for s in (1, -1)]
+                return next(r for r in roots if r.imag > 0) / c
+
+            for z, g, start in zip(zs, got, l_start):
+                zz = mpmath.mpc(z.real, z.imag)
+
+                def f(l):
+                    return zz + (gam - 1) * l + gam * l * l * g_base((l - a) / b) / b
+
+                root = mpmath.findroot(f, mpmath.mpc(start.real, start.imag))
+                assert root.imag >= zz.imag and (root / zz).imag >= 0
+                want = complex((-1 / root - (gam - 1) / zz) / gam)
+                assert abs(g - want) <= 1e-13 * abs(want)
+
+
+def iid_tanh_law(depth, gamma, n=100):
+    """The top law of ``depth`` tanh layers (unit weight and bias variances) on iid input."""
+    spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma)
+    net = NetworkSpec(n=n, d0=n, dims=(round(n / gamma),) * depth, data=IidData(1.0), layers=(spec,) * depth)
+    return build_chain(net).layers[-1].chi
+
 
 # links t -> a + b t of tanh layers with unit variances, with aspect ratios
 TANH_LINKS = [(0.3298, 0.2865, 1.0), (0.3250, 0.2802, 2.0), (0.2896, 0.2304, 1.0), (0.2750, 0.2200, 2.0)]
@@ -279,7 +329,7 @@ def chain_grid(chi, etas):
 class TestLayerChain:
     """Nested MpBoxtimes layers, solved by one stacked Newton solve."""
 
-    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_stacked_route_matches_nested_oracle(self, monkeypatch, depth):
         def no_fallback(*args):
             raise AssertionError("a point was left to the nested fallback")
@@ -299,12 +349,13 @@ class TestLayerChain:
             return l, np.zeros(z.shape, dtype=bool), 0
 
         monkeypatch.setattr(measures, "solve_chain_grid", certifies_nothing)
-        chi, oracle = layer_chain(3)
-        zs = chain_grid(chi, (1e-2, 0.5))
-        g, ok = chi.stieltjes_checked(zs)
-        assert np.all(ok)
-        want = oracle.stieltjes(zs)
-        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+        for depth in (1, 3):
+            chi, oracle = layer_chain(depth)
+            zs = chain_grid(chi, (1e-2, 0.5))
+            g, ok = chi.stieltjes_checked(zs)
+            assert np.all(ok)
+            want = oracle.stieltjes(zs)
+            assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     def test_closed_form_bottoms_give_exact_derivatives(self):
         # each bottom is the last level's base, pushed by that level's (a, b)
@@ -373,7 +424,7 @@ class TestWarmTable:
 
     @pytest.mark.parametrize("eta", [1e-3, 1e-2])
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_warm_line_matches_cold_solve(self, monkeypatch, depth, gamma, eta):
         warm = record_warm_flags(monkeypatch)
         chi, oracle = layer_chain(depth, gamma=gamma)
@@ -396,25 +447,28 @@ class TestWarmTable:
 
     @pytest.mark.parametrize("eta", [1e-3, 1e-2])
     def test_warm_line_on_a_discrete_bottom(self, monkeypatch, eta):
-        # two layers over an explicit input: the chain's bottom is the input's ESD
+        # one and two layers over an explicit input: the chain's bottom is the input's ESD
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((60, 40)) * np.sqrt(rng.choice([0.5, 1.5], size=40))
         spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
-        net = NetworkSpec(n=40, d0=60, dims=(40, 40), data=ExplicitData(x0), layers=(spec, spec))
-        chi = build_chain(net).layers[-1].chi
-        assert len(chi._levels()) == 2 and isinstance(chi.base.base, DiscreteMeasure)
         warm = record_warm_flags(monkeypatch)
         zs = table_line(eta)
-        g, ok = chi._line_solve(zs)
-        assert np.all(ok) and warm and all(np.all(f) for f in warm)
-        g_cold, _, ok_cold = chi._solve(zs)
-        assert np.all(ok_cold)
-        assert rel_gap(g, g_cold) <= 1e-12
-        inner = chi.base
-        inner_oracle = PicardLaw(inner.gamma, Pushed(inner.a, inner.b, inner.base))
-        oracle = PicardLaw(chi.gamma, Pushed(chi.a, chi.b, inner_oracle))
-        sub = slice(7, None, 150)
-        assert rel_gap(g[sub], oracle.stieltjes(zs[sub])) <= 1e-10
+        for depth in (1, 2):
+            net = NetworkSpec(n=40, d0=60, dims=(40,) * depth, data=ExplicitData(x0), layers=(spec,) * depth)
+            chi = build_chain(net).layers[-1].chi
+            levels = chi._levels()
+            assert len(levels) == depth and isinstance(levels[-1].base, DiscreteMeasure)
+            warm.clear()
+            g, ok = chi._line_solve(zs)
+            assert np.all(ok) and warm and all(np.all(f) for f in warm)
+            g_cold, _, ok_cold = chi._solve(zs)
+            assert np.all(ok_cold)
+            assert rel_gap(g, g_cold) <= 1e-12
+            oracle = levels[-1].base
+            for level in reversed(levels):
+                oracle = PicardLaw(level.gamma, Pushed(level.a, level.b, oracle))
+            sub = slice(7, None, 150)
+            assert rel_gap(g[sub], oracle.stieltjes(zs[sub])) <= 1e-10
 
     def test_uncertified_warm_points_get_the_cold_solve(self, monkeypatch):
         # a starved solver: the cold solve itself leaves two points unconverged
@@ -442,9 +496,7 @@ class TestWarmTable:
 
     def test_warm_table_needs_a_fraction_of_the_bottom_evaluations(self, monkeypatch):
         # theory-deep's law: four tanh layers with unit variances at gamma = 1
-        spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
-        net = NetworkSpec(n=1000, d0=1000, dims=(1000,) * 4, data=IidData(1.0), layers=(spec,) * 4)
-        chi = build_chain(net).layers[-1].chi
+        chi = iid_tanh_law(4, 1.0, n=1000)
         points = [0]
         real = measures._PushedBase.pair
 
