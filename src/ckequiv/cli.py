@@ -421,20 +421,17 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
     xs = cfg.z_grid.points()
     etas = cfg.z_grid.eta
 
-    def one_eta(eta):
-        # the checked transform flags unconverged points of every layer;
-        # the CDF table raises instead, which clears the whole column
-        g, ok = chi.stieltjes_checked(xs + 1j * eta)
+    # the checked transform flags unconverged points of every layer; a CDF
+    # table that did not converge clears its whole column instead
+    columns = []
+    bad = 0
+    for g, ok, cdf in chi.inversion(xs, etas):
         dens = np.where(ok, np.maximum(g.imag, 0.0) / math.pi, np.nan)
-        try:
-            cdf = chi.cdf(xs, eta)
-            cdf_ok = True
-        except DivergenceError:
+        cdf_ok = not isinstance(cdf, DivergenceError)
+        if not cdf_ok:
             cdf = np.full(xs.shape, np.nan)
-            cdf_ok = False
-        return dens, cdf, ok, cdf_ok
-
-    per_eta = _pool.pmap(one_eta, etas)
+        columns.append((dens, cdf, ok & cdf_ok))
+        bad += int(np.sum(~ok)) + int(not cdf_ok)
     header = ["x"]
     for eta in etas:
         t = _eta_tag(eta)
@@ -442,11 +439,10 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
     rows = []
     for i, x in enumerate(xs):
         row = [x]
-        for dens, cdf, ok, cdf_ok in per_eta:
-            row += [dens[i], cdf[i], bool(ok[i]) and cdf_ok]
+        for dens, cdf, conv in columns:
+            row += [dens[i], cdf[i], bool(conv[i])]
         rows.append(row)
     _write_tables(cfg, args, [("density", header, rows)])
-    bad = sum(int(np.sum(~ok)) + int(not cdf_ok) for _, _, ok, cdf_ok in per_eta)
     if bad:
         print(f"{bad} grid point(s) did not converge; see converged_* columns", file=sys.stderr)
         return EXIT_NUMERIC

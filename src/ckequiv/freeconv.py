@@ -57,7 +57,12 @@ D(u_k) being unique level by level, such a point is the nested solution.
 Cost per point is then linear in depth.  A caller that knows nearby roots
 may pass a start for every level instead; Newton then begins from it at
 the requested height, and the certificate is the same, so a poor start
-costs a flag, never a wrong value.
+costs a flag, never a wrong value.  A call costs some Python overhead per
+Newton step whatever its point count, and points are solved
+independently, so callers batch: ``MpBoxtimes.inversion`` solves a whole
+density run, every eta's grid and CDF table, in one cold and one warm
+call, the warm points starting from roots interpolated between the cold
+points of their table's line.
 
 ``mp_stieltjes_closed`` provides the independent closed form for mu = delta_1:
 g = g_MP(gamma) solves the quadratic gamma z g^2 + (z + gamma - 1) g + 1 = 0,

@@ -47,7 +47,10 @@ _COARSE = 16
 
 
 def _as_z(z):
+    """z as a complex array and whether it was a scalar; a real z raises ValueError."""
     z = np.asarray(z, dtype=complex)
+    if np.any(z.imag == 0):
+        raise ValueError("z must lie off the real axis")
     return z, z.shape == ()
 
 
@@ -192,13 +195,15 @@ class MpBoxtimes:
     Points that Newton does not certify fall back to the nested route,
     :func:`solve_l_grid` on the base with inner levels solved (again by
     this rule) for each evaluation, so correctness never rests on Newton.
-    A transform starts every point cold.  A CDF table solves every 16th
-    point of its line cold and starts Newton for the rest from the levels'
-    l interpolated between them; a point that start does not certify is
-    solved cold.  That start lives only inside one table
-    build: the object keeps no warm-start state between calls, so a
-    transform depends only on its arguments, whichever thread asks.
-    Only the CDF tables are cached, per eta.
+    A transform starts every point cold.  The CDF tables missing from one
+    call are built together: one cold solve takes every _COARSE-th point
+    of each table's line (and any transform points of the same call), and
+    one warm solve the rest, each started from the levels' l interpolated
+    between its line's cold points; a point that start does not certify is
+    solved cold.  That start lives only inside one call: the object keeps
+    no warm-start state between calls, so a transform depends only on its
+    arguments, whichever thread asks.  Only the CDF tables are cached, per
+    eta.
     """
 
     def __init__(
@@ -342,8 +347,6 @@ class MpBoxtimes:
         points and move on; a real z raises ValueError before any solve.
         """
         z, scalar = _as_z(z)
-        if np.any(z.imag == 0):
-            raise ValueError("z must lie off the real axis")
         # lower half-plane points by reflection, g(conj z) = conj g(z)
         neg = z.imag < 0
         g, _, ok = self._solve(np.where(neg, np.conj(z), z))
@@ -371,50 +374,111 @@ class MpBoxtimes:
         out = np.where(np.abs(t) <= 1e-12, self._atom0(), 0.0)
         return float(out) if t.shape == () else out
 
+    def inversion(self, x, etas):
+        """Stieltjes inversion at the real points x, at every eta of etas.
+
+        Returns one ``(g, ok, cdf)`` per eta: the flagged transform at
+        x + i eta, as :meth:`stieltjes_checked` gives it, and the distribution
+        function at x, as :meth:`cdf` gives it, or, when the eta's CDF table
+        did not converge, the DivergenceError it raised.  The transforms and
+        every missing table come from one cold and one warm solve.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        etas = [float(eta) for eta in etas]
+        if any(eta <= 0 for eta in etas):
+            raise ValueError("eta must be positive")
+        z = (x[None, :] + 1j * np.array(etas)[:, None]).ravel()
+        g, ok, tables = self._fill_tables(etas, z)
+        g, ok = g.reshape(len(etas), x.size), ok.reshape(len(etas), x.size)
+        out = []
+        for eta, g_eta, ok_eta in zip(etas, g, ok):
+            # a table that converged is cached by now
+            failed = isinstance(tables[eta], DivergenceError)
+            out.append((g_eta, ok_eta, tables[eta] if failed else self.cdf(x, eta)))
+        return out
+
     def _cdf_table(self, eta: float):
-        key = float(eta)
-        with self._lock:
-            cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        m0 = self._atom0()
-        pad = max(0.5, 300.0 * eta)
-        hi = self.support_max() + pad
-        lo = -pad
-        step = eta / 3.0
-        xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
-        zs = xs + 1j * eta
-        g = self._trusted(*self._line_solve(zs), zs)
-        dens = g.imag / np.pi
-        if m0 > 0.0:
-            dens = dens - m0 * (eta / np.pi) / (xs**2 + eta**2)
-        dens = np.maximum(dens, 0.0)
-        widths = np.diff(xs)
-        cells = 0.5 * (dens[1:] + dens[:-1]) * widths
-        cont = np.concatenate([[0.0], np.cumsum(cells)])
-        total = cont[-1]
-        if total > 0 and m0 < 1.0:
-            cont *= (1.0 - m0) / total
-        table = (xs, cont)
-        with self._lock:
-            self._tables[key] = table
+        table = self._fill_tables([eta])[2][float(eta)]
+        if isinstance(table, DivergenceError):
+            raise table
         return table
 
-    def _line_solve(self, z):
-        """(g, ok) on a line Im z = eta sorted by Re z, warm-started from a coarse pass.
+    def _fill_tables(self, etas, extra=()):
+        """The CDF table of every eta, missing ones built by one :meth:`_line_solve`.
 
-        Every _COARSE-th point and the last are solved cold; the rest start
-        from each level's l interpolated linearly in Re z between them.
+        That solve takes the points ``extra`` cold too.  Returns their flagged
+        transform (g, ok) and a dict from each eta to its table, or to the
+        DivergenceError its line raised, which fails that eta alone.  Only
+        tables that converged are cached.
         """
-        coarse = np.zeros(z.shape, dtype=bool)
-        coarse[::_COARSE] = True
-        coarse[-1] = True
+        keys = list(dict.fromkeys(float(eta) for eta in etas))
+        with self._lock:
+            tables = {key: self._tables[key] for key in keys if key in self._tables}
+        missing = [key for key in keys if key not in tables]
+        m0 = self._atom0()
+        lines = []
+        for eta in missing:
+            pad = max(0.5, 300.0 * eta)
+            hi = self.support_max() + pad
+            lo = -pad
+            step = eta / 3.0
+            xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+            lines.append(xs + 1j * eta)
+        g, ok = self._line_solve(lines, extra)
+        bounds = np.cumsum([np.size(extra)] + [zs.size for zs in lines])
+        for eta, zs, lo, hi in zip(missing, lines, bounds, bounds[1:]):
+            try:
+                g_line = self._trusted(g[lo:hi], ok[lo:hi], zs)
+            except DivergenceError as ex:
+                tables[eta] = ex
+                continue
+            xs = zs.real.copy()
+            dens = g_line.imag / np.pi
+            if m0 > 0.0:
+                dens = dens - m0 * (eta / np.pi) / (xs**2 + eta**2)
+            dens = np.maximum(dens, 0.0)
+            widths = np.diff(xs)
+            cells = 0.5 * (dens[1:] + dens[:-1]) * widths
+            cont = np.concatenate([[0.0], np.cumsum(cells)])
+            total = cont[-1]
+            if total > 0 and m0 < 1.0:
+                cont *= (1.0 - m0) / total
+            tables[eta] = (xs, cont)
+            with self._lock:
+                self._tables[eta] = tables[eta]
+        return g[: bounds[0]], ok[: bounds[0]], tables
+
+    def _line_solve(self, lines, extra=()):
+        """(g, ok) at the points ``extra``, then along each line Im z = eta sorted by Re z.
+
+        One cold solve takes the extra points with every _COARSE-th point and
+        the last of each line; one warm solve takes the rest of every line,
+        each point starting from each level's l interpolated linearly in Re z
+        between the cold points of its line.
+        """
+        extra = np.asarray(extra, dtype=complex)
+        z = np.concatenate([extra, *lines])
         g = np.empty_like(z)
         ok = np.empty(z.shape, dtype=bool)
+        if not z.size:
+            return g, ok
+        coarse = np.zeros(z.shape, dtype=bool)
+        coarse[: extra.size] = True
+        bounds = np.cumsum([extra.size] + [zs.size for zs in lines])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            coarse[lo:hi:_COARSE] = True
+            coarse[hi - 1] = True
         g[coarse], l_coarse, ok[coarse] = self._solve(z[coarse])
-        x, xc = z.real[~coarse], z.real[coarse]
-        start = np.array([np.interp(x, xc, lk.real) + 1j * np.interp(x, xc, lk.imag) for lk in l_coarse])
-        g[~coarse], _, ok[~coarse] = self._solve(z[~coarse], start)
+        l = np.empty((l_coarse.shape[0], z.size), dtype=complex)
+        l[:, coarse] = l_coarse
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            x, cold = z.real[lo:hi], coarse[lo:hi]
+            for lk in l[:, lo:hi]:
+                xw, xc, lc = x[~cold], x[cold], lk[cold]
+                lk[~cold] = np.interp(xw, xc, lc.real) + 1j * np.interp(xw, xc, lc.imag)
+        warm = ~coarse
+        if warm.any():
+            g[warm], _, ok[warm] = self._solve(z[warm], l[:, warm])
         return g, ok
 
     def cdf(self, t, eta: float = DEFAULT_ETA):

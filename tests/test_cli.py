@@ -12,6 +12,7 @@ import pytest
 
 import ckequiv.cli as cli
 import ckequiv.detequiv as detequiv
+import ckequiv.measures as measures
 from ckequiv.cli import (
     ConfigError,
     ZGridConfig,
@@ -309,6 +310,28 @@ class TestDensityCommand:
         b = (tmp_path / "two" / "density.csv").read_bytes()
         assert a == b
 
+    def test_every_eta_shares_one_cold_and_one_warm_solve(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's theory-deep run: four tanh layers at gamma = 1, two
+        # eta; one solve per eta and kind (grid, table cold points, table
+        # rest) would make six
+        starts = []
+        real = measures.solve_chain_grid
+
+        def spy(*args, start=None):
+            starts.append(start is not None)
+            return real(*args, start=start)
+
+        monkeypatch.setattr(measures, "solve_chain_grid", spy)
+        layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
+        tree = smoke_tree(tmp_path, z_grid={"x_min": -0.5, "x_max": 6.0, "step": 0.05, "eta": [0.02, 0.01]})
+        tree["network"].update(n=1000, d0=1000, dims=[1000] * 4, layers=[layer] * 4)
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["density", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        assert starts == [False, True]
+        rows = read_csv(tmp_path / "density.csv")
+        assert len(rows) == 131 and all(r["converged_eta0.02"] == r["converged_eta0.01"] == "1" for r in rows)
+
     def test_timestamp_header_line(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
         assert main(["density", "--config", cpath]) == 0
@@ -340,7 +363,17 @@ class TestDeterminism:
         ],
     )
     def test_worker_count_does_not_change_bytes(self, tmp_path, capsys, monkeypatch, command, names):
-        cpath = write_cfg(tmp_path, self._tree(tmp_path))
+        self._check(tmp_path, capsys, monkeypatch, command, names, self._tree(tmp_path))
+
+    def test_worker_count_does_not_change_explicit_density_bytes(self, tmp_path, capsys, monkeypatch):
+        # the bottom law is the input's ESD, a discrete base, summed by
+        # blocks of points: where the composition of a batch could move bits
+        tree = self._tree(tmp_path)
+        tree["network"]["data"] = {"kind": "explicit", "path": write_npy(tmp_path, (64, 64))}
+        self._check(tmp_path, capsys, monkeypatch, "density", ["density.csv"], tree)
+
+    def _check(self, tmp_path, capsys, monkeypatch, command, names, tree):
+        cpath = write_cfg(tmp_path, tree)
         for workers in ("1", "4"):
             monkeypatch.setenv("CKEQUIV_WORKERS", workers)
             out = str(tmp_path / f"w{workers}")

@@ -54,6 +54,13 @@ class TestDiscreteMeasure:
         want = 0.2 / (0.5 - z) + 0.3 / (1.5 - z) + 0.5 / (3.0 - z)
         assert abs(m.stieltjes(z) - want) < 1e-15
 
+    def test_real_z_is_rejected(self):
+        # on an atom, between atoms and beyond them, as the layer law does
+        m = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
+        for z in (1.0, 1.5, -3.0, np.array([1.0 + 1j, 1.5 + 0j])):
+            with pytest.raises(ValueError, match="off the real axis"):
+                m.stieltjes(z)
+
     @pytest.mark.parametrize("chunk", [measures._CHUNK, 64])
     def test_real_arithmetic_transform_matches_mpmath(self, monkeypatch, chunk):
         # a small chunk splits the points into blocks of 3
@@ -68,7 +75,8 @@ class TestDiscreteMeasure:
         mids = 0.5 * (atoms[1:] + atoms[:-1])
         v = np.array(upper + [z.conjugate() for z in upper] + list(mids) + [t + 1e-7 for t in atoms[::5]])
         g, dg = m._stieltjes_pair(v)
-        assert np.array_equal(m.stieltjes(v), g)
+        off = v.imag != 0
+        assert np.array_equal(m.stieltjes(v[off]), g[off])
         with mpmath.workdps(40):
             for k, z in enumerate(v):
                 zz = mpmath.mpc(z.real, z.imag)
@@ -429,7 +437,7 @@ class TestWarmTable:
         warm = record_warm_flags(monkeypatch)
         chi, oracle = layer_chain(depth, gamma=gamma)
         zs = table_line(eta)
-        g, ok = chi._line_solve(zs)
+        g, ok = chi._line_solve([zs])
         # every point is certified, and by the warm Newton itself
         assert np.all(ok)
         assert sum(f.size for f in warm) >= zs.size * 15 // 16 - 1 and all(np.all(f) for f in warm)
@@ -459,7 +467,7 @@ class TestWarmTable:
             levels = chi._levels()
             assert len(levels) == depth and isinstance(levels[-1].base, DiscreteMeasure)
             warm.clear()
-            g, ok = chi._line_solve(zs)
+            g, ok = chi._line_solve([zs])
             assert np.all(ok) and warm and all(np.all(f) for f in warm)
             g_cold, _, ok_cold = chi._solve(zs)
             assert np.all(ok_cold)
@@ -493,6 +501,54 @@ class TestWarmTable:
         assert np.array_equal(l[:, dropped], l_cold[:, dropped], equal_nan=True)
         kept = ~dropped & ok_cold
         assert rel_gap(g[kept], g_cold[kept]) <= 1e-12
+
+    def test_inversion_solves_every_eta_at_once(self, monkeypatch):
+        starts = []
+        real = measures.solve_chain_grid
+
+        def spy(*args, start=None):
+            starts.append(start is not None)
+            return real(*args, start=start)
+
+        monkeypatch.setattr(measures, "solve_chain_grid", spy)
+        # two tanh layers on iid input: the closed-form bottom is pointwise,
+        # so batching the etas moves no bits
+        chi = iid_tanh_law(2, 1.0)
+        xs = np.linspace(-0.5, 4.0, 19)
+        etas = (0.05, 0.01)
+        got = chi.inversion(xs, etas)
+        # every eta's transform and table cold points, then the rest of both tables
+        assert starts == [False, True]
+        assert sorted(chi._tables) == [0.01, 0.05]
+        starts.clear()
+        # the tables are cached: a second call solves its transforms alone
+        again = chi.inversion(xs, etas)
+        assert starts == [False]
+        fresh = iid_tanh_law(2, 1.0)
+        for eta, (g, ok, cdf), (g2, ok2, cdf2) in zip(etas, got, again):
+            g_want, ok_want = fresh.stieltjes_checked(xs + 1j * eta)
+            assert np.all(ok) and np.array_equal(ok, ok_want) and np.array_equal(ok2, ok_want)
+            assert np.array_equal(g, g_want) and np.array_equal(g2, g_want)
+            assert np.array_equal(cdf, fresh.cdf(xs, eta)) and np.array_equal(cdf2, cdf)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            chi.inversion(xs, (0.05, 0.0))
+
+    def test_a_table_that_fails_fails_its_eta_alone(self):
+        # three layers on a starved solver: the eta = 0.01 table cannot converge
+        starved = FixedPointConfig(max_iter=3)
+        chi, _ = layer_chain(3, starved)
+        xs = np.linspace(-2.0, 8.0, 11)
+        (g_hi, ok_hi, cdf_hi), (g_lo, ok_lo, cdf_lo) = chi.inversion(xs, (4.0, 0.01))
+        assert isinstance(cdf_lo, DivergenceError)
+        assert np.all(ok_hi) and not np.all(ok_lo)
+        alone = layer_chain(3, starved)[0]
+        assert np.array_equal(cdf_hi, alone.cdf(xs, 4.0))
+        g_want, ok_want = alone.stieltjes_checked(xs + 0.01j)
+        assert np.array_equal(ok_lo, ok_want) and np.array_equal(g_lo[ok_lo], g_want[ok_want])
+        # only the trusted table is cached; the failed one raises again when asked for
+        assert list(chi._tables) == [4.0]
+        with pytest.raises(DivergenceError, match="no convergence"):
+            chi.cdf(xs, 0.01)
 
     def test_warm_table_needs_a_fraction_of_the_bottom_evaluations(self, monkeypatch):
         # theory-deep's law: four tanh layers with unit variances at gamma = 1
