@@ -182,7 +182,11 @@ def _data(tree, where: str):
         raise ConfigError(f"{where}.sigma_x2 only applies to iid data")
     if path is None:
         raise ConfigError(f"{where}.path is required for explicit data")
-    return _build(where, ExplicitData, _build(f"{where}.path", np.load, path))
+    x0 = _build(f"{where}.path", np.load, path)
+    if np.ndim(x0) != 2:
+        raise ConfigError(f"{where}: x0 must be a matrix")
+    # a matrix with a NaN or inf entry is a fault of the file it came from
+    return _build(f"{where}.path", ExplicitData, x0)
 
 
 def _network(tree, where: str) -> NetworkSpec:
@@ -516,15 +520,9 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             return None
 
     def entry_gap(li, z, build):
-        # one equivalent per task, each seed's resolvent subtracted from it in place
+        # one equivalent per task, each seed's resolvent reduced against it by blocks
         g_eq = build()
-
-        def seed_gap(factories):
-            r = factories[li - 1].resolvent(z)
-            r -= g_eq
-            return float(np.max(np.abs(r)))
-
-        return max(seed_gap(factories) for _, factories in samples)
+        return float(np.max([factories[li - 1]._max_gap(z, g_eq) for _, factories in samples]))
 
     # the KS tasks go first, so their CDF tables overlap the gap products
     tasks = [partial(kolmogorov, li) for li in range(1, chain.depth + 1)]

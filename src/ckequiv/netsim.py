@@ -123,6 +123,8 @@ class ExplicitData:
         x0 = np.array(self.x0, dtype=float)
         if x0.ndim != 2:
             raise ValueError("x0 must be a matrix")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
 
     def materialize(self, d0: int, n: int, rng) -> np.ndarray:

@@ -70,6 +70,16 @@ def write_npy(tmp_path, shape, name="x0.npy"):
     return str(path)
 
 
+def nonfinite_input_tree(tmp_path):
+    x0 = np.ones((64, 64))
+    x0[3, 5] = np.nan
+    path = tmp_path / "x0.npy"
+    np.save(path, x0)
+    tree = smoke_tree(tmp_path)
+    tree["network"]["data"] = {"kind": "explicit", "path": str(path)}
+    return tree
+
+
 class TestConfigParsing:
     def test_defaults_without_network(self):
         cfg = parse_config({})
@@ -145,9 +155,12 @@ class TestConfigParsing:
             ({"z_grid": {"eta": [0.1, 0.1]}}, "z_grid.eta values name columns"),
             ({"z_grid": {"eta": [0.1, 0.10000001]}}, "z_grid.eta values name columns"),
             ({"sim": {"seeds": [0, 2, 0]}}, "sim.seeds must not repeat"),
+            (nonfinite_input_tree, r"network\.data\.path: x0 must be finite"),
         ],
     )
-    def test_value_validation(self, tree, hint):
+    def test_value_validation(self, tmp_path, tree, hint):
+        if callable(tree):
+            tree = tree(tmp_path)
         with pytest.raises(ConfigError, match=hint):
             parse_config(tree)
 
@@ -446,20 +459,27 @@ def explicit_two_layer_tree(outdir, **overrides):
 
 
 def count_factory_work(monkeypatch):
-    """Lists of the SpectralFactory objects built and of the factory of each resolvent call."""
+    """Lists of the SpectralFactory objects built and of the factory of each product.
+
+    A product is a resolvent(z) or a _max_gap(z, t) call: each forms the
+    resolvent's column blocks once.
+    """
     factories, calls = [], []
-    init, resolvent = SpectralFactory.__init__, SpectralFactory.resolvent
+    init = SpectralFactory.__init__
 
     def counted_init(self, k):
         factories.append(self)
         init(self, k)
 
-    def counted_resolvent(self, z):
-        calls.append(self)
-        return resolvent(self, z)
-
     monkeypatch.setattr(SpectralFactory, "__init__", counted_init)
-    monkeypatch.setattr(SpectralFactory, "resolvent", counted_resolvent)
+    for name in ("resolvent", "_max_gap"):
+        method = getattr(SpectralFactory, name)
+
+        def counted(self, *args, _method=method):
+            calls.append(self)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SpectralFactory, name, counted)
     return factories, calls
 
 
@@ -484,6 +504,14 @@ class TestCompareCommand:
 
     def test_work_budget_is_one_product_per_seed_point_and_layer(self, tmp_path, capsys, monkeypatch):
         factories, products = count_factory_work(monkeypatch)
+        resolvents = []
+        assembled = SpectralFactory.resolvent
+
+        def counted_resolvent(self, z):
+            resolvents.append(self)
+            return assembled(self, z)
+
+        monkeypatch.setattr(SpectralFactory, "resolvent", counted_resolvent)
         grids = []
         compose = detequiv._compose
 
@@ -511,8 +539,10 @@ class TestCompareCommand:
         assert len(factories) == 1 + seeds * depth
         # each factory is the one decomposition of its kernel; layer 0 is never decomposed
         assert decomps == {"eigh": 1 + seeds * depth, "eigvalsh": 0}
-        # each seed's resolvent plus one input-side H(u) per (layer, z)
+        # each seed's gap plus one input-side H(u) per (layer, z)
         assert len(products) == depth * points * (seeds + 1)
+        # no sampled resolvent is built: only the input's factory assembles one
+        assert set(resolvents) == {factories[0]}
         assert grids == [points] * depth
 
     def test_starved_flags_pass_through_the_pool(self, tmp_path, capsys, monkeypatch):
@@ -729,6 +759,12 @@ class TestExitCodes:
         cpath = write_cfg(tmp_path, tree)
         assert main([command, "--config", cpath, "--no-timestamp"]) == 2
         assert "config error: network: x0 has shape (64, 50)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["density", "simulate", "compare"])
+    def test_nonfinite_explicit_input_is_config_error(self, tmp_path, capsys, command):
+        cpath = write_cfg(tmp_path, nonfinite_input_tree(tmp_path))
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        assert "config error: network.data.path: x0 must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "shape, code, message",

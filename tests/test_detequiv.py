@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ckequiv.detequiv import (
+    _BLOCK,
     B_ZERO_TOL,
     LayerSpec,
+    SpectralFactory,
     _compose,
     build_chain,
     equicorrelated_equivalent,
@@ -45,6 +47,57 @@ def random_psd(n, seed, lift=0.05):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, 2 * n))
     return m @ m.T / (2 * n) + lift * np.eye(n)
+
+
+def symmetric_targets(n, rng):
+    """Symmetric matrices of the kinds a gap is taken against: dense, scalar * I, aI + bJ."""
+    t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [t + t.T, (0.3 - 0.7j) * np.eye(n), (0.2 + 0.4j) * np.eye(n) + (-0.1 + 0.05j) * np.ones((n, n))]
+
+
+class TestResolventBlocks:
+    """The column-block resolvent against a dense inverse, across block boundaries."""
+
+    SIZES = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37)
+
+    @staticmethod
+    def points(k):
+        # one z just above the middle of the spectrum, one away from it
+        lam = np.linalg.eigvalsh(k)
+        return (complex(lam[lam.size // 2], 0.05), complex(-0.5, 2.0))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_resolvent_matches_inverse(self, n):
+        k = random_psd(n, n)
+        fac = SpectralFactory(k)
+        for z in self.points(k):
+            direct = np.linalg.inv(k - z * np.eye(n))
+            assert np.max(np.abs(fac.resolvent(z) - direct)) < 1e-12
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gap_matches_dense_reduction(self, n):
+        k = random_psd(n, n + 1)
+        fac = SpectralFactory(k)
+        rng = np.random.default_rng(n)
+        for z in self.points(k):
+            direct = np.linalg.inv(k - z * np.eye(n))
+            for t in symmetric_targets(n, rng):
+                want = np.max(np.abs(direct - t))
+                assert abs(fac._max_gap(z, t) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_nan_in_the_target_gives_nan(self, n):
+        fac = SpectralFactory(random_psd(n, n + 2))
+        for i, j in ((0, n - 1), (n - 1, 0), (n // 2, n // 2)):
+            t = np.zeros((n, n), dtype=complex)
+            t[i, j] = t[j, i] = np.nan
+            assert np.isnan(fac._max_gap(1.0 + 0.1j, t))
+
+    def test_gap_needs_the_upper_half_plane(self):
+        fac = SpectralFactory(random_psd(5, 3))
+        for bad in (1.0, 1 - 0.5j, 2 + 0j):
+            with pytest.raises(ValueError, match="upper half-plane"):
+                fac._max_gap(bad, np.zeros((5, 5)))
 
 
 class TestLayerConstants:
