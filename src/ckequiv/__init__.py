@@ -20,7 +20,6 @@ from .freeconv import (
     DEFAULT_CONFIG,
     DivergenceError,
     FixedPointConfig,
-    mp_density_closed,
     mp_stieltjes_closed,
     solve_l_grid,
 )
@@ -33,10 +32,7 @@ from .measures import (
 )
 from .gauss_cov import (
     CovModel,
-    sigma_approx,
     sigma_expansion,
-    sigma_lin,
-    sigma_mc_oracle,
 )
 from .detequiv import (
     EquivalentChain,
@@ -95,14 +91,10 @@ __all__ = [
     "layer_constants",
     "layer_kernels",
     "make_rule",
-    "mp_density_closed",
     "mp_stieltjes_closed",
     "orthogonality_stats",
     "run_network",
-    "sigma_approx",
     "sigma_expansion",
-    "sigma_lin",
-    "sigma_mc_oracle",
     "solve_l_grid",
     "__version__",
 ]

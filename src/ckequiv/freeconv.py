@@ -71,7 +71,6 @@ taking the root with positive imaginary part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -467,24 +466,3 @@ def mp_stieltjes_closed(gamma: float, z):
         raise ArithmeticError("no upper-half-plane root found")
     return complex(g) if scalar else g
 
-
-def mp_density_closed(gamma: float, x):
-    """Lebesgue density of MP(gamma) on its bulk.
-
-    sqrt((hi - x)(x - lo)) / (2 pi gamma x) between the edges
-    lo, hi = (1 -+ sqrt(gamma))^2 and zero outside; the point mass at the
-    origin for gamma > 1 is not included.
-    """
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    x = np.asarray(x, dtype=float)
-    scalar = x.shape == ()
-    x = np.atleast_1d(x)
-    lo = (1.0 - math.sqrt(gamma)) ** 2
-    hi = (1.0 + math.sqrt(gamma)) ** 2
-    out = np.zeros(x.shape)
-    inside = (x > lo) & (x < hi)
-    xi = x[inside]
-    out[inside] = np.sqrt((hi - xi) * (xi - lo)) / (2.0 * math.pi * gamma * xi)
-    return float(out[0]) if scalar else out

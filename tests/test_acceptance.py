@@ -23,7 +23,7 @@ from ckequiv.detequiv import (
     layer_constants,
 )
 from ckequiv.freeconv import mp_stieltjes_closed
-from ckequiv.gauss_cov import CovModel, sigma_approx, sigma_expansion, sigma_mc_oracle
+from ckequiv.gauss_cov import CovModel, sigma_expansion
 from ckequiv.hermite import (
     Activation,
     coeff_vector,
@@ -46,6 +46,7 @@ from ckequiv.netsim import (
 )
 from hermite_oracle import hermite_normalized, psi
 from nested_oracle import converged_l, gbox_from_sigma
+from paper_oracle import sigma_approx, sigma_mc_oracle
 
 TANH_LAYER = LayerSpec(1.0, 1.0, 1.0, tanh_activation(), 1.0)
 
@@ -384,14 +385,10 @@ PUBLIC_NAMES = [
     "layer_constants",
     "layer_kernels",
     "make_rule",
-    "mp_density_closed",
     "mp_stieltjes_closed",
     "orthogonality_stats",
     "run_network",
-    "sigma_approx",
     "sigma_expansion",
-    "sigma_lin",
-    "sigma_mc_oracle",
     "solve_l_grid",
 ]
 
@@ -407,12 +404,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 # public names that no module, demo or benchmark calls yet, each with why it stays
 UNCALLED_PUBLIC_NAMES = {
-    "mp_density_closed": "closed-form MP density, the oracle of the exact-edge limit CDF (ROADMAP item 3)",
     "CovModel": "input of the exact layer-1 covariance for explicit data (ROADMAP item 2)",
     "sigma_expansion": "the exact layer-1 covariance for explicit data (ROADMAP item 2)",
-    "sigma_mc_oracle": "Monte Carlo oracle of that covariance (ROADMAP item 2 gate, criterion 3)",
-    "sigma_approx": "the paper's weak-correlation approximation of Sigma, checked in criterion 3",
-    "sigma_lin": "the paper's linearization of Sigma, checked in tests/test_gauss_cov.py",
 }
 
 

@@ -21,10 +21,10 @@ from ckequiv.cli import (
     parse_config,
 )
 from ckequiv.detequiv import LayerSpec, layer_constants
-from ckequiv.freeconv import mp_density_closed
 from ckequiv.hermite import MAX_DEGREE, centered_relu, identity_activation, tanh_activation
 from ckequiv.measures import MpBoxtimes, dirac, esd_from_eigenvalues, kolmogorov_distance
 from ckequiv.netsim import EquicorrelatedData, ExplicitData, IidData, NetworkSpec, SpectralFactory
+from paper_oracle import mp_density_closed
 
 
 def write_cfg(tmp_path, tree, name="cfg.json"):

@@ -8,7 +8,6 @@ from ckequiv.freeconv import (
     FixedPointConfig,
     _converged,
     in_wedge,
-    mp_density_closed,
     mp_stieltjes_closed,
     project_domain,
     solve_chain_grid,
@@ -16,6 +15,7 @@ from ckequiv.freeconv import (
 )
 from ckequiv.measures import DiscreteMeasure, MpBoxtimes, dirac
 from nested_oracle import PicardLaw, Pushed, converged_l
+from paper_oracle import mp_density_closed
 
 
 def quad_residual(gamma, z, g):
