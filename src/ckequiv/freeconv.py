@@ -287,9 +287,15 @@ def _thomas(lower, diag, upper, rhs):
 
 
 def _scaled_residual(r, l):
-    """Per point, max over levels of |R_i| / max(1, |l_i|); inf where not finite."""
+    """Per point, max over levels of |R_i| / |l_i|; inf where not finite.
+
+    Relative also where |l_i| < 1, as ``_converged`` is for Picard, so the
+    stage hand-over and the certificate hold near the hard edge at 0.  The
+    residual is taken only at points inside the wedges, where
+    |l_i| >= Im u_i > 0.
+    """
     with np.errstate(invalid="ignore"):
-        out = np.max(np.abs(r) / np.maximum(1.0, np.abs(l)), axis=0)
+        out = np.max(np.abs(r) / np.abs(l), axis=0)
     return np.where(np.isfinite(out), out, np.inf)
 
 
@@ -314,12 +320,12 @@ def solve_chain_grid(
     top first, and halved pointwise until the residual falls.  Points are
     solved independently: nothing carries over between calls.
 
-    A point is certified when its residual meets ``cfg.tol`` at the
-    requested height and one more full Newton step keeps every level in
-    its wedge D(u_i) with the residual still within ``cfg.tol``.  Each
-    level's root in D(u_i) is unique, so, taken from the bottom up, a
-    certified point is the nested solution.  ``cfg.max_iter`` caps the
-    Newton steps.
+    A point is certified when its residual, |R_i| / |l_i| at the worst
+    level, meets ``cfg.tol`` at the requested height and one more full
+    Newton step keeps every level in its wedge D(u_i) with the residual
+    still within ``cfg.tol``.  Each level's root in D(u_i) is unique, so,
+    taken from the bottom up, a certified point is the nested solution.
+    ``cfg.max_iter`` caps the Newton steps.
 
     Returns ``(l, ok, steps)``: l shaped (m,) + z.shape, ok the certificate
     per point (l of an uncertified point is not to be used) and the number

@@ -140,14 +140,14 @@ class DiscreteMeasure:
         out = cum[hi] - cum[lo]
         return float(out) if t.shape == () else out
 
-    def cdf(self, t, eta: float = DEFAULT_ETA):
+    def cdf(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.atoms, t, side="right")
         cum = np.concatenate([[0.0], self._cum])
         out = cum[idx]
         return float(out) if t.shape == () else out
 
-    def cdf_left(self, t, eta: float = DEFAULT_ETA):
+    def cdf_left(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.atoms, t, side="left")
         cum = np.concatenate([[0.0], self._cum])
@@ -527,7 +527,7 @@ class _PushedBase:
 
 
 def kolmogorov_distance(
-    a: DiscreteMeasure | MpBoxtimes, b: DiscreteMeasure | MpBoxtimes, grid, eta: float = DEFAULT_ETA
+    a: DiscreteMeasure | MpBoxtimes, b: DiscreteMeasure | MpBoxtimes, grid
 ) -> float:
     """sup_t |F_a(t) - F_b(t)| over the grid, atoms and their left limits.
 
@@ -542,7 +542,7 @@ def kolmogorov_distance(
     ]))
     if pts.size == 0:
         raise ValueError("empty evaluation grid")
-    right = np.abs(a.cdf(pts, eta) - b.cdf(pts, eta))
-    left = np.abs(a.cdf_left(pts, eta) - b.cdf_left(pts, eta))
+    right = np.abs(a.cdf(pts) - b.cdf(pts))
+    left = np.abs(a.cdf_left(pts) - b.cdf_left(pts))
     return float(max(right.max(), left.max()))
 

@@ -390,14 +390,12 @@ class TestChain:
                 assert abs(g - layer.chi.stieltjes(z)) <= 1e-12
                 assert np.max(np.abs(build() - g * np.eye(n))) <= 1e-12
 
-    def test_nested_fallback_rescues_a_point_newton_leaves(self, monkeypatch):
-        # near the hard edge at 0 of two gamma = 1/4 tanh layers, the stacked
-        # Newton solve leaves this point uncertified; the nested route must
-        # then give the converged value, so the fallback is not dead code
-        layers = (LayerSpec(1.0, 0.0, 0.0, tanh_activation(), 0.25),) * 2
-        net = NetworkSpec(n=4, d0=4, dims=(16, 16), data=IidData(1.0), layers=layers)
+    @staticmethod
+    def solve_with_spy(monkeypatch, gamma, dims, z):
+        """g and ok of the top law of tanh layers at gamma, and the laws sent to the fallback."""
+        layers = (LayerSpec(1.0, 0.0, 0.0, tanh_activation(), gamma),) * len(dims)
+        net = NetworkSpec(n=4, d0=4, dims=dims, data=IidData(1.0), layers=layers)
         chain = build_chain(net)
-        chi = chain.layers[-1].chi
         fallen_back = []
         nested = MpBoxtimes._nested
 
@@ -406,13 +404,25 @@ class TestChain:
             return nested(self, z)
 
         monkeypatch.setattr(MpBoxtimes, "_nested", spy)
-        z = 0.0051 + 1e-4j
-        g, ok = chi.stieltjes_checked(z)
-        assert fallen_back and fallen_back[0] is chi
+        g, ok = chain.layers[-1].chi.stieltjes_checked(z)
         oracle = chain.chi0
         for layer in chain.layers:
-            oracle = PicardLaw(0.25, Pushed(layer.constants.a, layer.constants.b, oracle))
-        want = complex(oracle.stieltjes(z))
+            oracle = PicardLaw(gamma, Pushed(layer.constants.a, layer.constants.b, oracle))
+        return chain.layers[-1].chi, g, ok, fallen_back, complex(oracle.stieltjes(z))
+
+    def test_newton_certifies_a_point_where_l_is_small(self, monkeypatch):
+        # near the hard edge at 0 of two gamma = 1/4 tanh layers, |l| is about
+        # 7e-3; Newton's stop test must be relative to |l| to certify it
+        _, g, ok, fallen_back, want = self.solve_with_spy(monkeypatch, 0.25, (16, 16), 0.0051 + 1e-4j)
+        assert not fallen_back
+        assert ok and abs(g - want) <= 1e-10 * abs(want)
+
+    def test_nested_fallback_rescues_a_point_newton_leaves(self, monkeypatch):
+        # closer still to the hard edge of two gamma = 1/2 tanh layers, the
+        # stacked Newton solve leaves this point uncertified; the nested route
+        # must then give the converged value, so the fallback is not dead code
+        chi, g, ok, fallen_back, want = self.solve_with_spy(monkeypatch, 0.5, (8, 8), 0.00265872 + 1e-6j)
+        assert fallen_back and fallen_back[0] is chi
         assert ok and abs(g - want) <= 1e-10 * abs(want)
 
     def test_constants_propagate_output_variance(self):
