@@ -392,7 +392,7 @@ class TestChain:
 
     @staticmethod
     def solve_with_spy(monkeypatch, gamma, dims, z):
-        """g and ok of the top law of tanh layers at gamma, and the laws sent to the fallback."""
+        """The top law of tanh layers at gamma, its g and ok at z, the laws sent to the fallback, and the oracle g."""
         layers = (LayerSpec(1.0, 0.0, 0.0, tanh_activation(), gamma),) * len(dims)
         net = NetworkSpec(n=4, d0=4, dims=dims, data=IidData(1.0), layers=layers)
         chain = build_chain(net)
