@@ -21,7 +21,6 @@ from .freeconv import (
     DivergenceError,
     FixedPointConfig,
     mp_stieltjes_closed,
-    solve_l_grid,
 )
 from .measures import (
     DiscreteMeasure,
@@ -95,6 +94,5 @@ __all__ = [
     "orthogonality_stats",
     "run_network",
     "sigma_expansion",
-    "solve_l_grid",
     "__version__",
 ]

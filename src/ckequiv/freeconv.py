@@ -14,37 +14,16 @@ and is the unique solution in the closed wedge
 
     D(z) = { w : Im w >= Im z  and  Im(w / z) >= 0 }.
 
-``solve_chain_grid`` below finds it by Newton, as a chain of one level;
-``solve_l_grid``, the fallback where Newton does not certify a point, runs
-damped Picard from l = z (in D(z), and exact when mu = delta_0), projecting
-every iterate back onto D(z) and halving the damping when the residual grows.
-F is a strict contraction on D(z) for the semi-metric
-d(w1, w2) = |w1 - w2| / sqrt(Im w1 Im w2) with constant
+``solve_chain_grid`` below finds it by complex Newton.  From a solution,
+the transform of nu itself and its derivative are recovered through
 
-    k(z) = (|z| / Im(z)^2) / (1 + |z| / Im(z)^2) < 1,
-
-so the iteration converges for every z in C+.  On the support of nu the
-derivative of F at the fixed point has modulus 1 - O(Im z), which would
-force of order 1 / Im z plain Picard steps during density recovery; each
-Picard step is therefore followed by a secant extrapolation through the
-last two residuals, kept only where it lands in D(z) and strictly reduces
-the residual.  The safeguarded iteration matches plain damped Picard on
-easy points and cuts the near-axis cost by two to three orders of
-magnitude.  Every step is pointwise in z, so a grid solve freezes each
-point once it meets the tolerance and keeps iterating only the rest;
-nested transforms of mu are then evaluated on the active points alone.
-A point's iterates therefore depend on the other points only through how
-mu's transform rounds on a batch: a closed-form base gives bitwise the
-same values however the grid is split, while a discrete base, summed one
-block of points at a time, may move the last bits with the batch.
-From a solution, the transform of nu itself is recovered through
-
-    g_nu(z) = (-1 / l - (gamma - 1) / z) / gamma.
+    g_nu(z) = (-1 / l - (gamma - 1) / z) / gamma,
+    g_nu'(z) = (l'(z) / l^2 + (gamma - 1) / z^2) / gamma.
 
 When mu is itself the pushforward t -> a + b t of such a law,
 g_mu(l) = g_inner(u) / b at u = (l - a) / b, and g_inner(u) comes from the
-inner law's own l at u.  Picard on the outer level would then solve the
-inner level afresh at every step, so cost multiplies with depth.
+inner law's own l at u.  Solving the outer level alone would then solve
+the inner level afresh at every evaluation, so cost multiplies with depth.
 ``solve_chain_grid`` instead solves all levels (l_L, ..., l_1) of a chain
 as one system by complex Newton.  Its Jacobian is tridiagonal and
 analytic: each residual depends on its own level, the level above
@@ -62,7 +41,17 @@ Newton step whatever its point count, and points are solved
 independently, so callers batch: ``MpBoxtimes.inversion`` solves a whole
 density run, every eta's grid and CDF table, in one cold and one warm
 call, the warm points starting from roots interpolated between the cold
-points of their table's line.
+points of their table's line.  A point's iterates depend on the other
+points only through how the bottom's transform rounds on a batch: a
+closed-form bottom gives bitwise the same values however the grid is
+split, while a discrete one, summed one block of points at a time, may
+move the last bits with the batch.
+
+Only the top residual depends on z, with derivative 1, so at a root
+l'(z) = J^{-1} (-e_0), one more Thomas sweep (``chain_slope``).  A
+solver-backed law therefore has g and g' like a closed-form one, and can
+be the bottom of another chain: ``MpBoxtimes`` solves a point that the
+stacked solve leaves as a chain of one level on top of such a base.
 
 ``mp_stieltjes_closed`` provides the independent closed form for mu = delta_1:
 g = g_MP(gamma) solves the quadratic gamma z g^2 + (z + gamma - 1) g + 1 = 0,
@@ -116,95 +105,6 @@ def project_domain(l: np.ndarray, z: np.ndarray) -> np.ndarray:
     pb_ok = pb.imag >= z.imag * (1.0 - 1e-15)
     out = np.where(in1 & in2, l, np.where(pa_ok, pa, np.where(pb_ok, pb, z)))
     return out
-
-
-def _support_floor(mu) -> float | None:
-    fn = getattr(mu, "support_min", None)
-    return None if fn is None else float(fn())
-
-
-def _converged(l, res, tol: float) -> np.ndarray:
-    """Stop test of the companion fixed point: |residual| <= tol |l|.
-
-    The test is relative also where |l| < 1.  There g = (-1 / l - (gamma - 1) / z)
-    / gamma amplifies an error in l by 1 / |l|^2, so an absolute test on l
-    would leave g short of tol.  l lies in D(z), so |l| >= Im z > 0.
-    """
-    return res <= tol * np.abs(l)
-
-
-def solve_l_grid(
-    mu,
-    gamma: float,
-    z,
-    cfg: FixedPointConfig = DEFAULT_CONFIG,
-):
-    """Vectorized damped Picard solve of l = z + gamma l + gamma l^2 g_mu(l).
-
-    ``mu`` is any object with a vectorized ``stieltjes(w)`` method (and
-    optionally ``support_min()``, checked to be >= -1e-12).  Returns
-    ``(l, iterations, residual)`` where l and residual are shaped like z and
-    iterations is the number of sweeps, i.e. the step count of the slowest
-    point.  A point leaves the sweep as soon as its residual meets
-    ``cfg.tol`` and keeps that iterate, so only unconverged points cost
-    further evaluations of ``mu.stieltjes``.  Every solve starts at l = z.
-    It never raises on divergence: callers test each point with
-    ``_converged(l, residual, cfg.tol)``.
-    """
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("z must lie in the open upper half-plane")
-    floor = _support_floor(mu)
-    if floor is not None and floor < -1e-12:
-        raise ValueError("measure must be supported on the nonnegative reals")
-
-    def step(w, zz):
-        return zz + gamma * w + gamma * w * w * mu.stieltjes(w)
-
-    def semi_res(w, r):
-        # residual in the contraction semi-metric |a - b| / sqrt(Im a Im b);
-        # an iterate pushed to the boundary counts as maximally bad
-        den = w.imag * (w + r).imag
-        return np.where(den > 0.0, np.abs(r) / np.sqrt(np.maximum(den, 1e-300)), np.inf)
-
-    zf = z.ravel()
-    l = zf.copy()
-    r = step(l, zf) - l
-    sres = semi_res(l, r)
-    # per-point damping factor: starts at 1 and stays in [1/64, 1]
-    alpha = np.ones(zf.shape)
-    # indices still iterating; a point is frozen once it meets tol
-    act = np.flatnonzero(~_converged(l, np.abs(r), cfg.tol))
-    iterations = 0
-    while act.size and iterations < cfg.max_iter:
-        za, la, ra, sa, aa = zf[act], l[act], r[act], sres[act], alpha[act]
-        l_pic = project_domain(la + aa * ra, za)
-        r_pic = step(l_pic, za) - l_pic
-        sres_pic = semi_res(l_pic, r_pic)
-        # secant extrapolation through the two residuals, where well posed
-        dr = r_pic - ra
-        ok = np.abs(dr) > 1e-14 * (np.abs(ra) + np.abs(r_pic))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l_sec = l_pic - r_pic * (l_pic - la) / dr
-        l_sec = project_domain(np.where(ok, l_sec, l_pic), za)
-        r_sec = step(l_sec, za) - l_sec
-        sres_sec = semi_res(l_sec, r_sec)
-        use = ok & (sres_sec < sres_pic)
-        # halve the damping where the plain step regressed, recover otherwise
-        alpha[act] = np.where(
-            sres_pic > sa,
-            np.maximum(aa / 2.0, 1.0 / 64.0),
-            np.minimum(aa * 1.25, 1.0),
-        )
-        l[act] = np.where(use, l_sec, l_pic)
-        r[act] = np.where(use, r_sec, r_pic)
-        sres[act] = np.where(use, sres_sec, sres_pic)
-        iterations += 1
-        act = act[~_converged(l[act], np.abs(r[act]), cfg.tol)]
-    return l.reshape(z.shape), iterations, np.abs(r).reshape(z.shape)
 
 
 def in_wedge(l, z) -> np.ndarray:
@@ -289,10 +189,10 @@ def _thomas(lower, diag, upper, rhs):
 def _scaled_residual(r, l):
     """Per point, max over levels of |R_i| / |l_i|; inf where not finite.
 
-    Relative also where |l_i| < 1, as ``_converged`` is for Picard, so the
-    stage hand-over and the certificate hold near the hard edge at 0.  The
-    residual is taken only at points inside the wedges, where
-    |l_i| >= Im u_i > 0.
+    Relative also where |l_i| < 1, so the stage hand-over and the
+    certificate hold near the hard edge at 0: there g = (-1 / l - (gamma - 1)
+    / z) / gamma amplifies an error in l by 1 / |l|^2.  The residual is
+    taken only at points inside the wedges, where |l_i| >= Im u_i > 0.
     """
     with np.errstate(invalid="ignore"):
         out = np.max(np.abs(r) / np.abs(l), axis=0)
@@ -444,6 +344,19 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
         stage_steps[act] += 1
         steps += 1
     return l, ok, steps
+
+
+def chain_slope(gammas, shifts, scales, bottom, z, l):
+    """dl_0/dz of a chain of :func:`solve_chain_grid` at its root l, for flat z and l shaped (m, z.size).
+
+    Only the top residual depends on z, with dR_0/dz = 1, so dl/dz = J^{-1} (-e_0):
+    one Thomas sweep of the Jacobian at the root.
+    """
+    gammas, shifts, scales = (np.asarray(v, dtype=float)[:, None] for v in (gammas, shifts, scales))
+    _, diag, upper = _chain_system(l, _chain_args(l, z, shifts, scales), gammas, scales, bottom)
+    rhs = np.zeros_like(l)
+    rhs[0] = -1.0
+    return _thomas(1.0 / scales, diag, upper, rhs)[0]
 
 
 def mp_stieltjes_closed(gamma: float, z):

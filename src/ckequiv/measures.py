@@ -31,10 +31,9 @@ from .freeconv import (
     DEFAULT_CONFIG,
     DivergenceError,
     FixedPointConfig,
-    _converged,
+    chain_slope,
     mp_stieltjes_closed,
     solve_chain_grid,
-    solve_l_grid,
 )
 
 DEFAULT_ETA = 1e-3
@@ -192,9 +191,12 @@ class MpBoxtimes:
     cost per point grows linearly with depth.  A point counts as solved only
     when every level meets the tolerance inside its wedge D(u_k); that root
     is unique, so it equals the nested fixed point.
-    Points that Newton does not certify fall back to the nested route,
-    :func:`solve_l_grid` on the base with inner levels solved (again by
-    this rule) for each evaluation, so correctness never rests on Newton.
+    Points of a chain of several levels that the stacked solve does not
+    certify fall back to the nested route, with the same Newton solve: this
+    level alone, a chain of one level whose bottom is the pushed base's g
+    and g' from the base's own flagged solve (which falls back by this same
+    rule).  A law of one level has no other route; its uncertified points
+    stay flagged.
     A transform starts every point cold.  The CDF tables missing from one
     call are built together: one cold solve takes every _COARSE-th point
     of each table's line (and any transform points of the same call), and
@@ -244,23 +246,45 @@ class MpBoxtimes:
         return None
 
     def _stieltjes_pair(self, v):
-        """g(v) and g'(v) of the closed-form law c MP(gamma) (delta_0 when c = 0).
+        """g(v) and g'(v) on the upper half-plane, NaN where the solve is not certified.
 
-        g' of MP(gamma) follows from differentiating its quadratic
-        gamma u g^2 + (u + gamma - 1) g + 1 = 0.
+        The closed-form law c MP(gamma) (delta_0 when c = 0) differentiates
+        its quadratic gamma u g^2 + (u + gamma - 1) g + 1 = 0.  Any other
+        law takes g from its flagged solve and g' = (l' / l^2 + (gamma - 1)
+        / v^2) / gamma, with l' from one sweep of its chain's Jacobian at
+        the certified root (:func:`chain_slope`).
         """
         c = self._closed_atom()
         if c == 0.0:
             return -1.0 / v, 1.0 / (v * v)
-        u = v / c
-        g = mp_stieltjes_closed(self.gamma, u)
-        dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
-        return g / c, dg / (c * c)
+        if c is not None:
+            u = v / c
+            g = mp_stieltjes_closed(self.gamma, u)
+            dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
+            return g / c, dg / (c * c)
+        g, l, ok = self._solve(v)
+        g, dg = np.where(ok, g, np.nan), np.full_like(g, np.nan)
+        dl = chain_slope(*self._chain(), v[ok], l[:, ok])
+        dg[ok] = (dl / l[0, ok] ** 2 + (self.gamma - 1.0) / v[ok] ** 2) / self.gamma
+        return g, dg
+
+    def _pushed_pair(self, w):
+        """g(w) and g'(w) of the pushed base a + b base."""
+        g, dg = self.base._stieltjes_pair((w - self.a) / self.b)
+        return g / self.b, dg / (self.b * self.b)
 
     def _inner(self) -> MpBoxtimes | None:
         """The level nested under this one: the base when it needs a solve of its own."""
         base = self.base
         return base if isinstance(base, MpBoxtimes) and base._closed_atom() is None else None
+
+    def _chain(self):
+        """(gammas, shifts, scales, bottom) of this law's levels, as :func:`solve_chain_grid` takes them."""
+        levels = self._levels()
+        gammas = [level.gamma for level in levels]
+        shifts = [level.a for level in levels[:-1]]
+        scales = [level.b for level in levels[:-1]]
+        return gammas, shifts, scales, levels[-1]._pushed_pair
 
     def _levels(self) -> list:
         """Levels of the solver chain under this law, top first.
@@ -289,38 +313,33 @@ class MpBoxtimes:
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
         else:
-            levels = self._levels()
-            shifts = [level.a for level in levels[:-1]]
-            scales = [level.b for level in levels[:-1]]
-            gammas = [level.gamma for level in levels]
-            bottom = _PushedBase(levels[-1]).pair
-            l, ok, _ = solve_chain_grid(
-                gammas, shifts, scales, bottom, z, self.support_max(), self.solver, start=start
-            )
-            l = l.reshape(len(levels), -1)
+            l, ok, _ = solve_chain_grid(*self._chain(), z, self.support_max(), self.solver, start=start)
+            m = l.shape[0]
+            l = l.reshape(m, -1)
             ok = ok.ravel()
             bad = np.flatnonzero(~ok)
             if bad.size and start is not None:
                 _, l[:, bad], ok[bad] = self._solve(z.ravel()[bad])
-            elif bad.size:
+            elif bad.size and m > 1:
                 l[:, bad], ok[bad] = self._nested(z.ravel()[bad])
-            l, ok = l.reshape((len(levels),) + z.shape), ok.reshape(z.shape)
+            l, ok = l.reshape((m,) + z.shape), ok.reshape(z.shape)
         g = (-1.0 / l[0] - (self.gamma - 1.0) / z) / self.gamma
         return g, l, ok
 
     def _nested(self, z):
-        """The fallback for points Newton leaves: Picard on the pushed base, inner levels solved per evaluation.
+        """The fallback for points the stacked solve leaves: Newton on this level alone.
 
-        Inner solves flag instead of raising; the returned flags cover
-        every level at the final iterate.
+        Its bottom is the pushed base's g and g', so the base is solved,
+        again by this rule, at every evaluation.  A base point that is not
+        certified has g NaN, which flags the point instead of raising.  The
+        returned l stacks this level's root over the base's levels, solved
+        at its argument where the root is certified and NaN elsewhere, and
+        the flags cover every level.
         """
-        l, _, res = solve_l_grid(_PushedBase(self), self.gamma, z, self.solver)
-        ok = _converged(l, res, self.solver.tol)
-        inner = self._inner()
-        if inner is None:
-            return l[None], ok
-        _, l_inner, ok_inner = inner._solve((l - self.a) / self.b)
-        return np.concatenate([l[None], l_inner]), ok & ok_inner
+        l, ok, _ = solve_chain_grid([self.gamma], [], [], self._pushed_pair, z, self.support_max(), self.solver)
+        l_base = np.full((len(self.base._levels()), z.size), np.nan, dtype=complex)
+        _, l_base[:, ok], ok[ok] = self.base._solve((l[0, ok] - self.a) / self.b)
+        return np.concatenate([l, l_base]), ok
 
     def stieltjes(self, z):
         g, ok = self.stieltjes_checked(z)
@@ -495,31 +514,6 @@ class MpBoxtimes:
     def cdf_left(self, t, eta: float = DEFAULT_ETA):
         """Left limit of the distribution function."""
         return self.cdf(t, eta) - self.atom_mass(t)
-
-
-class _PushedBase:
-    """The pushed base a + b t of a layer law, as the mu of :func:`solve_l_grid`.
-
-    A solver-backed base is evaluated by its flagged transform, so a
-    starved inner level shows up in the flags rather than as an exception.
-    ``pair`` gives g and g' for a base that needs no solve of its own, the
-    bottom of a stacked chain solve.
-    """
-
-    def __init__(self, law: MpBoxtimes):
-        self.a, self.b, self.base = law.a, law.b, law.base
-
-    def stieltjes(self, w):
-        v = (w - self.a) / self.b
-        if isinstance(self.base, MpBoxtimes):
-            g, _ = self.base.stieltjes_checked(v)
-        else:
-            g = self.base.stieltjes(v)
-        return g / self.b
-
-    def pair(self, w):
-        g, dg = self.base._stieltjes_pair((w - self.a) / self.b)
-        return g / self.b, dg / (self.b * self.b)
 
 
 # ---------------------------------------------------------------------------

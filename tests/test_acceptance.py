@@ -389,7 +389,6 @@ PUBLIC_NAMES = [
     "orthogonality_stats",
     "run_network",
     "sigma_expansion",
-    "solve_l_grid",
 ]
 
 

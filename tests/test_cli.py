@@ -547,9 +547,9 @@ class TestCompareCommand:
 
     def test_starved_flags_pass_through_the_pool(self, tmp_path, capsys, monkeypatch):
         factories, calls = count_factory_work(monkeypatch)
-        # two steps solve the eta = 4 rows but not the eta = 0.01 ones
+        # three Newton steps solve the eta = 4 rows but not the eta = 0.01 ones
         grid = {"x_min": 0.0, "x_max": 2.0, "step": 1.0, "eta": [4.0, 0.01]}
-        tree = explicit_two_layer_tree(tmp_path, solver={"max_iter": 2}, z_grid=grid)
+        tree = explicit_two_layer_tree(tmp_path, solver={"max_iter": 3}, z_grid=grid)
         tree["sim"] = {"seeds": [0, 1], "replicas": 2}
         cpath = write_cfg(tmp_path, tree)
         # frequent thread switches, so tasks interleave inside the shared reads
@@ -714,7 +714,7 @@ class TestExitCodes:
         # instead of raising, so only the unconverged rows lose their values
         layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
         grid = {"x_min": -2.0, "x_max": 8.0, "step": 1.0, "eta": [4.0, 0.01]}
-        tree = smoke_tree(tmp_path, z_grid=grid, solver={"max_iter": 3})
+        tree = smoke_tree(tmp_path, z_grid=grid, solver={"max_iter": 13})
         tree["network"].update(dims=[64] * 3, layers=[layer] * 3)
         cpath = write_cfg(tmp_path, tree)
         assert main(["density", "--config", cpath, "--no-timestamp"]) == 3
@@ -729,7 +729,7 @@ class TestExitCodes:
         dens = np.array([float(r["density_eta0.01"]) for r in starved])
         want = np.array([float(r["density_eta0.01"]) for r in full])
         solved = ~np.isnan(dens)
-        # x = 0, 1, 2 sit in the bulk near the axis, where three steps are too few
+        # x = 0, 1, 2 sit in the bulk near the axis, where 13 Newton steps are too few
         assert (~solved).tolist() == [False, False, True, True, True] + [False] * 6
         assert np.max(np.abs(dens[solved] - want[solved])) <= 1e-10
         # the eta's CDF table did not converge, which clears the whole column

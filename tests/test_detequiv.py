@@ -225,7 +225,7 @@ class TestEquivalentResolvents:
     def test_unconverged_points_are_flagged_and_raise_in_gbox_from_sigma(self):
         n = 30
         sigma = random_psd(n, 4)
-        starved = FixedPointConfig(max_iter=2)
+        starved = FixedPointConfig(max_iter=3)
         with pytest.raises(DivergenceError):
             gbox_from_sigma(sigma, 1.0, 1.0 + 1e-3j, starved)
         lam, vec = np.linalg.eigh(sigma)
@@ -418,12 +418,16 @@ class TestChain:
         assert ok and abs(g - want) <= 1e-10 * abs(want)
 
     def test_nested_fallback_rescues_a_point_newton_leaves(self, monkeypatch):
-        # closer still to the hard edge of two gamma = 1/2 tanh layers, the
-        # stacked Newton solve leaves this point uncertified; the nested route
-        # must then give the converged value, so the fallback is not dead code
-        chi, g, ok, fallen_back, want = self.solve_with_spy(monkeypatch, 0.5, (8, 8), 0.00265872 + 1e-6j)
-        assert fallen_back and fallen_back[0] is chi
-        assert ok and abs(g - want) <= 1e-10 * abs(want)
+        # closer still to the hard edge of two or three gamma = 1/2 tanh
+        # layers, the stacked Newton solve leaves these points uncertified;
+        # the nested route must then give the converged value, so the
+        # fallback is not dead code. At three layers the fallback's pushed
+        # base is itself a chain of two levels
+        for dims, z in (((8, 8), 0.00265872 + 1e-6j), ((8, 8, 8), 0.0010916 + 1e-4j)):
+            with monkeypatch.context() as m:
+                chi, g, ok, fallen_back, want = self.solve_with_spy(m, 0.5, dims, z)
+            assert fallen_back and fallen_back[0] is chi
+            assert ok and abs(g - want) <= 1e-10 * abs(want)
 
     def test_constants_propagate_output_variance(self):
         net = self.network([LayerSpec(1.0, 1.0, 1.0, tanh_activation(), 1.0)] * 2)

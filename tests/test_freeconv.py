@@ -6,15 +6,13 @@ import pytest
 from ckequiv.freeconv import (
     DEFAULT_CONFIG,
     FixedPointConfig,
-    _converged,
     in_wedge,
     mp_stieltjes_closed,
     project_domain,
     solve_chain_grid,
-    solve_l_grid,
 )
 from ckequiv.measures import DiscreteMeasure, MpBoxtimes, dirac
-from nested_oracle import PicardLaw, Pushed, converged_l
+from nested_oracle import PicardLaw, Pushed, _converged, converged_l, solve_l_grid
 from paper_oracle import mp_density_closed
 
 
