@@ -290,6 +290,14 @@ def to_network_spec(cfg: ExperimentConfig) -> NetworkSpec:
     return cfg.network
 
 
+def _chain(cfg: ExperimentConfig):
+    """The network's equivalent chain; a layer the theory rejects is a config error."""
+    try:
+        return build_chain(to_network_spec(cfg), cfg.solver)
+    except ValueError as ex:
+        raise ConfigError(str(ex)) from None
+
+
 # ---------------------------------------------------------------------------
 # Table output
 
@@ -410,18 +418,14 @@ def cmd_coeffs(args) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         stamp = None if args.no_timestamp else _stamp()
-        write_table(args.out, "coeffs", coeff_header, coeff_rows, args.formats, stamp)
-        write_table(args.out, "coeffs_summary", summary_header, summary_rows, args.formats, stamp)
+        formats = args.formats or ("csv",)
+        write_table(args.out, "coeffs", coeff_header, coeff_rows, formats, stamp)
+        write_table(args.out, "coeffs_summary", summary_header, summary_rows, formats, stamp)
     return EXIT_OK
 
 
 def cmd_density(cfg: ExperimentConfig, args) -> int:
-    spec = to_network_spec(cfg)
-    try:
-        chain = build_chain(spec, cfg.solver)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
-    chi = chain.layers[-1].chi
+    chi = _chain(cfg).layers[-1].chi
     xs = cfg.z_grid.points()
     etas = cfg.z_grid.eta
 
@@ -481,11 +485,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
-    spec = to_network_spec(cfg)
-    try:
-        chain = build_chain(spec, cfg.solver)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
+    chain = _chain(cfg)
+    spec = cfg.network
     seeds = _resolved_seeds(cfg, args)
     xs = cfg.z_grid.points()
     zs = np.array([complex(x, eta) for eta in cfg.z_grid.eta for x in xs])
@@ -594,14 +595,13 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 def cmd_example55(cfg: ExperimentConfig, args) -> int:
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
-    if args.a is None or args.b is None:
+    a, b = args.a, args.b
+    if a is None or b is None:
         const = layer_constants(
             LayerSpec(1.0, 1.0, 1.0, activation_by_name("tanh"), 1.0), 1.0
         )
-        a = float(const.a) if args.a is None else args.a
-        b = float(const.b) if args.b is None else args.b
-    else:
-        a, b = args.a, args.b
+        a = float(const.a) if a is None else a
+        b = float(const.b) if b is None else b
     if a < 0 or b < 0:
         raise ConfigError("a and b must be nonnegative")
     n = args.n
@@ -612,8 +612,8 @@ def cmd_example55(cfg: ExperimentConfig, args) -> int:
     rows = []
     for z, build in zip(zs, _sigma_builders(sigma, 1.0, zs, cfg.solver)):
         g, g_mat = equicorrelated_equivalent(n, a, b, z, cfg.solver)
-        g_generic = build()
-        agreement = float(np.linalg.norm(g_mat - g_generic, 2))
+        # the largest entry of the difference, O(n^2), as compare's max_entry_gap
+        agreement = float(np.max(np.abs(g_mat - build())))
         trace_gap = abs(np.trace(g_mat) / n - g)
         rows.append((z.real, z.imag, g.real, g.imag, agreement, trace_gap))
     sweep_rows = []
@@ -689,21 +689,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.formats = tuple(args.formats) if args.formats else None
     try:
         if args.command == "coeffs":
-            args.formats = tuple(args.formats) if args.formats else ("csv",)
             return cmd_coeffs(args)
-        if args.command == "example55":
-            cfg = load_config(args.config) if args.config else parse_config({})
-            args.formats = tuple(args.formats) if args.formats else None
-            return cmd_example55(cfg, args)
-        cfg = load_config(args.config)
-        args.formats = tuple(args.formats) if args.formats else None
-        if args.command == "density":
-            return cmd_density(cfg, args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args)
-        return cmd_compare(cfg, args)
+        # example55's config is optional; the other commands require one
+        cfg = load_config(args.config) if args.config else parse_config({})
+        command = {
+            "density": cmd_density, "simulate": cmd_simulate, "compare": cmd_compare, "example55": cmd_example55,
+        }[args.command]
+        return command(cfg, args)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig
-from .hermite import Activation, coeff_vector, default_rule, gaussian_norm_sq
+from .hermite import Activation, coeff_vector, gaussian_norm_sq
 from .measures import B_ZERO_TOL, DiscreteMeasure, MpBoxtimes, dirac, esd_from_eigenvalues
 
 if TYPE_CHECKING:
@@ -100,11 +100,10 @@ def _ungated_constants(
     b counts as zero where |zeta_1| < B_ZERO_TOL, and an a that rounding
     left just below zero (by 1e-10 max(1, sigma_y2) at most) is clamped to 0.
     """
-    rule = default_rule()
     st2 = sigma_w2 * sigma_x2 + sigma_b2
     ft = f.scaled(np.sqrt(st2))
-    zeta = coeff_vector(ft, r_max, rule)
-    norm2 = gaussian_norm_sq(ft, rule)
+    zeta = coeff_vector(ft, r_max)
+    norm2 = gaussian_norm_sq(ft)
     z1 = zeta[1]
     b = 0.0 if abs(z1) < B_ZERO_TOL else z1 * z1 * sigma_w2 / st2
     a = norm2 - (sigma_w2 * sigma_x2 / st2) * z1 * z1 + sigma_d2
@@ -146,6 +145,14 @@ def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
 # Equivalent resolvent matrices
 
 
+def _upper_half(z):
+    """z as a complex, or a complex array; ValueError off the open upper half-plane."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag <= 0):
+        raise ValueError("z must lie in the open upper half-plane")
+    return complex(z) if z.ndim == 0 else z
+
+
 def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z):
     """The layer composition rule K(z) = (l / (z b)) H((l - a) / b) on a z grid.
 
@@ -159,9 +166,7 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     ok is False: a level did not converge, or the argument left the upper
     half-plane.
     """
-    z = np.asarray(z, dtype=complex).ravel()
-    if np.any(z.imag <= 0):
-        raise ValueError("z must lie in the open upper half-plane")
+    z = _upper_half(np.ravel(z))
     g, l, ok = chi._solve(z)
     coef = np.ones(z.shape, dtype=complex)
     u = z
@@ -200,20 +205,6 @@ def _resolvent_blocks(lam, vec, w):
         yield lo, hi, (vec[:hi] @ flat[:, 2 * lo:2 * hi]).view(complex)
 
 
-def _eig_resolvent(lam, vec, w) -> np.ndarray:
-    """(V diag(lam) V^T - w I)^{-1} from an eigendecomposition.
-
-    Each column block of the upper block triangle is one real product
-    (``_resolvent_blocks``); the part left of a diagonal block is the
-    transpose of the part above it.
-    """
-    out = np.empty((lam.size, lam.size), dtype=complex)
-    for lo, hi, block in _resolvent_blocks(lam, vec, w):
-        out[:hi, lo:hi] = block
-        out[lo:hi, :lo] = block[:lo].T
-    return out
-
-
 class SpectralFactory:
     """One eigendecomposition of a symmetric matrix, reused for all z.
 
@@ -232,7 +223,13 @@ class SpectralFactory:
         self.eigenvalues, self._vectors = np.linalg.eigh(k)
 
     def resolvent(self, z: complex) -> np.ndarray:
-        return _eig_resolvent(self.eigenvalues, self._vectors, _upper_half(z))
+        # the part left of a diagonal block is the transpose of the part above it
+        n = self.eigenvalues.size
+        out = np.empty((n, n), dtype=complex)
+        for lo, hi, block in _resolvent_blocks(self.eigenvalues, self._vectors, _upper_half(z)):
+            out[:hi, lo:hi] = block
+            out[lo:hi, :lo] = block[:lo].T
+        return out
 
     def _max_gap(self, z: complex, t) -> float:
         """max |resolvent(z) - t| for a symmetric n x n t, block by block.
@@ -245,13 +242,6 @@ class SpectralFactory:
             block -= t[:hi, lo:hi]
             worst.append(np.max(np.abs(block)))
         return float(np.max(worst))
-
-
-def _upper_half(z) -> complex:
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the open upper half-plane")
-    return z
 
 
 def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
@@ -311,15 +301,16 @@ def _scalar_equivalent(chi: MpBoxtimes, n: int, w) -> np.ndarray:
 def build_chain(net: "NetworkSpec", cfg: FixedPointConfig = DEFAULT_CONFIG) -> EquivalentChain:
     """Layer-by-layer deterministic equivalents for a whole network.
 
-    The input kernel's spectral measure chi0, its resolvent map and the
-    input entry variance come from the network's data model (its
-    ``_input_law``).  Builders evaluate the input map once per z at the
-    fully composed argument.  A layer with b = 0 forgets its input: its
-    equivalent is g_chi(z) I, which is also the base map of the layers
-    above it.
+    The input kernel's spectral measure chi0 and its resolvent map come
+    from the network's data model (its ``_input_law``), the input entry
+    variance from its ``input_variance``.  Builders evaluate the input map
+    once per z at the fully composed argument.  A layer with b = 0 forgets
+    its input: its equivalent is g_chi(z) I, which is also the base map of
+    the layers above it.
     """
     # H is the equivalent map under the run of b > 0 layers ending here
-    chi0, H, sx2 = net.data._input_law(net.d0, net.n, cfg)
+    chi0, H = net.data._input_law(net.d0, net.n, cfg)
+    sx2 = net.data.input_variance()
     prev, depth = chi0, 0
     layers: list[ChainLayer] = []
     for i, lspec in enumerate(net.layers, start=1):
@@ -371,9 +362,7 @@ def equicorrelated_equivalent(
     and G assembles from the identity and the rank-one all-ones matrix.
     Returns (g, G).
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the open upper half-plane")
+    z = _upper_half(z)
     g = equicorrelated_stieltjes(n, a, b, z, cfg)
     alpha = a + b - b / n
     c1 = g * alpha + 1.0

@@ -268,18 +268,20 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
         return inside, r, diag, upper, _scaled_residual(r, l[:, inside])
 
     if start is None:
+        # a cold start is the chain of arguments l_0 = z_c, l_{i+1} = (l_i - a_i) / b_i
+        # at the raised height, which lies in every wedge
         height = np.maximum(zf.imag, max(1.0, radius / 4.0))
         zc = zf.real + 1j * height
-        l = np.empty((m, zf.size), dtype=complex)
-        l[0] = zc
+        start = np.empty((m, zf.size), dtype=complex)
+        start[0] = zc
         for i in range(1, m):
-            l[i] = (l[i - 1] - shifts[i - 1]) / scales[i - 1]
-        u = l.copy()
+            start[i] = (start[i - 1] - shifts[i - 1]) / scales[i - 1]
     else:
         # a warm start begins at the requested height: no continuation
         height = zf.imag.copy()
         zc = zf.copy()
-        l, u = _project_chain(start.copy(), zc, shifts, scales)
+        start = start.copy()
+    l, u = _project_chain(start, zc, shifts, scales)
     r = np.empty_like(l)
     diag = np.empty_like(l)
     upper = np.empty((m - 1, zf.size), dtype=complex)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import Activation, QuadratureRule, _hermite_all, default_rule
+from .hermite import Activation, _hermite_all, default_rule
 
 _EIG_FLOOR = -1e-10
 
@@ -43,8 +43,9 @@ class CovModel:
         object.__setattr__(self, "s", s)
 
 
-def _scaled_coeff_table(model: CovModel, r_max: int, rule: QuadratureRule):
-    """zeta_r(f_i) for every index i and r = 0..r_max, one quadrature pass."""
+def _scaled_coeff_table(model: CovModel, r_max: int):
+    """zeta_r(f_i) for every index i and r = 0..r_max, one pass of the default rule."""
+    rule = default_rule()
     sig = np.sqrt(np.diag(model.s))
     vals = model.f(sig[:, None] * rule.nodes[None, :])
     mono = _hermite_all(r_max, rule.nodes)
@@ -53,7 +54,7 @@ def _scaled_coeff_table(model: CovModel, r_max: int, rule: QuadratureRule):
     return sig, zeta
 
 
-def sigma_expansion(model: CovModel, r_max: int = 20, rule: QuadratureRule | None = None):
+def sigma_expansion(model: CovModel, r_max: int = 20):
     """Hermite-series covariance, truncated after degree r_max.
 
     Requires a strictly positive diagonal of S (the per-coordinate scale
@@ -63,8 +64,7 @@ def sigma_expansion(model: CovModel, r_max: int = 20, rule: QuadratureRule | Non
         raise ValueError("r_max must be an integer >= 0")
     if np.any(np.diag(model.s) <= 0):
         raise ValueError("sigma_expansion needs S_ii > 0 for every i")
-    rule = default_rule() if rule is None else rule
-    sig, zeta = _scaled_coeff_table(model, r_max, rule)
+    sig, zeta = _scaled_coeff_table(model, r_max)
     out = np.zeros_like(model.s)
     power = np.ones_like(model.s)
     for r in range(r_max + 1):

@@ -95,10 +95,9 @@ def make_rule(m: int) -> QuadratureRule:
     cancel exactly.
     """
     m = int(m)
-    if m < 1 or m > 512:
-        raise ValueError(f"node count {m} outside [1, 512]")
-    if m == 1:
-        return QuadratureRule(np.zeros(1), np.ones(1))
+    # one node at 0 cannot give E[N^2] = 1
+    if m < 2 or m > 512:
+        raise ValueError(f"node count {m} outside [2, 512]")
     off = np.sqrt(np.arange(1.0, m))
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0] ** 2
@@ -211,16 +210,18 @@ def activation_by_name(name: str) -> Activation:
 # Coefficients
 
 
-def coeff_vector(f: Activation, r_max: int, rule: QuadratureRule) -> np.ndarray:
-    """zeta_0(f) .. zeta_{r_max}(f) in one pass over the nodes."""
+def coeff_vector(f: Activation, r_max: int) -> np.ndarray:
+    """zeta_0(f) .. zeta_{r_max}(f) in one pass over the default rule's nodes."""
     r_max = _check_degree(r_max)
+    rule = default_rule()
     hmat = _hermite_all(r_max, rule.nodes)
     norms = np.array([math.sqrt(math.factorial(r)) for r in range(r_max + 1)])
     return (hmat @ (rule.weights * f(rule.nodes))) / norms
 
 
-def gaussian_norm_sq(f: Activation, rule: QuadratureRule) -> float:
-    """||f||^2 = E[f(N)^2]."""
+def gaussian_norm_sq(f: Activation) -> float:
+    """||f||^2 = E[f(N)^2] on the default rule."""
+    rule = default_rule()
     vals = f(rule.nodes)
     return float(rule.weights @ vals**2)
 

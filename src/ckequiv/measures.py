@@ -75,7 +75,8 @@ class DiscreteMeasure:
         order = np.argsort(atoms, kind="stable")
         self.atoms = atoms[order]
         self.weights = weights[order]
-        self._cum = np.cumsum(self.weights)
+        # F at and left of each atom: _cum[k] is the mass of the first k atoms
+        self._cum = np.concatenate([[0.0], np.cumsum(self.weights)])
 
     def __repr__(self):
         return f"DiscreteMeasure({self.atoms.size} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
@@ -135,22 +136,17 @@ class DiscreteMeasure:
         tol = 1e-12 * np.maximum(1.0, np.abs(t))
         lo = np.searchsorted(self.atoms, t - tol, side="left")
         hi = np.searchsorted(self.atoms, t + tol, side="right")
-        cum = np.concatenate([[0.0], self._cum])
-        out = cum[hi] - cum[lo]
+        out = self._cum[hi] - self._cum[lo]
         return float(out) if t.shape == () else out
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.atoms, t, side="right")
-        cum = np.concatenate([[0.0], self._cum])
-        out = cum[idx]
+        out = self._cum[np.searchsorted(self.atoms, t, side="right")]
         return float(out) if t.shape == () else out
 
     def cdf_left(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.atoms, t, side="left")
-        cum = np.concatenate([[0.0], self._cum])
-        out = cum[idx]
+        out = self._cum[np.searchsorted(self.atoms, t, side="left")]
         return float(out) if t.shape == () else out
 
 
@@ -158,15 +154,23 @@ def dirac(a: float) -> DiscreteMeasure:
     return DiscreteMeasure([float(a)], [1.0])
 
 
+def _rounding_zero(eigenvalues) -> float:
+    """1e-12 times the largest |eigenvalue|: eigenvalues this close to 0 are rounding."""
+    return 1e-12 * float(np.max(np.abs(eigenvalues)))
+
+
 def esd_from_eigenvalues(eigenvalues) -> DiscreteMeasure:
     """Empirical spectral distribution with near-duplicate atoms merged.
 
-    Eigenvalues closer than 1e-12 * max(1, |lambda|) collapse into a single
-    atom at their mean, with summed weight.
+    Eigenvalues within ``_rounding_zero`` of 0 count as exactly 0, so the
+    null space of a rank-deficient matrix is an atom at 0, as in its limit
+    law.  Then eigenvalues closer than 1e-12 * max(1, |lambda|) collapse
+    into a single atom at their mean, with summed weight.
     """
     ev = np.sort(np.asarray(eigenvalues, dtype=float).ravel())
     if ev.size == 0:
         raise ValueError("need at least one eigenvalue")
+    ev[np.abs(ev) <= _rounding_zero(ev)] = 0.0
     tol = 1e-12 * np.maximum(1.0, np.abs(ev[1:]))
     breaks = np.nonzero(np.diff(ev) > tol)[0] + 1
     starts = np.concatenate([[0], breaks])
@@ -411,9 +415,9 @@ class MpBoxtimes:
         g, ok = g.reshape(len(etas), x.size), ok.reshape(len(etas), x.size)
         out = []
         for eta, g_eta, ok_eta in zip(etas, g, ok):
-            # a table that converged is cached by now
-            failed = isinstance(tables[eta], DivergenceError)
-            out.append((g_eta, ok_eta, tables[eta] if failed else self.cdf(x, eta)))
+            table = tables[eta]
+            cdf = table if isinstance(table, DivergenceError) else self._table_cdf(table, x)
+            out.append((g_eta, ok_eta, cdf))
         return out
 
     def _cdf_table(self, eta: float):
@@ -501,15 +505,18 @@ class MpBoxtimes:
         return g, ok
 
     def cdf(self, t, eta: float = DEFAULT_ETA):
-        # the atom at zero enters as an exact step, only the continuous part
-        # comes from the interpolation table
         if eta <= 0:
             raise ValueError("eta must be positive")
         t = np.asarray(t, dtype=float)
-        xs, cont = self._cdf_table(eta)
-        out = np.interp(t, xs, cont, left=0.0, right=float(cont[-1]))
-        out = out + self._atom0() * (t >= 0.0)
+        out = self._table_cdf(self._cdf_table(eta), t)
         return float(out) if t.shape == () else out
+
+    def _table_cdf(self, table, t):
+        # the atom at zero enters as an exact step, only the continuous part
+        # comes from the interpolation table
+        xs, cont = table
+        out = np.interp(t, xs, cont, left=0.0, right=float(cont[-1]))
+        return out + self._atom0() * (t >= 0.0)
 
     def cdf_left(self, t, eta: float = DEFAULT_ETA):
         """Left limit of the distribution function."""

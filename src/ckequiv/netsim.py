@@ -25,7 +25,7 @@ import numpy as np
 
 from .detequiv import LayerSpec, SpectralFactory, _scalar_equivalent, _two_atom_measure, _ungated_constants
 from .freeconv import FixedPointConfig
-from .measures import MpBoxtimes, dirac, esd_from_eigenvalues
+from .measures import MpBoxtimes, _rounding_zero, dirac, esd_from_eigenvalues
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
 
@@ -69,13 +69,13 @@ class IidData:
         return self.sigma_x2
 
     def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
-        """K_X's law, resolvent map and entry variance, as ``build_chain`` takes them.
+        """K_X's law and resolvent map, as ``build_chain`` takes them.
 
         The limit MP(n/d0) (x) delta_sigma_x2 and its equivalent g I, so
         the theory side is seed-free.
         """
         chi0 = MpBoxtimes(n / d0, dirac(self.sigma_x2), solver=cfg)
-        return chi0, partial(_scalar_equivalent, chi0, n), self.sigma_x2
+        return chi0, partial(_scalar_equivalent, chi0, n)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class EquicorrelatedData:
         return 1.0
 
     def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
-        """The exact two-atom spectrum of S, its resolvent and the variance 1.
+        """The exact two-atom spectrum of S and its resolvent.
 
         The resolvent is a multiple of I plus a rank-one all-ones correction.
         """
@@ -110,7 +110,7 @@ class EquicorrelatedData:
             np.fill_diagonal(out, np.diag(out) + 1.0 / (alpha - w))
             return out
 
-        return _two_atom_measure(n, 0.0, 1.0), g0, 1.0
+        return _two_atom_measure(n, 0.0, 1.0), g0
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,9 @@ class ExplicitData:
         return float(np.mean(np.einsum("ij,ij->j", self.x0, self.x0)) / d0)
 
     def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
-        """The spectrum and resolvent of K_X from one eigh, and its entry variance."""
+        """The spectrum and resolvent of K_X from one eigh."""
         fac = SpectralFactory(conjugate_kernel(self.x0, d0))
-        return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent, self.input_variance()
+        return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent
 
 
 DataModel = Union[IidData, EquicorrelatedData, ExplicitData]
@@ -176,10 +176,6 @@ class NetworkSpec:
             raise ValueError(f"x0 has shape {self.data.x0.shape}, expected (d0, n) = {(self.d0, self.n)}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "layers", layers)
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +295,10 @@ class SimResult:
         for lam in self.eigenvalues:
             if lam.size != n:
                 raise ValueError("eigenvalue count must equal n at every layer")
-            if lam[0] < -1e-8:
-                raise ValueError(f"kernel has eigenvalue {lam[0]:.3e} < -1e-8")
+            # the floor scales with the kernel: what rounds to zero is relative
+            floor = -_rounding_zero(lam)
+            if lam[0] < floor:
+                raise ValueError(f"kernel has eigenvalue {lam[0]:.3e} < {floor:.3e}")
 
 
 def run_network(spec: NetworkSpec, seed: int) -> SimResult:

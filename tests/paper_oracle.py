@@ -24,7 +24,7 @@ import numpy as np
 
 from ckequiv import _pool
 from ckequiv.gauss_cov import _EIG_FLOOR, CovModel
-from ckequiv.hermite import QuadratureRule, coeff_vector, default_rule, gaussian_norm_sq
+from ckequiv.hermite import coeff_vector, gaussian_norm_sq
 
 
 def max_norm(m) -> float:
@@ -32,8 +32,8 @@ def max_norm(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _centered_coeffs(model: CovModel, rule: QuadratureRule):
-    zeta = coeff_vector(model.f, 3, rule)
+def _centered_coeffs(model: CovModel):
+    zeta = coeff_vector(model.f, 3)
     if abs(zeta[0]) >= 1e-8:
         raise ValueError(
             f"activation {model.f.name!r} is not Gaussian-centered "
@@ -42,17 +42,16 @@ def _centered_coeffs(model: CovModel, rule: QuadratureRule):
     return zeta
 
 
-def sigma_approx(model: CovModel, rule: QuadratureRule | None = None, *, norm2=None):
+def sigma_approx(model: CovModel, *, norm2=None):
     """Third-order weak-correlation approximation of Sigma.
 
     ``norm2`` overrides the quadrature value of |f|^2 on the diagonal;
     passing the Parseval sum of the coefficients kept by a truncated
     sigma_expansion makes the two directly comparable.
     """
-    rule = default_rule() if rule is None else rule
-    zeta = _centered_coeffs(model, rule)
+    zeta = _centered_coeffs(model)
     if norm2 is None:
-        norm2 = gaussian_norm_sq(model.f, rule)
+        norm2 = gaussian_norm_sq(model.f)
     delta = model.s - np.eye(model.s.shape[0])
     d = np.diag(delta)
     out = norm2 * np.eye(model.s.shape[0]) + 0.5 * zeta[2] ** 2 * np.outer(d, d)
@@ -63,12 +62,11 @@ def sigma_approx(model: CovModel, rule: QuadratureRule | None = None, *, norm2=N
     return 0.5 * (out + out.T)
 
 
-def sigma_lin(model: CovModel, rule: QuadratureRule | None = None, *, norm2=None):
+def sigma_lin(model: CovModel, *, norm2=None):
     """First-order approximation |f|^2 I + zeta_1^2 Delta."""
-    rule = default_rule() if rule is None else rule
-    zeta = _centered_coeffs(model, rule)
+    zeta = _centered_coeffs(model)
     if norm2 is None:
-        norm2 = gaussian_norm_sq(model.f, rule)
+        norm2 = gaussian_norm_sq(model.f)
     eye = np.eye(model.s.shape[0])
     return norm2 * eye + zeta[1] ** 2 * (model.s - eye)
 

@@ -446,6 +446,27 @@ class TestSimulateCommand:
         grid = np.linspace(-0.5, 5.0, 600)
         assert kolmogorov_distance(esd_from_eigenvalues(lam), law, grid) < 0.05
 
+    def test_kernel_floor_scales_with_the_kernel(self, tmp_path, capsys):
+        # at sigma_w2 = 1e8 the null space of K_1 (gamma = 2) rounds to about
+        # -2e-7, below an absolute floor of -1e-8 but far inside 1e-12 |K_1|
+        tree = {
+            "network": {
+                "n": 200,
+                "d0": 200,
+                "dims": [100],
+                "data": {"kind": "iid"},
+                "layers": [{"sigma_w2": 1e8, "activation": "identity", "gamma": 2.0}],
+            },
+            "sim": {"seeds": [0]},
+            "output": {"directory": str(tmp_path), "formats": ["csv"]},
+        }
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["simulate", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        eig = read_csv(tmp_path / "simulate_eigenvalues.csv")
+        lam = np.array([float(r["eigenvalue"]) for r in eig if r["layer"] == "1"])
+        assert lam[0] < -1e-8 and lam[0] >= -1e-12 * lam[-1]
+
 
 def explicit_two_layer_tree(outdir, **overrides):
     """smoke_tree on a fixed explicit input, with two tanh layers and one seed."""
@@ -605,6 +626,24 @@ class TestCompareCommand:
         layers = read_csv(tmp_path / "compare_layers.csv")
         assert len(layers) == 1
         assert 0.0 < float(layers[0]["kolmogorov"]) < 1.0
+
+    @pytest.mark.parametrize("d0, width, layer", [
+        (200, 100, {"sigma_w2": 1.0, "sigma_b2": 1.0, "activation": "tanh", "gamma": 2.0}),
+        (100, 200, {"sigma_w2": 1.0, "activation": "identity", "gamma": 1.0}),
+    ], ids=["tanh-gamma2", "identity-d0-half"])
+    def test_rank_deficient_kernel_meets_the_atom_at_zero(self, tmp_path, capsys, d0, width, layer):
+        # K_1 has rank 100 of 200: its null space must be the law's atom at 0,
+        # not an atom at the eigenvalues' rounding-level mean beside it
+        tree = smoke_tree(
+            tmp_path,
+            network={"n": 200, "d0": d0, "dims": [width], "data": {"kind": "iid"}, "layers": [layer]},
+            z_grid={"x_min": 1.0, "x_max": 1.0, "step": 1.0, "eta": [0.1]},
+            sim={"seeds": [0]},
+        )
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        assert float(read_csv(tmp_path / "compare_layers.csv")[0]["kolmogorov"]) <= 0.05
 
     def test_json_format(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))

@@ -37,8 +37,8 @@ def with_input_map(monkeypatch, wrap):
     law = IidData._input_law
 
     def wrapped(self, d0, n, cfg):
-        chi0, g0, sx2 = law(self, d0, n, cfg)
-        return chi0, wrap(g0), sx2
+        chi0, g0 = law(self, d0, n, cfg)
+        return chi0, wrap(g0)
 
     monkeypatch.setattr(IidData, "_input_law", wrapped)
 

@@ -7,15 +7,12 @@ from ckequiv.gauss_cov import CovModel, sigma_expansion
 from ckequiv.hermite import (
     Activation,
     coeff_vector,
-    default_rule,
     gaussian_norm_sq,
     identity_activation,
     tanh_activation,
 )
 from hermite_oracle import hermite_normalized
 from paper_oracle import max_norm, psd_sqrt, sigma_approx, sigma_lin, sigma_mc_oracle
-
-RULE = default_rule()
 
 
 def near_identity_cov(n, scale, seed):
@@ -65,7 +62,7 @@ def test_identity_activation_recovers_covariance():
 
 def test_uncorrelated_inputs_give_diagonal_parseval():
     model = CovModel(s=np.eye(3), f=tanh_activation())
-    zeta = coeff_vector(tanh_activation(), 20, RULE)
+    zeta = coeff_vector(tanh_activation(), 20)
     want = float(zeta @ zeta) * np.eye(3)
     assert max_norm(sigma_expansion(model, r_max=20) - want) < 1e-14
 
@@ -99,8 +96,8 @@ def test_non_centered_activation_rejected_with_hint():
 def test_sigma_lin_structure():
     s = near_identity_cov(4, 0.03, 4)
     model = CovModel(s=s, f=tanh_activation())
-    zeta = coeff_vector(tanh_activation(), 1, RULE)
-    want = gaussian_norm_sq(tanh_activation(), RULE) * np.eye(4) + zeta[1] ** 2 * (s - np.eye(4))
+    zeta = coeff_vector(tanh_activation(), 1)
+    want = gaussian_norm_sq(tanh_activation()) * np.eye(4) + zeta[1] ** 2 * (s - np.eye(4))
     assert max_norm(sigma_lin(model) - want) < 1e-14
 
 
@@ -109,7 +106,7 @@ def test_sigma_approx_reduces_to_lin_plus_higher_orders():
     # off-diagonal orders instead of the activation's Hermite tail
     s = near_identity_cov(4, 0.1, 6)
     model = CovModel(s=s, f=tanh_activation())
-    zeta = coeff_vector(tanh_activation(), 20, RULE)
+    zeta = coeff_vector(tanh_activation(), 20)
     norm2 = float(zeta @ zeta)
     full = sigma_expansion(model, r_max=20)
     gap_lin = max_norm(full - sigma_lin(model, norm2=norm2))
@@ -122,7 +119,7 @@ def test_approx_error_decays_like_fourth_power():
     # gap is the genuine fourth-order term; halving the perturbation must
     # shrink it by roughly 2^4
     f = polynomial_activation()
-    zeta = coeff_vector(f, 6, RULE)
+    zeta = coeff_vector(f, 6)
     norm2 = float(zeta @ zeta)
     gaps = []
     for scale in (1.0 / 50.0, 1.0 / 100.0):
@@ -138,7 +135,7 @@ def test_norm2_override_changes_only_diagonal():
     b = sigma_approx(model, norm2=0.25)
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(a[off], b[off])
-    assert np.allclose(np.diag(a) - np.diag(b), gaussian_norm_sq(tanh_activation(), RULE) - 0.25)
+    assert np.allclose(np.diag(a) - np.diag(b), gaussian_norm_sq(tanh_activation()) - 0.25)
 
 
 def test_psd_sqrt_squares_back():

@@ -64,56 +64,56 @@ def test_orthonormality_small_block():
 
 def test_degree_overflow_raises():
     with pytest.raises(DegreeOverflowError):
-        coeff_vector(tanh_activation(), 65, RULE)
+        coeff_vector(tanh_activation(), 65)
 
 
 class TestCoefficients:
     def test_identity_coefficients(self):
         f = identity_activation()
-        zeta = coeff_vector(f, 5, RULE)
+        zeta = coeff_vector(f, 5)
         want = np.zeros(6)
         want[1] = 1.0
         assert np.allclose(zeta, want, atol=1e-13)
 
     def test_tanh_first_coefficient_frozen(self):
-        got = coeff_vector(tanh_activation(), 1, RULE)[1]
+        got = coeff_vector(tanh_activation(), 1)[1]
         assert abs(got - TANH_ZETA1) < 1e-12
 
     def test_tanh_stein_identity(self):
         # E[Z tanh Z] = E[sech^2 Z] = 1 - E[tanh^2 Z]
         f = tanh_activation()
-        z1 = coeff_vector(f, 1, RULE)[1]
-        assert abs(z1 - (1.0 - gaussian_norm_sq(f, RULE))) < 1e-12
+        z1 = coeff_vector(f, 1)[1]
+        assert abs(z1 - (1.0 - gaussian_norm_sq(f))) < 1e-12
 
     def test_tanh_norm_and_tail_frozen(self):
         f = tanh_activation()
-        n2 = gaussian_norm_sq(f, RULE)
+        n2 = gaussian_norm_sq(f)
         assert abs(n2 - TANH_NORM_SQ) < 1e-12
-        zeta = coeff_vector(f, 20, RULE)
+        zeta = coeff_vector(f, 20)
         tail = n2 - float(zeta @ zeta)
         assert abs(tail - TANH_TAIL_R20) < 1e-9 * TANH_TAIL_R20 + 1e-14
 
     def test_centered_relu_linear_coefficient(self):
         # P(Z > 0) = 1/2; the kink costs quadrature accuracy but not much
-        z1 = coeff_vector(centered_relu(), 1, RULE)[1]
+        z1 = coeff_vector(centered_relu(), 1)[1]
         assert abs(z1 - 0.5) < 5e-3
 
     def test_hermite2_is_pure_second_mode(self):
         f = hermite2_activation()
-        zeta = coeff_vector(f, 6, RULE)
+        zeta = coeff_vector(f, 6)
         assert abs(zeta[2] - 1.0) < 1e-12
         zeta[2] = 0.0
         assert np.max(np.abs(zeta)) < 1e-12
 
     def test_odd_activation_even_coefficients_vanish(self):
-        zeta = coeff_vector(tanh_activation(), 8, RULE)
+        zeta = coeff_vector(tanh_activation(), 8)
         assert np.max(np.abs(zeta[::2])) < 1e-14
 
     def test_parseval_inequality(self):
         for name in ACTIVATIONS:
             f = activation_by_name(name)
-            zeta = coeff_vector(f, 12, RULE)
-            assert float(zeta @ zeta) <= gaussian_norm_sq(f, RULE) + 1e-10
+            zeta = coeff_vector(f, 12)
+            assert float(zeta @ zeta) <= gaussian_norm_sq(f) + 1e-10
 
 
 def test_scaled_activation_semantics():
@@ -121,12 +121,12 @@ def test_scaled_activation_semantics():
     t = np.linspace(-1.0, 1.0, 9)
     assert np.allclose(f(t), np.tanh(2.0 * t))
     assert "tanh" in f.name
-    assert abs(gaussian_norm_sq(identity_activation().scaled(2.0), RULE) - 4.0) < 1e-12
+    assert abs(gaussian_norm_sq(identity_activation().scaled(2.0)) - 4.0) < 1e-12
 
 
 def test_shifted_activation_recenters():
     f = identity_activation().shifted(0.25)
-    assert abs(coeff_vector(f, 0, RULE)[0] + 0.25) < 1e-13
+    assert abs(coeff_vector(f, 0)[0] + 0.25) < 1e-13
 
 
 def test_scaled_coeff_matches_manual_dilation():
@@ -134,7 +134,7 @@ def test_scaled_coeff_matches_manual_dilation():
     f = tanh_activation()
     for sig in (0.7, 1.3):
         a = sig**3 * psi(f, 3, sig, RULE) / math.sqrt(math.factorial(3))
-        b = coeff_vector(f.scaled(sig), 3, RULE)[3]
+        b = coeff_vector(f.scaled(sig), 3)[3]
         assert abs(a - b) < 1e-13
 
 
@@ -159,6 +159,13 @@ def test_psi_derivative_identity_smooth_asymmetric():
 def test_activation_by_name_unknown():
     with pytest.raises(ValueError, match="unknown activation"):
         activation_by_name("swish")
+
+
+@pytest.mark.parametrize("m", [1, 513])
+def test_make_rule_range(m):
+    # one node at 0 cannot give E[N^2] = 1, so the range starts at 2
+    with pytest.raises(ValueError, match=r"outside \[2, 512\]"):
+        make_rule(m)
 
 
 def test_make_rule_positive_weights():

@@ -107,6 +107,14 @@ class TestDiscreteMeasure:
         assert m.atom_mass(1.0) == pytest.approx(0.5)
         assert abs(m.stieltjes(1j) - np.mean(1.0 / (lam - 1j))) < 1e-15
 
+    def test_esd_puts_a_null_space_at_exactly_zero(self):
+        # rounding-level eigenvalues, relative to the largest, are the null space
+        m = esd_from_eigenvalues([4.0, -3e-15, 2e-15, 2e-15, 1.0])
+        assert m.atoms.tolist() == [0.0, 1.0, 4.0]
+        assert m.atom_mass(0.0) == pytest.approx(0.6)
+        # above 1e-12 of the largest, an eigenvalue keeps its place
+        assert esd_from_eigenvalues([1.0, 1e-9]).atoms.tolist() == [1e-9, 1.0]
+
     def test_dirac(self):
         d = dirac(2.0)
         assert d.atoms.tolist() == [2.0]
