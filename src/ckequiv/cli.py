@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import math
 import os
@@ -46,6 +47,7 @@ from .measures import esd_from_eigenvalues, kolmogorov_distance
 from .detequiv import (
     LayerSpec,
     SpectralFactory,
+    _gap_target,
     _sigma_builders,
     _ungated_constants,
     build_chain,
@@ -58,7 +60,8 @@ from .netsim import (
     ExplicitData,
     IidData,
     NetworkSpec,
-    layer_kernels,
+    _layer_outputs,
+    conjugate_kernel,
     orthogonality_stats,
     run_network,
 )
@@ -493,11 +496,10 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
     def sample(seed):
         # a seed keeps the stats and factory of each layer >= 1; each kernel is
-        # freed once decomposed, and layer 0 (never read here) is skipped
-        kernels = layer_kernels(spec, seed)
-        next(kernels)
+        # freed once decomposed, and layer 0 (never read here) is never formed
         stats, factories = [], []
-        for k, sigma2 in kernels:
+        for y, d, sigma2 in itertools.islice(_layer_outputs(spec, seed), 1, None):
+            k = conjugate_kernel(y, d)
             fac = SpectralFactory(k)
             stats.append(orthogonality_stats(k, sigma2, fac.eigenvalues))
             factories.append(fac)
@@ -521,9 +523,9 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             return None
 
     def entry_gap(li, z, build):
-        # one equivalent per task, each seed's resolvent reduced against it by blocks
-        g_eq = build()
-        return float(np.max([factories[li - 1]._max_gap(z, g_eq) for _, factories in samples]))
+        # one equivalent per task, prepared once and reduced against every seed's resolvent
+        target = _gap_target(build)
+        return float(np.max([factories[li - 1]._max_gap(z, target) for _, factories in samples]))
 
     # the KS tasks go first, so their CDF tables overlap the gap products
     tasks = [partial(kolmogorov, li) for li in range(1, chain.depth + 1)]

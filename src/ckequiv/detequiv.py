@@ -24,9 +24,10 @@ G(z) = (l/z) (Sigma - l I)^{-1}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -161,8 +162,10 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     flagged solve gives every level's l at every point; the walk
     u_0 = z, coef <- coef l_k / (u_k b_k), u_{k+1} = (l_k - a_k) / b_k then
     gives each point its prefactor and the argument of H.  Returns a list
-    of (g, build, ok) per point of z, with g chi's transform and build() the
-    point's n x n equivalent, which any thread may call; build is None where
+    of (g, build, ok) per point of z, with g chi's transform and build a
+    ``_Point``: build() is the point's n x n equivalent, which any thread
+    may build, and where H is an explicit input's ``SpectralFactory`` the
+    gaps read coef, H and u instead (``_gap_target``).  build is None where
     ok is False: a level did not converge, or the argument left the upper
     half-plane.
     """
@@ -174,46 +177,218 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
         coef = coef * (l_k / (u * level.b))
         u = (l_k - level.a) / level.b
     ok = ok & (u.imag > 0)
-    return [(g[j], partial(_scaled, coef[j], H, u[j]) if ok[j] else None, bool(ok[j])) for j in range(z.size)]
+    return [(g[j], _Point(coef[j], H, u[j]) if ok[j] else None, bool(ok[j])) for j in range(z.size)]
 
 
-def _scaled(coef, H, u) -> np.ndarray:
-    out = np.asarray(H(u))
-    out *= coef
-    return out
+class _Point(NamedTuple):
+    """One grid point's equivalent coef * H(u); calling it builds the n x n matrix."""
+
+    coef: complex
+    H: Callable[[complex], np.ndarray]
+    u: complex
+
+    def __call__(self) -> np.ndarray:
+        out = np.asarray(self.H(self.u))
+        out *= self.coef
+        return out
 
 
 # Column width of the resolvent blocks: one real GEMM per block, and the
-# workspace of a gap is the right factor plus one block.
+# workspace of a product is one right factor and one block of this width.
 _BLOCK = 160
+# Unit roundoff of float32, and the range of max |core| over which a
+# single-precision product neither overflows nor loses more to underflow
+# than the spare rounding its bound keeps (see _screen_error).
+_U32 = 2.0 ** -24
+_SCREEN_RANGE = (2.0 ** -30, 2.0 ** 30)
+# Relative error of the single-precision modulus |S - T| of a block entry:
+# one rounding in the subtraction and a few in the modulus.
+_RHO = 8 * _U32
 
 
-def _resolvent_blocks(lam, vec, w):
-    """Column blocks (lo, hi, R[:hi, lo:hi]) of R = (V diag(lam) V^T - w I)^{-1}.
+def _resolvent_block(vec, core, lo, hi):
+    """R[:hi, lo:hi] of the symmetric R = V diag(core) V^T, in vec's precision.
 
-    Together they cover the upper block triangle of the symmetric R.  The
-    right factor diag(1/(lam - w)) V^T is stored C-contiguous, so its real
-    view holds each column's real and imaginary parts side by side: a block
-    is one real product whose output, viewed as complex, is R's columns.
+    The right factor diag(core) V[lo:hi]^T is stored C-contiguous, so its
+    real view holds each column's real and imaginary parts side by side:
+    the block is one real product (DGEMM for float64 V, SGEMM for float32)
+    whose output, viewed as complex, is R's columns.
     """
-    n = lam.size
-    right = np.empty((n, n), dtype=complex)
-    np.multiply(vec.T, (1.0 / (lam - w))[:, None], out=right)
-    flat = right.view(float)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        yield lo, hi, (vec[:hi] @ flat[:, 2 * lo:2 * hi]).view(complex)
+    ctype = np.result_type(vec.dtype, np.complex64)
+    right = np.empty((vec.shape[0], hi - lo), dtype=ctype)
+    np.multiply(vec[lo:hi].T, core.astype(ctype, copy=False)[:, None], out=right)
+    return (vec[:hi] @ right.view(vec.dtype)).view(ctype)
+
+
+def _resolvent_blocks(vec, core):
+    """Column blocks (lo, hi, R[:hi, lo:hi]) of R = V diag(core) V^T.
+
+    Together they cover the upper block triangle of the symmetric R.  With
+    float32 eigenvectors the core is rounded to complex64 once and every
+    block is complex64 (error bound: ``_screen_error``); with float64 ones
+    the blocks are complex128.
+    """
+    core = core.astype(np.result_type(vec.dtype, np.complex64), copy=False)
+    for lo, hi in _block_bounds(vec.shape[0]):
+        yield lo, hi, _resolvent_block(vec, core, lo, hi)
+
+
+def _block_bounds(n: int):
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _screen_error(core) -> float:
+    """Bound E on |single-precision block entry - R_ij| for R = V diag(core) V^T.
+
+    R_ij = sum_k V_ik V_jk c_k.  Each term of the float32 entry carries at
+    most n + 5 roundings of unit u = 2^-24: c_k in double and then in
+    complex64, V_ik and V_jk to float32, the product V_jk c_k in the right
+    factor, and at most n in the SGEMM sum.  The inner-product bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1)
+    then bounds the real part's error by gamma_{n+5} sum_k |V_ik V_jk Re c_k|
+    <= gamma_{n+5} max_k |c_k|, since V's rows are unit vectors, and the
+    imaginary part's alike, so
+
+        E = gamma_{n+6} sqrt(2) max_k |c_k|,  gamma_m = m u / (1 - m u).
+
+    The one spare rounding covers the rows' departure from unit norm and
+    underflow, for max_k |c_k| in _SCREEN_RANGE; outside it, or where
+    (n + 6) u >= 1/2, E is inf and the product runs in double.
+    """
+    m = core.size + 6
+    peak = float(np.max(np.abs(core)))
+    if not (_SCREEN_RANGE[0] <= peak <= _SCREEN_RANGE[1] and m * _U32 < 0.5):
+        return np.inf
+    return m * _U32 / (1.0 - m * _U32) * math.sqrt(2.0) * peak
+
+
+class _Factored(NamedTuple):
+    """V diag(core) V^T, kept as its eigenvectors in double and single precision."""
+
+    vectors: np.ndarray
+    vectors32: np.ndarray
+    core: np.ndarray
+
+    def entries(self, i, j):
+        """The entries at index arrays i, j, each a float64 sum over k."""
+        return (self.vectors[i] * self.vectors[j]) @ self.core
+
+    def block(self, lo, hi):
+        return _resolvent_block(self.vectors, self.core, lo, hi)
+
+
+class _Dense(NamedTuple):
+    t: np.ndarray
+
+    def entries(self, i, j):
+        return self.t[i, j]
+
+    def block(self, lo, hi):
+        return self.t[:hi, lo:hi]
+
+
+class _Target(NamedTuple):
+    """A symmetric matrix T to take gaps against, prepared once per z.
+
+    t32 holds T's upper block triangle in complex64 with |t32 - T| <= err
+    entrywise (err is inf and t32 None where T is not screened); exact is T
+    itself, a ``_Factored`` or a ``_Dense``, read in double precision.
+    """
+
+    t32: np.ndarray | None
+    err: float
+    exact: _Factored | _Dense
+
+
+def _gap_target(t) -> _Target:
+    """t, an n x n array or a ``_compose`` point, as a gap target.
+
+    A point over a ``SpectralFactory`` base map stays factored: its
+    complex64 triangle comes from the single-precision blocks of
+    coef / (lam - u) and its exact entries from float64 sums.  Any other
+    point is built dense, then cast to complex64 once; the cast errs by at
+    most u |T_ij| (plus 2^-120 for numbers below float32's normal range).
+    """
+    if isinstance(t, _Point) and isinstance(t.H, SpectralFactory):
+        exact = t.H._factored(t.u, t.coef)
+        err = _screen_error(exact.core)
+        if err == np.inf:
+            return _Target(None, err, exact)
+        n = exact.core.size
+        t32 = np.empty((n, n), dtype=np.complex64)
+        for lo, hi, block in _resolvent_blocks(exact.vectors32, exact.core):
+            t32[:hi, lo:hi] = block
+        return _Target(t32, err, exact)
+    t = np.asarray(t() if isinstance(t, _Point) else t)
+    scale = float(np.max(np.abs(t), where=np.isfinite(t), initial=0.0))
+    if not scale <= _SCREEN_RANGE[1]:
+        return _Target(None, np.inf, _Dense(t))
+    return _Target(t.astype(np.complex64), _U32 * scale + 2.0 ** -120, _Dense(t))
+
+
+def _screened_gap(s: _Factored, t: _Target) -> float:
+    """max |S - T| over the upper block triangle, screened in single precision.
+
+    Per block, d = |S32 - T32| is taken in float32, and the exact
+    |S_ij - T_ij| lies between d_ij / (1 + rho) - E and d_ij / (1 - rho) + E,
+    E the sum of both sides' errors.  So the largest d seen gives a lower
+    bound on the gap, and only entries with d >= (1 - rho) (lower - E),
+    within about 2E of the running maximum, can still attain it; each is
+    recomputed in double at the end.  A block holding more candidates than
+    its width (T close to S everywhere) is recomputed in double with the
+    same kernel and enters exactly.  Where either side is not screened,
+    every block runs in double.  A NaN read in T gives NaN, as np.max does.
+    """
+    err = _screen_error(s.core) + t.err
+    n = s.core.size
+    if err == np.inf:
+        return float(np.max([_exact_gap(s, t, lo, hi) for lo, hi in _block_bounds(n)]))
+    lower = best = -np.inf
+    found = []
+    for lo, hi, block in _resolvent_blocks(s.vectors32, s.core):
+        block -= t.t32[:hi, lo:hi]
+        d = np.abs(block)
+        peak = float(np.max(d))
+        if peak != peak:
+            return math.nan
+        lower = max(lower, peak / (1.0 + _RHO) - err)
+        flat = np.flatnonzero(d >= _floor32((1.0 - _RHO) * (lower - err)))
+        if flat.size > hi - lo:
+            exact = _exact_gap(s, t, lo, hi)
+            best, lower = max(best, exact), max(lower, exact)
+        else:
+            i, j = np.divmod(flat, hi - lo)
+            found.append((i, j + lo, d.ravel()[flat]))
+    if found:
+        i, j, d = (np.concatenate(parts) for parts in zip(*found))
+        keep = d >= _floor32((1.0 - _RHO) * (lower - err))
+        i, j = i[keep], j[keep]
+        if i.size:
+            best = max(best, float(np.max(np.abs(s.entries(i, j) - t.exact.entries(i, j)))))
+    return best
+
+
+def _floor32(x: float) -> np.float32:
+    """The largest float32 not above x, so a float32 comparison keeps every d >= x."""
+    x32 = np.float32(x)
+    return x32 if float(x32) <= x else np.nextafter(x32, np.float32(-np.inf))
+
+
+def _exact_gap(s: _Factored, t: _Target, lo: int, hi: int) -> float:
+    return float(np.max(np.abs(s.block(lo, hi) - t.exact.block(lo, hi))))
 
 
 class SpectralFactory:
     """One eigendecomposition of a symmetric matrix, reused for all z.
 
     Only the lower triangle of the matrix is read.  Per z, ``resolvent``
-    assembles the n x n resolvent from the column blocks of its upper
-    triangle, one real product each: about n^3 (1 + _BLOCK / n) real
-    multiply-adds, against 2 n^3 for two full products.  ``_max_gap``
-    reduces the same blocks against a symmetric matrix and never builds
-    the resolvent.
+    assembles the n x n resolvent in double precision from the column
+    blocks of its upper triangle, one real product each: about
+    n^3 (1 + _BLOCK / n) real multiply-adds, against 2 n^3 for two full
+    products.  Called as H(w), a factory is the resolvent map of an
+    explicit input.  It also keeps a float32 copy of its eigenvectors, so
+    ``_max_gap`` screens the same blocks in single precision against a
+    symmetric target and never builds the resolvent.
     """
 
     def __init__(self, k):
@@ -221,27 +396,33 @@ class SpectralFactory:
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("need a square matrix")
         self.eigenvalues, self._vectors = np.linalg.eigh(k)
+        self._vectors32 = self._vectors.astype(np.float32)
+
+    def __call__(self, w: complex) -> np.ndarray:
+        return self.resolvent(w)
 
     def resolvent(self, z: complex) -> np.ndarray:
         # the part left of a diagonal block is the transpose of the part above it
         n = self.eigenvalues.size
         out = np.empty((n, n), dtype=complex)
-        for lo, hi, block in _resolvent_blocks(self.eigenvalues, self._vectors, _upper_half(z)):
+        for lo, hi, block in _resolvent_blocks(self._vectors, self._factored(_upper_half(z)).core):
             out[:hi, lo:hi] = block
             out[lo:hi, :lo] = block[:lo].T
         return out
 
+    def _factored(self, w: complex, coef: complex = 1.0) -> _Factored:
+        """coef (K - w I)^{-1} in factored form."""
+        return _Factored(self._vectors, self._vectors32, coef / (self.eigenvalues - w))
+
     def _max_gap(self, z: complex, t) -> float:
         """max |resolvent(z) - t| for a symmetric n x n t, block by block.
 
-        Reads only t's upper block triangle; a NaN there gives NaN, as
-        np.max does.
+        t is an array or a ``_gap_target``, which a caller reducing several
+        resolvents against one t prepares once.  Reads only t's upper block
+        triangle; a NaN there gives NaN, as np.max does.
         """
-        worst = []
-        for lo, hi, block in _resolvent_blocks(self.eigenvalues, self._vectors, _upper_half(z)):
-            block -= t[:hi, lo:hi]
-            worst.append(np.max(np.abs(block)))
-        return float(np.max(worst))
+        s = self._factored(_upper_half(z))
+        return _screened_gap(s, t if isinstance(t, _Target) else _gap_target(t))
 
 
 def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
@@ -253,7 +434,7 @@ def _sigma_builders(sigma, gamma: float, zs, cfg: FixedPointConfig) -> list:
     """
     fac = SpectralFactory(sigma)
     chi = MpBoxtimes(gamma, esd_from_eigenvalues(fac.eigenvalues), cfg)
-    points = _compose(chi, 1, fac.resolvent, zs)
+    points = _compose(chi, 1, fac, zs)
     for z, (_, _, ok) in zip(np.ravel(zs), points):
         if not ok:
             raise DivergenceError(f"no convergence at z = {complex(z)} for {chi!r}")

@@ -137,9 +137,9 @@ class ExplicitData:
         return float(np.mean(np.einsum("ij,ij->j", self.x0, self.x0)) / d0)
 
     def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
-        """The spectrum and resolvent of K_X from one eigh."""
+        """The spectrum of K_X and its factory, the resolvent map, from one eigh."""
         fac = SpectralFactory(conjugate_kernel(self.x0, d0))
-        return esd_from_eigenvalues(fac.eigenvalues), fac.resolvent
+        return esd_from_eigenvalues(fac.eigenvalues), fac
 
 
 DataModel = Union[IidData, EquicorrelatedData, ExplicitData]
@@ -255,18 +255,17 @@ def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
 # Full runs
 
 
-def layer_kernels(spec: NetworkSpec, seed: int):
-    """Yield (K_l, sigma2_l) for l = 0..depth of one sampled network.
+def _layer_outputs(spec: NetworkSpec, seed: int):
+    """Yield (Y_l, d_l, sigma2_l) for l = 0..depth of one sampled network.
 
-    K_0 is the input kernel K_X; K_l is the conjugate kernel after layer
-    l and sigma2_l the shared output variance that K_l's diagonal
-    concentrates on.  Only the current activations and the current kernel
-    are held, so a consumer that drops each kernel before asking for the
-    next keeps one n x n kernel alive, whatever the depth.
+    Y_0 is the input X (d_0 = d0) and Y_l the output of layer l, of width
+    d_l; sigma2_l is the shared variance its columns' squared norms / d_l
+    concentrate on.  Only the current activations are held: each layer is
+    sampled from the previous one when the next item is asked for.
     """
     x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
     sigma2 = spec.data.input_variance()
-    yield conjugate_kernel(x, spec.d0), sigma2
+    yield x, spec.d0, sigma2
     d_prev = spec.d0
     for i, (lspec, d) in enumerate(zip(spec.layers, spec.dims), start=1):
         rngs = (stream(seed, i, "W"), stream(seed, i, "B"), stream(seed, i, "D"))
@@ -275,7 +274,21 @@ def layer_kernels(spec: NetworkSpec, seed: int):
         sigma2 = _ungated_constants(
             lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2
         ).sigma_y2
-        yield conjugate_kernel(x, d), sigma2
+        yield x, d, sigma2
+
+
+def layer_kernels(spec: NetworkSpec, seed: int):
+    """Yield (K_l, sigma2_l) for l = 0..depth of one sampled network.
+
+    K_0 is the input kernel K_X; K_l is the conjugate kernel after layer
+    l and sigma2_l the shared output variance that K_l's diagonal
+    concentrates on.  Only the current activations and the current kernel
+    are held, so a consumer that drops each kernel before asking for the
+    next keeps one n x n kernel alive, whatever the depth.  A consumer that
+    needs only some kernels forms them from ``_layer_outputs`` instead.
+    """
+    for y, d, sigma2 in _layer_outputs(spec, seed):
+        yield conjugate_kernel(y, d), sigma2
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 import ckequiv.cli as cli
 import ckequiv.detequiv as detequiv
 import ckequiv.measures as measures
+import ckequiv.netsim as netsim
 from ckequiv.cli import (
     ConfigError,
     ZGridConfig,
@@ -482,8 +483,8 @@ def explicit_two_layer_tree(outdir, **overrides):
 def count_factory_work(monkeypatch):
     """Lists of the SpectralFactory objects built and of the factory of each product.
 
-    A product is a resolvent(z) or a _max_gap(z, t) call: each forms the
-    resolvent's column blocks once.
+    A product is a _factored(w) call: each factored resolvent, sampled or
+    the input's, is reduced once by column blocks.
     """
     factories, calls = [], []
     init = SpectralFactory.__init__
@@ -493,14 +494,13 @@ def count_factory_work(monkeypatch):
         init(self, k)
 
     monkeypatch.setattr(SpectralFactory, "__init__", counted_init)
-    for name in ("resolvent", "_max_gap"):
-        method = getattr(SpectralFactory, name)
+    factored = SpectralFactory._factored
 
-        def counted(self, *args, _method=method):
-            calls.append(self)
-            return _method(self, *args)
+    def counted(self, *args):
+        calls.append(self)
+        return factored(self, *args)
 
-        monkeypatch.setattr(SpectralFactory, name, counted)
+    monkeypatch.setattr(SpectralFactory, "_factored", counted)
     return factories, calls
 
 
@@ -550,21 +550,91 @@ class TestCompareCommand:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted_decomp)
+        kernels = []
+        kernel = netsim.conjugate_kernel
+
+        def counted_kernel(y, d):
+            kernels.append(d)
+            return kernel(y, d)
+
+        for module in (netsim, cli):
+            monkeypatch.setattr(module, "conjugate_kernel", counted_kernel, raising=False)
+        passes = []
+        blocks = detequiv._resolvent_blocks
+
+        def counted_blocks(vec, core):
+            passes.append(vec.dtype)
+            return blocks(vec, core)
+
+        monkeypatch.setattr(detequiv, "_resolvent_blocks", counted_blocks)
+        fallbacks = []
+        exact_gap = detequiv._exact_gap
+
+        def counted_fallback(s, t, lo, hi):
+            fallbacks.append(lo)
+            return exact_gap(s, t, lo, hi)
+
+        monkeypatch.setattr(detequiv, "_exact_gap", counted_fallback)
         tree = explicit_two_layer_tree(tmp_path)
         tree["sim"] = {"seeds": [0, 1], "replicas": 2}
         cpath = write_cfg(tmp_path, tree)
         assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0
         capsys.readouterr()
         seeds, depth, points = 2, 2, 3
+        # K_X once for the equivalent, then one kernel per sampled (seed, layer >= 1)
+        assert len(kernels) == 1 + seeds * depth
         # the explicit input's factory, then one per sampled (seed, layer)
         assert len(factories) == 1 + seeds * depth
         # each factory is the one decomposition of its kernel; layer 0 is never decomposed
         assert decomps == {"eigh": 1 + seeds * depth, "eigvalsh": 0}
-        # each seed's gap plus one input-side H(u) per (layer, z)
+        # each seed's gap plus the input side's factored H(u) per (layer, z)
         assert len(products) == depth * points * (seeds + 1)
-        # no sampled resolvent is built: only the input's factory assembles one
-        assert set(resolvents) == {factories[0]}
+        assert sum(f is factories[0] for f in products) == depth * points
+        # every product is one single-precision pass, and no block is redone in double
+        assert passes == [np.dtype(np.float32)] * (depth * points * (seeds + 1))
+        assert fallbacks == []
+        # no resolvent is assembled, on either side
+        assert resolvents == []
         assert grids == [points] * depth
+
+    @pytest.mark.parametrize("n", [159, 161])
+    @pytest.mark.parametrize("data", ["iid", "equicorrelated", "explicit", "explicit_b0"])
+    def test_entry_gap_matches_a_dense_inverse(self, tmp_path, capsys, n, data):
+        """max_entry_gap against inv(K_l - z I) - build(), around the block width."""
+        tree = smoke_tree(tmp_path, z_grid={"x_min": 0.5, "x_max": 1.5, "step": 1.0, "eta": [0.2]})
+        net = tree["network"]
+        net["n"] = net["d0"] = n
+        net["data"] = {"kind": data.split("_")[0]}
+        if data == "iid":
+            net["data"]["sigma_x2"] = 1.0
+        if data.startswith("explicit"):
+            path = tmp_path / "x0.npy"
+            x0 = np.random.default_rng(n).standard_normal((n, n)) * np.sqrt([0.5, 1.5] * n)[:n]
+            np.save(path, x0)
+            net["data"]["path"] = str(path)
+        if data == "explicit_b0":
+            # an even activation at unit pre-activation variance has b = 0: a
+            # dense g I equivalent above the explicit input's factored one
+            sx2 = ExplicitData(x0).input_variance()
+            sy2 = layer_constants(LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0), sx2).sigma_y2
+            net["layers"] = [dict(net["layers"][0], sigma_d2=0.0),
+                             {"sigma_w2": 1.0 / sy2, "activation": "hermite2", "gamma": 1.0}]
+        net["dims"] = [n] * len(net["layers"])
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        rows = read_csv(tmp_path / "compare_rows.csv")
+        spec = load_config(cpath).network
+        chain = detequiv.build_chain(spec)
+        if data == "explicit_b0":
+            assert chain.layers[1].constants.b == 0.0
+        kernels = [[k for k, _ in netsim.layer_kernels(spec, seed)] for seed in (0, 1)]
+        zs = np.array([complex(float(r["z_re"]), float(r["z_im"])) for r in rows[:2]])
+        for li, layer in enumerate(chain.layers, start=1):
+            for z, (_, build, ok), row in zip(zs, layer.gbuilder(zs), rows[2 * (li - 1):]):
+                g_eq = build()
+                want = max(float(np.max(np.abs(np.linalg.inv(ks[li] - z * np.eye(n)) - g_eq))) for ks in kernels)
+                assert ok and abs(float(row["max_entry_gap"]) - want) <= 1e-12 * want
 
     def test_starved_flags_pass_through_the_pool(self, tmp_path, capsys, monkeypatch):
         factories, calls = count_factory_work(monkeypatch)
@@ -587,8 +657,8 @@ class TestCompareCommand:
                 rows = read_csv(out / "compare_rows.csv")
                 flagged = [r for r in rows if r["converged"] == "0"]
                 assert flagged and all(math.isnan(float(r["max_entry_gap"])) for r in flagged)
-                # the input factory is built first; its resolvent is H at the
-                # composed argument, which only converged rows may ask for
+                # the input factory is built first; its factored resolvent is H at
+                # the composed argument, which only converged rows may ask for
                 converged = len(rows) - len(flagged)
                 assert converged == 6
                 assert sum(f is factories[0] for f in calls) == converged

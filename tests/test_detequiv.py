@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import ckequiv.detequiv as detequiv
 from ckequiv.detequiv import (
     _BLOCK,
     B_ZERO_TOL,
     LayerSpec,
     SpectralFactory,
     _compose,
+    _resolvent_blocks,
+    _screen_error,
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
@@ -88,10 +91,90 @@ class TestResolventBlocks:
     @pytest.mark.parametrize("n", SIZES)
     def test_nan_in_the_target_gives_nan(self, n):
         fac = SpectralFactory(random_psd(n, n + 2))
-        for i, j in ((0, n - 1), (n - 1, 0), (n // 2, n // 2)):
-            t = np.zeros((n, n), dtype=complex)
-            t[i, j] = t[j, i] = np.nan
-            assert np.isnan(fac._max_gap(1.0 + 0.1j, t))
+        # a zero target is screened; the resolvent itself is redone in double
+        for base in (np.zeros((n, n), dtype=complex), fac.resolvent(1.0 + 0.1j)):
+            for i, j in ((0, n - 1), (n - 1, 0), (n // 2, n // 2)):
+                t = base.copy()
+                t[i, j] = t[j, i] = np.nan
+                assert np.isnan(fac._max_gap(1.0 + 0.1j, t))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_single_precision_blocks_keep_their_bound(self, n):
+        k = random_psd(n, n + 3)
+        fac = SpectralFactory(k)
+        for z in self.points(k):
+            core = 1.0 / (fac.eigenvalues - z)
+            err = _screen_error(core)
+            assert 0 < err < 1e-3 * np.max(np.abs(core))
+            pairs = zip(_resolvent_blocks(fac._vectors32, core), _resolvent_blocks(fac._vectors, core))
+            for (lo, hi, single), (_, _, double) in pairs:
+                assert single.dtype == np.complex64 and double.dtype == complex
+                assert np.max(np.abs(single - double)) <= err
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        blocks = []
+        exact = detequiv._exact_gap
+
+        def counted(s, t, lo, hi):
+            blocks.append(lo)
+            return exact(s, t, lo, hi)
+
+        monkeypatch.setattr(detequiv, "_exact_gap", counted)
+        return blocks
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_near_ties_are_resolved_in_double(self, n, monkeypatch):
+        fallbacks = self.count_fallbacks(monkeypatch)
+        k = random_psd(n, n + 4)
+        fac = SpectralFactory(k)
+        rng = np.random.default_rng(n + 4)
+        for z in self.points(k):
+            direct = np.linalg.inv(k - z * np.eye(n))
+            # |R - t| is 0.5 or less except at up to four entries that tie to 1e-9
+            d = 0.5 * rng.random((n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
+            rows, cols = np.triu_indices(n)
+            for rank, p in enumerate(rng.permutation(rows.size)[:4]):
+                d[rows[p], cols[p]] = (1.0 - 1e-9 * rank) * np.exp(2j * np.pi * rng.random())
+            d = np.triu(d) + np.triu(d, 1).T
+            t = direct - d
+            want = np.max(np.abs(direct - t))
+            assert abs(fac._max_gap(z, t) - want) <= 1e-13 * want
+        assert fallbacks == [] or n < 3
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_target_equal_to_the_resolvent_falls_back_to_double(self, n, monkeypatch):
+        fallbacks = self.count_fallbacks(monkeypatch)
+        k = random_psd(n, n + 5)
+        fac = SpectralFactory(k)
+        for z in self.points(k):
+            fallbacks.clear()
+            t = fac.resolvent(z)
+            # every entry ties within the single-precision error, so every block
+            # of more than one row is redone by the kernel that built t
+            got = fac._max_gap(z, t)
+            if n == 1:
+                assert fallbacks == [] and got <= 1e-15 * abs(t[0, 0])
+            else:
+                assert fallbacks == list(range(0, n, _BLOCK)) and got == 0.0
+
+    def test_cores_beyond_single_precision_run_in_double(self, monkeypatch):
+        fallbacks = self.count_fallbacks(monkeypatch)
+        n = _BLOCK + 1
+        k = random_psd(n, 6)
+        fac = SpectralFactory(k)
+        rng = np.random.default_rng(6)
+        for z in (1e12j, complex(fac.eigenvalues[n // 2], 1e-12)):
+            core = 1.0 / (fac.eigenvalues - z)
+            assert _screen_error(core) == np.inf
+            # K - zI is too ill-conditioned at the second point for a dense inverse
+            direct = (fac._vectors * core) @ fac._vectors.T
+            for t in symmetric_targets(n, rng):
+                t = t * np.max(np.abs(direct))
+                want = np.max(np.abs(direct - t))
+                assert abs(fac._max_gap(z, t) - want) <= 1e-12 * want
+        # two blocks for each of two points and three targets
+        assert len(fallbacks) == 2 * 2 * 3
 
     def test_gap_needs_the_upper_half_plane(self):
         fac = SpectralFactory(random_psd(5, 3))
