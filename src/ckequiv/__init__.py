@@ -50,7 +50,7 @@ from .netsim import (
     NetworkSpec,
     SimResult,
     conjugate_kernel,
-    layer_kernels,
+    layer_outputs,
     orthogonality_stats,
     run_network,
 )
@@ -88,7 +88,7 @@ __all__ = [
     "gaussian_norm_sq",
     "kolmogorov_distance",
     "layer_constants",
-    "layer_kernels",
+    "layer_outputs",
     "make_rule",
     "mp_stieltjes_closed",
     "orthogonality_stats",

@@ -19,10 +19,11 @@ rendered with ``repr`` so identical runs produce identical bytes.  The first
 CSV line is a ``# generated <timestamp>`` comment unless ``--no-timestamp``
 is given.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence
-(output files are still written, with the bad grid points flagged),
-4 I/O error.  The worker pool size is taken from the ``CKEQUIV_WORKERS``
-environment variable.
+Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
+4 I/O error.  On exit 3 ``density`` and ``compare`` still write their
+tables, with the bad grid points flagged; ``example55`` stops at the first
+point that does not converge and writes no table.  The worker pool size
+is taken from the ``CKEQUIV_WORKERS`` environment variable.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from .netsim import (
     ExplicitData,
     IidData,
     NetworkSpec,
-    _layer_outputs,
     conjugate_kernel,
+    layer_outputs,
     orthogonality_stats,
     run_network,
 )
@@ -498,7 +499,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         # a seed keeps the stats and factory of each layer >= 1; each kernel is
         # freed once decomposed, and layer 0 (never read here) is never formed
         stats, factories = [], []
-        for y, d, sigma2 in itertools.islice(_layer_outputs(spec, seed), 1, None):
+        for y, d, sigma2 in itertools.islice(layer_outputs(spec, seed), 1, None):
             k = conjugate_kernel(y, d)
             fac = SpectralFactory(k)
             stats.append(orthogonality_stats(k, sigma2, fac.eigenvalues))
@@ -513,12 +514,8 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     def kolmogorov(li):
         chi = chain.layers[li - 1].chi
         spectra = [factories[li - 1].eigenvalues for _, factories in samples]
-        lo = min(chi.support_min(), min(float(lam[0]) for lam in spectra))
-        hi = max(chi.support_max(), max(float(lam[-1]) for lam in spectra))
-        pad = 0.05 * max(hi - lo, 1.0)
-        grid = np.linspace(lo - pad, hi + pad, 801)
         try:
-            return float(np.mean([kolmogorov_distance(esd_from_eigenvalues(lam), chi, grid) for lam in spectra]))
+            return float(np.mean([kolmogorov_distance(esd_from_eigenvalues(lam), chi) for lam in spectra]))
         except DivergenceError:
             return None
 

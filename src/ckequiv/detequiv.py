@@ -137,7 +137,7 @@ def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
         name = spec.f.scaled(np.sqrt(const.sigma_tilde2)).name
         raise ValueError(
             f"rescaled activation {name!r} is not Gaussian-centered "
-            f"(zeta_0 = {zeta0:.3e}); use f.shifted({zeta0!r})"
+            f"(zeta_0 = {zeta0:.3e}); use f.shifted({float(zeta0)!r})"
         )
     return const
 
@@ -490,7 +490,7 @@ def build_chain(net: "NetworkSpec", cfg: FixedPointConfig = DEFAULT_CONFIG) -> E
     the layers above it.
     """
     # H is the equivalent map under the run of b > 0 layers ending here
-    chi0, H = net.data._input_law(net.d0, net.n, cfg)
+    chi0, H = net.data._input_law(net.d0, net.n)
     sx2 = net.data.input_variance()
     prev, depth = chi0, 0
     layers: list[ChainLayer] = []

@@ -527,22 +527,17 @@ class MpBoxtimes:
 # Module-level operations
 
 
-def kolmogorov_distance(
-    a: DiscreteMeasure | MpBoxtimes, b: DiscreteMeasure | MpBoxtimes, grid
-) -> float:
-    """sup_t |F_a(t) - F_b(t)| over the grid, atoms and their left limits.
+def kolmogorov_distance(a: DiscreteMeasure | MpBoxtimes, b: DiscreteMeasure | MpBoxtimes) -> float:
+    """sup_t |F_a(t) - F_b(t)|, from both one-sided values at every atom.
 
-    The supplied grid is augmented with every atom of either measure, and
-    both one-sided values are compared at each point, so the distance is
-    exact when both measures are discrete.
+    At least one law must be discrete.  Its distribution function is
+    constant between its atoms and the other's is nondecreasing, so the
+    supremum is attained at an atom of either law, from the left or from
+    the right; no grid is needed.
     """
-    pts = np.unique(np.concatenate([
-        np.asarray(grid, dtype=float).ravel(),
-        a.atom_points(),
-        b.atom_points(),
-    ]))
-    if pts.size == 0:
-        raise ValueError("empty evaluation grid")
+    if not (isinstance(a, DiscreteMeasure) or isinstance(b, DiscreteMeasure)):
+        raise TypeError("kolmogorov_distance needs at least one DiscreteMeasure")
+    pts = np.unique(np.concatenate([a.atom_points(), b.atom_points()]))
     right = np.abs(a.cdf(pts) - b.cdf(pts))
     left = np.abs(a.cdf_left(pts) - b.cdf_left(pts))
     return float(max(right.max(), left.max()))

@@ -1,15 +1,16 @@
 """Monte Carlo ground truth for random-network kernel spectra.
 
 Samples the network X -> f(W X / sqrt(d) + B) + D layer by layer and
-streams the conjugate kernel K = Y^T Y / d of every depth through
-``layer_kernels``, which holds only the current activations and the
-current kernel.  ``run_network`` takes from each kernel the quantities
-the deterministic theory predicts, the eigenvalues (one eigenvalue-only
-decomposition per kernel) and the deviation stats of K from a multiple
-of the identity, and drops it before the next layer is sampled, so
-memory stays flat in depth.  Resolvents and Stieltjes transforms come
-from ``SpectralFactory(K)``, which keeps the eigenvectors of one kernel
-for every z.
+streams each depth's activations Y, width d and shared variance through
+``layer_outputs``, which holds only the current activations.  A consumer
+forms the conjugate kernel K = Y^T Y / d (``conjugate_kernel``) of the
+layers it reads and no other.  ``run_network`` takes from every kernel
+the quantities the deterministic theory predicts, the eigenvalues (one
+eigenvalue-only decomposition per kernel) and the deviation stats of K
+from a multiple of the identity, and drops it before the next layer is
+sampled, so memory stays flat in depth.  Resolvents and Stieltjes
+transforms come from ``SpectralFactory(K)``, which keeps the
+eigenvectors of one kernel for every z.
 
 Randomness is fanned out from one master seed into independent
 substreams keyed by (layer, role), so enlarging the evaluation grid or
@@ -24,7 +25,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .detequiv import LayerSpec, SpectralFactory, _scalar_equivalent, _two_atom_measure, _ungated_constants
-from .freeconv import FixedPointConfig
 from .measures import MpBoxtimes, _rounding_zero, dirac, esd_from_eigenvalues
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
@@ -68,13 +68,13 @@ class IidData:
     def input_variance(self) -> float:
         return self.sigma_x2
 
-    def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
+    def _input_law(self, d0: int, n: int):
         """K_X's law and resolvent map, as ``build_chain`` takes them.
 
         The limit MP(n/d0) (x) delta_sigma_x2 and its equivalent g I, so
         the theory side is seed-free.
         """
-        chi0 = MpBoxtimes(n / d0, dirac(self.sigma_x2), solver=cfg)
+        chi0 = MpBoxtimes(n / d0, dirac(self.sigma_x2))
         return chi0, partial(_scalar_equivalent, chi0, n)
 
 
@@ -97,7 +97,7 @@ class EquicorrelatedData:
     def input_variance(self) -> float:
         return 1.0
 
-    def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
+    def _input_law(self, d0: int, n: int):
         """The exact two-atom spectrum of S and its resolvent.
 
         The resolvent is a multiple of I plus a rank-one all-ones correction.
@@ -136,7 +136,7 @@ class ExplicitData:
         d0 = self.x0.shape[0]
         return float(np.mean(np.einsum("ij,ij->j", self.x0, self.x0)) / d0)
 
-    def _input_law(self, d0: int, n: int, cfg: FixedPointConfig):
+    def _input_law(self, d0: int, n: int):
         """The spectrum of K_X and its factory, the resolvent map, from one eigh."""
         fac = SpectralFactory(conjugate_kernel(self.x0, d0))
         return esd_from_eigenvalues(fac.eigenvalues), fac
@@ -255,13 +255,15 @@ def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
 # Full runs
 
 
-def _layer_outputs(spec: NetworkSpec, seed: int):
+def layer_outputs(spec: NetworkSpec, seed: int):
     """Yield (Y_l, d_l, sigma2_l) for l = 0..depth of one sampled network.
 
     Y_0 is the input X (d_0 = d0) and Y_l the output of layer l, of width
     d_l; sigma2_l is the shared variance its columns' squared norms / d_l
-    concentrate on.  Only the current activations are held: each layer is
-    sampled from the previous one when the next item is asked for.
+    concentrate on, so the conjugate kernel K_l = ``conjugate_kernel(Y_l,
+    d_l)`` has its diagonal near sigma2_l.  Only the current activations
+    are held: each layer is sampled from the previous one when the next
+    item is asked for, and a consumer forms only the kernels it reads.
     """
     x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
     sigma2 = spec.data.input_variance()
@@ -275,20 +277,6 @@ def _layer_outputs(spec: NetworkSpec, seed: int):
             lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2
         ).sigma_y2
         yield x, d, sigma2
-
-
-def layer_kernels(spec: NetworkSpec, seed: int):
-    """Yield (K_l, sigma2_l) for l = 0..depth of one sampled network.
-
-    K_0 is the input kernel K_X; K_l is the conjugate kernel after layer
-    l and sigma2_l the shared output variance that K_l's diagonal
-    concentrates on.  Only the current activations and the current kernel
-    are held, so a consumer that drops each kernel before asking for the
-    next keeps one n x n kernel alive, whatever the depth.  A consumer that
-    needs only some kernels forms them from ``_layer_outputs`` instead.
-    """
-    for y, d, sigma2 in _layer_outputs(spec, seed):
-        yield conjugate_kernel(y, d), sigma2
 
 
 @dataclass(frozen=True)
@@ -317,13 +305,15 @@ class SimResult:
 def run_network(spec: NetworkSpec, seed: int) -> SimResult:
     """Sample one network and collect the spectrum and stats of every kernel.
 
-    Each kernel gets one eigenvalue-only decomposition (O(n^3), no
-    eigenvectors, no SVD) and is dropped before the next layer is
-    sampled.  For kernels or resolvents, iterate ``layer_kernels`` and
-    build ``SpectralFactory(K)``.
+    Each kernel K_0..K_depth gets one eigenvalue-only decomposition
+    (O(n^3), no eigenvectors, no SVD) and is dropped before the next layer
+    is sampled.  For kernels or resolvents, iterate ``layer_outputs``, form
+    ``conjugate_kernel(Y, d)`` of the layers needed and build
+    ``SpectralFactory(K)``.
     """
     eigenvalues, stats = [], []
-    for k, sigma2 in layer_kernels(spec, seed):
+    for y, d, sigma2 in layer_outputs(spec, seed):
+        k = conjugate_kernel(y, d)
         # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
         lam = np.linalg.eigvalsh(k)
         eigenvalues.append(lam)

@@ -37,7 +37,7 @@ def _centered_coeffs(model: CovModel):
     if abs(zeta[0]) >= 1e-8:
         raise ValueError(
             f"activation {model.f.name!r} is not Gaussian-centered "
-            f"(zeta_0 = {zeta[0]:.3e}); recenter with f.shifted({zeta[0]!r})"
+            f"(zeta_0 = {zeta[0]:.3e}); recenter with f.shifted({float(zeta[0])!r})"
         )
     return zeta
 

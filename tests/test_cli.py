@@ -444,8 +444,7 @@ class TestSimulateCommand:
         lam = np.array([float(r["eigenvalue"]) for r in eig if r["layer"] == "1"])
         assert lam.size == 1000
         law = MpBoxtimes(1.0, dirac(1.0))
-        grid = np.linspace(-0.5, 5.0, 600)
-        assert kolmogorov_distance(esd_from_eigenvalues(lam), law, grid) < 0.05
+        assert kolmogorov_distance(esd_from_eigenvalues(lam), law) < 0.05
 
     def test_kernel_floor_scales_with_the_kernel(self, tmp_path, capsys):
         # at sigma_w2 = 1e8 the null space of K_1 (gamma = 2) rounds to about
@@ -515,7 +514,7 @@ class TestCompareCommand:
 
         monkeypatch.setattr(MpBoxtimes, "_solve", counted)
         # the Kolmogorov distance solves on CDF grids of its own
-        monkeypatch.setattr(cli, "kolmogorov_distance", lambda a, b, grid: 0.5)
+        monkeypatch.setattr(cli, "kolmogorov_distance", lambda a, b: 0.5)
         cpath = write_cfg(tmp_path, explicit_two_layer_tree(tmp_path))
         assert main(["compare", "--config", cpath, "--no-timestamp"]) == 0
         capsys.readouterr()
@@ -628,7 +627,7 @@ class TestCompareCommand:
         chain = detequiv.build_chain(spec)
         if data == "explicit_b0":
             assert chain.layers[1].constants.b == 0.0
-        kernels = [[k for k, _ in netsim.layer_kernels(spec, seed)] for seed in (0, 1)]
+        kernels = [[netsim.conjugate_kernel(y, d) for y, d, _ in netsim.layer_outputs(spec, seed)] for seed in (0, 1)]
         zs = np.array([complex(float(r["z_re"]), float(r["z_im"])) for r in rows[:2]])
         for li, layer in enumerate(chain.layers, start=1):
             for z, (_, build, ok), row in zip(zs, layer.gbuilder(zs), rows[2 * (li - 1):]):
@@ -810,6 +809,15 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["density", "--config", str(tmp_path / "absent.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+    def test_example55_divergence_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # the generic builder raises at the first point that does not converge,
+        # so unlike density and compare no flagged table is written
+        out = tmp_path / "out"
+        cpath = write_cfg(tmp_path, {"solver": {"max_iter": 1}})
+        assert main(["example55", "--config", cpath, "--n", "50", "--out", str(out), "--no-timestamp"]) == 3
+        assert capsys.readouterr().err.startswith("numerical divergence: ")
+        assert not out.exists()
 
     def test_out_path_collides_with_file(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))

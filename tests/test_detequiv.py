@@ -9,7 +9,9 @@ from ckequiv.detequiv import (
     B_ZERO_TOL,
     LayerSpec,
     SpectralFactory,
+    _Point,
     _compose,
+    _gap_target,
     _resolvent_blocks,
     _screen_error,
     build_chain,
@@ -39,8 +41,8 @@ def with_input_map(monkeypatch, wrap):
     """Have iid data hand ``build_chain`` the map wrap(G0) instead of its own G0."""
     law = IidData._input_law
 
-    def wrapped(self, d0, n, cfg):
-        chi0, g0 = law(self, d0, n, cfg)
+    def wrapped(self, d0, n):
+        chi0, g0 = law(self, d0, n)
         return chi0, wrap(g0)
 
     monkeypatch.setattr(IidData, "_input_law", wrapped)
@@ -176,6 +178,24 @@ class TestResolventBlocks:
         # two blocks for each of two points and three targets
         assert len(fallbacks) == 2 * 2 * 3
 
+    def test_factored_target_beyond_single_precision_runs_in_double(self, monkeypatch):
+        # an explicit input's equivalent coef (K_X - u I)^{-1} stays factored;
+        # with coef near 1e-12 its core lies below the screened range
+        fallbacks = self.count_fallbacks(monkeypatch)
+        n = _BLOCK + 1
+        base = SpectralFactory(random_psd(n, 7))
+        point = _Point(1e-12 * (0.6 + 0.8j), base, 0.5 + 1.0j)
+        target = _gap_target(point)
+        assert target.t32 is None and target.err == np.inf
+        assert np.max(np.abs(target.exact.core)) < detequiv._SCREEN_RANGE[0]
+        k = random_psd(n, 8)
+        fac = SpectralFactory(k)
+        for z in self.points(k):
+            fallbacks.clear()
+            want = np.max(np.abs(np.linalg.inv(k - z * np.eye(n)) - point.coef * base.resolvent(point.u)))
+            assert abs(fac._max_gap(z, target) - want) <= 1e-12 * want
+            assert fallbacks == list(range(0, n, _BLOCK))
+
     def test_gap_needs_the_upper_half_plane(self):
         fac = SpectralFactory(random_psd(5, 3))
         for bad in (1.0, 1 - 0.5j, 2 + 0j):
@@ -237,6 +257,13 @@ class TestLayerConstants:
         spec = LayerSpec(1.0, 0.0, 0.0, identity_activation().shifted(-0.2), 1.0)
         with pytest.raises(ValueError, match="shifted"):
             layer_constants(spec, 1.0)
+
+    def test_off_center_error_names_a_plain_float_shift(self):
+        # hermite2 at sigma_tilde2 = 2 has Gaussian mean (2 - 1) / sqrt(2)
+        spec = LayerSpec(2.0, 0.0, 0.0, hermite2_activation(), 1.0)
+        with pytest.raises(ValueError, match=r"f\.shifted\(0\.70710678") as info:
+            layer_constants(spec, 1.0)
+        assert "np.float64" not in str(info.value)
 
     def test_layer_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Spectral measure objects: transforms and CDF tables."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from ckequiv.measures import (
     esd_from_eigenvalues,
     kolmogorov_distance,
 )
-from ckequiv.netsim import ExplicitData, IidData, NetworkSpec
+from ckequiv.netsim import ExplicitData, IidData, NetworkSpec, run_network
 
 from nested_oracle import PicardLaw, Pushed, converged_l
 
@@ -591,11 +592,55 @@ class TestWarmTable:
 def test_kolmogorov_distance_properties():
     a = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
     b = DiscreteMeasure([1.2, 2.0], [0.5, 0.5])
-    grid = np.linspace(0.0, 3.0, 501)
-    assert kolmogorov_distance(a, a, grid) == 0.0
-    d_ab = kolmogorov_distance(a, b, grid)
-    assert d_ab == pytest.approx(kolmogorov_distance(b, a, grid))
+    assert kolmogorov_distance(a, a) == 0.0
+    d_ab = kolmogorov_distance(a, b)
+    assert d_ab == pytest.approx(kolmogorov_distance(b, a))
     assert 0.3 < d_ab <= 0.5 + 1e-9
+
+
+class TestKolmogorovAtTheAtoms:
+    """The distance is taken at the atoms alone, with no grid."""
+
+    @staticmethod
+    def gridded(esd, law):
+        # sup over an 801-point grid padded past both supports, joined with
+        # every atom, both one-sided values at each point
+        lo = min(law.support_min(), esd.support_min())
+        hi = max(law.support_max(), esd.support_max())
+        pad = 0.05 * max(hi - lo, 1.0)
+        pts = np.unique(np.concatenate([np.linspace(lo - pad, hi + pad, 801), esd.atom_points(), law.atom_points()]))
+        right = np.abs(esd.cdf(pts) - law.cdf(pts))
+        left = np.abs(esd.cdf_left(pts) - law.cdf_left(pts))
+        return float(max(right.max(), left.max()))
+
+    @staticmethod
+    def pair(data, gamma=1.0, n=120):
+        d = int(round(n / gamma))
+        layer = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma)
+        net = NetworkSpec(n=n, d0=n, dims=(d,), data=data, layers=(layer,))
+        (lam,) = run_network(net, seed=3).eigenvalues[1:]
+        return esd_from_eigenvalues(lam), build_chain(net).layers[0].chi
+
+    def test_takes_two_laws_only(self):
+        assert list(inspect.signature(kolmogorov_distance).parameters) == ["a", "b"]
+
+    @pytest.mark.parametrize("case", ["iid", "explicit", "gamma2"])
+    def test_matches_the_gridded_supremum(self, case):
+        if case == "explicit":
+            x0 = np.random.default_rng(8).standard_normal((120, 120)) * np.sqrt(np.linspace(0.5, 1.5, 120))
+            esd, law = self.pair(ExplicitData(x0))
+        else:
+            esd, law = self.pair(IidData(1.0), gamma=2.0 if case == "gamma2" else 1.0)
+        if case == "gamma2":
+            assert law.atom_points().tolist() == [0.0] and esd.atom_mass(0.0) == 0.5
+        want = self.gridded(esd, law)
+        assert kolmogorov_distance(esd, law) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert kolmogorov_distance(law, esd) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_needs_a_discrete_side(self):
+        mp = MpBoxtimes(1.0, dirac(1.0))
+        with pytest.raises(TypeError, match="DiscreteMeasure"):
+            kolmogorov_distance(mp, MpBoxtimes(0.5, dirac(1.0)))
 
 
 def test_module_level_cdf_helper_dispatches():

@@ -19,7 +19,7 @@ from ckequiv.netsim import (
     SpectralFactory,
     conjugate_kernel,
     forward_layer,
-    layer_kernels,
+    layer_outputs,
     orthogonality_stats,
     run_network,
     sample_gaussian,
@@ -207,7 +207,7 @@ class TestRunNetwork:
         )
 
     def kernels(self, net, seed):
-        return [k for k, _ in layer_kernels(net, seed)]
+        return [conjugate_kernel(y, d) for y, d, _ in layer_outputs(net, seed)]
 
     def test_deterministic_given_seed(self):
         net = self.network()
@@ -241,8 +241,9 @@ class TestRunNetwork:
         sy2 = _ungated_constants(lspec.f, 2.0, 1.0, 0.0, 0.0).sigma_y2
         # E[f(sqrt(2) N)^2] = (3 * 4 - 2 * 2 + 1) / 2 for f(t) = (t^2 - 1) / sqrt(2)
         assert sy2 == pytest.approx(4.5, rel=1e-12)
-        (_, sx2), (k1, sigma2) = layer_kernels(net, seed=1)
+        (_, _, sx2), (y1, d1, sigma2) = layer_outputs(net, seed=1)
         assert (sx2, sigma2) == (1.0, sy2)
+        k1 = conjugate_kernel(y1, d1)
         assert res.stats[1] == orthogonality_stats(k1, sy2, res.eigenvalues[1])
 
     def test_eigenvalues_match_full_decomposition(self):
@@ -345,8 +346,6 @@ class TestAgainstLimitLaws:
     pinned here so neither can silently replace the other.
     """
 
-    GRID = np.linspace(-0.5, 5.0, 400)
-
     def _layer_esd(self, data, n=400, seed=0):
         net = NetworkSpec(
             n=n, d0=n, dims=(n,), data=data, layers=(identity_layer(),)
@@ -357,11 +356,11 @@ class TestAgainstLimitLaws:
     def test_near_identity_input_gives_plain_mp(self):
         esd = self._layer_esd(EquicorrelatedData())
         mp = MpBoxtimes(1.0, dirac(1.0))
-        assert kolmogorov_distance(esd, mp, self.GRID) < 0.05
+        assert kolmogorov_distance(esd, mp) < 0.05
 
     def test_iid_input_gives_the_product_law(self):
         esd = self._layer_esd(IidData(1.0))
         mp = MpBoxtimes(1.0, dirac(1.0))
         product = MpBoxtimes(1.0, mp)
-        assert kolmogorov_distance(esd, product, self.GRID) < 0.06
-        assert kolmogorov_distance(esd, mp, self.GRID) > 0.1
+        assert kolmogorov_distance(esd, product) < 0.06
+        assert kolmogorov_distance(esd, mp) > 0.1
