@@ -23,7 +23,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 I/O error.  On exit 3 ``density`` and ``compare`` still write their
 tables, with the bad grid points flagged; ``example55`` stops at the first
 point that does not converge and writes no table.  The worker pool size
-is taken from the ``CKEQUIV_WORKERS`` environment variable.
+is taken from the ``CKEQUIV_WORKERS`` environment variable; a value that
+is not an integer >= 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ def _value(v, kind, where: str):
         return kind(v, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    # json reads 1e999, Infinity and NaN as floats
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {v!r}")
     if kind is int and isinstance(v, float) and not v.is_integer():
         raise ConfigError(f"{where} must be an integer")
     return kind(v)
@@ -394,8 +398,9 @@ def cmd_coeffs(args) -> int:
     if not 1 <= args.r_max <= MAX_DEGREE:
         raise ConfigError(f"--r-max must lie in [1, {MAX_DEGREE}]")
     sw2, sx2, sb2, sd2 = args.sigma_w2, args.sigma_x2, args.sigma_b2, args.sigma_d2
-    if sw2 * sx2 + sb2 <= 0 or sw2 < 0 or sx2 < 0 or sb2 < 0 or sd2 < 0:
-        raise ConfigError("variances must be nonnegative with sigma_w2*sigma_x2 + sigma_b2 > 0")
+    # the chained comparison is False for NaN and inf as well as for negatives
+    if not all(0.0 <= v < math.inf for v in (sw2, sx2, sb2, sd2)) or sw2 * sx2 + sb2 <= 0:
+        raise ConfigError("variances must be finite and nonnegative with sigma_w2*sigma_x2 + sigma_b2 > 0")
     # the constants the theory uses, without its zero-mean gate: this table
     # is diagnostic and should also show activations that need recentering
     const = _ungated_constants(f, sw2, sx2, sb2, sd2, r_max=args.r_max)
@@ -692,6 +697,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "coeffs":
             return cmd_coeffs(args)
+        try:
+            _pool.worker_count()
+        except ValueError as ex:
+            raise ConfigError(str(ex)) from None
         # example55's config is optional; the other commands require one
         cfg = load_config(args.config) if args.config else parse_config({})
         command = {

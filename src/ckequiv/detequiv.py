@@ -173,7 +173,7 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     g, l, ok = chi._solve(z)
     coef = np.ones(z.shape, dtype=complex)
     u = z
-    for l_k, level in zip(l[:depth], chi._levels()):
+    for l_k, level in zip(l[:depth], (chi,) + chi._below):
         coef = coef * (l_k / (u * level.b))
         u = (l_k - level.a) / level.b
     ok = ok & (u.imag > 0)

@@ -210,6 +210,11 @@ class MpBoxtimes:
     no warm-start state between calls, so a transform depends only on its
     arguments, whichever thread asks.  Only the CDF tables are cached, per
     eta.
+    Construction fixes what the parameters decide, once: the closed-form c
+    (``_c``, None for a solver-backed law), the solver levels nested under
+    the law, top first (``_below``; a walk puts the law itself in front),
+    and the mass at 0 (``_mass0``), the larger of the pushed base's mass
+    there and 1 - 1/gamma.
     """
 
     def __init__(
@@ -235,19 +240,19 @@ class MpBoxtimes:
         self.a = a
         self.b = b
         self.solver = solver
+        self._c = None
+        if a == 0.0 and b == 1.0 and isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
+            c = float(base.atoms[0])
+            self._c = 0.0 if c < B_ZERO_TOL else c
+        # never the law itself: that cycle would leave the law and its
+        # cached tables to the cyclic collector
+        self._below = (base,) + base._below if isinstance(base, MpBoxtimes) and base._c is None else ()
+        self._mass0 = max(float(base.atom_mass(-a / b)), 1.0 - 1.0 / gamma, 0.0)
         self._lock = threading.Lock()
         self._tables: dict = {}
 
     def __repr__(self):
         return f"MpBoxtimes(gamma={self.gamma:g}, {self.a:g} + {self.b:g} t, {self.base!r})"
-
-    def _closed_atom(self) -> float | None:
-        """c when the base is an unpushed single atom delta_c (0 below B_ZERO_TOL), else None."""
-        base = self.base
-        if self.a == 0.0 and self.b == 1.0 and isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
-            c = float(base.atoms[0])
-            return 0.0 if c < B_ZERO_TOL else c
-        return None
 
     def _stieltjes_pair(self, v):
         """g(v) and g'(v) on the upper half-plane, NaN where the solve is not certified.
@@ -258,7 +263,7 @@ class MpBoxtimes:
         / v^2) / gamma, with l' from one sweep of its chain's Jacobian at
         the certified root (:func:`chain_slope`).
         """
-        c = self._closed_atom()
+        c = self._c
         if c == 0.0:
             return -1.0 / v, 1.0 / (v * v)
         if c is not None:
@@ -277,29 +282,13 @@ class MpBoxtimes:
         g, dg = self.base._stieltjes_pair((w - self.a) / self.b)
         return g / self.b, dg / (self.b * self.b)
 
-    def _inner(self) -> MpBoxtimes | None:
-        """The level nested under this one: the base when it needs a solve of its own."""
-        base = self.base
-        return base if isinstance(base, MpBoxtimes) and base._closed_atom() is None else None
-
     def _chain(self):
         """(gammas, shifts, scales, bottom) of this law's levels, as :func:`solve_chain_grid` takes them."""
-        levels = self._levels()
+        levels = (self,) + self._below
         gammas = [level.gamma for level in levels]
         shifts = [level.a for level in levels[:-1]]
         scales = [level.b for level in levels[:-1]]
         return gammas, shifts, scales, levels[-1]._pushed_pair
-
-    def _levels(self) -> list:
-        """Levels of the solver chain under this law, top first.
-
-        Level k + 1 is the base of level k, pushed by level k's (a, b); the
-        last level's base needs no solve of its own.
-        """
-        levels = [self]
-        while (inner := levels[-1]._inner()) is not None:
-            levels.append(inner)
-        return levels
 
     def _solve(self, z, start=None):
         """The one solve behind every transform, on the upper half-plane.
@@ -312,7 +301,7 @@ class MpBoxtimes:
         it at the requested height, and a point it does not certify is
         solved again cold.  A closed-form law ignores it.
         """
-        if self._closed_atom() is not None:
+        if self._c is not None:
             g, _ = self._stieltjes_pair(z)
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
@@ -341,7 +330,7 @@ class MpBoxtimes:
         the flags cover every level.
         """
         l, ok, _ = solve_chain_grid([self.gamma], [], [], self._pushed_pair, z, self.support_max(), self.solver)
-        l_base = np.full((len(self.base._levels()), z.size), np.nan, dtype=complex)
+        l_base = np.full((1 + len(self.base._below), z.size), np.nan, dtype=complex)
         _, l_base[:, ok], ok[ok] = self.base._solve((l[0, ok] - self.a) / self.b)
         return np.concatenate([l, l_base]), ok
 
@@ -385,16 +374,12 @@ class MpBoxtimes:
         edge = (1.0 + math.sqrt(self.gamma)) ** 2
         return (self.a + self.b * self.base.support_max()) * edge
 
-    def _atom0(self) -> float:
-        p0 = float(self.base.atom_mass(-self.a / self.b))
-        return max(p0, 1.0 - 1.0 / self.gamma, 0.0)
-
     def atom_points(self) -> np.ndarray:
-        return np.array([0.0]) if self._atom0() > 0 else np.empty(0)
+        return np.array([0.0]) if self._mass0 > 0 else np.empty(0)
 
     def atom_mass(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.where(np.abs(t) <= 1e-12, self._atom0(), 0.0)
+        out = np.where(np.abs(t) <= 1e-12, self._mass0, 0.0)
         return float(out) if t.shape == () else out
 
     def inversion(self, x, etas):
@@ -438,7 +423,7 @@ class MpBoxtimes:
         with self._lock:
             tables = {key: self._tables[key] for key in keys if key in self._tables}
         missing = [key for key in keys if key not in tables]
-        m0 = self._atom0()
+        m0 = self._mass0
         lines = []
         for eta in missing:
             pad = max(0.5, 300.0 * eta)
@@ -516,7 +501,7 @@ class MpBoxtimes:
         # comes from the interpolation table
         xs, cont = table
         out = np.interp(t, xs, cont, left=0.0, right=float(cont[-1]))
-        return out + self._atom0() * (t >= 0.0)
+        return out + self._mass0 * (t >= 0.0)
 
     def cdf_left(self, t, eta: float = DEFAULT_ETA):
         """Left limit of the distribution function."""

@@ -120,6 +120,8 @@ class ExplicitData:
     x0: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.x0):
+            raise ValueError("x0 must be real")
         x0 = np.array(self.x0, dtype=float)
         if x0.ndim != 2:
             raise ValueError("x0 must be a matrix")

@@ -275,6 +275,14 @@ class TestCoeffsCommand:
         assert main(["coeffs", "tanh", "--r-max", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag", ["--sigma-w2=nan", "--sigma-w2=inf", "--sigma-x2=nan", "--sigma-b2=-1", "--sigma-d2=-inf"]
+    )
+    def test_nonfinite_or_negative_variance_is_config_error(self, tmp_path, capsys, flag):
+        assert main(["coeffs", "tanh", flag, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: variances must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_r_max_beyond_hermite_degrees_is_config_error(self, capsys):
         assert main(["coeffs", "tanh", "--r-max", "100"]) == 2
         assert f"config error: --r-max must lie in [1, {MAX_DEGREE}]" in capsys.readouterr().err
@@ -819,6 +827,57 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("numerical divergence: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, literal, message",
+        [
+            (("network", "data", "sigma_x2"), "1e999", "network.data.sigma_x2 must be finite, got inf"),
+            (("network", "layers", 0, "sigma_w2"), "-Infinity", "network.layers[0].sigma_w2 must be finite, got -inf"),
+            (("network", "n"), "1e999", "network.n must be finite, got inf"),
+            (("z_grid", "eta"), "[1e999]", "z_grid.eta[0] must be finite, got inf"),
+            (("z_grid", "step"), "NaN", "z_grid.step must be finite, got nan"),
+            (("z_grid", "x_min"), "NaN", "z_grid.x_min must be finite, got nan"),
+            (("z_grid", "x_max"), "1e999", "z_grid.x_max must be finite, got inf"),
+            (("network", "n"), '"64"', "network.n must be a number"),
+            (("sim", "seeds"), "[0, true]", "sim.seeds[1] must be a number"),
+            (("network", "n"), "64.5", "network.n must be an integer"),
+        ],
+        ids=["sigma_x2-inf", "sigma_w2-neg-inf", "n-inf", "eta-inf", "step-nan", "x_min-nan", "x_max-inf",
+             "n-string", "seed-bool", "n-fraction"],
+    )
+    def test_every_number_in_the_config_is_checked(self, tmp_path, capsys, path, literal, message):
+        # json reads 1e999, Infinity and NaN, so the file is written as text
+        tree = smoke_tree(tmp_path)
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@value@"
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(tree).replace('"@value@"', literal))
+        assert main(["density", "--config", str(cpath), "--no-timestamp"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["density", "simulate"])
+    @pytest.mark.parametrize("workers, message", [("two", "an integer, got 'two'"), ("0", ">= 1, got 0"), ("-1", ">= 1, got -1")])
+    def test_bad_worker_count_is_config_error(self, tmp_path, capsys, monkeypatch, command, workers, message):
+        monkeypatch.setenv("CKEQUIV_WORKERS", workers)
+        cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        assert f"config error: CKEQUIV_WORKERS must be {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["density", "compare"])
+    def test_layer_the_theory_rejects_is_config_error(self, tmp_path, capsys, command):
+        # unit sigma_x2, sigma_w2 and sigma_b2 put hermite2 at sigma_tilde^2 = 2,
+        # where its Gaussian mean is 1/sqrt(2), not 0
+        tree = smoke_tree(tmp_path)
+        tree["network"]["layers"][0]["activation"] = "hermite2"
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: layer 1: ") and "use f.shifted(0.70710678" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_out_path_collides_with_file(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
         blocker = tmp_path / "blocker"
@@ -882,6 +941,17 @@ class TestExitCodes:
         cpath = write_cfg(tmp_path, nonfinite_input_tree(tmp_path))
         assert main([command, "--config", cpath, "--no-timestamp"]) == 2
         assert "config error: network.data.path: x0 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["density", "simulate", "compare"])
+    def test_complex_explicit_input_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "x0.npy"
+        np.save(path, np.ones((64, 64)) + 0.5j)
+        tree = smoke_tree(tmp_path)
+        tree["network"]["data"] = {"kind": "explicit", "path": str(path)}
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        assert "config error: network.data.path: x0 must be real" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "shape, code, message",

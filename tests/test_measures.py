@@ -1,10 +1,12 @@
 """Spectral measure objects: transforms and CDF tables."""
 
+import gc
 import inspect
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -405,6 +407,27 @@ class TestLayerChain:
             fd = (law._pushed_pair(v + h)[0] - law._pushed_pair(v - h)[0]) / (2 * h)
             assert np.max(np.abs(dg - fd) / np.abs(dg)) <= 1e-6
 
+    def test_levels_are_freed_without_the_cyclic_collector(self):
+        # a law holds the levels under it but never itself, so dropping the
+        # top law frees every level, and its cached CDF tables, by refcount
+        law = MpBoxtimes(1.0, dirac(1.0))
+        for a, b, gamma in TANH_LINKS[:3]:
+            law = MpBoxtimes(gamma, law, a=a, b=b)
+        refs = []
+        level = law
+        while isinstance(level, MpBoxtimes):
+            refs.append(weakref.ref(level))
+            level = level.base
+        gc.disable()
+        try:
+            law.cdf(np.array([0.5, 1.0]), eta=1e-2)
+            law.stieltjes(np.array([1.0 + 0.5j, 2.0 + 1e-2j]))
+            law.inversion([0.5, 1.0], [0.1])
+            del law, level
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
+
     def test_starved_inner_layers_flag_instead_of_raising(self):
         zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j])
         starved, _ = layer_chain(3, FixedPointConfig(max_iter=8))
@@ -484,7 +507,7 @@ class TestWarmTable:
         for depth in (1, 2):
             net = NetworkSpec(n=40, d0=60, dims=(40,) * depth, data=ExplicitData(x0), layers=(spec,) * depth)
             chi = build_chain(net).layers[-1].chi
-            levels = chi._levels()
+            levels = (chi,) + chi._below
             assert len(levels) == depth and isinstance(levels[-1].base, DiscreteMeasure)
             warm.clear()
             g, ok = chi._line_solve([zs])

@@ -92,6 +92,11 @@ class TestDataModels:
         with pytest.raises(ValueError):
             ExplicitData(np.ones(4))
 
+    def test_complex_explicit_data_is_rejected(self):
+        # a float cast would drop the imaginary part with only a ComplexWarning
+        with pytest.raises(ValueError, match="x0 must be real"):
+            ExplicitData(np.ones((2, 3)) + 0.5j)
+
 
 class TestForwardPass:
     def test_identity_layer_is_scaled_matmul(self):
