@@ -145,12 +145,17 @@ def _value(v, kind, where: str):
         return kind(v, where)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    # json reads 1e999, Infinity and NaN as floats
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite, got {v!r}")
-    if kind is int and isinstance(v, float) and not v.is_integer():
+    # json reads 1e999, Infinity and NaN as floats, and an integer literal of
+    # any length as an int, which may be too large for a double
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf if v > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
+    if kind is int and not x.is_integer():
         raise ConfigError(f"{where} must be an integer")
-    return kind(v)
+    return int(v) if kind is int else x
 
 
 def _build(where: str, make, *args, **kwargs):
@@ -226,6 +231,8 @@ def _z_grid(tree, where: str) -> ZGridConfig:
         raise ConfigError(f"{where}.step must be positive")
     if g.x_max < g.x_min:
         raise ConfigError(f"{where} range is empty")
+    if not math.isfinite((g.x_max - g.x_min) / g.step):
+        raise ConfigError(f"{where}: (x_max - x_min) / step must be finite")
     return g
 
 
@@ -398,9 +405,9 @@ def cmd_coeffs(args) -> int:
     if not 1 <= args.r_max <= MAX_DEGREE:
         raise ConfigError(f"--r-max must lie in [1, {MAX_DEGREE}]")
     sw2, sx2, sb2, sd2 = args.sigma_w2, args.sigma_x2, args.sigma_b2, args.sigma_d2
-    # the chained comparison is False for NaN and inf as well as for negatives
-    if not all(0.0 <= v < math.inf for v in (sw2, sx2, sb2, sd2)) or sw2 * sx2 + sb2 <= 0:
-        raise ConfigError("variances must be finite and nonnegative with sigma_w2*sigma_x2 + sigma_b2 > 0")
+    # the chained comparisons are False for NaN and inf as well as for negatives
+    if not all(0.0 <= v < math.inf for v in (sw2, sx2, sb2, sd2)) or not 0 < sw2 * sx2 + sb2 < math.inf:
+        raise ConfigError("variances must be finite and nonnegative with 0 < sigma_w2*sigma_x2 + sigma_b2 < inf")
     # the constants the theory uses, without its zero-mean gate: this table
     # is diagnostic and should also show activations that need recentering
     const = _ungated_constants(f, sw2, sx2, sb2, sd2, r_max=args.r_max)
@@ -606,8 +613,11 @@ def cmd_example55(cfg: ExperimentConfig, args) -> int:
         )
         a = float(const.a) if a is None else a
         b = float(const.b) if b is None else b
-    if a < 0 or b < 0:
-        raise ConfigError("a and b must be nonnegative")
+    for flag, v in (("--a", a), ("--b", b)):
+        if not 0 <= v < math.inf:
+            raise ConfigError(f"{flag} must be finite and nonnegative, got {v!r}")
+    if not a + b < math.inf:
+        raise ConfigError("--a + --b must be finite")
     n = args.n
     sigma = np.full((n, n), b / n)
     np.fill_diagonal(sigma, a + b)

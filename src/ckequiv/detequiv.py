@@ -98,8 +98,8 @@ def _ungated_constants(
 ) -> LayerConstants:
     """Constants of one layer, whatever the Gaussian mean of ft.
 
-    b counts as zero where |zeta_1| < B_ZERO_TOL, and an a that rounding
-    left just below zero (by 1e-10 max(1, sigma_y2) at most) is clamped to 0.
+    b counts as zero where |zeta_1| < B_ZERO_TOL, and an a within rounding
+    of zero (1e-10 max(1, sigma_y2), on either side) is set to exactly 0.
     """
     st2 = sigma_w2 * sigma_x2 + sigma_b2
     ft = f.scaled(np.sqrt(st2))
@@ -109,7 +109,7 @@ def _ungated_constants(
     b = 0.0 if abs(z1) < B_ZERO_TOL else z1 * z1 * sigma_w2 / st2
     a = norm2 - (sigma_w2 * sigma_x2 / st2) * z1 * z1 + sigma_d2
     sigma_y2 = norm2 + sigma_d2
-    if -1e-10 * max(1.0, sigma_y2) < a < 0:
+    if abs(a) <= 1e-10 * max(1.0, sigma_y2):
         a = 0.0
     return LayerConstants(
         sigma_x2=sigma_x2,
@@ -129,8 +129,10 @@ def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
     the error names the recentering shift to subtract.
     """
     sigma_x2 = float(sigma_x2)
-    if sigma_x2 <= 0:
+    if not sigma_x2 > 0:
         raise ValueError("sigma_x2 must be positive")
+    if not math.isfinite(spec.sigma_w2 * sigma_x2 + spec.sigma_b2):
+        raise ValueError("sigma_w2*sigma_x2 + sigma_b2 must be finite")
     const = _ungated_constants(spec.f, spec.sigma_w2, sigma_x2, spec.sigma_b2, spec.sigma_d2)
     zeta0 = const.zeta[0]
     if abs(zeta0) >= 1e-6:

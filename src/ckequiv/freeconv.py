@@ -368,11 +368,11 @@ def mp_stieltjes_closed(gamma: float, z):
     stable quadratic formula and returns the root in the upper half-plane.
     """
     gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
-    if np.any(z.imag <= 0):
+    if not np.all(z.imag > 0):
         raise ValueError("z must lie in the open upper half-plane")
     a = gamma * z
     b = z + gamma - 1.0

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 MAX_DEGREE = 64
 
@@ -76,39 +77,30 @@ class QuadratureRule:
         n, w = self.nodes, self.weights
         if n.shape != w.shape or n.ndim != 1:
             raise ValueError("nodes and weights must be aligned 1-d arrays")
-        if np.any(w <= 0):
+        # each check is written to fail on NaN
+        if not np.all(w > 0):
             raise ValueError("quadrature weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("quadrature weights must sum to 1")
-        if abs(float(w @ n)) > 1e-10 or abs(float(w @ n**2) - 1.0) > 1e-10:
+        if not (abs(float(w @ n)) <= 1e-10 and abs(float(w @ n**2) - 1.0) <= 1e-10):
             raise ValueError("quadrature rule fails Gaussian moment checks")
 
 
 def make_rule(m: int) -> QuadratureRule:
     """Gauss-Hermite rule with m nodes for the standard normal weight.
 
-    Nodes and weights come from the symmetric, tridiagonal Jacobi matrix of
-    the monic Hermite recurrence (zero diagonal, off-diagonal sqrt(k)),
-    built dense and handed to ``np.linalg.eigh`` (Golub-Welsch); the
-    eigenvalues are the nodes and the squared first eigenvector components
-    are the weights.  Nodes are symmetrized in pairs so that odd moments
-    cancel exactly.
+    The rule is numpy's ``hermegauss``: the roots of He_m, refined by one
+    Newton step, with weights from the recurrence that are accurate
+    relative to themselves, down to the outermost nodes.  Nodes and
+    weights are symmetric in pairs, so odd moments cancel exactly.  From
+    m = 371 on its weights overflow.
     """
     m = int(m)
     # one node at 0 cannot give E[N^2] = 1
-    if m < 2 or m > 512:
-        raise ValueError(f"node count {m} outside [2, 512]")
-    off = np.sqrt(np.arange(1.0, m))
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    weights = vecs[0] ** 2
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    # first eigenvector components of the outermost nodes underflow to exact
-    # zero for large m; such nodes carry no mass and are dropped
-    keep = weights > 0.0
-    nodes, weights = nodes[keep], weights[keep]
-    weights = weights / weights.sum()
-    return QuadratureRule(nodes, weights)
+    if m < 2 or m > 370:
+        raise ValueError(f"node count {m} outside [2, 370]")
+    nodes, weights = hermite_e.hermegauss(m)
+    return QuadratureRule(nodes, weights / weights.sum())
 
 
 DEFAULT_NODES = 128

@@ -68,9 +68,11 @@ class DiscreteMeasure:
         weights = np.asarray(weights, dtype=float).ravel()
         if atoms.shape != weights.shape or atoms.size == 0:
             raise ValueError("atoms and weights must be aligned, nonempty 1-d arrays")
-        if np.any(weights <= 0):
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms must be finite")
+        if not np.all(weights > 0):
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1")
         order = np.argsort(atoms, kind="stable")
         self.atoms = atoms[order]
@@ -170,6 +172,8 @@ def esd_from_eigenvalues(eigenvalues) -> DiscreteMeasure:
     ev = np.sort(np.asarray(eigenvalues, dtype=float).ravel())
     if ev.size == 0:
         raise ValueError("need at least one eigenvalue")
+    if not np.all(np.isfinite(ev)):
+        raise ValueError("eigenvalues must be finite")
     ev[np.abs(ev) <= _rounding_zero(ev)] = 0.0
     tol = 1e-12 * np.maximum(1.0, np.abs(ev[1:]))
     breaks = np.nonzero(np.diff(ev) > tol)[0] + 1
@@ -227,12 +231,15 @@ class MpBoxtimes:
         b: float = 1.0,
     ):
         gamma, a, b = float(gamma), float(a), float(b)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        # each check is written to fail on NaN
+        if not 0 < gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not isinstance(base, (DiscreteMeasure, MpBoxtimes)):
             raise TypeError("base must be a DiscreteMeasure or an MpBoxtimes")
-        if b <= 0:
-            raise ValueError("scale b must be positive")
+        if not 0 < b < math.inf:
+            raise ValueError("scale b must be positive and finite")
+        if not math.isfinite(a):
+            raise ValueError("shift a must be finite")
         if a + b * base.support_min() < -1e-12:
             raise ValueError("pushed base must be supported on the nonnegative reals")
         self.gamma = gamma
@@ -393,8 +400,6 @@ class MpBoxtimes:
         """
         x = np.asarray(x, dtype=float).ravel()
         etas = [float(eta) for eta in etas]
-        if any(eta <= 0 for eta in etas):
-            raise ValueError("eta must be positive")
         z = (x[None, :] + 1j * np.array(etas)[:, None]).ravel()
         g, ok, tables = self._fill_tables(etas, z)
         g, ok = g.reshape(len(etas), x.size), ok.reshape(len(etas), x.size)
@@ -420,6 +425,8 @@ class MpBoxtimes:
         tables that converged are cached.
         """
         keys = list(dict.fromkeys(float(eta) for eta in etas))
+        if not all(0 < key < math.inf for key in keys):
+            raise ValueError("eta must be positive and finite")
         with self._lock:
             tables = {key: self._tables[key] for key in keys if key in self._tables}
         missing = [key for key in keys if key not in tables]
@@ -490,8 +497,6 @@ class MpBoxtimes:
         return g, ok
 
     def cdf(self, t, eta: float = DEFAULT_ETA):
-        if eta <= 0:
-            raise ValueError("eta must be positive")
         t = np.asarray(t, dtype=float)
         out = self._table_cdf(self._cdf_table(eta), t)
         return float(out) if t.shape == () else out

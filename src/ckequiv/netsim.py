@@ -39,8 +39,8 @@ def stream(master_seed: int, layer: int, role: str) -> np.random.Generator:
 
 
 def sample_gaussian(rows: int, cols: int, variance: float, rng: np.random.Generator):
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
+    if not 0 <= variance < math.inf:
+        raise ValueError("variance must be finite and nonnegative")
     if variance == 0.0:
         return np.zeros((rows, cols))
     out = rng.standard_normal((rows, cols))

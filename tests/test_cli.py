@@ -157,6 +157,10 @@ class TestConfigParsing:
             ({"z_grid": {"eta": [0.1, 0.10000001]}}, "z_grid.eta values name columns"),
             ({"sim": {"seeds": [0, 2, 0]}}, "sim.seeds must not repeat"),
             (nonfinite_input_tree, r"network\.data\.path: x0 must be finite"),
+            ([], "config must be a mapping, got list"),
+            ({"network": [64]}, "network must be a mapping, got list"),
+            ({"network": {"n": 64}}, "network.d0 is required"),
+            ({"output": {"directory": ""}}, "output.directory must be a nonempty string"),
         ],
     )
     def test_value_validation(self, tmp_path, tree, hint):
@@ -172,6 +176,7 @@ class TestConfigParsing:
             ({"kind": "equicorrelated", "sigma_x2": 1.0}, "no parameters"),
             ({"kind": "explicit"}, "path"),
             ({"kind": "iid", "path": "x.npy"}, "explicit"),
+            ({"kind": "explicit", "sigma_x2": 1.0, "path": "x.npy"}, "sigma_x2 only applies to iid data"),
         ],
     )
     def test_data_section_validation(self, tmp_path, data, hint):
@@ -282,6 +287,30 @@ class TestCoeffsCommand:
         assert main(["coeffs", "tanh", flag, "--out", str(tmp_path / "out")]) == 2
         assert "config error: variances must be finite and nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_preactivation_variance_is_config_error(self, tmp_path, capsys):
+        # each variance is finite, but sigma_w2 * sigma_x2 is not
+        argv = ["coeffs", "tanh", "--sigma-w2", "1e200", "--sigma-x2", "1e200", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "with 0 < sigma_w2*sigma_x2 + sigma_b2 < inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, nonzero",
+        [
+            (["identity"], {1}),
+            (["hermite2"], {2}),
+            (["hermite2", "--sigma-w2", "4"], {0, 2}),
+        ],
+        ids=["identity", "hermite2", "hermite2-sigma_w2-4"],
+    )
+    def test_only_the_nonzero_modes_are_flagged(self, tmp_path, capsys, argv, nonzero):
+        # polynomials of degree <= 2 have exactly these modes; the rule's
+        # weights must be accurate enough out to r = 64 to show no others
+        rc, coeffs, _ = self.run_json(tmp_path, ["coeffs", *argv, "--r-max", str(MAX_DEGREE)])
+        assert rc == 0
+        assert {row[0] for row in coeffs["rows"] if not row[2]} == nonzero
+        capsys.readouterr()
 
     def test_r_max_beyond_hermite_degrees_is_config_error(self, capsys):
         assert main(["coeffs", "tanh", "--r-max", "100"]) == 2
@@ -805,6 +834,23 @@ class TestClosedFormCommand:
         assert main(["example55", "--a", "-0.5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--a", "nan"], "--a must be finite and nonnegative, got nan"),
+            (["--a", "inf"], "--a must be finite and nonnegative, got inf"),
+            (["--b", "nan"], "--b must be finite and nonnegative, got nan"),
+            (["--b", "inf"], "--b must be finite and nonnegative, got inf"),
+            (["--a", "1e308", "--b", "1e308"], "--a + --b must be finite"),
+        ],
+        ids=["a-nan", "a-inf", "b-nan", "b-inf", "sum-overflows"],
+    )
+    def test_nonfinite_a_or_b_is_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["example55", "--n", "10", *flags, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
@@ -840,9 +886,18 @@ class TestExitCodes:
             (("network", "n"), '"64"', "network.n must be a number"),
             (("sim", "seeds"), "[0, true]", "sim.seeds[1] must be a number"),
             (("network", "n"), "64.5", "network.n must be an integer"),
+            (("z_grid", "x_max"), "10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000", "z_grid.x_max must be finite, got inf"),
+            (("z_grid", "x_min"), "-10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000", "z_grid.x_min must be finite, got -inf"),
+            (("network", "n"), "10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000", "network.n must be finite, got inf"),
+            (
+                ("z_grid",),
+                '{"x_min": 0, "x_max": 1e300, "step": 1e-300}',
+                "z_grid: (x_max - x_min) / step must be finite",
+            ),
         ],
         ids=["sigma_x2-inf", "sigma_w2-neg-inf", "n-inf", "eta-inf", "step-nan", "x_min-nan", "x_max-inf",
-             "n-string", "seed-bool", "n-fraction"],
+             "n-string", "seed-bool", "n-fraction", "x_max-long-int", "x_min-long-int", "n-long-int",
+             "point-count-inf"],
     )
     def test_every_number_in_the_config_is_checked(self, tmp_path, capsys, path, literal, message):
         # json reads 1e999, Infinity and NaN, so the file is written as text
@@ -865,6 +920,22 @@ class TestExitCodes:
         assert main([command, "--config", cpath, "--no-timestamp"]) == 2
         assert f"config error: CKEQUIV_WORKERS must be {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, code", [("density", 2), ("compare", 2), ("simulate", 0)])
+    def test_overflowing_preactivation_variance(self, tmp_path, capsys, command, code):
+        # sigma_w2 * sigma_x2 overflows to inf: the theory has no constants
+        # there, while a sampled tanh layer saturates and is well defined
+        tree = smoke_tree(tmp_path)
+        tree["network"]["data"]["sigma_x2"] = 1e10
+        tree["network"]["layers"][0]["sigma_w2"] = 1e300
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: layer 1: sigma_w2*sigma_x2 + sigma_b2 must be finite")
+            assert not list(tmp_path.glob("*.csv"))
+        else:
+            assert read_csv(tmp_path / "simulate_stats.csv")
 
     @pytest.mark.parametrize("command", ["density", "compare"])
     def test_layer_the_theory_rejects_is_config_error(self, tmp_path, capsys, command):

@@ -270,6 +270,14 @@ class TestLayerConstants:
             LayerSpec(-1.0, 0.0, 0.0, tanh_activation(), 1.0)
         with pytest.raises(ValueError):
             LayerSpec(1.0, 0.0, 0.0, tanh_activation(), 0.0)
+        for args, message in (
+            ((np.nan, 0.0, 0.0), "sigma_w2 must be finite"),
+            ((1.0, np.inf, 0.0), "sigma_b2 must be finite"),
+            ((1.0, -1.0, 0.0), "bias and noise variances must be nonnegative"),
+            ((1.0, 0.0, -1.0), "bias and noise variances must be nonnegative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                LayerSpec(*args, tanh_activation(), 1.0)
 
 
 class TestEquivalentResolvents:

@@ -20,7 +20,7 @@ from ckequiv.hermite import (
     make_rule,
     tanh_activation,
 )
-from hermite_oracle import hermite_normalized, psi
+from hermite_oracle import gauss_hermite_mp, hermite_normalized, psi
 
 RULE = default_rule()
 
@@ -161,10 +161,11 @@ def test_activation_by_name_unknown():
         activation_by_name("swish")
 
 
-@pytest.mark.parametrize("m", [1, 513])
+@pytest.mark.parametrize("m", [1, 371])
 def test_make_rule_range(m):
-    # one node at 0 cannot give E[N^2] = 1, so the range starts at 2
-    with pytest.raises(ValueError, match=r"outside \[2, 512\]"):
+    # one node at 0 cannot give E[N^2] = 1, so the range starts at 2; from
+    # 371 nodes on numpy's weights overflow
+    with pytest.raises(ValueError, match=r"outside \[2, 370\]"):
         make_rule(m)
 
 
@@ -174,24 +175,33 @@ def test_make_rule_positive_weights():
     assert abs(float(rule.weights.sum()) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("m", [2, 3, 64, 128, 512])
+@pytest.mark.parametrize("m", [2, 3, 64, 128, 370])
 def test_rule_even_moments_are_double_factorials(m):
-    # E[N^2k] = (2k - 1)!!; the rule is exact for 2k < 2m.  Golub-Welsch
-    # weights are accurate to rounding in absolute terms only, so the small
-    # weights of the outer nodes carry large relative errors: at m = 512 the
-    # 2k = 22 moment is off by 2.7e-11 and the 2k = 38 one by a factor 41.
-    # The gate therefore stops at 2k = 20, where every m here holds 1e-12.
+    # E[N^2k] = (2k - 1)!!; the rule is exact for 2k < 2m.  The weights are
+    # accurate relative to themselves, so the outer nodes' tiny weights carry
+    # the high moments too; the gate stops at 2k = 120
     rule = make_rule(m)
-    for two_k in range(0, min(2 * m, 22), 2):
+    for two_k in range(0, min(2 * m - 2, 120) + 1, 2):
         want = float(math.prod(range(two_k - 1, 0, -2)))
         got = float(rule.weights @ rule.nodes**two_k)
         assert abs(got - want) <= 1e-12 * want, (m, two_k, got, want)
 
 
 @pytest.mark.parametrize("m", [2, 3, 64, 128])
+def test_rule_matches_mpmath_oracle(m):
+    # roots of He_m by Newton at 50 digits, weights by the Christoffel formula
+    pytest.importorskip("mpmath")
+    rule = make_rule(m)
+    nodes, weights = gauss_hermite_mp(rule.nodes)
+    assert abs(float(sum(weights)) - 1.0) < 1e-15
+    assert np.max(np.abs(rule.nodes - np.array([float(x) for x in nodes]))) < 1e-13
+    rel = [abs(float((float(got) - want) / want)) for got, want in zip(rule.weights, weights)]
+    assert max(rel) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 128])
 def test_rule_matches_numpy_hermegauss(m):
-    # an independent construction: Newton-refined roots of He_m, with
-    # weights from the recurrence rather than from eigenvectors
+    # pins the rule's source: numpy's hermegauss, normalized to sum 1
     x, w = np.polynomial.hermite_e.hermegauss(m)
     rule = make_rule(m)
     assert rule.nodes.shape == (m,)

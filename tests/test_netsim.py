@@ -16,6 +16,7 @@ from ckequiv.netsim import (
     ExplicitData,
     IidData,
     NetworkSpec,
+    SimResult,
     SpectralFactory,
     conjugate_kernel,
     forward_layer,
@@ -234,6 +235,17 @@ class TestRunNetwork:
         z = 1.0 + 0.5j
         direct = np.linalg.inv(kernels[2] - z * np.eye(net.n))
         assert np.max(np.abs(SpectralFactory(kernels[2]).resolvent(z) - direct)) < 1e-10
+
+    def test_result_checks_counts_and_the_psd_floor(self):
+        # the floor is -1e-12 max |lambda|; an eigenvalue exactly on it passes
+        lam = np.array([-1e-12 * 4.0, 1.0, 4.0])
+        SimResult(seed=0, eigenvalues=(lam, lam), stats=())
+        with pytest.raises(ValueError, match="eigenvalue count must equal n at every layer"):
+            SimResult(seed=0, eigenvalues=(lam, lam[1:]), stats=())
+        below = lam.copy()
+        below[0] = np.nextafter(lam[0], -np.inf)
+        with pytest.raises(ValueError, match="kernel has eigenvalue -4.000e-12 < -4.000e-12"):
+            SimResult(seed=0, eigenvalues=(lam, below), stats=())
 
     def test_uncentered_layer_uses_shared_output_variance(self):
         # hermite2 at sigma_tilde2 = 2 has a nonzero Gaussian mean, which the
