@@ -46,8 +46,8 @@ print(f"\n{'z':>12}  {'seed':>4}  {'|g_sim - g_det|':>16}  {'max entry gap':>14}
 for seed in (0, 1, 2):
     # skip the input, form the layer's kernel: its one decomposition gives both
     # the spectrum and the resolvents
-    _, (y, d, _) = layer_outputs(spec, seed)
-    fac = SpectralFactory(conjugate_kernel(y, d))
+    _, (y, _) = layer_outputs(spec, seed)
+    fac = SpectralFactory(conjugate_kernel(y))
     lam = fac.eigenvalues
     for z in zs:
         g_det, g_mat = equicorrelated_equivalent(n, a, b, z)

@@ -9,12 +9,9 @@ small batch CLI on top.
 from .hermite import (
     ACTIVATIONS,
     Activation,
-    QuadratureRule,
     activation_by_name,
     coeff_vector,
-    default_rule,
     gaussian_norm_sq,
-    make_rule,
 )
 from .freeconv import (
     DEFAULT_CONFIG,
@@ -73,14 +70,12 @@ __all__ = [
     "LayerSpec",
     "MpBoxtimes",
     "NetworkSpec",
-    "QuadratureRule",
     "SimResult",
     "SpectralFactory",
     "activation_by_name",
     "build_chain",
     "coeff_vector",
     "conjugate_kernel",
-    "default_rule",
     "dirac",
     "equicorrelated_equivalent",
     "equicorrelated_stieltjes",
@@ -89,7 +84,6 @@ __all__ = [
     "kolmogorov_distance",
     "layer_constants",
     "layer_outputs",
-    "make_rule",
     "mp_stieltjes_closed",
     "orthogonality_stats",
     "run_network",

@@ -89,9 +89,11 @@ class ZGridConfig:
     step: float = 0.25
     eta: tuple = (0.1,)
 
+    def count(self) -> int:
+        return int(math.floor((self.x_max - self.x_min) / self.step + 1e-9)) + 1
+
     def points(self) -> np.ndarray:
-        count = int(math.floor((self.x_max - self.x_min) / self.step + 1e-9)) + 1
-        return self.x_min + self.step * np.arange(count)
+        return self.x_min + self.step * np.arange(self.count())
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,13 @@ def _value(v, kind, where: str):
     if kind is int and not x.is_integer():
         raise ConfigError(f"{where} must be an integer")
     return int(v) if kind is int else x
+
+
+def _check_fits(where: str, what: str, nbytes: int) -> None:
+    """Reject a size whose arrays alone would exceed physical memory, before they are allocated."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ConfigError(f"{where}: {what} need {nbytes:.3g} bytes, more than the {total:.3g} bytes of physical memory")
 
 
 def _build(where: str, make, *args, **kwargs):
@@ -233,6 +242,8 @@ def _z_grid(tree, where: str) -> ZGridConfig:
         raise ConfigError(f"{where} range is empty")
     if not math.isfinite((g.x_max - g.x_min) / g.step):
         raise ConfigError(f"{where}: (x_max - x_min) / step must be finite")
+    # one complex z per (x, eta) point
+    _check_fits(where, f"{g.count()} x values at {len(g.eta)} eta", 16 * g.count() * len(g.eta))
     return g
 
 
@@ -511,8 +522,8 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         # a seed keeps the stats and factory of each layer >= 1; each kernel is
         # freed once decomposed, and layer 0 (never read here) is never formed
         stats, factories = [], []
-        for y, d, sigma2 in itertools.islice(layer_outputs(spec, seed), 1, None):
-            k = conjugate_kernel(y, d)
+        for y, sigma2 in itertools.islice(layer_outputs(spec, seed), 1, None):
+            k = conjugate_kernel(y)
             fac = SpectralFactory(k)
             stats.append(orthogonality_stats(k, sigma2, fac.eigenvalues))
             factories.append(fac)
@@ -606,6 +617,9 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 def cmd_example55(cfg: ExperimentConfig, args) -> int:
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
+    # Sigma, its eigenvectors and, per z, two complex equivalents and their
+    # difference: ten n x n matrices of doubles
+    _check_fits("--n", f"ten {args.n} x {args.n} matrices", 80 * args.n**2)
     a, b = args.a, args.b
     if a is None or b is None:
         const = layer_constants(

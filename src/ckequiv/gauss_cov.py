@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import Activation, _hermite_all, default_rule
+from .hermite import NODES, WEIGHTS, Activation, _hermite_all
 
 _EIG_FLOOR = -1e-10
 
@@ -44,13 +44,12 @@ class CovModel:
 
 
 def _scaled_coeff_table(model: CovModel, r_max: int):
-    """zeta_r(f_i) for every index i and r = 0..r_max, one pass of the default rule."""
-    rule = default_rule()
+    """zeta_r(f_i) for every index i and r = 0..r_max, one pass of the rule."""
     sig = np.sqrt(np.diag(model.s))
-    vals = model.f(sig[:, None] * rule.nodes[None, :])
-    mono = _hermite_all(r_max, rule.nodes)
+    vals = model.f(sig[:, None] * NODES[None, :])
+    mono = _hermite_all(r_max, NODES)
     norms = np.array([math.sqrt(math.factorial(r)) for r in range(r_max + 1)])
-    zeta = (vals * rule.weights[None, :]) @ mono.T / norms[None, :]
+    zeta = (vals * WEIGHTS[None, :]) @ mono.T / norms[None, :]
     return sig, zeta
 
 

@@ -9,8 +9,9 @@ All Gaussian integrals are taken against the standard normal weight,
     h_0(t) = 1,   h_1(t) = t,   h_{r+1}(t) = t h_r(t) - r h_{r-1}(t),
 
 and ``hh_r = h_r / sqrt(r!)`` are orthonormal for the Gaussian inner
-product.  A quadrature rule here is normalized so that ``sum(weights) = 1``
-and ``sum(weights * g(nodes))`` approximates ``E[g(N)]``.
+product.  The one quadrature rule, ``NODES`` and ``WEIGHTS``, is normalized
+so that ``sum(WEIGHTS) = 1`` and ``sum(WEIGHTS * g(NODES))`` approximates
+``E[g(N)]``.
 
 The coefficient of an activation ``f`` in the orthonormal basis is
 
@@ -61,58 +62,28 @@ def _hermite_all(r_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gaussian quadrature against the standard normal weight.
-
-    ``sum(weights) == 1`` and ``nodes`` are symmetric about zero, so odd
-    moments vanish identically.  Exact for polynomials of degree
-    ``< 2 * len(nodes)``.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        n, w = self.nodes, self.weights
-        if n.shape != w.shape or n.ndim != 1:
-            raise ValueError("nodes and weights must be aligned 1-d arrays")
-        # each check is written to fail on NaN
-        if not np.all(w > 0):
-            raise ValueError("quadrature weights must be positive")
-        if not abs(w.sum() - 1.0) <= 1e-12:
-            raise ValueError("quadrature weights must sum to 1")
-        if not (abs(float(w @ n)) <= 1e-10 and abs(float(w @ n**2) - 1.0) <= 1e-10):
-            raise ValueError("quadrature rule fails Gaussian moment checks")
+def _check_rule(nodes: np.ndarray, weights: np.ndarray) -> None:
+    """Raise ValueError unless the rule's weights and first two moments are right."""
+    # each check is written to fail on NaN
+    if not np.all(weights > 0):
+        raise ValueError("quadrature weights must be positive")
+    if not abs(weights.sum() - 1.0) <= 1e-12:
+        raise ValueError("quadrature weights must sum to 1")
+    if not (abs(float(weights @ nodes)) <= 1e-10 and abs(float(weights @ nodes**2) - 1.0) <= 1e-10):
+        raise ValueError("quadrature rule fails Gaussian moment checks")
 
 
-def make_rule(m: int) -> QuadratureRule:
-    """Gauss-Hermite rule with m nodes for the standard normal weight.
-
-    The rule is numpy's ``hermegauss``: the roots of He_m, refined by one
-    Newton step, with weights from the recurrence that are accurate
-    relative to themselves, down to the outermost nodes.  Nodes and
-    weights are symmetric in pairs, so odd moments cancel exactly.  From
-    m = 371 on its weights overflow.
-    """
-    m = int(m)
-    # one node at 0 cannot give E[N^2] = 1
-    if m < 2 or m > 370:
-        raise ValueError(f"node count {m} outside [2, 370]")
-    nodes, weights = hermite_e.hermegauss(m)
-    return QuadratureRule(nodes, weights / weights.sum())
-
-
-DEFAULT_NODES = 128
-
-# built once at import and shared by every caller, so its arrays are read-only
-_DEFAULT_RULE = make_rule(DEFAULT_NODES)
-_DEFAULT_RULE.nodes.flags.writeable = False
-_DEFAULT_RULE.weights.flags.writeable = False
-
-
-def default_rule() -> QuadratureRule:
-    return _DEFAULT_RULE
+# The one Gauss-Hermite rule, numpy's ``hermegauss`` with 128 nodes: the
+# roots of He_128, refined by one Newton step, and weights from the
+# recurrence, accurate relative to themselves down to the outermost nodes.
+# Normalized to sum 1, it is exact for polynomials of degree < 256; nodes
+# and weights are symmetric in pairs, so odd moments cancel exactly.  Every
+# caller shares the arrays, so they are read-only.
+NODES, WEIGHTS = hermite_e.hermegauss(128)
+WEIGHTS = WEIGHTS / WEIGHTS.sum()
+_check_rule(NODES, WEIGHTS)
+NODES.flags.writeable = False
+WEIGHTS.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +174,14 @@ def activation_by_name(name: str) -> Activation:
 
 
 def coeff_vector(f: Activation, r_max: int) -> np.ndarray:
-    """zeta_0(f) .. zeta_{r_max}(f) in one pass over the default rule's nodes."""
+    """zeta_0(f) .. zeta_{r_max}(f) in one pass over the rule's nodes."""
     r_max = _check_degree(r_max)
-    rule = default_rule()
-    hmat = _hermite_all(r_max, rule.nodes)
+    hmat = _hermite_all(r_max, NODES)
     norms = np.array([math.sqrt(math.factorial(r)) for r in range(r_max + 1)])
-    return (hmat @ (rule.weights * f(rule.nodes))) / norms
+    return (hmat @ (WEIGHTS * f(NODES))) / norms
 
 
 def gaussian_norm_sq(f: Activation) -> float:
-    """||f||^2 = E[f(N)^2] on the default rule."""
-    rule = default_rule()
-    vals = f(rule.nodes)
-    return float(rule.weights @ vals**2)
+    """||f||^2 = E[f(N)^2] on the rule."""
+    return float(WEIGHTS @ f(NODES) ** 2)
 

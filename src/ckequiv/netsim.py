@@ -1,16 +1,16 @@
 """Monte Carlo ground truth for random-network kernel spectra.
 
 Samples the network X -> f(W X / sqrt(d) + B) + D layer by layer and
-streams each depth's activations Y, width d and shared variance through
+streams each depth's activations Y and shared variance through
 ``layer_outputs``, which holds only the current activations.  A consumer
-forms the conjugate kernel K = Y^T Y / d (``conjugate_kernel``) of the
-layers it reads and no other.  ``run_network`` takes from every kernel
-the quantities the deterministic theory predicts, the eigenvalues (one
-eigenvalue-only decomposition per kernel) and the deviation stats of K
-from a multiple of the identity, and drops it before the next layer is
-sampled, so memory stays flat in depth.  Resolvents and Stieltjes
-transforms come from ``SpectralFactory(K)``, which keeps the
-eigenvectors of one kernel for every z.
+forms the conjugate kernel K = Y^T Y / d, d the row count of Y
+(``conjugate_kernel``), of the layers it reads and no other.
+``run_network`` takes from every kernel the quantities the deterministic
+theory predicts, the eigenvalues (one eigenvalue-only decomposition per
+kernel) and the deviation stats of K from a multiple of the identity, and
+drops it before the next layer is sampled, so memory stays flat in depth.
+Resolvents and Stieltjes transforms come from ``SpectralFactory(K)``,
+which keeps the eigenvectors of one kernel for every z.
 
 Randomness is fanned out from one master seed into independent
 substreams keyed by (layer, role), so enlarging the evaluation grid or
@@ -140,7 +140,7 @@ class ExplicitData:
 
     def _input_law(self, d0: int, n: int):
         """The spectrum of K_X and its factory, the resolvent map, from one eigh."""
-        fac = SpectralFactory(conjugate_kernel(self.x0, d0))
+        fac = SpectralFactory(conjugate_kernel(self.x0))
         return esd_from_eigenvalues(fac.eigenvalues), fac
 
 
@@ -184,18 +184,16 @@ class NetworkSpec:
 # Forward pass and kernels
 
 
-def forward_layer(x, spec: LayerSpec, d_prev: int, rngs) -> np.ndarray:
-    """One layer: f(W x / sqrt(d_prev) + B) + D.
+def forward_layer(x, spec: LayerSpec, rngs) -> np.ndarray:
+    """One layer: f(W x / sqrt(d_prev) + B) + D, with d_prev the row count of x.
 
     rngs supplies the (W, B, D) substreams.  The output width is fixed
     by the layer's shape ratio, d_out = n / gamma.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x must be a matrix")
-    if x.shape[0] != d_prev:
-        raise ValueError(f"x has {x.shape[0]} rows, expected d_prev = {d_prev}")
-    n = x.shape[1]
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError("x must be a matrix with at least one row")
+    d_prev, n = x.shape
     d_out_f = n / spec.gamma
     d_out = int(round(d_out_f))
     if d_out < 1 or abs(d_out_f - d_out) > 1e-9:
@@ -211,17 +209,17 @@ def forward_layer(x, spec: LayerSpec, d_prev: int, rngs) -> np.ndarray:
     return y
 
 
-def conjugate_kernel(y, d: int) -> np.ndarray:
-    """K = Y^T Y / d, exactly symmetric."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+def conjugate_kernel(y) -> np.ndarray:
+    """K = Y^T Y / d for a d x n matrix Y, exactly symmetric."""
     y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[0] < 1:
+        raise ValueError("Y must be a matrix with at least one row")
     # numpy takes Y^T Y of a contiguous Y as one syrk, whose result is
     # exactly symmetric; a strided Y would go through a general product
     if not (y.flags.c_contiguous or y.flags.f_contiguous):
         y = np.ascontiguousarray(y)
     k = y.T @ y
-    k /= d
+    k /= y.shape[0]
     return k
 
 
@@ -246,9 +244,12 @@ def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
     diag = np.diag(k) - sigma2
     delta = k.copy()
     np.fill_diagonal(delta, diag)
+    # scaled by max|diag| rounded down to a power of two: no square overflows,
+    # and the scaling is exact, so a norm that did not overflow keeps every bit
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(diag)))[1] - 1)
     return OrthoStats(
         max_dev=float(np.max(np.abs(delta, out=delta))),
-        diag_norm=float(np.linalg.norm(diag)),
+        diag_norm=scale * float(np.linalg.norm(diag / scale)),
         spec_norm=float(np.max(np.abs(lam))),
     )
 
@@ -258,27 +259,25 @@ def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
 
 
 def layer_outputs(spec: NetworkSpec, seed: int):
-    """Yield (Y_l, d_l, sigma2_l) for l = 0..depth of one sampled network.
+    """Yield (Y_l, sigma2_l) for l = 0..depth of one sampled network.
 
-    Y_0 is the input X (d_0 = d0) and Y_l the output of layer l, of width
-    d_l; sigma2_l is the shared variance its columns' squared norms / d_l
-    concentrate on, so the conjugate kernel K_l = ``conjugate_kernel(Y_l,
-    d_l)`` has its diagonal near sigma2_l.  Only the current activations
-    are held: each layer is sampled from the previous one when the next
-    item is asked for, and a consumer forms only the kernels it reads.
+    Y_0 is the input X, d0 x n, and Y_l the output of layer l, d_l x n;
+    sigma2_l is the shared variance its columns' squared norms / d_l
+    concentrate on, so the conjugate kernel K_l = ``conjugate_kernel(Y_l)``
+    has its diagonal near sigma2_l.  Only the current activations are
+    held: each layer is sampled from the previous one when the next item
+    is asked for, and a consumer forms only the kernels it reads.
     """
     x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
     sigma2 = spec.data.input_variance()
-    yield x, spec.d0, sigma2
-    d_prev = spec.d0
-    for i, (lspec, d) in enumerate(zip(spec.layers, spec.dims), start=1):
+    yield x, sigma2
+    for i, lspec in enumerate(spec.layers, start=1):
         rngs = (stream(seed, i, "W"), stream(seed, i, "B"), stream(seed, i, "D"))
-        x = forward_layer(x, lspec, d_prev, rngs)
-        d_prev = d
+        x = forward_layer(x, lspec, rngs)
         sigma2 = _ungated_constants(
             lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2
         ).sigma_y2
-        yield x, d, sigma2
+        yield x, sigma2
 
 
 @dataclass(frozen=True)
@@ -310,12 +309,12 @@ def run_network(spec: NetworkSpec, seed: int) -> SimResult:
     Each kernel K_0..K_depth gets one eigenvalue-only decomposition
     (O(n^3), no eigenvectors, no SVD) and is dropped before the next layer
     is sampled.  For kernels or resolvents, iterate ``layer_outputs``, form
-    ``conjugate_kernel(Y, d)`` of the layers needed and build
+    ``conjugate_kernel(Y)`` of the layers needed and build
     ``SpectralFactory(K)``.
     """
     eigenvalues, stats = [], []
-    for y, d, sigma2 in layer_outputs(spec, seed):
-        k = conjugate_kernel(y, d)
+    for y, sigma2 in layer_outputs(spec, seed):
+        k = conjugate_kernel(y)
         # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
         lam = np.linalg.eigvalsh(k)
         eigenvalues.append(lam)

@@ -12,18 +12,20 @@ import math
 import numpy as np
 from numpy.polynomial import hermite_e
 
+from ckequiv.hermite import NODES, WEIGHTS
+
 
 def hermite_normalized(r: int, t):
     """Orthonormal Hermite polynomial h_r / sqrt(r!) at t."""
     return hermite_e.hermeval(t, [0.0] * r + [1.0]) / math.sqrt(math.factorial(r))
 
 
-def psi(f, r: int, sigma: float, rule) -> float:
-    """Psi_r(sigma) = sigma^{-r} E[f(sigma N) h_r(N)] (monic h_r)."""
+def psi(f, r: int, sigma: float) -> float:
+    """Psi_r(sigma) = sigma^{-r} E[f(sigma N) h_r(N)] (monic h_r), on the package's rule."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    vals = f(sigma * rule.nodes) * hermite_e.hermeval(rule.nodes, [0.0] * r + [1.0])
-    return float(rule.weights @ vals) / sigma**r
+    vals = f(sigma * NODES) * hermite_e.hermeval(NODES, [0.0] * r + [1.0])
+    return float(WEIGHTS @ vals) / sigma**r
 
 
 def gauss_hermite_mp(start, dps: int = 50):

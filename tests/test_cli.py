@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,25 @@ class TestSimulateCommand:
         assert {r["seed"] for r in eig5} == {"5"}
         assert len(eig5) == 2 * 64
 
+    def test_diag_norm_of_a_huge_input_kernel_does_not_overflow(self, tmp_path, capsys):
+        # K_X's diagonal deviations are about 1e200, so a plain 2-norm's squares overflow
+        tree = {
+            "network": {
+                "n": 16, "d0": 16, "dims": [16], "data": {"kind": "iid", "sigma_x2": 1e200},
+                "layers": [{"sigma_w2": 1e-200, "activation": "tanh", "gamma": 1.0}],
+            },
+            "sim": {"seeds": [0]},
+        }
+        cpath = write_cfg(tmp_path, tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", cpath, "--out", str(tmp_path), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        x, sigma2 = next(netsim.layer_outputs(load_config(cpath).network, 0))
+        want = math.hypot(*(np.diag(netsim.conjugate_kernel(x)) - sigma2))
+        got = float(read_csv(tmp_path / "simulate_stats.csv")[0]["diag_norm"])
+        assert math.isfinite(want) and abs(got - want) <= 1e-15 * want
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
         for d in ("one", "two"):
@@ -589,9 +609,9 @@ class TestCompareCommand:
         kernels = []
         kernel = netsim.conjugate_kernel
 
-        def counted_kernel(y, d):
-            kernels.append(d)
-            return kernel(y, d)
+        def counted_kernel(y):
+            kernels.append(y.shape[0])
+            return kernel(y)
 
         for module in (netsim, cli):
             monkeypatch.setattr(module, "conjugate_kernel", counted_kernel, raising=False)
@@ -664,7 +684,7 @@ class TestCompareCommand:
         chain = detequiv.build_chain(spec)
         if data == "explicit_b0":
             assert chain.layers[1].constants.b == 0.0
-        kernels = [[netsim.conjugate_kernel(y, d) for y, d, _ in netsim.layer_outputs(spec, seed)] for seed in (0, 1)]
+        kernels = [[netsim.conjugate_kernel(y) for y, _ in netsim.layer_outputs(spec, seed)] for seed in (0, 1)]
         zs = np.array([complex(float(r["z_re"]), float(r["z_im"])) for r in rows[:2]])
         for li, layer in enumerate(chain.layers, start=1):
             for z, (_, build, ok), row in zip(zs, layer.gbuilder(zs), rows[2 * (li - 1):]):
@@ -834,6 +854,13 @@ class TestClosedFormCommand:
         assert main(["example55", "--a", "-0.5"]) == 2
         capsys.readouterr()
 
+    def test_n_beyond_physical_memory_is_config_error(self, tmp_path, capsys):
+        # 8e15 bytes is more than any address space holds, so it is refused before np.full
+        out = tmp_path / "out"
+        assert main(["example55", "--n", "10000000", "--out", str(out)]) == 2
+        assert "config error: --n: ten 10000000 x 10000000 matrices need 8e+15 bytes, more than the " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -894,10 +921,15 @@ class TestExitCodes:
                 '{"x_min": 0, "x_max": 1e300, "step": 1e-300}',
                 "z_grid: (x_max - x_min) / step must be finite",
             ),
+            (
+                ("z_grid",),
+                '{"x_min": 0, "x_max": 1e6, "step": 1e-8}',
+                "z_grid: 100000000000001 x values at 1 eta need 1.6e+15 bytes, more than the ",
+            ),
         ],
         ids=["sigma_x2-inf", "sigma_w2-neg-inf", "n-inf", "eta-inf", "step-nan", "x_min-nan", "x_max-inf",
              "n-string", "seed-bool", "n-fraction", "x_max-long-int", "x_min-long-int", "n-long-int",
-             "point-count-inf"],
+             "point-count-inf", "point-count-beyond-memory"],
     )
     def test_every_number_in_the_config_is_checked(self, tmp_path, capsys, path, literal, message):
         # json reads 1e999, Infinity and NaN, so the file is written as text

@@ -462,7 +462,7 @@ class TestChain:
         # explicit input kernel K_X = x0^T x0 / d0: a discrete input law and a full resolvent
         n, d0 = 40, 80
         x0 = np.random.default_rng(3).standard_normal((d0, n))
-        lam, vec = np.linalg.eigh(conjugate_kernel(x0, d0))
+        lam, vec = np.linalg.eigh(conjugate_kernel(x0))
         chi0 = esd_from_eigenvalues(lam)
 
         def g0(w):

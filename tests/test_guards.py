@@ -12,7 +12,7 @@ import pytest
 
 from ckequiv.detequiv import LayerSpec, layer_constants
 from ckequiv.freeconv import mp_stieltjes_closed
-from ckequiv.hermite import QuadratureRule, tanh_activation
+from ckequiv.hermite import _check_rule, tanh_activation
 from ckequiv.measures import DiscreteMeasure, MpBoxtimes, dirac, esd_from_eigenvalues
 from ckequiv.netsim import sample_gaussian
 
@@ -40,9 +40,9 @@ def mp_one():
         (lambda: sample_gaussian(2, 2, NAN, np.random.default_rng(0)), "variance must be finite and nonnegative"),
         (lambda: mp_stieltjes_closed(NAN, 1j), "gamma must be positive and finite"),
         (lambda: mp_stieltjes_closed(1.0, complex(1.0, NAN)), "upper half-plane"),
-        (lambda: QuadratureRule(np.array([-1.0, 1.0]), np.array([NAN, NAN])), "quadrature weights must be positive"),
+        (lambda: _check_rule(np.array([-1.0, 1.0]), np.array([NAN, NAN])), "quadrature weights must be positive"),
         (
-            lambda: QuadratureRule(np.array([NAN, 1.0]), np.array([0.5, 0.5])),
+            lambda: _check_rule(np.array([NAN, 1.0]), np.array([0.5, 0.5])),
             "quadrature rule fails Gaussian moment checks",
         ),
     ],

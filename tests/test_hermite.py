@@ -9,20 +9,18 @@ from ckequiv.hermite import (
     ACTIVATIONS,
     Activation,
     DegreeOverflowError,
+    NODES,
+    WEIGHTS,
     _hermite_all,
     activation_by_name,
     centered_relu,
     coeff_vector,
-    default_rule,
     gaussian_norm_sq,
     hermite2_activation,
     identity_activation,
-    make_rule,
     tanh_activation,
 )
 from hermite_oracle import gauss_hermite_mp, hermite_normalized, psi
-
-RULE = default_rule()
 
 # quadrature values frozen from an independent 400-node mpmath-style check
 TANH_ZETA1 = 0.60570550960217
@@ -51,14 +49,14 @@ def test_normalized_is_monic_over_sqrt_factorial():
 def test_rule_integrates_gaussian_moments_exactly():
     # E Z^2 = 1, E Z^4 = 3, E Z^6 = 15, odd moments vanish
     for k, want in ((0, 1.0), (2, 1.0), (4, 3.0), (6, 15.0), (1, 0.0), (3, 0.0)):
-        got = float(RULE.weights @ RULE.nodes**k)
+        got = float(WEIGHTS @ NODES**k)
         assert abs(got - want) < 1e-12
 
 
 def test_orthonormality_small_block():
     for r in range(9):
         for s in range(9):
-            val = float(RULE.weights @ (hermite_normalized(r, RULE.nodes) * hermite_normalized(s, RULE.nodes)))
+            val = float(WEIGHTS @ (hermite_normalized(r, NODES) * hermite_normalized(s, NODES)))
             assert abs(val - (1.0 if r == s else 0.0)) < 1e-9
 
 
@@ -133,7 +131,7 @@ def test_scaled_coeff_matches_manual_dilation():
     # zeta_r(f_sigma) = sigma^r Psi_r(sigma) / sqrt(r!), the link in the module docstring
     f = tanh_activation()
     for sig in (0.7, 1.3):
-        a = sig**3 * psi(f, 3, sig, RULE) / math.sqrt(math.factorial(3))
+        a = sig**3 * psi(f, 3, sig) / math.sqrt(math.factorial(3))
         b = coeff_vector(f.scaled(sig), 3)[3]
         assert abs(a - b) < 1e-13
 
@@ -142,8 +140,8 @@ def test_psi_scaling_of_identity():
     # f = t: psi_1 = 1 at every sigma, psi_0 = 0
     f = identity_activation()
     for sig in (0.5, 1.0, 2.0):
-        assert abs(psi(f, 1, sig, RULE) - 1.0) < 1e-12
-        assert abs(psi(f, 0, sig, RULE)) < 1e-12
+        assert abs(psi(f, 1, sig) - 1.0) < 1e-12
+        assert abs(psi(f, 0, sig)) < 1e-12
 
 
 def test_psi_derivative_identity_smooth_asymmetric():
@@ -151,8 +149,8 @@ def test_psi_derivative_identity_smooth_asymmetric():
     h = 1e-4
     for sig in (0.9, 1.1):
         for r in (0, 1, 2):
-            num = (psi(f, r, sig + h, RULE) - psi(f, r, sig - h, RULE)) / (2 * h)
-            rhs = sig * psi(f, r + 2, sig, RULE)
+            num = (psi(f, r, sig + h) - psi(f, r, sig - h)) / (2 * h)
+            rhs = sig * psi(f, r + 2, sig)
             assert abs(num - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
@@ -161,57 +159,34 @@ def test_activation_by_name_unknown():
         activation_by_name("swish")
 
 
-@pytest.mark.parametrize("m", [1, 371])
-def test_make_rule_range(m):
-    # one node at 0 cannot give E[N^2] = 1, so the range starts at 2; from
-    # 371 nodes on numpy's weights overflow
-    with pytest.raises(ValueError, match=r"outside \[2, 370\]"):
-        make_rule(m)
-
-
-def test_make_rule_positive_weights():
-    rule = make_rule(64)
-    assert np.all(rule.weights > 0)
-    assert abs(float(rule.weights.sum()) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("m", [2, 3, 64, 128, 370])
-def test_rule_even_moments_are_double_factorials(m):
-    # E[N^2k] = (2k - 1)!!; the rule is exact for 2k < 2m.  The weights are
+def test_rule_even_moments_are_double_factorials():
+    # E[N^2k] = (2k - 1)!!; the rule is exact for 2k < 256.  The weights are
     # accurate relative to themselves, so the outer nodes' tiny weights carry
     # the high moments too; the gate stops at 2k = 120
-    rule = make_rule(m)
-    for two_k in range(0, min(2 * m - 2, 120) + 1, 2):
+    for two_k in range(0, 121, 2):
         want = float(math.prod(range(two_k - 1, 0, -2)))
-        got = float(rule.weights @ rule.nodes**two_k)
-        assert abs(got - want) <= 1e-12 * want, (m, two_k, got, want)
+        got = float(WEIGHTS @ NODES**two_k)
+        assert abs(got - want) <= 1e-12 * want, (two_k, got, want)
 
 
-@pytest.mark.parametrize("m", [2, 3, 64, 128])
-def test_rule_matches_mpmath_oracle(m):
-    # roots of He_m by Newton at 50 digits, weights by the Christoffel formula
+def test_rule_matches_mpmath_oracle():
+    # roots of He_128 by Newton at 50 digits, weights by the Christoffel formula
     pytest.importorskip("mpmath")
-    rule = make_rule(m)
-    nodes, weights = gauss_hermite_mp(rule.nodes)
+    nodes, weights = gauss_hermite_mp(NODES)
     assert abs(float(sum(weights)) - 1.0) < 1e-15
-    assert np.max(np.abs(rule.nodes - np.array([float(x) for x in nodes]))) < 1e-13
-    rel = [abs(float((float(got) - want) / want)) for got, want in zip(rule.weights, weights)]
+    assert np.max(np.abs(NODES - np.array([float(x) for x in nodes]))) < 1e-13
+    rel = [abs(float((float(got) - want) / want)) for got, want in zip(WEIGHTS, weights)]
     assert max(rel) < 1e-12
 
 
-@pytest.mark.parametrize("m", [2, 3, 64, 128])
-def test_rule_matches_numpy_hermegauss(m):
+def test_rule_matches_numpy_hermegauss():
     # pins the rule's source: numpy's hermegauss, normalized to sum 1
-    x, w = np.polynomial.hermite_e.hermegauss(m)
-    rule = make_rule(m)
-    assert rule.nodes.shape == (m,)
-    assert np.max(np.abs(rule.nodes - x)) < 1e-13
-    assert np.max(np.abs(rule.weights - w / w.sum())) < 1e-13
+    x, w = np.polynomial.hermite_e.hermegauss(128)
+    assert np.array_equal(NODES, x)
+    assert np.array_equal(WEIGHTS, w / w.sum())
 
 
-def test_default_rule_is_shared_and_read_only():
-    rule = default_rule()
-    assert rule is default_rule()
-    assert np.array_equal(rule.nodes, make_rule(128).nodes)
-    with pytest.raises(ValueError):
-        rule.weights[0] = 0.0
+def test_rule_is_read_only():
+    for arr in (NODES, WEIGHTS):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

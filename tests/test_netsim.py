@@ -73,7 +73,7 @@ class TestDataModels:
     def test_equicorrelated_kernel_is_exact(self):
         n = 50
         x = EquicorrelatedData().materialize(n, n, np.random.default_rng(0))
-        k = conjugate_kernel(x, n)
+        k = conjugate_kernel(x)
         want = np.eye(n) + (np.ones((n, n)) - np.eye(n)) / n
         assert np.max(np.abs(k - want)) < 1e-13
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ class TestDataModels:
         assert np.array_equal(out, x0)
         out[0, 0] = 99.0
         assert data.x0[0, 0] == 0.0
-        k = conjugate_kernel(x0, 2)
+        k = conjugate_kernel(x0)
         assert data.input_variance() == pytest.approx(np.mean(np.diag(k)))
         with pytest.raises(ValueError):
             data.materialize(3, 2, np.random.default_rng(0))
@@ -105,24 +105,24 @@ class TestForwardPass:
         x = np.arange(12.0).reshape(4, 3)
         w_expected = np.random.default_rng(42).standard_normal((3, 4))
         rngs = (rng_w, np.random.default_rng(0), np.random.default_rng(1))
-        out = forward_layer(x, identity_layer(), 4, rngs)
+        out = forward_layer(x, identity_layer(), rngs)
         assert np.allclose(out, w_expected @ x / 2.0)
 
     def test_shape_checks(self):
         rngs = tuple(np.random.default_rng(i) for i in range(3))
-        with pytest.raises(ValueError, match="rows"):
-            forward_layer(np.ones((4, 3)), identity_layer(), 5, rngs)
+        with pytest.raises(ValueError, match="at least one row"):
+            forward_layer(np.ones((0, 3)), identity_layer(), rngs)
         with pytest.raises(ValueError, match="width"):
-            forward_layer(np.ones((4, 3)), identity_layer(gamma=2.0), 4, rngs)
+            forward_layer(np.ones((4, 3)), identity_layer(gamma=2.0), rngs)
 
     def test_conjugate_kernel_properties(self):
         y = np.random.default_rng(0).standard_normal((30, 20))
-        k = conjugate_kernel(y, 30)
+        k = conjugate_kernel(y)
         assert k.shape == (20, 20)
         assert np.array_equal(k, k.T)
         assert np.linalg.eigvalsh(k)[0] > -1e-12
-        with pytest.raises(ValueError):
-            conjugate_kernel(y, 0)
+        with pytest.raises(ValueError, match="at least one row"):
+            conjugate_kernel(y[:0])
 
     @pytest.mark.parametrize("d, n", [(300, 200), (200, 300), (250, 250)])
     def test_conjugate_kernel_is_exactly_symmetric_in_any_layout(self, d, n):
@@ -134,7 +134,7 @@ class TestForwardPass:
             "strided": wide[:, ::2],
         }
         for name, y in layouts.items():
-            k = conjugate_kernel(y, d)
+            k = conjugate_kernel(y)
             assert k.shape == (n, n)
             assert np.array_equal(k, k.T), name
             want = np.einsum("ki,kj->ij", y, y) / d
@@ -145,7 +145,7 @@ class TestForwardPass:
         # same IEEE operations as f(W x / sqrt(d) + B) + D, D added only when sampled
         lspec = LayerSpec(1.0, 0.5, sigma_d2, tanh_activation(), 2.0)
         x = np.random.default_rng(4).standard_normal((20, 30))
-        out = forward_layer(x, lspec, 20, tuple(np.random.default_rng(s) for s in (7, 8, 9)))
+        out = forward_layer(x, lspec, tuple(np.random.default_rng(s) for s in (7, 8, 9)))
         rng_w, rng_b, rng_d = (np.random.default_rng(s) for s in (7, 8, 9))
         w = rng_w.standard_normal((15, 20))
         b = np.sqrt(0.5) * rng_b.standard_normal((15, 30))
@@ -156,7 +156,7 @@ class TestForwardPass:
 
 class TestSpectralFactory:
     def test_stieltjes_matches_eigenvalue_sum(self):
-        k = conjugate_kernel(np.random.default_rng(1).standard_normal((50, 40)), 50)
+        k = conjugate_kernel(np.random.default_rng(1).standard_normal((50, 40)))
         fac = SpectralFactory(k)
         z = 1.2 + 0.3j
         lam = np.linalg.eigvalsh(k)
@@ -166,7 +166,7 @@ class TestSpectralFactory:
         assert np.max(np.abs(fac.eigenvalues - lam)) < 1e-12
 
     def test_resolvent_matches_inverse(self):
-        k = conjugate_kernel(np.random.default_rng(2).standard_normal((60, 40)), 60)
+        k = conjugate_kernel(np.random.default_rng(2).standard_normal((60, 40)))
         fac = SpectralFactory(k)
         for z in (0.8 + 0.25j, -0.5 + 1e-3j, 3.0 + 2.0j):
             direct = np.linalg.inv(k - z * np.eye(40))
@@ -213,7 +213,7 @@ class TestRunNetwork:
         )
 
     def kernels(self, net, seed):
-        return [conjugate_kernel(y, d) for y, d, _ in layer_outputs(net, seed)]
+        return [conjugate_kernel(y) for y, _ in layer_outputs(net, seed)]
 
     def test_deterministic_given_seed(self):
         net = self.network()
@@ -258,9 +258,9 @@ class TestRunNetwork:
         sy2 = _ungated_constants(lspec.f, 2.0, 1.0, 0.0, 0.0).sigma_y2
         # E[f(sqrt(2) N)^2] = (3 * 4 - 2 * 2 + 1) / 2 for f(t) = (t^2 - 1) / sqrt(2)
         assert sy2 == pytest.approx(4.5, rel=1e-12)
-        (_, _, sx2), (y1, d1, sigma2) = layer_outputs(net, seed=1)
+        (_, sx2), (y1, sigma2) = layer_outputs(net, seed=1)
         assert (sx2, sigma2) == (1.0, sy2)
-        k1 = conjugate_kernel(y1, d1)
+        k1 = conjugate_kernel(y1)
         assert res.stats[1] == orthogonality_stats(k1, sy2, res.eigenvalues[1])
 
     def test_eigenvalues_match_full_decomposition(self):
