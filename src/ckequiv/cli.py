@@ -45,7 +45,7 @@ import numpy as np
 from . import _pool
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig, mp_stieltjes_closed
 from .hermite import MAX_DEGREE, activation_by_name
-from .measures import esd_from_eigenvalues, kolmogorov_distance
+from .measures import DEFAULT_ETA, esd_from_eigenvalues, kolmogorov_distance
 from .detequiv import (
     LayerSpec,
     SpectralFactory,
@@ -165,6 +165,17 @@ def _check_fits(where: str, what: str, nbytes: int) -> None:
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
         raise ConfigError(f"{where}: {what} need {nbytes:.3g} bytes, more than the {total:.3g} bytes of physical memory")
+
+
+def _check_tables_fit(where: str, chi, etas) -> None:
+    """Reject the CDF tables of chi at etas, built together, when their arrays alone exceed physical memory.
+
+    A table point holds at least 64 bytes: its complex z, g and top-level l,
+    and the table's x and F.
+    """
+    count = sum(chi._table_span(eta)[2] for eta in etas)
+    tags = ", ".join(_eta_tag(eta) for eta in etas)
+    _check_fits(where, f"{count} CDF table points at eta {tags}", 64 * count)
 
 
 def _build(where: str, make, *args, **kwargs):
@@ -455,6 +466,7 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
     chi = _chain(cfg).layers[-1].chi
     xs = cfg.z_grid.points()
     etas = cfg.z_grid.eta
+    _check_tables_fit("z_grid.eta", chi, etas)
 
     # the checked transform flags unconverged points of every layer; a CDF
     # table that did not converge clears its whole column instead
@@ -513,6 +525,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     chain = _chain(cfg)
+    # each layer's Kolmogorov distance reads its law's CDF table at DEFAULT_ETA
+    for li, layer in enumerate(chain.layers, start=1):
+        _check_tables_fit(f"layer {li}", layer.chi, [DEFAULT_ETA])
     spec = cfg.network
     seeds = _resolved_seeds(cfg, args)
     xs = cfg.z_grid.points()

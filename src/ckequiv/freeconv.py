@@ -39,13 +39,14 @@ the requested height, and the certificate is the same, so a poor start
 costs a flag, never a wrong value.  A call costs some Python overhead per
 Newton step whatever its point count, and points are solved
 independently, so callers batch: ``MpBoxtimes.inversion`` solves a whole
-density run, every eta's grid and CDF table, in one cold and one warm
-call, the warm points starting from roots interpolated between the cold
-points of their table's line.  A point's iterates depend on the other
-points only through how the bottom's transform rounds on a batch: a
-closed-form bottom gives bitwise the same values however the grid is
-split, while a discrete one, summed one block of points at a time, may
-move the last bits with the batch.
+density run, every eta's grid and CDF table, in one cold call and one warm
+call per finer rung of a ladder of strides, the warm points starting from
+roots interpolated between the points of their table's line solved on the
+rungs before.  A point's iterates depend on the other points only through
+how the bottom's transform rounds on a batch: a closed-form bottom gives
+bitwise the same values however the grid is split, while a discrete one,
+summed one block of points at a time, may move the last bits with the
+batch.
 
 Only the top residual depends on z, with derivative 1, so at a root
 l'(z) = J^{-1} (-e_0), one more Thomas sweep (``chain_slope``).  A

@@ -12,16 +12,22 @@ nested under it to the equivalent-resolvent rule of :mod:`ckequiv.detequiv`.
 Both objects expose a vectorized Stieltjes transform
 g(z) = integral of 1 / (t - z), defined off the real axis, which maps the
 upper half-plane into itself: every law here is a probability measure.
-Densities and distribution functions of solver-backed laws are recovered by
-Stieltjes inversion at a small imaginary offset eta: the density estimate is
-Im g(x + i eta) / pi, and the distribution function integrates it on a grid
-of step eta / 3, with any atom at zero split off explicitly and the
-continuous part renormalized to the remaining mass (this removes the
-O(eta) tail bias of the Poisson kernel).
+A discrete law sums over its atoms only near them: from twice their
+half-span away from their midpoint, a truncated multipole series in their
+moments gives g and g' to rounding at a cost that does not grow with the
+atom count.  Densities and distribution functions of solver-backed laws
+are recovered by Stieltjes inversion at a small imaginary offset eta: the
+density estimate is Im g(x + i eta) / pi, and the distribution function
+integrates it on a grid of step eta / 3 (the CDF table), with any atom at
+zero split off explicitly and the continuous part renormalized to the
+remaining mass (this removes the O(eta) tail bias of the Poisson kernel).
+A table's grid is solved coarse to fine, each rung warm-started from the
+roots of the rungs before.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -40,9 +46,17 @@ DEFAULT_ETA = 1e-3
 # layer scales (and point-mass locations) below this count as zero
 B_ZERO_TOL = 1e-10
 
-_CHUNK = 1 << 18
-# a CDF table solves every _COARSE-th point cold and warm-starts the rest
-_COARSE = 16
+# a discrete transform runs in blocks of about this many numbers per array
+# (atom-point pairs of the direct sum, powers of the series), sized for a
+# 2 MiB L2 cache
+_CHUNK = 1 << 15
+# terms of the far-field series: at |s| <= 1/2 the tail of g' after p terms
+# is at most (9/4) (p + 2) 2^(1 - p) of its scale, sum of w / |t - v|^2,
+# and this p keeps it below 2^-53
+_TERMS = next(p for p in itertools.count(1) if 2.25 * (p + 2) * 2.0 ** (1 - p) <= 2.0**-53)
+# a CDF table's line is solved on a ladder of strides: every _LADDER[0]-th
+# point cold, then each finer rung warm-started from the points solved so far
+_LADDER = (512, 64, 8, 1)
 
 
 def _as_z(z):
@@ -79,50 +93,77 @@ class DiscreteMeasure:
         self.weights = weights[order]
         # F at and left of each atom: _cum[k] is the mass of the first k atoms
         self._cum = np.concatenate([[0.0], np.cumsum(self.weights)])
+        # the far-field series: center c, radius R and, per power s^(j+1) of
+        # s = R / (v - c), the coefficients of g and of g' / s, from the
+        # moments m_j = sum of w x^j, x = (t - c) / R; numpy sums each
+        # contiguous row pairwise, which keeps m_j within a few ulps
+        self._series = None
+        radius = 0.5 * (self.atoms[-1] - self.atoms[0])
+        # the series costs a point about what a direct sum over _TERMS / 2 atoms does
+        if self.atoms.size > _TERMS // 2 and radius > 0:
+            center = 0.5 * (self.atoms[-1] + self.atoms[0])
+            x = (self.atoms - center) / radius
+            powers = np.cumprod(np.broadcast_to(x, (_TERMS - 1, x.size)), axis=0)
+            m = np.concatenate([[self.weights.sum()], (self.weights * powers).sum(axis=1)])
+            j = np.arange(_TERMS)
+            coef = np.stack([-m / radius, (j + 1) * m / radius**2], axis=1)
+            self._series = (center, radius, coef)
 
     def __repr__(self):
         return f"DiscreteMeasure({self.atoms.size} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 
-    def _real_blocks(self, v):
-        """Blocks of the flat complex array v in real arithmetic.
-
-        Yields (slice, eta, d*q, q) with d = t - Re v, eta = Im v and
-        q = 1/(d^2 + eta^2), atoms along the rows, so that
-        1/(t - v) = d*q + i*eta*q.
-        """
-        block = max(1, _CHUNK // self.atoms.size)
-        for i in range(0, v.size, block):
-            sl = slice(i, i + block)
-            eta = v.imag[sl]
-            d = self.atoms[:, None] - v.real[None, sl]
-            q = d * d
-            q += eta * eta
-            np.reciprocal(q, out=q)
-            d *= q
-            yield sl, eta, d, q
-
     def stieltjes(self, z):
         z, scalar = _as_z(z)
-        flat = z.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        w = self.weights
-        for sl, eta, dq, q in self._real_blocks(flat):
-            out[sl] = w @ dq + 1j * eta * (w @ q)
-        out = out.reshape(z.shape)
+        out = self._stieltjes_pair(z.ravel())[0].reshape(z.shape)
         _herglotz_check(out, z)
         return complex(out) if scalar else out
 
     def _stieltjes_pair(self, v):
-        """g(v) and g'(v) = sum of w / (t - v)^2 on a flat complex array v."""
+        """g(v) and g'(v) = sum of w / (t - v)^2 on a flat complex array v.
+
+        A point at least 2R from the atoms' midpoint c, R their half-span,
+        takes the far-field series: with s = R / (v - c), |s| <= 1/2,
+        g = -(s / R) P(s) and g' = (s / R)^2 (P(s) + s P'(s)) for
+        P(s) = sum of m_j s^j, truncated at _TERMS terms (Greengard and
+        Rokhlin 1987).  Every other point, and every point of a measure
+        with at most _TERMS / 2 atoms, takes the direct sum over the atoms.
+        Both run in blocks of about _CHUNK numbers.
+        """
         g = np.empty(v.shape, dtype=complex)
         dg = np.empty(v.shape, dtype=complex)
-        w = self.weights
-        for sl, eta, dq, q in self._real_blocks(v):
-            g[sl] = w @ dq + 1j * eta * (w @ q)
-            q_sq = w @ (q * q)
-            q *= dq
-            dg[sl] = w @ (dq * dq) - eta * eta * q_sq + 2j * eta * (w @ q)
+        far = np.zeros(v.shape, dtype=bool)
+        if self._series is not None:
+            center, radius, _ = self._series
+            far = np.abs(v - center) >= 2.0 * radius
+        for points, pair, width in ((far, self._far_pair, _TERMS), (~far, self._direct_pair, self.atoms.size)):
+            points = np.flatnonzero(points)
+            block = max(1, _CHUNK // width)
+            for i in range(0, points.size, block):
+                idx = points[i : i + block]
+                g[idx], dg[idx] = pair(v[idx])
         return g, dg
+
+    def _far_pair(self, v):
+        center, radius, coef = self._series
+        s = radius / (v - center)
+        powers = np.cumprod(np.broadcast_to(s[:, None], (s.size, _TERMS)), axis=1)
+        g, dg = (powers @ coef).T
+        return g, s * dg
+
+    def _direct_pair(self, v):
+        # in real arithmetic: with d = t - Re v, eta = Im v and
+        # q = 1 / (d^2 + eta^2), atoms along the rows, 1 / (t - v) = d q + i eta q
+        w = self.weights
+        eta = v.imag
+        d = self.atoms[:, None] - v.real
+        q = d * d
+        q += eta * eta
+        np.reciprocal(q, out=q)
+        d *= q
+        g = w @ d + 1j * eta * (w @ q)
+        q_sq = w @ (q * q)
+        q *= d
+        return g, w @ (d * d) - eta * eta * q_sq + 2j * eta * (w @ q)
 
     def support_min(self) -> float:
         return float(self.atoms[0])
@@ -206,14 +247,15 @@ class MpBoxtimes:
     rule).  A law of one level has no other route; its uncertified points
     stay flagged.
     A transform starts every point cold.  The CDF tables missing from one
-    call are built together: one cold solve takes every _COARSE-th point
-    of each table's line (and any transform points of the same call), and
-    one warm solve the rest, each started from the levels' l interpolated
-    between its line's cold points; a point that start does not certify is
-    solved cold.  That start lives only inside one call: the object keeps
-    no warm-start state between calls, so a transform depends only on its
-    arguments, whichever thread asks.  Only the CDF tables are cached, per
-    eta.
+    call are built together, on a ladder of strides (_LADDER): one cold
+    solve takes every 512th point of each table's line (and any transform
+    points of the same call), then one warm solve per finer rung takes
+    every 64th, 8th and finally every point not solved yet, each started
+    from the levels' l interpolated between the points of its line solved
+    before; a point that start does not certify is solved cold.  That
+    start lives only inside one call: the object keeps no warm-start state
+    between calls, so a transform depends only on its arguments, whichever
+    thread asks.  Only the CDF tables are cached, per eta.
     Construction fixes what the parameters decide, once: the closed-form c
     (``_c``, None for a solver-backed law), the solver levels nested under
     the law, top first (``_below``; a walk puts the law itself in front),
@@ -396,7 +438,8 @@ class MpBoxtimes:
         x + i eta, as :meth:`stieltjes_checked` gives it, and the distribution
         function at x, as :meth:`cdf` gives it, or, when the eta's CDF table
         did not converge, the DivergenceError it raised.  The transforms and
-        every missing table come from one cold and one warm solve.
+        every missing table come from one cold solve and one warm solve per
+        later rung of the ladder.
         """
         x = np.asarray(x, dtype=float).ravel()
         etas = [float(eta) for eta in etas]
@@ -416,6 +459,13 @@ class MpBoxtimes:
             raise table
         return table
 
+    def _table_span(self, eta: float):
+        """(lo, hi, count): the CDF table of eta takes count points from lo to hi, about eta / 3 apart."""
+        pad = max(0.5, 300.0 * eta)
+        hi = self.support_max() + pad
+        lo = -pad
+        return lo, hi, int(np.ceil((hi - lo) / (eta / 3.0))) + 1
+
     def _fill_tables(self, etas, extra=()):
         """The CDF table of every eta, missing ones built by one :meth:`_line_solve`.
 
@@ -431,14 +481,7 @@ class MpBoxtimes:
             tables = {key: self._tables[key] for key in keys if key in self._tables}
         missing = [key for key in keys if key not in tables]
         m0 = self._mass0
-        lines = []
-        for eta in missing:
-            pad = max(0.5, 300.0 * eta)
-            hi = self.support_max() + pad
-            lo = -pad
-            step = eta / 3.0
-            xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
-            lines.append(xs + 1j * eta)
+        lines = [np.linspace(*self._table_span(eta)) + 1j * eta for eta in missing]
         g, ok = self._line_solve(lines, extra)
         bounds = np.cumsum([np.size(extra)] + [zs.size for zs in lines])
         for eta, zs, lo, hi in zip(missing, lines, bounds, bounds[1:]):
@@ -466,10 +509,12 @@ class MpBoxtimes:
     def _line_solve(self, lines, extra=()):
         """(g, ok) at the points ``extra``, then along each line Im z = eta sorted by Re z.
 
-        One cold solve takes the extra points with every _COARSE-th point and
-        the last of each line; one warm solve takes the rest of every line,
-        each point starting from each level's l interpolated linearly in Re z
-        between the cold points of its line.
+        The lines are solved on the ladder of strides _LADDER, every rung
+        in one solve for all of them.  The first rung takes, cold, the extra
+        points with every _LADDER[0]-th point and the last of each line.
+        Each later rung takes the points of its stride not solved yet, each
+        starting from each level's l interpolated linearly in Re z between
+        the points of its line solved on the rungs before.
         """
         extra = np.asarray(extra, dtype=complex)
         z = np.concatenate([extra, *lines])
@@ -477,23 +522,29 @@ class MpBoxtimes:
         ok = np.empty(z.shape, dtype=bool)
         if not z.size:
             return g, ok
-        coarse = np.zeros(z.shape, dtype=bool)
-        coarse[: extra.size] = True
         bounds = np.cumsum([extra.size] + [zs.size for zs in lines])
+        solved = np.zeros(z.shape, dtype=bool)
+        solved[: extra.size] = True
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            coarse[lo:hi:_COARSE] = True
-            coarse[hi - 1] = True
-        g[coarse], l_coarse, ok[coarse] = self._solve(z[coarse])
-        l = np.empty((l_coarse.shape[0], z.size), dtype=complex)
-        l[:, coarse] = l_coarse
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            x, cold = z.real[lo:hi], coarse[lo:hi]
-            for lk in l[:, lo:hi]:
-                xw, xc, lc = x[~cold], x[cold], lk[cold]
-                lk[~cold] = np.interp(xw, xc, lc.real) + 1j * np.interp(xw, xc, lc.imag)
-        warm = ~coarse
-        if warm.any():
-            g[warm], _, ok[warm] = self._solve(z[warm], l[:, warm])
+            solved[lo:hi : _LADDER[0]] = True
+            solved[hi - 1] = True
+        g[solved], l_cold, ok[solved] = self._solve(z[solved])
+        l = np.empty((l_cold.shape[0], z.size), dtype=complex)
+        l[:, solved] = l_cold
+        for stride in _LADDER[1:]:
+            rung = np.zeros(z.shape, dtype=bool)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                rung[lo:hi:stride] = True
+            rung &= ~solved
+            if not rung.any():
+                continue
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                x, known, new = z.real[lo:hi], solved[lo:hi], rung[lo:hi]
+                for lk in l[:, lo:hi]:
+                    xn, xk, lk_known = x[new], x[known], lk[known]
+                    lk[new] = np.interp(xn, xk, lk_known.real) + 1j * np.interp(xn, xk, lk_known.imag)
+            g[rung], l[:, rung], ok[rung] = self._solve(z[rung], l[:, rung])
+            solved |= rung
         return g, ok
 
     def cdf(self, t, eta: float = DEFAULT_ETA):

@@ -364,8 +364,9 @@ class TestDensityCommand:
 
     def test_every_eta_shares_one_cold_and_one_warm_solve(self, tmp_path, capsys, monkeypatch):
         # the benchmark's theory-deep run: four tanh layers at gamma = 1, two
-        # eta; one solve per eta and kind (grid, table cold points, table
-        # rest) would make six
+        # eta; the grid and every table's first rung are solved cold in one
+        # call, then each later rung of the ladder warm in one call for both
+        # tables, never one per eta
         starts = []
         real = measures.solve_chain_grid
 
@@ -380,7 +381,7 @@ class TestDensityCommand:
         cpath = write_cfg(tmp_path, tree)
         assert main(["density", "--config", cpath, "--no-timestamp"]) == 0
         capsys.readouterr()
-        assert starts == [False, True]
+        assert starts == [False] + [True] * (len(measures._LADDER) - 1)
         rows = read_csv(tmp_path / "density.csv")
         assert len(rows) == 131 and all(r["converged_eta0.02"] == r["converged_eta0.01"] == "1" for r in rows)
 
@@ -968,6 +969,23 @@ class TestExitCodes:
             assert not list(tmp_path.glob("*.csv"))
         else:
             assert read_csv(tmp_path / "simulate_stats.csv")
+
+    @pytest.mark.parametrize("command, where, eta", [("density", "z_grid.eta", "0.5"), ("compare", "layer 1", "0.001")])
+    def test_cdf_table_beyond_physical_memory_is_config_error(self, tmp_path, capsys, command, where, eta):
+        # one identity layer of weight variance 1e12 bounds the support near
+        # 5.8e12, so the CDF table density reads at eta = 0.5, and the one
+        # compare's Kolmogorov distance reads at eta = 1e-3, would have 3.5e13
+        # and 1.7e16 points, more than a 47-bit address space holds as doubles;
+        # both are refused before anything is solved
+        tree = smoke_tree(tmp_path)
+        tree["network"].update(n=16, d0=16, dims=[8])
+        tree["network"]["layers"][0].update(sigma_w2=1e12, sigma_b2=0.0, activation="identity", gamma=2.0)
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}: ") and f"CDF table points at eta {eta} need " in err
+        assert "bytes of physical memory" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["density", "compare"])
     def test_layer_the_theory_rejects_is_config_error(self, tmp_path, capsys, command):

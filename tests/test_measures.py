@@ -124,6 +124,110 @@ class TestDiscreteMeasure:
         assert abs(d.stieltjes(1j) - 1.0 / (2.0 - 1j)) < 1e-16
 
 
+def explicit_esd(n, seed=0):
+    """The ESD of X^T X / n for n x n Gaussian X with columns of variance 0.5 or 1.5."""
+    rng = np.random.default_rng([seed, n])
+    x = rng.standard_normal((n, n)) * np.sqrt(rng.choice([0.5, 1.5], size=n))
+    return esd_from_eigenvalues(np.linalg.eigvalsh(x.T @ x / n))
+
+
+class TestFarField:
+    """Points at least 2R from the atoms' midpoint take the truncated multipole series."""
+
+    @pytest.mark.parametrize("n", [100, 600, 2000])
+    def test_matches_mpmath_and_the_direct_sum(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        m = explicit_esd(n)
+        center, radius, _ = m._series
+
+        def at(f, angle):
+            # c + f R e^(i angle), moved out by ulps until |v - c| >= f R holds
+            grow = 1.0 + 2.0**-52 * np.arange(8)
+            v = center + f * radius * grow * np.exp(1j * angle)
+            return v[np.argmax(np.abs(v - center) >= f * radius)]
+
+        # on the circle |v - c| = 2R, on the real axis and in the upper half-plane,
+        # beyond it, and inside it, where the direct sum must serve; each at
+        # heights from 1e-12 to 10 on both sides of the atoms, and reflected
+        ring = [at(2.0, a) for a in (0.0, np.pi, 0.3, 1.5, 2.5)]
+        outside = [at(f, a) for f in (2.0 + 1e-9, 3.0, 40.0) for a in (0.0, 0.05, 3.1)]
+        inside = [center + f * radius * np.exp(1j * a) for f in (1.2, 1.5, 2.0 - 1e-9) for a in (0.0, 0.05, 3.1)]
+        base = np.array(ring + outside + inside)
+        heights = [1e-12, 1e-6, 1e-3, 1.0, 10.0]
+        v = np.concatenate([base, base.real] + [base.real + 1j * h for h in heights])
+        v = np.concatenate([v, np.conj(v)])
+        far = np.abs(v - center) >= 2.0 * radius
+        assert np.all(np.abs(np.array(ring) - center) >= 2.0 * radius)
+        assert not np.any(np.abs(np.array(inside) - center) >= 2.0 * radius)
+        assert 0.3 < np.mean(far) < 0.7
+        g, dg = m._stieltjes_pair(v)
+        g_direct, dg_direct = m._direct_pair(v)
+        # the transform is the g half of the same evaluator; the direct sum's
+        # BLAS products may round with the batch, so both take the same one
+        off = v[v.imag != 0]
+        assert np.array_equal(m.stieltjes(off), m._stieltjes_pair(off)[0])
+        scale = np.abs(m.atoms[:, None] - v[None, :])
+        scale_g = m.weights @ (1.0 / scale)
+        scale_dg = m.weights @ (1.0 / scale**2)
+        assert np.all(np.abs(g - g_direct) <= 1e-14 * scale_g)
+        assert np.all(np.abs(dg - dg_direct) <= 1e-14 * scale_dg)
+        atoms = [mpmath.mpf(t) for t in m.atoms]
+        weights = [mpmath.mpf(w) for w in m.weights]
+        with mpmath.workdps(40):
+            for k in np.flatnonzero(far)[::3]:
+                z = mpmath.mpc(v[k].real, v[k].imag)
+                inv = [w / (t - z) for t, w in zip(atoms, weights)]
+                want_g = complex(mpmath.fsum(inv))
+                want_dg = complex(mpmath.fsum(q / (t - z) for q, t in zip(inv, atoms)))
+                assert abs(g[k] - want_g) <= 1e-14 * scale_g[k], v[k]
+                assert abs(dg[k] - want_dg) <= 1e-14 * scale_dg[k], v[k]
+
+    def test_few_atoms_sum_directly(self):
+        # a single atom, or a span of zero, has no series; nor have 31 atoms,
+        # whose direct sum costs about what the series does
+        assert dirac(2.0)._series is None
+        assert DiscreteMeasure([1.0] * 40, [1 / 40] * 40)._series is None
+        assert DiscreteMeasure(np.arange(31.0), np.full(31, 1 / 31))._series is None
+        assert DiscreteMeasure(np.arange(32.0), np.full(32, 1 / 32))._series is not None
+
+    def test_compare_table_needs_a_fraction_of_the_direct_sums(self, monkeypatch):
+        # compare's Kolmogorov table at eta = 1e-3 on one tanh layer over an
+        # explicit input with n = d0 = 600, against the same solve with the
+        # series switched off and the two-rung ladder (16, 1)
+        rng = np.random.default_rng([7, 600])
+        x0 = rng.standard_normal((600, 600)) * np.sqrt(rng.choice([0.5, 1.5], size=600))
+        spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
+        net = NetworkSpec(n=600, d0=600, dims=(600,), data=ExplicitData(x0), layers=(spec,))
+        counts = {}
+        real_pair, real_direct = DiscreteMeasure._stieltjes_pair, DiscreteMeasure._direct_pair
+
+        def pair(self, v):
+            counts["points"] += v.size
+            return real_pair(self, v)
+
+        def direct(self, v):
+            counts["pairs"] += self.atoms.size * v.size
+            return real_direct(self, v)
+
+        monkeypatch.setattr(DiscreteMeasure, "_stieltjes_pair", pair)
+        monkeypatch.setattr(DiscreteMeasure, "_direct_pair", direct)
+
+        def table(terms, ladder):
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_TERMS", terms)
+                patch.setattr(measures, "_LADDER", ladder)
+                chi = build_chain(net).layers[0].chi
+                counts.update(points=0, pairs=0)
+                return chi._cdf_table(1e-3), dict(counts)
+
+        (xs_off, cdf_off), off = table(10**9, (16, 1))
+        (xs_on, cdf_on), on = table(measures._TERMS, measures._LADDER)
+        assert np.array_equal(xs_on, xs_off)
+        assert np.max(np.abs(cdf_on - cdf_off)) <= 1e-12
+        assert on["pairs"] <= 0.4 * off["pairs"]
+        assert on["points"] <= 0.75 * off["points"]
+
+
 class TestPushedBase:
     """MpBoxtimes(gamma, base, a=, b=) is MP(gamma) (x) (a + b base)."""
 
@@ -560,8 +664,9 @@ class TestWarmTable:
         xs = np.linspace(-0.5, 4.0, 19)
         etas = (0.05, 0.01)
         got = chi.inversion(xs, etas)
-        # every eta's transform and table cold points, then the rest of both tables
-        assert starts == [False, True]
+        # every eta's transform and table cold points, then each later rung
+        # of the ladder on both tables at once
+        assert starts == [False] + [True] * (len(measures._LADDER) - 1)
         assert sorted(chi._tables) == [0.01, 0.05]
         starts.clear()
         # the tables are cached: a second call solves its transforms alone
