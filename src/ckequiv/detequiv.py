@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .freeconv import DEFAULT_CONFIG, DivergenceError, FixedPointConfig
-from .hermite import Activation, coeff_vector, gaussian_norm_sq
+from .hermite import Activation, _pow2_floor, coeff_vector, gaussian_norm_sq
 from .measures import B_ZERO_TOL, DiscreteMeasure, MpBoxtimes, dirac, esd_from_eigenvalues
 
 if TYPE_CHECKING:
@@ -106,7 +106,10 @@ def _ungated_constants(
     zeta = coeff_vector(ft, r_max)
     norm2 = gaussian_norm_sq(ft)
     z1 = zeta[1]
-    b = 0.0 if abs(z1) < B_ZERO_TOL else z1 * z1 * sigma_w2 / st2
+    # z1^2 * sigma_w2 taken on z1 / s, s a power of two above |z1|: the
+    # scaling is exact, so b keeps its bits, and no product overflows unless b does
+    s = 2.0 * _pow2_floor(z1)
+    b = 0.0 if abs(z1) < B_ZERO_TOL else s * (s * ((z1 / s) * (z1 / s) * sigma_w2 / st2))
     a = norm2 - (sigma_w2 * sigma_x2 / st2) * z1 * z1 + sigma_d2
     sigma_y2 = norm2 + sigma_d2
     if abs(a) <= 1e-10 * max(1.0, sigma_y2):

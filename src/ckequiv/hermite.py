@@ -181,7 +181,16 @@ def coeff_vector(f: Activation, r_max: int) -> np.ndarray:
     return (hmat @ (WEIGHTS * f(NODES))) / norms
 
 
+def _pow2_floor(x) -> float:
+    """The largest power of two <= |x| (1/2 for 0): scaling by it is exact."""
+    return float(np.ldexp(1.0, np.frexp(x)[1] - 1))
+
+
 def gaussian_norm_sq(f: Activation) -> float:
     """||f||^2 = E[f(N)^2] on the rule."""
-    return float(WEIGHTS @ f(NODES) ** 2)
+    v = f(NODES)
+    # squares of v / s cannot overflow, and the exact scaling keeps every bit
+    # of a sum that did not overflow unscaled
+    s = _pow2_floor(np.max(np.abs(v)))
+    return s * (s * float(WEIGHTS @ (v / s) ** 2))
 

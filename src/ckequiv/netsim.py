@@ -19,12 +19,13 @@ adding probes never changes the sampled network.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .detequiv import LayerSpec, SpectralFactory, _scalar_equivalent, _two_atom_measure, _ungated_constants
+from .hermite import _pow2_floor
 from .measures import MpBoxtimes, _rounding_zero, dirac, esd_from_eigenvalues
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
@@ -223,10 +224,69 @@ def conjugate_kernel(y) -> np.ndarray:
     return k
 
 
+@cache
+def _dsyevd_2stage():
+    """LAPACKE_dsyevd_2stage of the LAPACK numpy links, or None if it has none.
+
+    The two-stage routine reduces a symmetric matrix to a band in BLAS-3
+    and chases the band down to tridiagonal, where ``eigvalsh``'s dsyevd
+    spends half its reduction in memory-bound BLAS-2.  Only numpy's own
+    scipy-openblas exports it under this name, with 64-bit integers.
+    Bound on first use; a ctypes call releases the GIL.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        # dlsym searches the module's own dependencies, the LAPACK among them
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd_2stage64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    # (matrix_layout, jobz, uplo, n, a, lda, w) -> info
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
+
+
+def _eigvalsh(k: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the exactly symmetric K, which is overwritten.
+
+    K must be a C-contiguous float64 matrix that the caller drops after
+    the call: it is decomposed in its own buffer.  Read as column-major it
+    is K^T = K.  Falls back to ``np.linalg.eigvalsh`` where LAPACK lacks
+    the two-stage routine.
+    """
+    fn = _dsyevd_2stage()
+    if fn is None:
+        return np.linalg.eigvalsh(k)
+    if k.dtype != np.float64 or not (k.flags.c_contiguous and k.flags.writeable):
+        raise ValueError("K must be a writeable C-contiguous float64 matrix")
+    n = k.shape[0]
+    w = np.empty(n)
+    info = fn(102, b"N", b"L", n, k.ctypes.data, max(n, 1), w.ctypes.data)
+    if info != 0:
+        # info = -5 is LAPACKE's NaN check on K; info > 0 did not converge
+        raise np.linalg.LinAlgError(f"dsyevd_2stage failed with info = {info}")
+    return w
+
+
 class OrthoStats(NamedTuple):
     max_dev: float
     diag_norm: float
     spec_norm: float
+
+
+def _entry_stats(k: np.ndarray, sigma2: float):
+    """max_dev and diag_norm of K - sigma2 * I, read from K's entries."""
+    diag = np.diag(k) - sigma2
+    delta = k.copy()
+    np.fill_diagonal(delta, diag)
+    # scaled by max|diag| rounded down to a power of two: no square overflows,
+    # and the scaling is exact, so a norm that did not overflow keeps every bit
+    scale = _pow2_floor(np.max(np.abs(diag)))
+    return float(np.max(np.abs(delta, out=delta))), scale * float(np.linalg.norm(diag / scale))
 
 
 def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
@@ -241,17 +301,7 @@ def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (k.shape[0],):
         raise ValueError(f"need {k.shape[0]} eigenvalues, got shape {lam.shape}")
-    diag = np.diag(k) - sigma2
-    delta = k.copy()
-    np.fill_diagonal(delta, diag)
-    # scaled by max|diag| rounded down to a power of two: no square overflows,
-    # and the scaling is exact, so a norm that did not overflow keeps every bit
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(diag)))[1] - 1)
-    return OrthoStats(
-        max_dev=float(np.max(np.abs(delta, out=delta))),
-        diag_norm=scale * float(np.linalg.norm(diag / scale)),
-        spec_norm=float(np.max(np.abs(lam))),
-    )
+    return OrthoStats(*_entry_stats(k, sigma2), spec_norm=float(np.max(np.abs(lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +365,11 @@ def run_network(spec: NetworkSpec, seed: int) -> SimResult:
     eigenvalues, stats = [], []
     for y, sigma2 in layer_outputs(spec, seed):
         k = conjugate_kernel(y)
-        # eigvalsh reads one triangle; conjugate_kernel makes K exactly symmetric
-        lam = np.linalg.eigvalsh(k)
-        eigenvalues.append(lam)
-        stats.append(orthogonality_stats(k, sigma2, lam))
+        # the entry stats first: the decomposition overwrites K, which
+        # conjugate_kernel makes exactly symmetric, so either triangle serves
+        entry = _entry_stats(k, sigma2)
+        lam = _eigvalsh(k)
         del k  # free K_l before layer l + 1 is sampled
+        eigenvalues.append(lam)
+        stats.append(OrthoStats(*entry, spec_norm=float(np.max(np.abs(lam)))))
     return SimResult(seed=int(seed), eigenvalues=tuple(eigenvalues), stats=tuple(stats))

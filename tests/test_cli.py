@@ -475,6 +475,27 @@ class TestSimulateCommand:
         got = float(read_csv(tmp_path / "simulate_stats.csv")[0]["diag_norm"])
         assert math.isfinite(want) and abs(got - want) <= 1e-15 * want
 
+    def test_output_variance_of_a_huge_layer_does_not_overflow(self, tmp_path, capsys):
+        # sigma_w2 = 1e306 makes sigma_1^2 = 1e306, finite, though the
+        # quadrature samples' squares and zeta_1^2 * sigma_w2 are not
+        tree = {
+            "network": {
+                "n": 20, "d0": 20, "dims": [20], "data": {"kind": "iid", "sigma_x2": 1.0},
+                "layers": [{"sigma_w2": 1e306, "activation": "identity", "gamma": 1.0}],
+            },
+            "sim": {"seeds": [0]},
+        }
+        cpath = write_cfg(tmp_path, tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", cpath, "--out", str(tmp_path), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        stats = read_csv(tmp_path / "simulate_stats.csv")[1]
+        assert stats["layer"] == "1"
+        assert all(math.isfinite(float(stats[key])) for key in ("max_dev", "diag_norm", "spec_norm"))
+        _, (_, sigma2) = netsim.layer_outputs(load_config(cpath).network, 0)
+        assert abs(sigma2 - 1e306) <= 1e-12 * 1e306
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
         for d in ("one", "two"):

@@ -14,6 +14,7 @@ from ckequiv.detequiv import (
     _gap_target,
     _resolvent_blocks,
     _screen_error,
+    _ungated_constants,
     build_chain,
     equicorrelated_equivalent,
     equicorrelated_stieltjes,
@@ -252,6 +253,16 @@ class TestLayerConstants:
         assert c.sigma_y2 == pytest.approx(1e6, rel=1e-12)
         net = NetworkSpec(n=8, d0=8, dims=(8,), data=IidData(1.0), layers=(spec,))
         assert run_network(net, seed=0).stats[1].max_dev > 0
+
+    @pytest.mark.parametrize("sigma_w2", [1e6, 1e306, 1e308])
+    def test_identity_constants_at_any_finite_scale(self, sigma_w2):
+        # unscaled, the quadrature samples' squares and zeta_1^2 * sigma_w2
+        # overflow from about 1e306 on, while a, b and sigma_y2 stay finite
+        with np.errstate(over="raise"):
+            c = _ungated_constants(identity_activation(), sigma_w2, 1.0, 0.0, 0.0)
+        assert c.a == 0.0
+        assert c.b == pytest.approx(sigma_w2, rel=1e-12)
+        assert c.sigma_y2 == pytest.approx(sigma_w2, rel=1e-12)
 
     def test_off_center_activation_rejected(self):
         spec = LayerSpec(1.0, 0.0, 0.0, identity_activation().shifted(-0.2), 1.0)

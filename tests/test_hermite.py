@@ -122,6 +122,21 @@ def test_scaled_activation_semantics():
     assert abs(gaussian_norm_sq(identity_activation().scaled(2.0)) - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("scale", [1e-3, 0.7, 1.0, 3.0, 1e3])
+def test_norm_keeps_the_bits_of_the_plain_sum(name, scale):
+    # the power-of-two scaling that guards against overflow is exact
+    f = activation_by_name(name).scaled(scale)
+    assert gaussian_norm_sq(f) == float(WEIGHTS @ f(NODES) ** 2)
+
+
+def test_norm_of_a_huge_activation_does_not_overflow():
+    # E[(1e153 N)^2] = 1e306, while its samples' squares exceed the double range
+    with np.errstate(over="raise"):
+        got = gaussian_norm_sq(identity_activation().scaled(1e153))
+    assert abs(got - 1e306) <= 1e-12 * 1e306
+
+
 def test_shifted_activation_recenters():
     f = identity_activation().shifted(0.25)
     assert abs(coeff_vector(f, 0)[0] + 0.25) < 1e-13

@@ -3,10 +3,12 @@
 import csv
 import json
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import ckequiv.netsim as netsim
 from ckequiv.cli import main
 from ckequiv.detequiv import LayerSpec, _ungated_constants, layer_constants
 from ckequiv.hermite import hermite2_activation, identity_activation, tanh_activation
@@ -201,6 +203,72 @@ class TestSpectralFactory:
         assert abs(got - want) <= 1e-12 * want
 
 
+class TestEigvalsh:
+    """The eigenvalue-only kernel that decomposes every K of run_network."""
+
+    @staticmethod
+    def kernel(n, gamma):
+        d = max(1, round(n / gamma))
+        return conjugate_kernel(np.random.default_rng(n).standard_normal((d, n)))
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 159, 160, 600])
+    def test_matches_numpy_and_keeps_the_psd_floor(self, n, gamma):
+        # gamma = 2 leaves n - d eigenvalues that are zero up to rounding
+        k = self.kernel(n, gamma)
+        want = np.linalg.eigvalsh(k)
+        lam = netsim._eigvalsh(k.copy())
+        tol = 1e-12 * np.max(np.abs(want))
+        assert lam.shape == (n,) and np.all(np.diff(lam) >= 0)
+        assert np.max(np.abs(lam - want)) <= tol
+        assert np.max(np.abs(lam - np.linalg.eigh(k)[0])) <= tol
+        SimResult(seed=0, eigenvalues=(lam,), stats=())
+
+    def test_concurrent_calls_give_the_same_bits(self):
+        k = self.kernel(600, 1.0)
+        want = netsim._eigvalsh(k.copy())
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(netsim._eigvalsh, [k.copy() for _ in range(4)]))
+        assert all(np.array_equal(lam, want) for lam in got)
+
+    def test_fallback_is_numpys_eigvalsh(self, monkeypatch):
+        layer = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 2.0)
+        net = NetworkSpec(n=40, d0=40, dims=(20, 20), data=IidData(1.0), layers=(layer, layer))
+        fast = run_network(net, seed=3)
+        monkeypatch.setattr(netsim, "_dsyevd_2stage", lambda: None)
+        slow = run_network(net, seed=3)
+        kernels = [conjugate_kernel(y) for y, _ in layer_outputs(net, 3)]
+        for k, a, b in zip(kernels, fast.eigenvalues, slow.eigenvalues):
+            assert np.array_equal(b, np.linalg.eigvalsh(k))
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.skipif(netsim._dsyevd_2stage() is None, reason="numpy's LAPACK has no two-stage routine")
+    def test_nan_kernel_raises(self):
+        # numpy's eigvalsh returns [0, -0, 2] here
+        with pytest.raises(np.linalg.LinAlgError, match="info = -5"):
+            netsim._eigvalsh(np.diag([np.nan, 1.0, 2.0]))
+
+    def test_two_stage_routine_binds_on_numpys_own_openblas(self):
+        # numpy's wheels link scipy-openblas, which exports the two-stage
+        # routine: a renamed symbol would fall back silently and lose its speed
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        except TypeError:
+            pytest.skip("numpy < 1.26 does not report its LAPACK as a dict")
+        if lapack != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack}")
+        assert netsim._dsyevd_2stage() is not None
+
+    @pytest.mark.skipif(netsim._dsyevd_2stage() is None, reason="numpy's LAPACK has no two-stage routine")
+    def test_rejects_a_kernel_it_cannot_overwrite_in_place(self):
+        k = self.kernel(10, 1.0)
+        frozen = k.copy()
+        frozen.flags.writeable = False
+        for bad in (np.asfortranarray(k), k.astype(np.float32), frozen):
+            with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+                netsim._eigvalsh(bad)
+
+
 class TestRunNetwork:
     def network(self, n=32, layers=None, data=None):
         layers = layers or [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)]
@@ -266,13 +334,16 @@ class TestRunNetwork:
     def test_eigenvalues_match_full_decomposition(self):
         net = self.network(n=120, layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         res = run_network(net, seed=4)
-        for k, lam, st in zip(self.kernels(net, 4), res.eigenvalues, res.stats):
+        for (y, sigma2), lam, st in zip(layer_outputs(net, 4), res.eigenvalues, res.stats):
+            k = conjugate_kernel(y)
             want = np.linalg.eigh(k)[0]
             assert np.max(np.abs(lam - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             assert st.spec_norm == pytest.approx(np.linalg.norm(k, 2), rel=1e-12)
+            # run_network decomposes K in place, so it must read K's entries first
+            assert st == orthogonality_stats(k, sigma2, lam)
 
     def test_one_eigenvalue_only_decomposition_per_kernel(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": 0}
+        calls = {"_eigvalsh": 0, "eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -291,9 +362,12 @@ class TestRunNetwork:
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        monkeypatch.setattr(netsim, "_eigvalsh", counted("_eigvalsh", netsim._eigvalsh))
         net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         run_network(net, seed=0)
-        assert calls == {"eigh": 0, "eigvalsh": 3, "svd": 0, "norm2": 0}
+        # numpy's eigvalsh runs only as the fallback, inside _eigvalsh
+        fallback = 3 if netsim._dsyevd_2stage() is None else 0
+        assert calls == {"_eigvalsh": 3, "eigh": 0, "eigvalsh": fallback, "svd": 0, "norm2": 0}
 
     @pytest.mark.parametrize("depth", [1, 4])
     def test_peak_memory_is_flat_in_depth(self, depth):
