@@ -749,7 +749,8 @@ def main(argv=None) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, ArithmeticError) as ex:
+    # LinAlgError, a kernel LAPACK cannot decompose, subclasses ValueError
+    except (DivergenceError, ArithmeticError, np.linalg.LinAlgError) as ex:
         print(f"numerical divergence: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as ex:

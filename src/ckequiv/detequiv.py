@@ -128,8 +128,9 @@ def _ungated_constants(
 def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
     """Scalar constants of one layer for input entry variance sigma_x2.
 
-    The rescaled activation ft must have zero Gaussian mean; otherwise
-    the error names the recentering shift to subtract.
+    The rescaled activation ft must have zero Gaussian mean, up to
+    1e-6 max(1, ||ft||); otherwise the error names the recentering shift
+    to subtract.
     """
     sigma_x2 = float(sigma_x2)
     if not sigma_x2 > 0:
@@ -138,7 +139,10 @@ def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
         raise ValueError("sigma_w2*sigma_x2 + sigma_b2 must be finite")
     const = _ungated_constants(spec.f, spec.sigma_w2, sigma_x2, spec.sigma_b2, spec.sigma_d2)
     zeta0 = const.zeta[0]
-    if abs(zeta0) >= 1e-6:
+    # the quadrature's rounding in zeta_0 grows with ||ft||, so the gate
+    # does too; where ||ft||^2 overflows it stays at the absolute 1e-6
+    norm = math.sqrt(const.norm2)
+    if abs(zeta0) >= 1e-6 * (max(1.0, norm) if math.isfinite(norm) else 1.0):
         name = spec.f.scaled(np.sqrt(const.sigma_tilde2)).name
         raise ValueError(
             f"rescaled activation {name!r} is not Gaussian-centered "

@@ -2,13 +2,16 @@
 
 Samples the network X -> f(W X / sqrt(d) + B) + D layer by layer and
 streams each depth's activations Y and shared variance through
-``layer_outputs``, which holds only the current activations.  A consumer
-forms the conjugate kernel K = Y^T Y / d, d the row count of Y
-(``conjugate_kernel``), of the layers it reads and no other.
-``run_network`` takes from every kernel the quantities the deterministic
-theory predicts, the eigenvalues (one eigenvalue-only decomposition per
-kernel) and the deviation stats of K from a multiple of the identity, and
-drops it before the next layer is sampled, so memory stays flat in depth.
+``layer_outputs``, which holds only the current activations.  A layer is
+sampled a block of rows at a time, so it holds its input, its output and
+one row-block workspace.  A consumer forms the conjugate kernel
+K = Y^T Y / d, d the row count of Y (``conjugate_kernel``), of the layers
+it reads and no other.  ``run_network`` takes from every kernel the
+quantities the deterministic theory predicts, the eigenvalues (one
+eigenvalue-only decomposition per kernel) and the deviation stats of K
+from a multiple of the identity, read a row block at a time, and drops it
+before the next layer is sampled: per worker, memory stays at two n x n
+arrays plus one row block, flat in depth.
 Resolvents and Stieltjes transforms come from ``SpectralFactory(K)``,
 which keeps the eigenvectors of one kernel for every z.
 
@@ -29,6 +32,7 @@ from .hermite import _pow2_floor
 from .measures import MpBoxtimes, _rounding_zero, dirac, esd_from_eigenvalues
 
 _ROLES = {"X": 0, "W": 1, "B": 2, "D": 3}
+_DBL_MAX = float(np.finfo(float).max)
 
 
 def stream(master_seed: int, layer: int, role: str) -> np.random.Generator:
@@ -185,11 +189,22 @@ class NetworkSpec:
 # Forward pass and kernels
 
 
+# Rows of a layer sampled at once, and of K read at once by _entry_stats:
+# beside two n x n arrays one block is alive, 0.14 n^2 at n = 2000, and a
+# layer of at most this many rows is one block, as large as a whole draw.
+# A multiple of 96, so that with scipy-openblas on x86-64 each block lines
+# up with the panels of the whole product and keeps its bits.
+_ROWS = 288
+
+
 def forward_layer(x, spec: LayerSpec, rngs) -> np.ndarray:
     """One layer: f(W x / sqrt(d_prev) + B) + D, with d_prev the row count of x.
 
     rngs supplies the (W, B, D) substreams.  The output width is fixed
-    by the layer's shape ratio, d_out = n / gamma.
+    by the layer's shape ratio, d_out = n / gamma.  The output is built
+    ``_ROWS`` rows at a time: each block of W, B and D rows is drawn in
+    stream order, so W, B and D are those of a whole-matrix draw, and only
+    x, the output and one block are alive at once.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -200,13 +215,17 @@ def forward_layer(x, spec: LayerSpec, rngs) -> np.ndarray:
     if d_out < 1 or abs(d_out_f - d_out) > 1e-9:
         raise ValueError(f"n/gamma = {d_out_f} is not a positive integer width")
     rng_w, rng_b, rng_d = rngs
-    # in place, so at most three d x n-sized arrays are alive at once
-    y = sample_gaussian(d_out, d_prev, spec.sigma_w2, rng_w) @ x
-    y /= math.sqrt(d_prev)
-    y += sample_gaussian(d_out, n, spec.sigma_b2, rng_b)
-    y = spec.f(y)
-    if spec.sigma_d2 > 0:
-        y += sample_gaussian(d_out, n, spec.sigma_d2, rng_d)
+    root = math.sqrt(d_prev)
+    y = np.empty((d_out, n))
+    for lo in range(0, d_out, _ROWS):
+        rows = y[lo : lo + _ROWS]
+        m = rows.shape[0]
+        np.matmul(sample_gaussian(m, d_prev, spec.sigma_w2, rng_w), x, out=rows)
+        rows /= root
+        rows += sample_gaussian(m, n, spec.sigma_b2, rng_b)
+        rows[...] = spec.f(rows)
+        if spec.sigma_d2 > 0:
+            rows += sample_gaussian(m, n, spec.sigma_d2, rng_d)
     return y
 
 
@@ -215,6 +234,16 @@ def conjugate_kernel(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[0] < 1:
         raise ValueError("Y must be a matrix with at least one row")
+    # every partial sum of Y^T Y is at most d max|Y|^2; where that could
+    # overflow, K is formed from Y / s, s a power of two, and multiplied
+    # back: the scaling is exact, and a kernel that fits is formed unscaled
+    top = max(float(y.max(initial=0.0)), -float(y.min(initial=0.0)))
+    if top > math.sqrt(_DBL_MAX / (2 * y.shape[0])):
+        s = _pow2_floor(top)
+        k = conjugate_kernel(y / s)
+        k *= s
+        k *= s
+        return k
     # numpy takes Y^T Y of a contiguous Y as one syrk, whose result is
     # exactly symmetric; a strided Y would go through a general product
     if not (y.flags.c_contiguous or y.flags.f_contiguous):
@@ -279,14 +308,27 @@ class OrthoStats(NamedTuple):
 
 
 def _entry_stats(k: np.ndarray, sigma2: float):
-    """max_dev and diag_norm of K - sigma2 * I, read from K's entries."""
+    """max_dev and diag_norm of K - sigma2 * I, read from K's entries.
+
+    K is read ``_ROWS`` rows at a time and left as it is.
+    """
     diag = np.diag(k) - sigma2
-    delta = k.copy()
-    np.fill_diagonal(delta, diag)
+    dev = np.abs(diag)
+    n = k.shape[0]
+    buf = np.empty((min(_ROWS, n), n))
+    # abs and max are exact, and np.max keeps a NaN of any entry
+    peaks = [np.max(dev)]
+    for lo in range(0, n, _ROWS):
+        rows = k[lo : lo + _ROWS]
+        block = np.abs(rows, out=buf[: rows.shape[0]])
+        # K_ii, row i - lo of the block, counts by dev_i instead: zero it, at
+        # flat index (i - lo) n + i, every (n + 1)th entry from lo
+        block.reshape(-1)[lo :: n + 1] = 0.0
+        peaks.append(np.max(block))
     # scaled by max|diag| rounded down to a power of two: no square overflows,
     # and the scaling is exact, so a norm that did not overflow keeps every bit
-    scale = _pow2_floor(np.max(np.abs(diag)))
-    return float(np.max(np.abs(delta, out=delta))), scale * float(np.linalg.norm(diag / scale))
+    scale = _pow2_floor(peaks[0])
+    return float(np.max(peaks)), scale * float(np.linalg.norm(diag / scale))
 
 
 def orthogonality_stats(k, sigma2: float, eigenvalues) -> OrthoStats:

@@ -398,6 +398,27 @@ class TestDensityCommand:
         assert "network" in capsys.readouterr().err
 
 
+    def test_a_centered_layer_at_a_huge_scale_is_accepted(self, tmp_path, capsys):
+        # the quadrature reads zeta_0 of identity at sigma_tilde = 1e20 as
+        # 3.3e2, rounding of ||ft|| = 1e20
+        tree = {
+            "network": {
+                "n": 20, "d0": 20, "dims": [20], "data": {"kind": "iid", "sigma_x2": 1.0},
+                "layers": [{"sigma_w2": 1e40, "activation": "identity", "gamma": 1.0}],
+            },
+            "z_grid": {"x_min": 0.0, "x_max": 6e40, "step": 5e39, "eta": [1e39]},
+            "output": {"directory": str(tmp_path), "formats": ["csv"]},
+        }
+        cpath = write_cfg(tmp_path, tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["density", "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        rows = read_csv(tmp_path / "density.csv")
+        assert len(rows) == 13
+        assert all(r["converged_eta1e+39"] == "1" for r in rows)
+
+
 class TestDeterminism:
     """Reruns write the same bytes whatever the worker count."""
 
@@ -495,6 +516,28 @@ class TestSimulateCommand:
         assert all(math.isfinite(float(stats[key])) for key in ("max_dev", "diag_norm", "spec_norm"))
         _, (_, sigma2) = netsim.layer_outputs(load_config(cpath).network, 0)
         assert abs(sigma2 - 1e306) <= 1e-12 * 1e306
+
+    def test_kernel_of_a_huge_layer_does_not_overflow(self, tmp_path, capsys):
+        # sigma_1^2 = 1e307 and K_1 are finite, though d_1 max|Y_1|^2, the
+        # bound on Y_1^T Y_1's sums, is not
+        tree = {
+            "network": {
+                "n": 20, "d0": 20, "dims": [20], "data": {"kind": "iid", "sigma_x2": 1.0},
+                "layers": [{"sigma_w2": 1e307, "activation": "identity", "gamma": 1.0}],
+            },
+            "sim": {"seeds": [0]},
+        }
+        cpath = write_cfg(tmp_path, tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", cpath, "--out", str(tmp_path), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        stats = read_csv(tmp_path / "simulate_stats.csv")[1]
+        assert stats["layer"] == "1"
+        values = [float(stats[key]) for key in ("max_dev", "diag_norm", "spec_norm")]
+        assert all(math.isfinite(v) for v in values)
+        # the spectrum of an identity layer at gamma = 1 spans about 4 sigma_1^2
+        assert 1e306 < values[2] < 1e308
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
@@ -912,6 +955,18 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["density", "--config", str(tmp_path / "absent.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, target", [("simulate", (netsim, "_eigvalsh")), ("compare", (np.linalg, "eigh"))])
+    def test_a_kernel_lapack_cannot_decompose_exits_3(self, tmp_path, capsys, monkeypatch, command, target):
+        # LinAlgError subclasses ValueError, not ArithmeticError
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(*target, fail)
+        cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical divergence: Eigenvalues did not converge\n"
 
     def test_example55_divergence_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # the generic builder raises at the first point that does not converge,

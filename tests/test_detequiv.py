@@ -23,6 +23,7 @@ from ckequiv.detequiv import (
 from ckequiv.freeconv import DivergenceError, FixedPointConfig, mp_stieltjes_closed
 from ckequiv.hermite import (
     activation_by_name,
+    centered_relu,
     hermite2_activation,
     identity_activation,
     tanh_activation,
@@ -263,6 +264,26 @@ class TestLayerConstants:
         assert c.a == 0.0
         assert c.b == pytest.approx(sigma_w2, rel=1e-12)
         assert c.sigma_y2 == pytest.approx(sigma_w2, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma_w2", [1e24, 1e40, 1e100, 1e300])
+    def test_centered_layer_passes_the_gate_at_any_scale(self, sigma_w2):
+        # zeta_0's quadrature rounding grows with ||ft||: 3.3e2 at sigma_w2 = 1e40
+        c = layer_constants(LayerSpec(sigma_w2, 0.0, 0.0, identity_activation(), 1.0), 1.0)
+        assert abs(c.zeta[0]) < 1e-6 * np.sqrt(c.norm2)
+
+    @pytest.mark.parametrize("sigma_w2", [1e-3, 4.0, 1e24, 1e40, 1e100, 1e300])
+    @pytest.mark.parametrize("name", ["hermite2", "tanh-0.01", "centered-relu"])
+    def test_uncentered_layer_is_rejected_at_any_scale(self, sigma_w2, name):
+        # hermite2's norm overflows at 1e300, where the gate stays at 1e-6
+        f = {"hermite2": hermite2_activation(), "tanh-0.01": tanh_activation().shifted(0.01),
+             "centered-relu": centered_relu()}[name]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not Gaussian-centered"):
+            layer_constants(LayerSpec(sigma_w2, 0.0, 0.0, f, 1.0), 1.0)
+
+    def test_centered_relu_stays_rejected_at_unit_scale(self):
+        # its kink costs the 128-node rule 1.3e-3 of Gaussian mean (README, known defect)
+        with pytest.raises(ValueError, match=r"not Gaussian-centered \(zeta_0 = 1\.285e-03\)"):
+            layer_constants(LayerSpec(1.0, 0.0, 0.0, centered_relu(), 1.0), 1.0)
 
     def test_off_center_activation_rejected(self):
         spec = LayerSpec(1.0, 0.0, 0.0, identity_activation().shifted(-0.2), 1.0)

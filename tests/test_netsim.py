@@ -155,6 +155,33 @@ class TestForwardPass:
         want = np.tanh(w @ x / np.sqrt(20) + b) + d
         assert np.array_equal(out, want)
 
+    @pytest.mark.parametrize("sigma_d2", [0.0, 0.25])
+    def test_row_blocked_layer_is_the_whole_matrix_layer(self, sigma_d2):
+        # three row blocks, the last of 3 rows: W, B and D are drawn block by
+        # block from their streams, yet the layer keeps the whole draw's bits
+        d_prev, n, d_out = 40, 48, 2 * netsim._ROWS + 3
+        lspec = LayerSpec(1.5, 0.5, sigma_d2, tanh_activation(), n / d_out)
+        x = np.random.default_rng(4).standard_normal((d_prev, n))
+        out = forward_layer(x, lspec, tuple(np.random.default_rng(s) for s in (7, 8, 9)))
+        rng_w, rng_b, rng_d = (np.random.default_rng(s) for s in (7, 8, 9))
+        w = np.sqrt(1.5) * rng_w.standard_normal((d_out, d_prev))
+        b = np.sqrt(0.5) * rng_b.standard_normal((d_out, n))
+        d = np.sqrt(sigma_d2) * rng_d.standard_normal((d_out, n))
+        want = np.tanh(w @ x / np.sqrt(d_prev) + b) + d
+        assert out.shape == (d_out, n)
+        assert np.array_equal(out, want)
+
+    def test_kernel_of_a_huge_matrix_does_not_overflow(self):
+        # d max|Y|^2 exceeds the double range, K does not: Y is scaled by a
+        # power of two, exactly, so K is the small kernel times 2^1020 to the bit
+        g = np.random.default_rng(2).standard_normal((30, 20))
+        with np.errstate(over="raise"):
+            k = conjugate_kernel(np.ldexp(g, 510))
+        assert np.array_equal(k, np.ldexp(conjugate_kernel(g), 1020))
+        assert np.array_equal(k, k.T)
+        # a kernel that fits is formed unscaled
+        assert np.array_equal(conjugate_kernel(g), g.T @ g / 30)
+
 
 class TestSpectralFactory:
     def test_stieltjes_matches_eigenvalue_sum(self):
@@ -190,6 +217,42 @@ class TestSpectralFactory:
         assert st.spec_norm == pytest.approx(3.0)
         with pytest.raises(ValueError, match="eigenvalues"):
             orthogonality_stats(k, 1.0, [3.0])
+
+    @staticmethod
+    def copied_entry_stats(k, sigma2):
+        """max_dev and diag_norm read from a copy of K with its diagonal shifted."""
+        diag = np.diag(k) - sigma2
+        delta = k.copy()
+        np.fill_diagonal(delta, diag)
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(diag)))[1] - 1)
+        return float(np.max(np.abs(delta))), scale * float(np.linalg.norm(diag / scale))
+
+    @pytest.mark.parametrize("where", ["none", "diagonal", "first block", "last block"])
+    def test_entry_stats_read_k_in_blocks_and_leave_it_unchanged(self, where):
+        # three row blocks; the largest deviation is put in each of them in turn
+        n = 2 * netsim._ROWS + 5
+        a = np.random.default_rng(6).standard_normal((n, n))
+        k = a + a.T + 10.0 * np.eye(n)
+        spot = {"none": None, "diagonal": (n - 1, n - 1), "first block": (3, n - 2), "last block": (n - 1, 7)}[where]
+        if spot is not None:
+            k[spot] = k[spot[::-1]] = -50.0
+        want = self.copied_entry_stats(k, 10.0)
+        frozen = k.copy()
+        frozen.flags.writeable = False
+        assert netsim._entry_stats(frozen, 10.0) == want
+        lam = np.linalg.eigvalsh(k)
+        st = orthogonality_stats(frozen, 10.0, lam)
+        assert (st.max_dev, st.diag_norm) == want
+        assert np.array_equal(frozen, k)
+
+    @pytest.mark.parametrize("spot", ["first diagonal", "first block", "second block", "last diagonal"])
+    def test_a_nan_anywhere_in_k_gives_a_nan_max_dev(self, spot):
+        rows = netsim._ROWS
+        n = 2 * rows + 7
+        k = np.eye(n)
+        k[{"first diagonal": (0, 0), "first block": (5, rows + 12), "second block": (rows + 9, 2),
+           "last diagonal": (n - 1, n - 1)}[spot]] = np.nan
+        assert np.isnan(netsim._entry_stats(k, 1.0)[0])
 
     @pytest.mark.parametrize("shift", [-4.0, 0.0, 4.0])
     def test_spec_norm_matches_svd_norm_on_indefinite_matrices(self, shift):
@@ -369,19 +432,39 @@ class TestRunNetwork:
         fallback = 3 if netsim._dsyevd_2stage() is None else 0
         assert calls == {"_eigvalsh": 3, "eigh": 0, "eigvalsh": fallback, "svd": 0, "norm2": 0}
 
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_peak_memory_is_flat_in_depth(self, depth):
-        # each kernel is dropped before the next layer is sampled: activations,
-        # one kernel and one n x n temporary are alive at once, whatever the depth
-        n = 300
-        net = self.network(n=n, layers=[LayerSpec(1.0, 1.0, 0.5, tanh_activation(), 1.0)] * depth)
+    @staticmethod
+    def traced_peak(net):
+        """run_network's traced peak, in n x n matrices of doubles."""
         tracemalloc.start()
         try:
             run_network(net, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * n * 8
+        return peak / (8 * net.n * net.n)
+
+    @pytest.mark.parametrize(
+        "depth, n, budget",
+        [pytest.param(depth, n, budget, id=f"{depth}" if n == 300 else f"{depth}-n{n}")
+         for n, budget in ((300, 4.0), (1024, 2.4)) for depth in (1, 4)],
+    )
+    def test_peak_memory_is_flat_in_depth(self, depth, n, budget):
+        # each kernel is dropped before the next layer is sampled, and a layer
+        # is sampled a block of rows at a time: a layer's input and output, or
+        # a kernel and its activations, plus one block are alive at once,
+        # whatever the depth.  At n = 1024 that is 2 + 288 / 1024 = 2.28 n^2;
+        # two live blocks would be 2.56 n^2, and whole matrices held 3 n^2.
+        net = self.network(n=n, layers=[LayerSpec(1.0, 1.0, 0.5, tanh_activation(), 1.0)] * depth)
+        assert self.traced_peak(net) <= budget
+
+    @pytest.mark.parametrize("n, whole", [(64, 3.30), (300, 3.02), (1000, 3.00)])
+    def test_peak_memory_never_exceeds_whole_matrix_sampling(self, n, whole):
+        # whole is the traced peak when W, B and the activation's result were
+        # each drawn as whole matrices beside x and y, and the entry stats
+        # copied K.  Where one block covers the layer (n <= 288) the peak is
+        # the same three matrices, and no more
+        net = self.network(n=n, layers=[LayerSpec(1.0, 1.0, 0.5, tanh_activation(), 1.0)])
+        assert self.traced_peak(net) < whole
 
     def test_kernel_norms_stay_bounded_in_width(self):
         norms = {}
