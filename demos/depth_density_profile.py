@@ -14,9 +14,7 @@ from ckequiv import IidData, LayerSpec, NetworkSpec, activation_by_name, build_c
 depth = 4
 n = 512
 layer = LayerSpec(1.0, 0.5, 0.1, activation_by_name("tanh"), 1.0)
-spec = NetworkSpec(
-    n=n, d0=n, dims=(n,) * depth, data=IidData(1.0), layers=(layer,) * depth
-)
+spec = NetworkSpec(n=n, d0=n, data=IidData(1.0), layers=(layer,) * depth)
 chain = build_chain(spec)
 
 for i, cl in enumerate(chain.layers, start=1):

@@ -37,9 +37,7 @@ print(f"n = {n}, layer constants a = {a:.6f}, b = {b:.6f}")
 
 alpha = a + b - b / n
 chi = MpBoxtimes(1.0, DiscreteMeasure([alpha, alpha + b], [(n - 1) / n, 1.0 / n]))
-spec = NetworkSpec(
-    n=n, d0=n, dims=(n,), data=EquicorrelatedData(), layers=(layer,)
-)
+spec = NetworkSpec(n=n, d0=n, data=EquicorrelatedData(), layers=(layer,))
 
 zs = (1j, 0.5 + 0.5j, 2.0 + 0.25j)
 print(f"\n{'z':>12}  {'seed':>4}  {'|g_sim - g_det|':>16}  {'max entry gap':>14}")

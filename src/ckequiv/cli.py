@@ -64,6 +64,7 @@ from .netsim import (
     NetworkSpec,
     conjugate_kernel,
     layer_outputs,
+    layer_variances,
     orthogonality_stats,
     run_network,
 )
@@ -179,11 +180,11 @@ def _check_tables_fit(where: str, chi, etas) -> None:
 
 
 def _build(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError reported as a config error at where."""
+    """make(*args, **kwargs), its ValueError reported as a config error at where, if given."""
     try:
         return make(*args, **kwargs)
     except ValueError as ex:
-        raise ConfigError(f"{where}: {ex}") from None
+        raise ConfigError(f"{where}: {ex}" if where else str(ex)) from None
 
 
 def _layer(tree, where: str) -> LayerSpec:
@@ -230,9 +231,17 @@ def _network(tree, where: str) -> NetworkSpec:
         "layers": ([_layer], _REQUIRED),
         "data": (_data, _REQUIRED),
     })
-    if len(v["layers"]) != len(v["dims"]):
+    dims = v.pop("dims")
+    if len(v["layers"]) != len(dims):
         raise ConfigError(f"{where}.layers and {where}.dims must have the same length")
-    return _build(where, NetworkSpec, **v)
+    spec = _build(where, NetworkSpec, **v)
+    # dims restates the widths n / gamma_l that the spec carries: check, then drop it
+    if any(d < 1 for d in dims):
+        raise ConfigError(f"{where}: layer widths must be >= 1")
+    for i, (d, lspec) in enumerate(zip(dims, spec.layers), start=1):
+        if abs(spec.n / d - lspec.gamma) > 1e-12 * max(1.0, lspec.gamma):
+            raise ConfigError(f"{where}: layer {i}: gamma {lspec.gamma} != n/d_l = {spec.n / d}")
+    return spec
 
 
 def _z_grid(tree, where: str) -> ZGridConfig:
@@ -329,10 +338,7 @@ def to_network_spec(cfg: ExperimentConfig) -> NetworkSpec:
 
 def _chain(cfg: ExperimentConfig):
     """The network's equivalent chain; a layer the theory rejects is a config error."""
-    try:
-        return build_chain(to_network_spec(cfg), cfg.solver)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
+    return _build("", build_chain, to_network_spec(cfg), cfg.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +426,7 @@ def _eta_tag(eta: float) -> str:
 
 
 def cmd_coeffs(args) -> int:
-    try:
-        f = activation_by_name(args.activation)
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
+    f = _build("", activation_by_name, args.activation)
     if not 1 <= args.r_max <= MAX_DEGREE:
         raise ConfigError(f"--r-max must lie in [1, {MAX_DEGREE}]")
     sw2, sx2, sb2, sd2 = args.sigma_w2, args.sigma_x2, args.sigma_b2, args.sigma_d2
@@ -432,7 +435,7 @@ def cmd_coeffs(args) -> int:
         raise ConfigError("variances must be finite and nonnegative with 0 < sigma_w2*sigma_x2 + sigma_b2 < inf")
     # the constants the theory uses, without its zero-mean gate: this table
     # is diagnostic and should also show activations that need recentering
-    const = _ungated_constants(f, sw2, sx2, sb2, sd2, r_max=args.r_max)
+    const = _build("", _ungated_constants, f, sw2, sx2, sb2, sd2, r_max=args.r_max)
     zeta, norm2, st2 = const.zeta, const.norm2, const.sigma_tilde2
     coeff_rows = [(r, zeta[r], abs(zeta[r]) < 1e-10) for r in range(args.r_max + 1)]
     summary_rows = [
@@ -469,12 +472,12 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
     _check_tables_fit("z_grid.eta", chi, etas)
 
     # the checked transform flags unconverged points of every layer; a CDF
-    # table that did not converge clears its whole column instead
+    # table that did not converge, None, clears its whole column instead
     columns = []
     bad = 0
     for g, ok, cdf in chi.inversion(xs, etas):
         dens = np.where(ok, np.maximum(g.imag, 0.0) / math.pi, np.nan)
-        cdf_ok = not isinstance(cdf, DivergenceError)
+        cdf_ok = cdf is not None
         if not cdf_ok:
             cdf = np.full(xs.shape, np.nan)
         columns.append((dens, cdf, ok & cdf_ok))
@@ -506,6 +509,8 @@ def _resolved_seeds(cfg: ExperimentConfig, args) -> tuple:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     spec = to_network_spec(cfg)
     seeds = _resolved_seeds(cfg, args)
+    # a layer whose output variance overflows is refused before any sampling
+    _build("", layer_variances, spec)
     results = _pool.pmap(lambda s: run_network(spec, s), seeds)
     eig_rows = []
     stat_rows = []
@@ -563,7 +568,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         return float(np.max([factories[li - 1]._max_gap(z, target) for _, factories in samples]))
 
     # the KS tasks go first, so their CDF tables overlap the gap products
-    tasks = [partial(kolmogorov, li) for li in range(1, chain.depth + 1)]
+    tasks = [partial(kolmogorov, li) for li in range(1, len(chain.layers) + 1)]
     tasks += [
         partial(entry_gap, li, complex(z), build)
         for li, points in enumerate(solved, start=1)
@@ -622,7 +627,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         ("compare_rows", row_header, rows),
         ("compare_layers", ["layer", "kolmogorov", "max_dev", "diag_norm", "spec_norm"], layer_rows),
     ])
-    print(f"{len(seeds)} seed(s), {zs.size} grid point(s), {chain.depth} layer(s)")
+    print(f"{len(seeds)} seed(s), {zs.size} grid point(s), {len(chain.layers)} layer(s)")
     if n_bad:
         print(f"{n_bad} row(s) did not converge", file=sys.stderr)
         return EXIT_NUMERIC
@@ -736,10 +741,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "coeffs":
             return cmd_coeffs(args)
-        try:
-            _pool.worker_count()
-        except ValueError as ex:
-            raise ConfigError(str(ex)) from None
+        _build("", _pool.worker_count)
         # example55's config is optional; the other commands require one
         cfg = load_config(args.config) if args.config else parse_config({})
         command = {

@@ -100,18 +100,22 @@ def _ungated_constants(
 
     b counts as zero where |zeta_1| < B_ZERO_TOL, and an a within rounding
     of zero (1e-10 max(1, sigma_y2), on either side) is set to exactly 0.
+    An output variance sigma_y2 that overflows raises ValueError before any
+    other constant is computed from it.
     """
     st2 = sigma_w2 * sigma_x2 + sigma_b2
     ft = f.scaled(np.sqrt(st2))
-    zeta = coeff_vector(ft, r_max)
     norm2 = gaussian_norm_sq(ft)
+    sigma_y2 = norm2 + sigma_d2
+    if not math.isfinite(sigma_y2):
+        raise ValueError(f"output variance |ft|^2 + sigma_d2 = {sigma_y2!r} overflows")
+    zeta = coeff_vector(ft, r_max)
     z1 = zeta[1]
     # z1^2 * sigma_w2 taken on z1 / s, s a power of two above |z1|: the
     # scaling is exact, so b keeps its bits, and no product overflows unless b does
     s = 2.0 * _pow2_floor(z1)
     b = 0.0 if abs(z1) < B_ZERO_TOL else s * (s * ((z1 / s) * (z1 / s) * sigma_w2 / st2))
     a = norm2 - (sigma_w2 * sigma_x2 / st2) * z1 * z1 + sigma_d2
-    sigma_y2 = norm2 + sigma_d2
     if abs(a) <= 1e-10 * max(1.0, sigma_y2):
         a = 0.0
     return LayerConstants(
@@ -139,10 +143,8 @@ def layer_constants(spec: LayerSpec, sigma_x2: float) -> LayerConstants:
         raise ValueError("sigma_w2*sigma_x2 + sigma_b2 must be finite")
     const = _ungated_constants(spec.f, spec.sigma_w2, sigma_x2, spec.sigma_b2, spec.sigma_d2)
     zeta0 = const.zeta[0]
-    # the quadrature's rounding in zeta_0 grows with ||ft||, so the gate
-    # does too; where ||ft||^2 overflows it stays at the absolute 1e-6
-    norm = math.sqrt(const.norm2)
-    if abs(zeta0) >= 1e-6 * (max(1.0, norm) if math.isfinite(norm) else 1.0):
+    # the quadrature's rounding in zeta_0 grows with ||ft||, so the gate does too
+    if abs(zeta0) >= 1e-6 * max(1.0, math.sqrt(const.norm2)):
         name = spec.f.scaled(np.sqrt(const.sigma_tilde2)).name
         raise ValueError(
             f"rescaled activation {name!r} is not Gaussian-centered "
@@ -478,10 +480,6 @@ class EquivalentChain:
 
     chi0: DiscreteMeasure | MpBoxtimes
     layers: tuple[ChainLayer, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
 
 def _scalar_equivalent(chi: MpBoxtimes, n: int, w) -> np.ndarray:

@@ -30,23 +30,23 @@ analytic: each residual depends on its own level, the level above
 (through its argument, with derivative 1 / b) and the level below (through
 g_inner = (-1 / l_inner - (gamma_inner - 1) / u) / gamma_inner).  A
 continuation in Im z, projection onto the wedges and pointwise
-backtracking keep every iterate in the wedges, and a point counts only
-when the converged root has every level in its wedge D(u_k): the root in
-D(u_k) being unique level by level, such a point is the nested solution.
-Cost per point is then linear in depth.  A caller that knows nearby roots
-may pass a start for every level instead; Newton then begins from it at
-the requested height, and the certificate is the same, so a poor start
-costs a flag, never a wrong value.  A call costs some Python overhead per
-Newton step whatever its point count, and points are solved
-independently, so callers batch: ``MpBoxtimes.inversion`` solves a whole
-density run, every eta's grid and CDF table, in one cold call and one warm
-call per finer rung of a ladder of strides, the warm points starting from
-roots interpolated between the points of their table's line solved on the
-rungs before.  A point's iterates depend on the other points only through
-how the bottom's transform rounds on a batch: a closed-form bottom gives
-bitwise the same values however the grid is split, while a discrete one,
-summed one block of points at a time, may move the last bits with the
-batch.
+backtracking keep every iterate in the wedges, and a point counts once it
+meets the tolerance at its requested height with every level in its wedge
+D(u_k): the root in D(u_k) being unique level by level, such a point is
+the nested solution.  Cost per point is then linear in depth.  A caller
+that knows nearby roots may pass a start for every level instead; Newton
+then begins from it at the requested height, and the certificate is the
+same, so a poor start costs a flag, never a wrong value.  A call costs
+some Python overhead per Newton step whatever its point count, and points
+are solved independently, so callers batch: ``MpBoxtimes.inversion``
+solves a whole density run, every eta's grid and CDF table, in one cold
+call and one warm call per finer rung of a ladder of strides, the warm
+points starting from roots interpolated between the points of their
+table's line solved on the rungs before.  A point's iterates depend on the
+other points only through how the bottom's transform rounds on a batch: a
+closed-form bottom gives bitwise the same values however the grid is
+split, while a discrete one, summed one block of points at a time, may
+move the last bits with the batch.
 
 Only the top residual depends on z, with derivative 1, so at a root
 l'(z) = J^{-1} (-e_0), one more Thomas sweep (``chain_slope``).  A
@@ -222,11 +222,14 @@ def solve_chain_grid(
     solved independently: nothing carries over between calls.
 
     A point is certified when its residual, |R_i| / |l_i| at the worst
-    level, meets ``cfg.tol`` at the requested height and one more full
-    Newton step keeps every level in its wedge D(u_i) with the residual
-    still within ``cfg.tol``.  Each level's root in D(u_i) is unique, so,
-    taken from the bottom up, a certified point is the nested solution.
-    ``cfg.max_iter`` caps the Newton steps.
+    level, meets ``cfg.tol`` at the requested height with every level in
+    its wedge D(u_i).  Each level's root in D(u_i) is unique, so, taken
+    from the bottom up, a certified point is the nested solution.  One more
+    full Newton step then polishes it, kept only where it stays in the
+    wedges within ``cfg.tol``: deep down a long chain |l_i| grows like
+    b^-i, and the Jacobian's condition number with it, so that step can
+    fail on a point that has converged.  ``cfg.max_iter`` caps the Newton
+    steps.
 
     Returns ``(l, ok, steps)``: l shaped (m,) + z.shape, ok the certificate
     per point (l of an uncertified point is not to be used) and the number
@@ -305,13 +308,15 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
         met = res[act] <= np.where(final, cfg.tol, _STAGE_TOL)
         done = act[met & final]
         if done.size:
-            # one more full step brings a converged point to rounding level
+            # a finite residual lies inside every wedge, so the point is
+            # certified; the polishing step is kept where it stays there within tol
+            ok[done] = True
             with np.errstate(all="ignore"):
                 lt = l[:, done] + _thomas(lower_band, diag[:, done], upper[:, done], -r[:, done])
                 ut = _chain_args(lt, zc[done], shifts, scales)
             inside, _, _, _, rt_res = system(lt, ut)
-            l[:, done] = lt
-            ok[done[inside]] = rt_res <= cfg.tol
+            sel = inside[rt_res <= cfg.tol]
+            l[:, done[sel]] = lt[:, sel]
         lower = act[met & ~final]
         if lower.size:
             height[lower] = np.maximum(height[lower] / 2.0, zf.imag[lower])

@@ -39,17 +39,6 @@ from numpy.polynomial import hermite_e
 MAX_DEGREE = 64
 
 
-class DegreeOverflowError(ValueError):
-    """Requested Hermite degree exceeds the supported range."""
-
-
-def _check_degree(r: int) -> int:
-    r = int(r)
-    if r < 0 or r > MAX_DEGREE:
-        raise DegreeOverflowError(f"degree {r} outside [0, {MAX_DEGREE}]")
-    return r
-
-
 def _hermite_all(r_max: int, t: np.ndarray) -> np.ndarray:
     """Values of the monic h_0 .. h_{r_max} at t, stacked as rows."""
     t = np.asarray(t, dtype=float)
@@ -175,7 +164,9 @@ def activation_by_name(name: str) -> Activation:
 
 def coeff_vector(f: Activation, r_max: int) -> np.ndarray:
     """zeta_0(f) .. zeta_{r_max}(f) in one pass over the rule's nodes."""
-    r_max = _check_degree(r_max)
+    r_max = int(r_max)
+    if not 0 <= r_max <= MAX_DEGREE:
+        raise ValueError(f"degree {r_max} outside [0, {MAX_DEGREE}]")
     hmat = _hermite_all(r_max, NODES)
     norms = np.array([math.sqrt(math.factorial(r)) for r in range(r_max + 1)])
     return (hmat @ (WEIGHTS * f(NODES))) / norms
@@ -187,10 +178,11 @@ def _pow2_floor(x) -> float:
 
 
 def gaussian_norm_sq(f: Activation) -> float:
-    """||f||^2 = E[f(N)^2] on the rule."""
-    v = f(NODES)
-    # squares of v / s cannot overflow, and the exact scaling keeps every bit
-    # of a sum that did not overflow unscaled
-    s = _pow2_floor(np.max(np.abs(v)))
-    return s * (s * float(WEIGHTS @ (v / s) ** 2))
+    """||f||^2 = E[f(N)^2] on the rule; inf or NaN, quietly, where f overflows on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = f(NODES)
+        # squares of v / s cannot overflow, and the exact scaling keeps every
+        # bit of a sum that did not overflow unscaled
+        s = _pow2_floor(np.max(np.abs(v)))
+        return s * (s * float(WEIGHTS @ (v / s) ** 2))
 

@@ -237,9 +237,10 @@ class MpBoxtimes:
     solver-backed, down to a last level whose base (atoms or a closed-form
     dilation) needs no fixed point of its own.  All levels, one or many, are
     solved at once by :func:`solve_chain_grid`, a stacked Newton solve whose
-    cost per point grows linearly with depth.  A point counts as solved only
-    when every level meets the tolerance inside its wedge D(u_k); that root
-    is unique, so it equals the nested fixed point.
+    cost per point grows linearly with depth.  A point counts as solved once
+    every level meets the tolerance inside its wedge D(u_k), at the
+    requested height; that root is unique, so it equals the nested fixed
+    point, however ill-conditioned a deep chain's Jacobian there.
     Points of a chain of several levels that the stacked solve does not
     certify fall back to the nested route, with the same Newton solve: this
     level alone, a chain of one level whose bottom is the pushed base's g
@@ -385,15 +386,9 @@ class MpBoxtimes:
 
     def stieltjes(self, z):
         g, ok = self.stieltjes_checked(z)
-        return self._trusted(g, ok, z)
-
-    def _trusted(self, g, ok, z):
-        """g, once every point is flagged converged and g is in the upper half-plane."""
         bad = np.size(ok) - np.count_nonzero(ok)
         if bad:
-            raise DivergenceError(
-                f"no convergence at {bad} of {np.size(ok)} points of {self!r}"
-            )
+            raise DivergenceError(f"no convergence at {bad} of {np.size(ok)} points of {self!r}")
         _herglotz_check(g, z)
         return g
 
@@ -436,10 +431,9 @@ class MpBoxtimes:
 
         Returns one ``(g, ok, cdf)`` per eta: the flagged transform at
         x + i eta, as :meth:`stieltjes_checked` gives it, and the distribution
-        function at x, as :meth:`cdf` gives it, or, when the eta's CDF table
-        did not converge, the DivergenceError it raised.  The transforms and
-        every missing table come from one cold solve and one warm solve per
-        later rung of the ladder.
+        function at x, as :meth:`cdf` gives it, or None where the eta's CDF
+        table did not converge.  The transforms and every missing table come
+        from one cold solve and one warm solve per later rung of the ladder.
         """
         x = np.asarray(x, dtype=float).ravel()
         etas = [float(eta) for eta in etas]
@@ -449,14 +443,13 @@ class MpBoxtimes:
         out = []
         for eta, g_eta, ok_eta in zip(etas, g, ok):
             table = tables[eta]
-            cdf = table if isinstance(table, DivergenceError) else self._table_cdf(table, x)
-            out.append((g_eta, ok_eta, cdf))
+            out.append((g_eta, ok_eta, None if table is None else self._table_cdf(table, x)))
         return out
 
     def _cdf_table(self, eta: float):
         table = self._fill_tables([eta])[2][float(eta)]
-        if isinstance(table, DivergenceError):
-            raise table
+        if table is None:
+            raise DivergenceError(f"no convergence on the CDF table of {self!r} at eta = {float(eta)!r}")
         return table
 
     def _table_span(self, eta: float):
@@ -470,9 +463,9 @@ class MpBoxtimes:
         """The CDF table of every eta, missing ones built by one :meth:`_line_solve`.
 
         That solve takes the points ``extra`` cold too.  Returns their flagged
-        transform (g, ok) and a dict from each eta to its table, or to the
-        DivergenceError its line raised, which fails that eta alone.  Only
-        tables that converged are cached.
+        transform (g, ok) and a dict from each eta to its table, or to None
+        where a point of its line did not converge, which fails that eta
+        alone.  Only tables that converged are cached.
         """
         keys = list(dict.fromkeys(float(eta) for eta in etas))
         if not all(0 < key < math.inf for key in keys):
@@ -485,11 +478,11 @@ class MpBoxtimes:
         g, ok = self._line_solve(lines, extra)
         bounds = np.cumsum([np.size(extra)] + [zs.size for zs in lines])
         for eta, zs, lo, hi in zip(missing, lines, bounds, bounds[1:]):
-            try:
-                g_line = self._trusted(g[lo:hi], ok[lo:hi], zs)
-            except DivergenceError as ex:
-                tables[eta] = ex
+            if not ok[lo:hi].all():
+                tables[eta] = None
                 continue
+            g_line = g[lo:hi]
+            _herglotz_check(g_line, zs)
             xs = zs.real.copy()
             dens = g_line.imag / np.pi
             if m0 > 0.0:

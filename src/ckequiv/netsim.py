@@ -152,36 +152,41 @@ class ExplicitData:
 DataModel = Union[IidData, EquicorrelatedData, ExplicitData]
 
 
+def _width(n: int, gamma: float) -> int:
+    """A layer's width d = n / gamma; ValueError unless it is a positive integer."""
+    d = n / gamma
+    width = int(round(d))
+    if width < 1 or abs(d - width) > 1e-9:
+        raise ValueError(f"n/gamma = {d} is not a positive integer width")
+    return width
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
+    """n samples of width d0 through layers of widths n / gamma_l."""
+
     n: int
     d0: int
-    dims: tuple
     data: DataModel
     layers: tuple
 
     def __post_init__(self):
         if self.n < 1 or self.d0 < 1:
             raise ValueError("dimensions must be >= 1")
-        dims = tuple(int(d) for d in self.dims)
         layers = tuple(self.layers)
-        if len(dims) != len(layers) or not layers:
-            raise ValueError("need one width per layer, at least one layer")
-        if any(d < 1 for d in dims):
-            raise ValueError("layer widths must be >= 1")
-        for i, (d, lspec) in enumerate(zip(dims, layers), start=1):
+        if not layers:
+            raise ValueError("need at least one layer")
+        for i, lspec in enumerate(layers, start=1):
             if not isinstance(lspec, LayerSpec):
                 raise TypeError(f"layer {i} is not a LayerSpec")
-            ratio = self.n / d
-            if abs(ratio - lspec.gamma) > 1e-12 * max(1.0, abs(lspec.gamma)):
-                raise ValueError(
-                    f"layer {i}: gamma {lspec.gamma} != n/d_l = {ratio}"
-                )
+            try:
+                _width(self.n, lspec.gamma)
+            except ValueError as ex:
+                raise ValueError(f"layer {i}: {ex}") from None
         if isinstance(self.data, EquicorrelatedData) and self.d0 != self.n:
             raise ValueError("equicorrelated data needs d0 = n")
         if isinstance(self.data, ExplicitData) and self.data.x0.shape != (self.d0, self.n):
             raise ValueError(f"x0 has shape {self.data.x0.shape}, expected (d0, n) = {(self.d0, self.n)}")
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "layers", layers)
 
 
@@ -210,10 +215,7 @@ def forward_layer(x, spec: LayerSpec, rngs) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("x must be a matrix with at least one row")
     d_prev, n = x.shape
-    d_out_f = n / spec.gamma
-    d_out = int(round(d_out_f))
-    if d_out < 1 or abs(d_out_f - d_out) > 1e-9:
-        raise ValueError(f"n/gamma = {d_out_f} is not a positive integer width")
+    d_out = _width(n, spec.gamma)
     rng_w, rng_b, rng_d = rngs
     root = math.sqrt(d_prev)
     y = np.empty((d_out, n))
@@ -241,6 +243,10 @@ def conjugate_kernel(y) -> np.ndarray:
     if top > math.sqrt(_DBL_MAX / (2 * y.shape[0])):
         s = _pow2_floor(top)
         k = conjugate_kernel(y / s)
+        # _DBL_MAX / s^2 is exact, so this holds exactly when s^2 K(Y / s) overflows
+        peak = max(float(k.max()), -float(k.min()))
+        if peak > _DBL_MAX / s / s:
+            raise ArithmeticError(f"conjugate kernel overflows the double range: max |K_ij| = {peak!r} * {s!r}^2")
         k *= s
         k *= s
         return k
@@ -358,18 +364,31 @@ def layer_outputs(spec: NetworkSpec, seed: int):
     concentrate on, so the conjugate kernel K_l = ``conjugate_kernel(Y_l)``
     has its diagonal near sigma2_l.  Only the current activations are
     held: each layer is sampled from the previous one when the next item
-    is asked for, and a consumer forms only the kernels it reads.
+    is asked for, and a consumer forms only the kernels it reads.  Every
+    sigma2_l is taken before anything is sampled (``layer_variances``).
     """
+    sigma2 = layer_variances(spec)
     x = spec.data.materialize(spec.d0, spec.n, stream(seed, 0, "X"))
-    sigma2 = spec.data.input_variance()
-    yield x, sigma2
+    yield x, sigma2[0]
     for i, lspec in enumerate(spec.layers, start=1):
         rngs = (stream(seed, i, "W"), stream(seed, i, "B"), stream(seed, i, "D"))
         x = forward_layer(x, lspec, rngs)
-        sigma2 = _ungated_constants(
-            lspec.f, lspec.sigma_w2, sigma2, lspec.sigma_b2, lspec.sigma_d2
-        ).sigma_y2
-        yield x, sigma2
+        yield x, sigma2[i]
+
+
+def layer_variances(spec: NetworkSpec) -> list:
+    """sigma2_0..sigma2_depth: the input's entry variance, then each layer's output variance.
+
+    A layer whose output variance overflows raises ValueError naming it.
+    """
+    out = [spec.data.input_variance()]
+    for i, lspec in enumerate(spec.layers, start=1):
+        try:
+            const = _ungated_constants(lspec.f, lspec.sigma_w2, out[-1], lspec.sigma_b2, lspec.sigma_d2)
+        except ValueError as ex:
+            raise ValueError(f"layer {i}: {ex}") from None
+        out.append(const.sigma_y2)
+    return out
 
 
 @dataclass(frozen=True)

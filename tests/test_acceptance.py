@@ -223,7 +223,7 @@ def test_criterion_6_single_layer_end_to_end():
     c = layer_constants(TANH_LAYER, 1.0)
     a, b = float(c.a), float(c.b)
     z = 1j
-    spec = NetworkSpec(n=n, d0=n, dims=(n,), data=EquicorrelatedData(), layers=(TANH_LAYER,))
+    spec = NetworkSpec(n=n, d0=n, data=EquicorrelatedData(), layers=(TANH_LAYER,))
     (layer,) = build_chain(spec).layers
     ((g_det, build, ok),) = layer.gbuilder([z])
     g_mat = build()
@@ -258,9 +258,7 @@ def test_criterion_7_three_layer_network():
     z = 1j
 
     def spec_for(n):
-        return NetworkSpec(
-            n=n, d0=n, dims=(n, n, n), data=IidData(1.0), layers=(TANH_LAYER,) * 3
-        )
+        return NetworkSpec(n=n, d0=n, data=IidData(1.0), layers=(TANH_LAYER,) * 3)
 
     spec = spec_for(1000)
     chain = build_chain(spec)
@@ -311,7 +309,7 @@ def test_criterion_8_trace_identity_and_resolvent_bound():
     a, b = float(c.a), float(c.b)
     chi_sigma = MpBoxtimes(1.3, esd_from_eigenvalues(np.linalg.eigvalsh(a * np.eye(n) + b * kx)))
 
-    chain_net = NetworkSpec(n=n, d0=n, dims=(n, n), data=IidData(1.0), layers=(TANH_LAYER,) * 2)
+    chain_net = NetworkSpec(n=n, d0=n, data=IidData(1.0), layers=(TANH_LAYER,) * 2)
     chain = build_chain(chain_net)
 
     zs = [0.3 + 0.05j, 1j, 2.0 + 0.5j, -1.0 + 1.0j]

@@ -107,7 +107,6 @@ class TestConfigParsing:
         want = NetworkSpec(
             n=64,
             d0=64,
-            dims=(64, 128),
             data=data,
             layers=(
                 LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0),
@@ -116,7 +115,7 @@ class TestConfigParsing:
         )
         got = parse_config(tree).network
         assert isinstance(got, NetworkSpec)
-        assert (got.n, got.d0, got.dims) == (want.n, want.d0, want.dims)
+        assert (got.n, got.d0) == (want.n, want.d0)
         assert type(got.data) is type(data)
         if kind == "explicit":
             assert np.array_equal(got.data.x0, data.x0)
@@ -191,6 +190,22 @@ class TestConfigParsing:
         tree["network"]["dims"] = [64, 64]
         with pytest.raises(ConfigError, match="same length"):
             parse_config(tree)
+
+    @pytest.mark.parametrize(
+        "n, dims, message",
+        [
+            (16, [8], "network: layer 1: gamma 1.0 != n/d_l = 2.0"),
+            (64, [64, 64], "network.layers and network.dims must have the same length"),
+            (64, [0], "network: layer widths must be >= 1"),
+        ],
+    )
+    def test_dims_must_restate_the_layer_widths(self, tmp_path, capsys, n, dims, message):
+        # dims is checked against n / gamma_l and dropped: the spec has no widths of its own
+        tree = smoke_tree(tmp_path)
+        tree["network"].update(n=n, d0=n, dims=dims)
+        cpath = write_cfg(tmp_path, tree)
+        assert main(["density", "--config", cpath, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1029,6 +1044,41 @@ class TestExitCodes:
         assert main([command, "--config", cpath, "--no-timestamp"]) == 2
         assert f"config error: CKEQUIV_WORKERS must be {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["coeffs", "density", "compare", "simulate"])
+    def test_overflowing_output_variance_is_config_error(self, tmp_path, capsys, command):
+        # hermite2 at sigma_w2 = 1e300 has a finite preactivation variance and
+        # zeta_0, but ||ft||^2 = sigma_1^2 overflows; simulate refuses the layer
+        # before it samples anything
+        if command == "coeffs":
+            argv, where = ["coeffs", "hermite2", "--sigma-w2", "1e300", "--out", str(tmp_path)], ""
+        else:
+            tree = smoke_tree(tmp_path)
+            tree["network"]["layers"][0].update(sigma_w2=1e300, sigma_b2=0.0, activation="hermite2")
+            argv, where = [command, "--config", write_cfg(tmp_path, tree), "--no-timestamp"], "layer 1: "
+        sampled = []
+        real = netsim.sample_gaussian
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(netsim, "sample_gaussian", lambda *args: sampled.append(1) or real(*args))
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {where}output variance |ft|^2 + sigma_d2 = inf overflows\n"
+        assert not sampled and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_kernel_beyond_the_double_range_is_numerical_divergence(self, tmp_path, capsys, command):
+        # sigma_1^2 = 1.5e308 is finite, but K_1's largest entries are not
+        tree = smoke_tree(tmp_path)
+        tree["network"].update(n=20, d0=20, dims=[20])
+        tree["network"]["layers"][0].update(sigma_w2=1.5e308, sigma_b2=0.0, activation="identity")
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: ") and err.count("\n") == 1
+        if command == "simulate":
+            assert err.startswith("numerical divergence: conjugate kernel overflows the double range")
 
     @pytest.mark.parametrize("command, code", [("density", 2), ("compare", 2), ("simulate", 0)])
     def test_overflowing_preactivation_variance(self, tmp_path, capsys, command, code):

@@ -252,7 +252,7 @@ class TestLayerConstants:
         assert c.a == 0.0
         assert c.b == pytest.approx(1e6, rel=1e-12)
         assert c.sigma_y2 == pytest.approx(1e6, rel=1e-12)
-        net = NetworkSpec(n=8, d0=8, dims=(8,), data=IidData(1.0), layers=(spec,))
+        net = NetworkSpec(n=8, d0=8, data=IidData(1.0), layers=(spec,))
         assert run_network(net, seed=0).stats[1].max_dev > 0
 
     @pytest.mark.parametrize("sigma_w2", [1e6, 1e306, 1e308])
@@ -265,6 +265,18 @@ class TestLayerConstants:
         assert c.b == pytest.approx(sigma_w2, rel=1e-12)
         assert c.sigma_y2 == pytest.approx(sigma_w2, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "f, sigma_w2, sigma_d2",
+        [(hermite2_activation(), 1e300, 0.0), (hermite2_activation(), 1e308, 0.0), (identity_activation(), 1e308, 1e308)],
+        ids=["hermite2-norm", "hermite2-samples", "identity-noise"],
+    )
+    def test_an_overflowing_output_variance_is_refused(self, f, sigma_w2, sigma_d2):
+        # ||ft||^2, the activation's values on the rule, or ||ft||^2 + sigma_d2
+        # overflow: refused before any other constant is taken, with no warning
+        with pytest.raises(ValueError, match=r"output variance \|ft\|\^2 \+ sigma_d2 = inf overflows"):
+            _ungated_constants(f, sigma_w2, 1.0, 0.0, sigma_d2)
+
     @pytest.mark.parametrize("sigma_w2", [1e24, 1e40, 1e100, 1e300])
     def test_centered_layer_passes_the_gate_at_any_scale(self, sigma_w2):
         # zeta_0's quadrature rounding grows with ||ft||: 3.3e2 at sigma_w2 = 1e40
@@ -274,10 +286,13 @@ class TestLayerConstants:
     @pytest.mark.parametrize("sigma_w2", [1e-3, 4.0, 1e24, 1e40, 1e100, 1e300])
     @pytest.mark.parametrize("name", ["hermite2", "tanh-0.01", "centered-relu"])
     def test_uncentered_layer_is_rejected_at_any_scale(self, sigma_w2, name):
-        # hermite2's norm overflows at 1e300, where the gate stays at 1e-6
+        # hermite2's norm overflows at 1e300, so that layer is refused for
+        # its output variance before the gate is reached
         f = {"hermite2": hermite2_activation(), "tanh-0.01": tanh_activation().shifted(0.01),
              "centered-relu": centered_relu()}[name]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not Gaussian-centered"):
+        overflows = (name, sigma_w2) == ("hermite2", 1e300)
+        match = r"output variance \|ft\|\^2 \+ sigma_d2 = inf overflows" if overflows else "not Gaussian-centered"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=match):
             layer_constants(LayerSpec(sigma_w2, 0.0, 0.0, f, 1.0), 1.0)
 
     def test_centered_relu_stays_rejected_at_unit_scale(self):
@@ -360,7 +375,7 @@ class TestEquivalentResolvents:
             LayerSpec(1.0, 0.0, 0.7, hermite2_activation(), 0.8),
             LayerSpec(1.0, 0.0, 0.0, identity_activation(), 1.0),
         )
-        net = NetworkSpec(n=n, d0=n, dims=(30, 24), data=IidData(1.0), layers=layers)
+        net = NetworkSpec(n=n, d0=n, data=IidData(1.0), layers=layers)
         chain = build_chain(net)
         const = chain.layers[0].constants
         assert const.b == 0.0 and const.a == pytest.approx(1.7, abs=1e-10)
@@ -443,13 +458,7 @@ class TestEquicorrelated:
 
 class TestChain:
     def network(self, layers, n=64):
-        return NetworkSpec(
-            n=n,
-            d0=n,
-            dims=tuple(n for _ in layers),
-            data=IidData(1.0),
-            layers=tuple(layers),
-        )
+        return NetworkSpec(n=n, d0=n, data=IidData(1.0), layers=tuple(layers))
 
     def test_two_identity_layers_unroll(self, monkeypatch):
         n = 64
@@ -465,7 +474,7 @@ class TestChain:
 
         with_input_map(monkeypatch, counted)
         chain = build_chain(net)
-        assert chain.depth == 2
+        assert len(chain.layers) == 2
         z = 0.9 + 0.35j
         # iid input with n = d0: the input law is MP(1) (x) delta_1
         chi0 = MpBoxtimes(1.0, dirac(1.0))
@@ -501,7 +510,7 @@ class TestChain:
             return (vec * (1.0 / (lam - w))) @ vec.T
 
         layers = [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma) for gamma in (1.0, 2.0, 1.0)]
-        net = NetworkSpec(n=n, d0=d0, dims=(40, 20, 40), data=ExplicitData(x0), layers=tuple(layers))
+        net = NetworkSpec(n=n, d0=d0, data=ExplicitData(x0), layers=tuple(layers))
         chain = build_chain(net)
         consts = [layer.constants for layer in chain.layers]
 
@@ -529,7 +538,7 @@ class TestChain:
         n = 16
         layers = [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma) for gamma in (1.0, 2.0)]
         data = ExplicitData(np.sqrt(n) * np.eye(n))
-        net = NetworkSpec(n=n, d0=n, dims=(16, 8), data=data, layers=tuple(layers))
+        net = NetworkSpec(n=n, d0=n, data=data, layers=tuple(layers))
         chain = build_chain(net)
         assert np.array_equal(chain.chi0.atoms, [1.0]) and np.array_equal(chain.chi0.weights, [1.0])
         # off the axis, where every layer's solve leaves l exact to rounding
@@ -544,7 +553,7 @@ class TestChain:
     def solve_with_spy(monkeypatch, gamma, dims, z):
         """The top law of tanh layers at gamma, its g and ok at z, the laws sent to the fallback, and the oracle g."""
         layers = (LayerSpec(1.0, 0.0, 0.0, tanh_activation(), gamma),) * len(dims)
-        net = NetworkSpec(n=4, d0=4, dims=dims, data=IidData(1.0), layers=layers)
+        net = NetworkSpec(n=4, d0=4, data=IidData(1.0), layers=layers)
         chain = build_chain(net)
         fallen_back = []
         nested = MpBoxtimes._nested

@@ -8,7 +8,6 @@ import pytest
 from ckequiv.hermite import (
     ACTIVATIONS,
     Activation,
-    DegreeOverflowError,
     NODES,
     WEIGHTS,
     _hermite_all,
@@ -61,7 +60,7 @@ def test_orthonormality_small_block():
 
 
 def test_degree_overflow_raises():
-    with pytest.raises(DegreeOverflowError):
+    with pytest.raises(ValueError, match=r"degree 65 outside \[0, 64\]"):
         coeff_vector(tanh_activation(), 65)
 
 

@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 import ckequiv
+import ckequiv.freeconv as freeconv
 import ckequiv.measures as measures
 from ckequiv.detequiv import LayerSpec, build_chain
 from ckequiv.freeconv import (
@@ -197,7 +199,7 @@ class TestFarField:
         rng = np.random.default_rng([7, 600])
         x0 = rng.standard_normal((600, 600)) * np.sqrt(rng.choice([0.5, 1.5], size=600))
         spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
-        net = NetworkSpec(n=600, d0=600, dims=(600,), data=ExplicitData(x0), layers=(spec,))
+        net = NetworkSpec(n=600, d0=600, data=ExplicitData(x0), layers=(spec,))
         counts = {}
         real_pair, real_direct = DiscreteMeasure._stieltjes_pair, DiscreteMeasure._direct_pair
 
@@ -421,7 +423,7 @@ class TestMpBoxtimes:
 def iid_tanh_law(depth, gamma, n=100):
     """The top law of ``depth`` tanh layers (unit weight and bias variances) on iid input."""
     spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma)
-    net = NetworkSpec(n=n, d0=n, dims=(round(n / gamma),) * depth, data=IidData(1.0), layers=(spec,) * depth)
+    net = NetworkSpec(n=n, d0=n, data=IidData(1.0), layers=(spec,) * depth)
     return build_chain(net).layers[-1].chi
 
 
@@ -546,6 +548,62 @@ class TestLayerChain:
             starved.stieltjes(zs)
 
 
+class TestDeepChains:
+    """The benchmark's tanh layer repeated L times over iid input at n = 1000,
+    on theory-deep's 131 x values at eta = 0.01.
+
+    Past about 28 layers |l_k| grows by about 1/b per level down the chain,
+    and the Jacobian's condition number with it, so the polishing Newton step
+    after convergence can fail on a point that has already met tol inside
+    its wedges.  Such a point is certified all the same, and no point needs
+    the nested fallback, whose cost compounds with depth.
+    """
+
+    Z = -0.5 + 0.05 * np.arange(131) + 0.01j
+
+    @pytest.fixture(scope="class")
+    def g24(self):
+        # the law has converged in depth by 24 layers, to rounding
+        return iid_tanh_law(24, 1.0, n=1000).stieltjes(self.Z)
+
+    @pytest.mark.parametrize("depth", [32, 64])
+    def test_the_stacked_solve_certifies_every_point(self, depth):
+        chi = iid_tanh_law(depth, 1.0, n=1000)
+        gammas, shifts, scales, bottom = chi._chain()
+        l, ok, _ = freeconv.solve_chain_grid(gammas, shifts, scales, bottom, self.Z, chi.support_max(), chi.solver)
+        assert np.all(ok)
+        # what is returned is what was certified: every level in its wedge,
+        # within tol, also where the polishing step was refused
+        gammas, shifts, scales = (np.asarray(v, dtype=float)[:, None] for v in (gammas, shifts, scales))
+        u = freeconv._chain_args(l, self.Z, shifts, scales)
+        assert np.all(freeconv.in_wedge(l, u))
+        r, _, _ = freeconv._chain_system(l, u, gammas, scales, bottom)
+        assert np.max(freeconv._scaled_residual(r, l)) <= chi.solver.tol
+
+    @pytest.mark.parametrize("depth", [32, 64])
+    def test_no_point_falls_back(self, monkeypatch, g24, depth):
+        def refuse(self, z):
+            raise AssertionError(f"nested fallback at {z}")
+
+        monkeypatch.setattr(MpBoxtimes, "_nested", refuse)
+        chi = iid_tanh_law(depth, 1.0, n=1000)
+        start = time.perf_counter()
+        g, ok = chi.stieltjes_checked(self.Z)
+        assert time.perf_counter() - start < 10.0
+        assert np.all(ok)
+        assert np.max(np.abs(g - g24) / np.abs(g24)) <= 1e-12
+
+    def test_a_point_the_fallback_used_to_take_keeps_its_value(self):
+        # at 28 layers the refused polishing step sent x = 5.0 to the fallback
+        chi = iid_tanh_law(28, 1.0, n=1000)
+        z = np.array([5.0 + 0.01j])
+        g, ok = chi.stieltjes_checked(z)
+        l, nested_ok = chi._nested(z)
+        want = (-1.0 / l[0] - (chi.gamma - 1.0) / z) / chi.gamma
+        assert ok[0] and nested_ok[0]
+        assert abs(g[0] - want[0]) <= 1e-14 * abs(want[0])
+
+
 def table_line(eta):
     """Three windows of a CDF table's line Im z = eta at its spacing eta / 3.
 
@@ -609,7 +667,7 @@ class TestWarmTable:
         warm = record_warm_flags(monkeypatch)
         zs = table_line(eta)
         for depth in (1, 2):
-            net = NetworkSpec(n=40, d0=60, dims=(40,) * depth, data=ExplicitData(x0), layers=(spec,) * depth)
+            net = NetworkSpec(n=40, d0=60, data=ExplicitData(x0), layers=(spec,) * depth)
             chi = build_chain(net).layers[-1].chi
             levels = (chi,) + chi._below
             assert len(levels) == depth and isinstance(levels[-1].base, DiscreteMeasure)
@@ -687,7 +745,8 @@ class TestWarmTable:
         chi, _ = layer_chain(3, starved)
         xs = np.linspace(-2.0, 8.0, 11)
         (g_hi, ok_hi, cdf_hi), (g_lo, ok_lo, cdf_lo) = chi.inversion(xs, (4.0, 0.01))
-        assert isinstance(cdf_lo, DivergenceError)
+        # a failed table is a flag, not an exception
+        assert cdf_lo is None
         assert np.all(ok_hi) and not np.all(ok_lo)
         alone = layer_chain(3, starved)[0]
         assert np.array_equal(cdf_hi, alone.cdf(xs, 4.0))
@@ -695,8 +754,25 @@ class TestWarmTable:
         assert np.array_equal(ok_lo, ok_want) and np.array_equal(g_lo[ok_lo], g_want[ok_want])
         # only the trusted table is cached; the failed one raises again when asked for
         assert list(chi._tables) == [4.0]
-        with pytest.raises(DivergenceError, match="no convergence"):
+        with pytest.raises(DivergenceError, match="no convergence on the CDF table"):
             chi.cdf(xs, 0.01)
+        with pytest.raises(DivergenceError, match="no convergence on the CDF table"):
+            chi._cdf_table(0.01)
+        assert list(chi._tables) == [4.0]
+
+    def test_a_converged_line_still_meets_the_herglotz_check(self, monkeypatch):
+        # every point of the line converged, but its g left the upper half-plane
+        chi = iid_tanh_law(1, 1.0)
+        real = MpBoxtimes._line_solve
+
+        def reflected(self, lines, extra=()):
+            g, ok = real(self, lines, extra)
+            return np.conj(g), ok
+
+        monkeypatch.setattr(MpBoxtimes, "_line_solve", reflected)
+        with pytest.raises(ArithmeticError, match="left the upper half-plane"):
+            chi.cdf(0.5, 0.1)
+        assert not chi._tables
 
     def test_warm_table_needs_a_fraction_of_the_bottom_evaluations(self, monkeypatch):
         # theory-deep's law: four tanh layers with unit variances at gamma = 1
@@ -743,9 +819,8 @@ class TestKolmogorovAtTheAtoms:
 
     @staticmethod
     def pair(data, gamma=1.0, n=120):
-        d = int(round(n / gamma))
         layer = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), gamma)
-        net = NetworkSpec(n=n, d0=n, dims=(d,), data=data, layers=(layer,))
+        net = NetworkSpec(n=n, d0=n, data=data, layers=(layer,))
         (lam,) = run_network(net, seed=3).eigenvalues[1:]
         return esd_from_eigenvalues(lam), build_chain(net).layers[0].chi
 

@@ -182,6 +182,13 @@ class TestForwardPass:
         # a kernel that fits is formed unscaled
         assert np.array_equal(conjugate_kernel(g), g.T @ g / 30)
 
+    def test_kernel_beyond_the_double_range_raises(self):
+        # K_11 = 4e308 itself overflows: the scaled kernel is not multiplied back
+        with np.errstate(all="raise"), pytest.raises(ArithmeticError, match="overflows the double range"):
+            conjugate_kernel(np.full((4, 3), 2e154))
+        # K_ij = 1.69e308 fits, through the same scaled path
+        assert np.isfinite(conjugate_kernel(np.full((4, 3), 1.3e154))).all()
+
 
 class TestSpectralFactory:
     def test_stieltjes_matches_eigenvalue_sum(self):
@@ -296,7 +303,7 @@ class TestEigvalsh:
 
     def test_fallback_is_numpys_eigvalsh(self, monkeypatch):
         layer = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 2.0)
-        net = NetworkSpec(n=40, d0=40, dims=(20, 20), data=IidData(1.0), layers=(layer, layer))
+        net = NetworkSpec(n=40, d0=40, data=IidData(1.0), layers=(layer, layer))
         fast = run_network(net, seed=3)
         monkeypatch.setattr(netsim, "_dsyevd_2stage", lambda: None)
         slow = run_network(net, seed=3)
@@ -335,13 +342,7 @@ class TestEigvalsh:
 class TestRunNetwork:
     def network(self, n=32, layers=None, data=None):
         layers = layers or [LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)]
-        return NetworkSpec(
-            n=n,
-            d0=n,
-            dims=tuple(n for _ in layers),
-            data=data or IidData(1.0),
-            layers=tuple(layers),
-        )
+        return NetworkSpec(n=n, d0=n, data=data or IidData(1.0), layers=tuple(layers))
 
     def kernels(self, net, seed):
         return [conjugate_kernel(y) for y, _ in layer_outputs(net, seed)]
@@ -477,14 +478,15 @@ class TestRunNetwork:
 
     def test_spec_validation(self):
         good = identity_layer()
-        with pytest.raises(ValueError, match="gamma"):
-            NetworkSpec(32, 32, (16,), IidData(1.0), (good,))
-        with pytest.raises(ValueError):
-            NetworkSpec(32, 32, (32, 32), IidData(1.0), (good,))
+        # a layer's width is n / gamma, so it must be a positive integer
+        with pytest.raises(ValueError, match=r"layer 2: n/gamma = 10\.6+ is not a positive integer width"):
+            NetworkSpec(32, 32, IidData(1.0), (good, identity_layer(gamma=3.0)))
+        with pytest.raises(ValueError, match="layer 1: n/gamma = 0.5 is not"):
+            NetworkSpec(32, 32, IidData(1.0), (identity_layer(gamma=64.0),))
         with pytest.raises(TypeError):
-            NetworkSpec(32, 32, (32,), IidData(1.0), ("not a layer",))
+            NetworkSpec(32, 32, IidData(1.0), ("not a layer",))
         with pytest.raises(ValueError):
-            NetworkSpec(32, 16, (32,), EquicorrelatedData(), (good,))
+            NetworkSpec(32, 16, EquicorrelatedData(), (good,))
 
     def test_csv_round_trips(self, tmp_path, capsys):
         # the simulate tables carry run_network's values exactly
@@ -521,9 +523,7 @@ class TestAgainstLimitLaws:
     """
 
     def _layer_esd(self, data, n=400, seed=0):
-        net = NetworkSpec(
-            n=n, d0=n, dims=(n,), data=data, layers=(identity_layer(),)
-        )
+        net = NetworkSpec(n=n, d0=n, data=data, layers=(identity_layer(),))
         res = run_network(net, seed=seed)
         return esd_from_eigenvalues(res.eigenvalues[1])
 
