@@ -453,11 +453,15 @@ class MpBoxtimes:
         return table
 
     def _table_span(self, eta: float):
-        """(lo, hi, count): the CDF table of eta takes count points from lo to hi, about eta / 3 apart."""
+        """(lo, hi, count): the CDF table of eta takes count points from lo to hi, about eta / 3 apart.
+
+        count is inf where the span overflows.
+        """
         pad = max(0.5, 300.0 * eta)
         hi = self.support_max() + pad
         lo = -pad
-        return lo, hi, int(np.ceil((hi - lo) / (eta / 3.0))) + 1
+        gaps = np.ceil((hi - lo) / (eta / 3.0))
+        return lo, hi, int(gaps) + 1 if np.isfinite(gaps) else math.inf
 
     def _fill_tables(self, etas, extra=()):
         """The CDF table of every eta, missing ones built by one :meth:`_line_solve`.

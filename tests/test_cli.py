@@ -1067,18 +1067,45 @@ class TestExitCodes:
         assert not sampled and not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_kernel_beyond_the_double_range_is_numerical_divergence(self, tmp_path, capsys, command):
-        # sigma_1^2 = 1.5e308 is finite, but K_1's largest entries are not
+        # sigma_1^2 = 1.5e308 is finite, but K_1's largest entries are not;
+        # the theory's support bound overflows first (the test below)
         tree = smoke_tree(tmp_path)
         tree["network"].update(n=20, d0=20, dims=[20])
         tree["network"]["layers"][0].update(sigma_w2=1.5e308, sigma_b2=0.0, activation="identity")
         cpath = write_cfg(tmp_path, tree)
         assert main([command, "--config", cpath, "--no-timestamp"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical divergence: ") and err.count("\n") == 1
-        if command == "simulate":
-            assert err.startswith("numerical divergence: conjugate kernel overflows the double range")
+        assert err.startswith("numerical divergence: conjugate kernel overflows the double range")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["density", "compare"])
+    def test_overflowing_support_bound_is_config_error(self, tmp_path, capsys, command):
+        # identity layers over iid input, n = d0 = 20: sigma_w2 = 1.5e308 puts
+        # layer 1's support bound past the double range, and 1e307 then 1
+        # layer 2's alone; 1e306 then 1 keeps the bound finite but not its
+        # CDF table's point count.  Each is refused before anything is solved.
+        cases = [
+            ([1.5e308], "layer 1: support bound inf overflows\n"),
+            ([1e307, 1.0], "layer 2: support bound inf overflows\n"),
+            ([1e306, 1.0], "z_grid.eta: inf CDF table points at eta 0.5 need inf bytes"
+             if command == "density" else "layer 1: inf CDF table points at eta 0.001 need inf bytes"),
+        ]
+        solves = []
+        real = measures.solve_chain_grid
+        for weights, message in cases:
+            tree = smoke_tree(tmp_path)
+            layers = [dict(tree["network"]["layers"][0], sigma_w2=w, sigma_b2=0.0, activation="identity")
+                      for w in weights]
+            tree["network"].update(n=20, d0=20, dims=[20] * len(weights), layers=layers)
+            cpath = write_cfg(tmp_path, tree)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(measures, "solve_chain_grid", lambda *a, **k: solves.append(1) or real(*a, **k))
+                assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not solves and not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, code", [("density", 2), ("compare", 2), ("simulate", 0)])
     def test_overflowing_preactivation_variance(self, tmp_path, capsys, command, code):

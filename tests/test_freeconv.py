@@ -310,7 +310,8 @@ def test_chain_solve_with_a_closed_form_bottom_does_not_depend_on_the_split(monk
     import ckequiv.freeconv as freeconv
 
     # the four tanh levels over the closed-form MP(1), on two table lines;
-    # every step is pointwise, so any split gives bitwise the same roots
+    # every step is pointwise, so any split gives bitwise the same roots,
+    # certificates and step count, also at points that leave uncertified
     gammas, shifts, scales = TANH_CHAIN
     law = MpBoxtimes(1.0, dirac(1.0))
     bottom = law._stieltjes_pair
@@ -320,25 +321,43 @@ def test_chain_solve_with_a_closed_form_bottom_does_not_depend_on_the_split(monk
     edge = law.support_max()
     xs = np.linspace(-0.5, 6.0, 301)
     zs = np.concatenate([xs + 0.02j, xs + 0.01j])
-    half = zs.size // 2 + 7
 
-    def solve(z, start=None):
-        return solve_chain_grid(gammas, shifts, scales, bottom, z, edge, start=start)[:2]
+    def solve(z, start, cfg):
+        return solve_chain_grid(gammas, shifts, scales, bottom, z, edge, cfg, start=start)
 
-    l, ok = solve(zs)
+    def same_bits(a, b):
+        return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+    l, ok, _ = solve(zs, None, DEFAULT_CONFIG)
     assert np.all(ok)
-    # a warm start from the neighbouring point's root
-    start = np.roll(l, 1, axis=1)
-    l_warm, ok_warm = solve(zs, start)
-    for z0, s0, l0, ok0 in ((zs, None, l, ok), (zs, start, l_warm, ok_warm)):
-        parts = [solve(z0[:half], None if s0 is None else s0[:, :half]),
-                 solve(z0[half:], None if s0 is None else s0[:, half:])]
-        assert np.array_equal(np.concatenate([p[0] for p in parts], axis=1), l0)
-        assert np.array_equal(np.concatenate([p[1] for p in parts]), ok0)
+    # warm starts from the neighbouring point's root and from the root 20 points away
+    near, far = np.roll(l, 1, axis=1), np.roll(l, 20, axis=1)
+    cases = [
+        (None, DEFAULT_CONFIG, {}),
+        (near, DEFAULT_CONFIG, {}),
+        # points cut off by max_iter, by a stage's step cap, and by a line
+        # search of one trial
+        (None, FixedPointConfig(max_iter=12), {}),
+        (None, DEFAULT_CONFIG, {"_STAGE_STEPS": 2}),
+        (near, DEFAULT_CONFIG, {"_STAGE_STEPS": 2}),
+        (far, DEFAULT_CONFIG, {"_MAX_HALVINGS": 1}),
+    ]
+    for start, cfg, patch in cases:
         with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(freeconv, name, value)
+            l0, ok0, steps0 = solve(zs, start, cfg)
+            if patch or cfg is not DEFAULT_CONFIG:
+                assert 0 < np.sum(ok0) < ok0.size
+            for cuts in ((zs.size // 2 + 7,), (1, 37, 500)):
+                bounds = (0,) + cuts + (zs.size,)
+                parts = [solve(zs[a:b], None if start is None else start[:, a:b], cfg) for a, b in zip(bounds, bounds[1:])]
+                assert same_bits(np.concatenate([p[0] for p in parts], axis=1), l0)
+                assert same_bits(np.concatenate([p[1] for p in parts]), ok0)
+                assert max(p[2] for p in parts) == steps0
             m.setattr(freeconv, "_BLOCK", 37)
-            l_small, ok_small = solve(z0, s0)
-        assert np.array_equal(l_small, l0) and np.array_equal(ok_small, ok0)
+            l_small, ok_small, steps_small = solve(zs, start, cfg)
+        assert same_bits(l_small, l0) and same_bits(ok_small, ok0) and steps_small == steps0
 
 
 def test_starved_chain_solve_certifies_only_converged_points():
