@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import itertools
 import json
 import math
 import os
@@ -166,6 +165,18 @@ def _check_fits(where: str, what: str, nbytes: int) -> None:
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
         raise ConfigError(f"{where}: {what} need {nbytes:.3g} bytes, more than the {total:.3g} bytes of physical memory")
+
+
+def _check_sampling_fits(spec, seeds, kept: int = 0) -> None:
+    """Reject, before any sampling, a network whose arrays alone would exceed physical memory.
+
+    A lower bound: a d0 x n input and an n x n kernel of doubles per running
+    worker, and ``kept`` bytes per kernel entry of each (seed, layer >= 1).
+    """
+    running = min(_pool.worker_count(), len(seeds))
+    n = spec.n
+    nbytes = 8 * running * n * (spec.d0 + n) + kept * n * n * len(seeds) * len(spec.layers)
+    _check_fits("network.n", f"the sampled arrays of {running} worker(s) at n = {n}", nbytes)
 
 
 def _check_tables_fit(where: str, chi, etas) -> None:
@@ -515,8 +526,10 @@ def _resolved_seeds(cfg: ExperimentConfig, args) -> tuple:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     spec = to_network_spec(cfg)
     seeds = _resolved_seeds(cfg, args)
-    # a layer whose output variance overflows is refused before any sampling
+    # a layer whose output variance overflows, or a network too large to sample,
+    # is refused before any sampling
     _build("", layer_variances, spec)
+    _check_sampling_fits(spec, seeds)
     results = _pool.pmap(lambda s: run_network(spec, s), seeds)
     eig_rows = []
     stat_rows = []
@@ -543,13 +556,23 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     seeds = _resolved_seeds(cfg, args)
     xs = cfg.z_grid.points()
     zs = np.array([complex(x, eta) for eta in cfg.z_grid.eta for x in xs])
+    # each factory keeps its eigenvectors in double and single precision
+    _check_sampling_fits(spec, seeds, kept=12)
 
     def sample(seed):
-        # a seed keeps the stats and factory of each layer >= 1; each kernel is
-        # freed once decomposed, and layer 0 (never read here) is never formed
+        # a seed keeps the stats and factory of each layer >= 1 and never forms
+        # layer 0's kernel.  Closing the generator frees the last layer's Y, which
+        # it holds, before that kernel is decomposed; enumerate() over it would
+        # keep Y alive in the result tuple it reuses
+        layers = layer_outputs(spec, seed)
+        next(layers)
         stats, factories = [], []
-        for y, sigma2 in itertools.islice(layer_outputs(spec, seed), 1, None):
+        for li in range(1, len(spec.layers) + 1):
+            y, sigma2 = next(layers)
             k = conjugate_kernel(y)
+            del y
+            if li == len(spec.layers):
+                layers.close()
             fac = SpectralFactory(k)
             stats.append(orthogonality_stats(k, sigma2, fac.eigenvalues))
             factories.append(fac)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -389,10 +389,64 @@ def _exact_gap(s: _Factored, t: _Target, lo: int, hi: int) -> float:
     return float(np.max(np.abs(s.block(lo, hi) - t.exact.block(lo, hi))))
 
 
+@cache
+def _lapacke(driver: str):
+    """LAPACKE_<driver> of numpy's own scipy-openblas (64-bit integers), or None where it has none.
+
+    dsyevd and dsyevd_2stage both take (matrix_layout, jobz, uplo, n, a,
+    lda, w) and return info.  Bound on first use; a ctypes call releases the GIL.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        # dlsym searches the module's own dependencies, the LAPACK among them
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_LAPACKE_{driver}64_")
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
+
+
+def _syevd(a: np.ndarray, vectors: bool) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric a, read from its lower triangle, in a's own buffer.
+
+    a is a writeable F-contiguous float64 matrix.  With vectors, dsyevd,
+    ``np.linalg.eigh``'s driver, leaves in a's columns the eigenvectors, bit
+    for bit eigh's; without, dsyevd_2stage takes the values alone.  Where the
+    driver is not bound, eigh or eigvalsh stands in.  On either path a NaN in
+    the triangle, or a driver that fails, raises LinAlgError.
+    """
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("need a writeable F-contiguous float64 matrix")
+    n = a.shape[0]
+    driver = "dsyevd" if vectors else "dsyevd_2stage"
+    fn = _lapacke(driver)
+    if fn is None:
+        # numpy's drivers run on a NaN (eigvalsh(diag([nan, 1, 2])) is [0, -0, 2])
+        if any(np.isnan(a[j:, j]).any() for j in range(n)):
+            raise np.linalg.LinAlgError("the symmetric matrix holds a NaN")
+        if not vectors:
+            return np.linalg.eigvalsh(a)
+        w, a[...] = np.linalg.eigh(a)
+        return w
+    w = np.empty(n)
+    info = fn(102, b"V" if vectors else b"N", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
+    if info != 0:
+        # info = -5 is LAPACKE's NaN check on the triangle; info > 0 did not converge
+        raise np.linalg.LinAlgError(f"{driver} failed with info = {info}")
+    return w
+
+
 class SpectralFactory:
     """One eigendecomposition of a symmetric matrix, reused for all z.
 
-    Only the lower triangle of the matrix is read.  Per z, ``resolvent``
+    Only the lower triangle of the matrix is read, and the matrix is left as
+    it is: the decomposition runs in one Fortran-order copy, which then
+    holds the eigenvectors (``_syevd``).  Per z, ``resolvent``
     assembles the n x n resolvent in double precision from the column
     blocks of its upper triangle, one real product each: about
     n^3 (1 + _BLOCK / n) real multiply-adds, against 2 n^3 for two full
@@ -403,11 +457,11 @@ class SpectralFactory:
     """
 
     def __init__(self, k):
-        k = np.asarray(k, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        v = self._vectors = np.array(k, dtype=float, order="F")
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("need a square matrix")
-        self.eigenvalues, self._vectors = np.linalg.eigh(k)
-        self._vectors32 = self._vectors.astype(np.float32)
+        self.eigenvalues = _syevd(v, vectors=True)
+        self._vectors32 = v.astype(np.float32)
 
     def __call__(self, w: complex) -> np.ndarray:
         return self.resolvent(w)

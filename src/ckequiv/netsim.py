@@ -22,12 +22,12 @@ adding probes never changes the sampled network.
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .detequiv import LayerSpec, SpectralFactory, _scalar_equivalent, _two_atom_measure, _ungated_constants
+from .detequiv import LayerSpec, SpectralFactory, _scalar_equivalent, _syevd, _two_atom_measure, _ungated_constants
 from .hermite import _pow2_floor
 from .measures import MpBoxtimes, _rounding_zero, dirac, esd_from_eigenvalues
 
@@ -259,52 +259,18 @@ def conjugate_kernel(y) -> np.ndarray:
     return k
 
 
-@cache
-def _dsyevd_2stage():
-    """LAPACKE_dsyevd_2stage of the LAPACK numpy links, or None if it has none.
-
-    The two-stage routine reduces a symmetric matrix to a band in BLAS-3
-    and chases the band down to tridiagonal, where ``eigvalsh``'s dsyevd
-    spends half its reduction in memory-bound BLAS-2.  Only numpy's own
-    scipy-openblas exports it under this name, with 64-bit integers.
-    Bound on first use; a ctypes call releases the GIL.
-    """
-    import ctypes
-
-    from numpy.linalg import _umath_linalg
-
-    try:
-        # dlsym searches the module's own dependencies, the LAPACK among them
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd_2stage64_
-    except (OSError, AttributeError):
-        return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    # (matrix_layout, jobz, uplo, n, a, lda, w) -> info
-    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
-    fn.restype = i64
-    return fn
-
-
 def _eigvalsh(k: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the exactly symmetric K, which is overwritten.
 
     K must be a C-contiguous float64 matrix that the caller drops after
-    the call: it is decomposed in its own buffer.  Read as column-major it
-    is K^T = K.  Falls back to ``np.linalg.eigvalsh`` where LAPACK lacks
-    the two-stage routine.
+    the call: read as column-major, K^T = K, it is decomposed in its own
+    buffer by ``detequiv._syevd``'s two-stage driver, which reduces K to a
+    band in BLAS-3 where ``eigvalsh``'s dsyevd spends half its reduction in
+    memory-bound BLAS-2.
     """
-    fn = _dsyevd_2stage()
-    if fn is None:
-        return np.linalg.eigvalsh(k)
     if k.dtype != np.float64 or not (k.flags.c_contiguous and k.flags.writeable):
         raise ValueError("K must be a writeable C-contiguous float64 matrix")
-    n = k.shape[0]
-    w = np.empty(n)
-    info = fn(102, b"N", b"L", n, k.ctypes.data, max(n, 1), w.ctypes.data)
-    if info != 0:
-        # info = -5 is LAPACKE's NaN check on K; info > 0 did not converge
-        raise np.linalg.LinAlgError(f"dsyevd_2stage failed with info = {info}")
-    return w
+    return _syevd(k.T, vectors=False)
 
 
 class OrthoStats(NamedTuple):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -659,6 +660,32 @@ class TestCompareCommand:
         assert len(rows) == 6 and all(r["converged"] == "1" for r in rows)
         assert sizes == [3, 3]
 
+    def test_the_last_layers_activations_are_dead_at_its_decomposition(self, tmp_path, capsys, monkeypatch):
+        # layer 1's Y feeds layer 2, so the layer generator holds it; the last
+        # layer's Y has no reader once its kernel is formed
+        monkeypatch.setenv("CKEQUIV_WORKERS", "1")
+        refs, alive = [], []
+        kernel = cli.conjugate_kernel
+
+        def tracked_kernel(y):
+            refs.append(weakref.ref(y))
+            return kernel(y)
+
+        monkeypatch.setattr(cli, "conjugate_kernel", tracked_kernel)
+        init = SpectralFactory.__init__
+
+        def tracked_init(self, k):
+            alive.append(refs[-1]() is not None if refs else None)
+            init(self, k)
+
+        monkeypatch.setattr(SpectralFactory, "__init__", tracked_init)
+        tree = explicit_two_layer_tree(tmp_path)
+        tree["sim"] = {"seeds": [0, 1], "replicas": 2}
+        assert main(["compare", "--config", write_cfg(tmp_path, tree), "--no-timestamp"]) == 0
+        capsys.readouterr()
+        # the explicit input's factory, then layers 1 and 2 of each seed
+        assert alive == [None, True, False, True, False]
+
     def test_work_budget_is_one_product_per_seed_point_and_layer(self, tmp_path, capsys, monkeypatch):
         factories, products = count_factory_work(monkeypatch)
         resolvents = []
@@ -677,15 +704,15 @@ class TestCompareCommand:
             return compose(chi, depth, H, z)
 
         monkeypatch.setattr(detequiv, "_compose", counted_compose)
-        decomps = {"eigh": 0, "eigvalsh": 0}
-        for name in decomps:
-            fn = getattr(np.linalg, name)
+        decomps = {"vectors": 0, "values": 0}
+        syevd = detequiv._syevd
 
-            def counted_decomp(*args, _name=name, _fn=fn, **kwargs):
-                decomps[_name] += 1
-                return _fn(*args, **kwargs)
+        def counted_decomp(a, vectors):
+            decomps["vectors" if vectors else "values"] += 1
+            return syevd(a, vectors)
 
-            monkeypatch.setattr(np.linalg, name, counted_decomp)
+        for module in (detequiv, netsim):
+            monkeypatch.setattr(module, "_syevd", counted_decomp)
         kernels = []
         kernel = netsim.conjugate_kernel
 
@@ -722,7 +749,7 @@ class TestCompareCommand:
         # the explicit input's factory, then one per sampled (seed, layer)
         assert len(factories) == 1 + seeds * depth
         # each factory is the one decomposition of its kernel; layer 0 is never decomposed
-        assert decomps == {"eigh": 1 + seeds * depth, "eigvalsh": 0}
+        assert decomps == {"vectors": 1 + seeds * depth, "values": 0}
         # each seed's gap plus the input side's factored H(u) per (layer, z)
         assert len(products) == depth * points * (seeds + 1)
         assert sum(f is factories[0] for f in products) == depth * points
@@ -915,19 +942,19 @@ class TestClosedFormCommand:
 
     def test_one_decomposition_for_the_whole_grid(self, tmp_path, capsys, monkeypatch):
         shapes = []
-        eigh = np.linalg.eigh
+        syevd = detequiv._syevd
 
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counted(a, vectors):
+            shapes.append((np.shape(a), vectors))
+            return syevd(a, vectors)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(detequiv, "_syevd", counted)
         ctree = {"z_grid": {"x_min": 0.0, "x_max": 1.0, "step": 0.25, "eta": [0.3, 0.1]}}
         cpath = write_cfg(tmp_path, ctree)
         assert main(["example55", "--config", cpath, "--n", "40", "--out", str(tmp_path), "--no-timestamp"]) == 0
         capsys.readouterr()
         assert len(read_csv(tmp_path / "example55_grid.csv")) == 10
-        assert shapes == [(40, 40)]
+        assert shapes == [((40, 40), True)]
 
     def test_argument_validation(self, capsys):
         assert main(["example55", "--n", "1"]) == 2
@@ -971,7 +998,7 @@ class TestExitCodes:
         assert main(["density", "--config", str(tmp_path / "absent.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, target", [("simulate", (netsim, "_eigvalsh")), ("compare", (np.linalg, "eigh"))])
+    @pytest.mark.parametrize("command, target", [("simulate", (netsim, "_eigvalsh")), ("compare", (detequiv, "_syevd"))])
     def test_a_kernel_lapack_cannot_decompose_exits_3(self, tmp_path, capsys, monkeypatch, command, target):
         # LinAlgError subclasses ValueError, not ArithmeticError
         def fail(*args, **kwargs):
@@ -982,6 +1009,47 @@ class TestExitCodes:
         assert main([command, "--config", cpath, "--no-timestamp"]) == 3
         err = capsys.readouterr().err
         assert err == "numerical divergence: Eigenvalues did not converge\n"
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "fallback"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_a_nan_kernel_exits_3(self, tmp_path, capsys, monkeypatch, command, bound):
+        # numpy's own drivers would decompose it; LAPACKE and the fallback both refuse it
+        if bound and detequiv._lapacke("dsyevd" if command == "compare" else "dsyevd_2stage") is None:
+            pytest.skip("numpy's LAPACK does not export the driver")
+        if not bound:
+            monkeypatch.setattr(detequiv, "_lapacke", lambda driver: None)
+        kernel = netsim.conjugate_kernel
+
+        def nan_kernel(y):
+            k = kernel(y)
+            k[0, 0] = np.nan
+            return k
+
+        for module in (netsim, cli):
+            monkeypatch.setattr(module, "conjugate_kernel", nan_kernel)
+        cpath = write_cfg(tmp_path, smoke_tree(tmp_path))
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: ") and err.count("\n") == 1
+        assert ("info = -5" if bound else "holds a NaN") in err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_network_beyond_physical_memory_is_config_error(self, tmp_path, capsys, command):
+        # one 10^6 x 10^6 input alone is 8e12 bytes; refused before anything is sampled
+        tree = smoke_tree(tmp_path)
+        tree["network"].update(n=10**6, d0=10**6, dims=[10**6])
+        cpath = write_cfg(tmp_path, tree)
+        sampled = []
+        real = netsim.sample_gaussian
+        with pytest.MonkeyPatch.context() as m:
+            m.setenv("CKEQUIV_WORKERS", "2")
+            m.setattr(netsim, "sample_gaussian", lambda *args: sampled.append(1) or real(*args))
+            assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        # two workers each hold an input and a kernel; compare also keeps 12 n^2 bytes per seed
+        nbytes = 3.2e13 + (2.4e13 if command == "compare" else 0)
+        assert err.startswith(f"config error: network.n: the sampled arrays of 2 worker(s) at n = 1000000 need {nbytes:.3g} bytes")
+        assert not sampled and not list(tmp_path.glob("*.csv"))
 
     def test_example55_divergence_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # the generic builder raises at the first point that does not converge,

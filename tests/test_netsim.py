@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import ckequiv.detequiv as detequiv
 import ckequiv.netsim as netsim
 from ckequiv.cli import main
 from ckequiv.detequiv import LayerSpec, _ungated_constants, layer_constants
@@ -305,18 +309,27 @@ class TestEigvalsh:
         layer = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 2.0)
         net = NetworkSpec(n=40, d0=40, data=IidData(1.0), layers=(layer, layer))
         fast = run_network(net, seed=3)
-        monkeypatch.setattr(netsim, "_dsyevd_2stage", lambda: None)
+        monkeypatch.setattr(detequiv, "_lapacke", lambda driver: None)
         slow = run_network(net, seed=3)
         kernels = [conjugate_kernel(y) for y, _ in layer_outputs(net, 3)]
         for k, a, b in zip(kernels, fast.eigenvalues, slow.eigenvalues):
             assert np.array_equal(b, np.linalg.eigvalsh(k))
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    @pytest.mark.skipif(netsim._dsyevd_2stage() is None, reason="numpy's LAPACK has no two-stage routine")
+    @pytest.mark.skipif(detequiv._lapacke("dsyevd_2stage") is None, reason="numpy's LAPACK has no two-stage routine")
     def test_nan_kernel_raises(self):
         # numpy's eigvalsh returns [0, -0, 2] here
         with pytest.raises(np.linalg.LinAlgError, match="info = -5"):
             netsim._eigvalsh(np.diag([np.nan, 1.0, 2.0]))
+
+    def test_nan_kernel_raises_on_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(detequiv, "_lapacke", lambda driver: None)
+        with pytest.raises(np.linalg.LinAlgError, match="holds a NaN"):
+            netsim._eigvalsh(np.diag([np.nan, 1.0, 2.0]))
+        # the triangle read is K's upper one, as LAPACK's column-major read of C order
+        k = np.diag([3.0, 1.0, 2.0])
+        k[2, 0] = np.nan
+        assert netsim._eigvalsh(k).tolist() == [1.0, 2.0, 3.0]
 
     def test_two_stage_routine_binds_on_numpys_own_openblas(self):
         # numpy's wheels link scipy-openblas, which exports the two-stage
@@ -327,9 +340,8 @@ class TestEigvalsh:
             pytest.skip("numpy < 1.26 does not report its LAPACK as a dict")
         if lapack != "scipy-openblas":
             pytest.skip(f"numpy links {lapack}")
-        assert netsim._dsyevd_2stage() is not None
+        assert detequiv._lapacke("dsyevd_2stage") is not None
 
-    @pytest.mark.skipif(netsim._dsyevd_2stage() is None, reason="numpy's LAPACK has no two-stage routine")
     def test_rejects_a_kernel_it_cannot_overwrite_in_place(self):
         k = self.kernel(10, 1.0)
         frozen = k.copy()
@@ -337,6 +349,95 @@ class TestEigvalsh:
         for bad in (np.asfortranarray(k), k.astype(np.float32), frozen):
             with pytest.raises(ValueError, match="writeable C-contiguous float64"):
                 netsim._eigvalsh(bad)
+
+
+class TestFactoryDecomposition:
+    """SpectralFactory's eigendecomposition, behind every resolvent of compare."""
+
+    @staticmethod
+    def matrix(n):
+        # not symmetric: only the lower triangle may be read
+        return np.random.default_rng(n).standard_normal((n, n))
+
+    @staticmethod
+    def assert_is_eigh(k):
+        frozen = k.copy()
+        fac = SpectralFactory(k)
+        lam, vec = np.linalg.eigh(k)
+        assert np.array_equal(fac.eigenvalues, lam) and np.array_equal(fac._vectors, vec)
+        assert np.array_equal(fac._vectors32, vec.astype(np.float32))
+        assert np.array_equal(k, frozen)
+
+    @pytest.mark.parametrize("n", [1, 2, 159, 160, 600])
+    def test_matches_numpys_eigh_bit_for_bit(self, n):
+        self.assert_is_eigh(self.matrix(n))
+
+    def test_matches_numpys_eigh_on_a_kernel(self):
+        self.assert_is_eigh(conjugate_kernel(np.random.default_rng(1).standard_normal((600, 600))))
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "fallback"])
+    def test_reads_the_lower_triangle_only(self, monkeypatch, bound):
+        if not bound:
+            monkeypatch.setattr(detequiv, "_lapacke", lambda driver: None)
+        k = self.matrix(40)
+        k[np.triu_indices(40, 1)] = np.nan
+        want = np.linalg.eigh(np.nan_to_num(k, nan=0.0), UPLO="L")
+        fac = SpectralFactory(k)
+        assert np.array_equal(fac.eigenvalues, want[0]) and np.array_equal(fac._vectors, want[1])
+
+    def test_concurrent_calls_give_the_same_bits(self):
+        k = conjugate_kernel(np.random.default_rng(2).standard_normal((300, 600)))
+        want = SpectralFactory(k)
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(SpectralFactory, [k] * 4))
+        for fac in got:
+            assert np.array_equal(fac.eigenvalues, want.eigenvalues) and np.array_equal(fac._vectors, want._vectors)
+
+    def test_fallback_is_numpys_eigh(self, monkeypatch):
+        monkeypatch.setattr(detequiv, "_lapacke", lambda driver: None)
+        for n in (1, 159):
+            self.assert_is_eigh(self.matrix(n))
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "fallback"])
+    def test_nan_kernel_raises(self, monkeypatch, bound):
+        if bound and detequiv._lapacke("dsyevd") is None:
+            pytest.skip("numpy's LAPACK does not export dsyevd")
+        if not bound:
+            monkeypatch.setattr(detequiv, "_lapacke", lambda driver: None)
+        with pytest.raises(np.linalg.LinAlgError, match="info = -5" if bound else "holds a NaN"):
+            SpectralFactory(np.diag([np.nan, 1.0, 2.0]))
+
+    def test_binds_on_numpys_own_openblas(self):
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        except TypeError:
+            pytest.skip("numpy < 1.26 does not report its LAPACK as a dict")
+        if lapack != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack}")
+        assert detequiv._lapacke("dsyevd") is not None
+        assert detequiv._lapacke("no_such_driver") is None
+
+    def test_peak_memory_of_one_decomposition(self):
+        # a fresh process, so that ru_maxrss is this decomposition's: K is
+        # formed from n x n activations, freed, and the decomposition then
+        # holds K's copy and dsyevd's 2 n^2 workspace, about 2.05 n^2 above
+        # that peak; numpy's eigh also holds its own copy and its output, 3.05 n^2
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from ckequiv.netsim import SpectralFactory, conjugate_kernel\n"
+            "def peak():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "n = 1000\n"
+            "SpectralFactory(conjugate_kernel(np.ones((8, 8))))\n"
+            "k = conjugate_kernel(np.random.default_rng(0).standard_normal((n, n)))\n"
+            "before = peak()\n"
+            "fac = SpectralFactory(k)\n"
+            "print((peak() - before) / (8 * n * n))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) <= 2.5
 
 
 class TestRunNetwork:
@@ -430,7 +531,7 @@ class TestRunNetwork:
         net = self.network(layers=[LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)] * 2)
         run_network(net, seed=0)
         # numpy's eigvalsh runs only as the fallback, inside _eigvalsh
-        fallback = 3 if netsim._dsyevd_2stage() is None else 0
+        fallback = 3 if detequiv._lapacke("dsyevd_2stage") is None else 0
         assert calls == {"_eigvalsh": 3, "eigh": 0, "eigvalsh": fallback, "svd": 0, "norm2": 0}
 
     @staticmethod
