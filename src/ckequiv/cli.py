@@ -679,8 +679,8 @@ def cmd_example55(cfg: ExperimentConfig, args) -> int:
     for flag, v in (("--a", a), ("--b", b)):
         if not 0 <= v < math.inf:
             raise ConfigError(f"{flag} must be finite and nonnegative, got {v!r}")
-    if not a + b < math.inf:
-        raise ConfigError("--a + --b must be finite")
+    if not 0 < a + b < math.inf:
+        raise ConfigError(f"--a + --b must be {'positive' if a + b == 0 else 'finite'}")
     n = args.n
     sigma = np.full((n, n), b / n)
     np.fill_diagonal(sigma, a + b)

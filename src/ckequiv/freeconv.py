@@ -50,12 +50,6 @@ transform rounds on a batch: a closed-form bottom gives bitwise the same
 values however the grid is split, while a discrete one, summed one block
 of points at a time, may move the last bits with the batch.
 
-Only the top residual depends on z, with derivative 1, so at a root
-l'(z) = J^{-1} (-e_0), one more Thomas sweep (``chain_slope``).  A
-solver-backed law therefore has g and g' like a closed-form one, and can
-be the bottom of another chain: ``MpBoxtimes`` solves a point that the
-stacked solve leaves as a chain of one level on top of such a base.
-
 ``mp_stieltjes_closed`` provides the independent closed form for mu = delta_1:
 g = g_MP(gamma) solves the quadratic gamma z g^2 + (z + gamma - 1) g + 1 = 0,
 taking the root with positive imaginary part.
@@ -201,8 +195,7 @@ def _scaled_residual(r, l):
     / z) / gamma amplifies an error in l by 1 / |l|^2.  The residual is
     taken only at points inside the wedges, where |l_i| >= Im u_i > 0.
     """
-    with np.errstate(invalid="ignore"):
-        out = np.max(np.abs(r) / np.abs(l), axis=0)
+    out = np.max(np.abs(r) / np.abs(l), axis=0)
     return np.where(np.isfinite(out), out, np.inf)
 
 
@@ -237,11 +230,12 @@ def solve_chain_grid(
     wedges within ``cfg.tol``: deep down a long chain |l_i| grows like
     b^-i, and the Jacobian's condition number with it, so that step can
     fail on a point that has converged.  ``cfg.max_iter`` caps the Newton
-    steps.
+    steps.  Overflow and invalid arithmetic raise no warning: they leave a
+    residual that is not finite, and so a flag.
 
     Returns ``(l, ok, steps)``: l shaped (m,) + z.shape, ok the certificate
-    per point (l of an uncertified point is not to be used) and the number
-    of Newton steps taken.
+    per point (l of an uncertified point is not to be used) and steps the
+    Newton steps each point took, ``cfg.max_iter`` where the cap cut it off.
     """
     gammas = np.asarray(gammas, dtype=float)[:, None]
     shifts = np.asarray(shifts, dtype=float)[:, None]
@@ -255,16 +249,16 @@ def solve_chain_grid(
         start = np.asarray(start, dtype=complex).reshape(m, zf.size)
     l = np.empty((m, zf.size), dtype=complex)
     ok = np.empty(zf.shape, dtype=bool)
-    steps = 0
+    steps = np.empty(zf.shape, dtype=int)
     # points are independent; blocks bound the working memory
     for first in range(0, zf.size, _BLOCK):
         part = slice(first, first + _BLOCK)
         block_start = None if start is None else start[:, part]
-        l[:, part], ok[part], block_steps = _newton_block(
-            zf[part], gammas, shifts, scales, bottom, radius, cfg, block_start
-        )
-        steps = max(steps, block_steps)
-    return l.reshape((m,) + z.shape), ok.reshape(z.shape), steps
+        with np.errstate(all="ignore"):
+            l[:, part], ok[part], steps[part] = _newton_block(
+                zf[part], gammas, shifts, scales, bottom, radius, cfg, block_start
+            )
+    return l.reshape((m,) + z.shape), ok.reshape(z.shape), steps.reshape(z.shape)
 
 
 def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
@@ -278,14 +272,13 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
         # wedges, where every argument is in the upper half-plane; the
         # residual is inf at every other point
         inside = np.all(in_wedge(l, u), axis=0)
-        with np.errstate(all="ignore"):
-            if inside.all():
-                r, diag, upper = _chain_system(l, u, gammas, scales, bottom)
-                return r, diag, upper, _scaled_residual(r, l)
-            full = np.zeros_like(l), np.zeros_like(l), np.zeros_like(l[1:]), np.full(l.shape[1], np.inf)
-            part = _chain_system(l[:, inside], u[:, inside], gammas, scales, bottom)
-            for a, b in zip(full, part + (_scaled_residual(part[0], l[:, inside]),)):
-                a[..., inside] = b
+        if inside.all():
+            r, diag, upper = _chain_system(l, u, gammas, scales, bottom)
+            return r, diag, upper, _scaled_residual(r, l)
+        full = np.zeros_like(l), np.zeros_like(l), np.zeros_like(l[1:]), np.full(l.shape[1], np.inf)
+        part = _chain_system(l[:, inside], u[:, inside], gammas, scales, bottom)
+        for a, b in zip(full, part + (_scaled_residual(part[0], l[:, inside]),)):
+            a[..., inside] = b
         return full
 
     if start is None:
@@ -305,6 +298,7 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
     r, diag, upper, res = system(l, _project_chain(l, zc, shifts, scales))
     l_out = np.empty_like(l)
     ok = np.zeros(zf.shape, dtype=bool)
+    steps_out = np.empty(zf.shape, dtype=int)
     cols = np.arange(zf.size)  # each active point's column in l_out
     stage_steps = np.zeros(zf.shape, dtype=int)
     steps = 0
@@ -325,30 +319,28 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
         stay = ~done & np.isfinite(res) & (stage_steps < _STAGE_STEPS) & (steps < cfg.max_iter)
         if not stay.all():
             l_out[:, cols[~stay]] = l[:, ~stay]
+            steps_out[cols[~stay]] = steps
             if done.any():
                 # a finite residual lies inside every wedge, so the point is
                 # certified; the polishing step is kept where it stays there within tol
                 ok[cols[done]] = True
-                with np.errstate(all="ignore"):
-                    lt = l[:, done] + _thomas(lower_band, diag[:, done], upper[:, done], -r[:, done])
-                    ut = _chain_args(lt, zc[done], shifts, scales)
+                lt = l[:, done] + _thomas(lower_band, diag[:, done], upper[:, done], -r[:, done])
+                ut = _chain_args(lt, zc[done], shifts, scales)
                 kept = system(lt, ut)[3] <= cfg.tol
                 l_out[:, cols[done][kept]] = lt[:, kept]
             l, r, diag, upper = l[:, stay], r[:, stay], diag[:, stay], upper[:, stay]
             res, height, zc, stage_steps, cols = res[stay], height[stay], zc[stay], stage_steps[stay], cols[stay]
             if not cols.size:
                 break
-        with np.errstate(all="ignore"):
-            step = _thomas(lower_band, diag, upper, -r)
+        step = _thomas(lower_band, diag, upper, -r)
         pend = None  # the full step is tried at every point first
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            with np.errstate(all="ignore"):
-                if pend is None:
-                    lt, zt, base = l + step, zc, res
-                else:
-                    lt, zt, base = l[:, pend] + t * step[:, pend], zc[pend], res[pend]
-                ut = _project_chain(lt, zt, shifts, scales)
+            if pend is None:
+                lt, zt, base = l + step, zc, res
+            else:
+                lt, zt, base = l[:, pend] + t * step[:, pend], zc[pend], res[pend]
+            ut = _project_chain(lt, zt, shifts, scales)
             rt, dt, upt, rest = system(lt, ut)
             good = rest <= (1.0 - 1e-4 * t) * base
             if pend is None:
@@ -370,20 +362,7 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
             res[pend] = np.inf
         stage_steps += 1
         steps += 1
-    return l_out, ok, steps
-
-
-def chain_slope(gammas, shifts, scales, bottom, z, l):
-    """dl_0/dz of a chain of :func:`solve_chain_grid` at its root l, for flat z and l shaped (m, z.size).
-
-    Only the top residual depends on z, with dR_0/dz = 1, so dl/dz = J^{-1} (-e_0):
-    one Thomas sweep of the Jacobian at the root.
-    """
-    gammas, shifts, scales = (np.asarray(v, dtype=float)[:, None] for v in (gammas, shifts, scales))
-    _, diag, upper = _chain_system(l, _chain_args(l, z, shifts, scales), gammas, scales, bottom)
-    rhs = np.zeros_like(l)
-    rhs[0] = -1.0
-    return _thomas(1.0 / scales, diag, upper, rhs)[0]
+    return l_out, ok, steps_out
 
 
 def mp_stieltjes_closed(gamma: float, z):

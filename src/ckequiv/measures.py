@@ -37,7 +37,6 @@ from .freeconv import (
     DEFAULT_CONFIG,
     DivergenceError,
     FixedPointConfig,
-    chain_slope,
     mp_stieltjes_closed,
     solve_chain_grid,
 )
@@ -57,6 +56,8 @@ _TERMS = next(p for p in itertools.count(1) if 2.25 * (p + 2) * 2.0 ** (1 - p) <
 # a CDF table's line is solved on a ladder of strides: every _LADDER[0]-th
 # point cold, then each finer rung warm-started from the points solved so far
 _LADDER = (512, 64, 8, 1)
+# a height of MpBoxtimes._descend above Im z hands over at this residual
+_HANDOVER_TOL = 1e-6
 
 
 def _as_z(z):
@@ -240,13 +241,9 @@ class MpBoxtimes:
     cost per point grows linearly with depth.  A point counts as solved once
     every level meets the tolerance inside its wedge D(u_k), at the
     requested height; that root is unique, so it equals the nested fixed
-    point, however ill-conditioned a deep chain's Jacobian there.
-    Points of a chain of several levels that the stacked solve does not
-    certify fall back to the nested route, with the same Newton solve: this
-    level alone, a chain of one level whose bottom is the pushed base's g
-    and g' from the base's own flagged solve (which falls back by this same
-    rule).  A law of one level has no other route; its uncertified points
-    stay flagged.
+    point, however ill-conditioned a deep chain's Jacobian there.  Points
+    the stacked solve leaves before ``max_iter`` take a descent in height
+    made of the same solve (``_descend``).
     A transform starts every point cold.  The CDF tables missing from one
     call are built together, on a ladder of strides (_LADDER): one cold
     solve takes every 512th point of each table's line (and any transform
@@ -305,27 +302,19 @@ class MpBoxtimes:
         return f"MpBoxtimes(gamma={self.gamma:g}, {self.a:g} + {self.b:g} t, {self.base!r})"
 
     def _stieltjes_pair(self, v):
-        """g(v) and g'(v) on the upper half-plane, NaN where the solve is not certified.
+        """g(v) and g'(v) of the closed-form law on the upper half-plane.
 
-        The closed-form law c MP(gamma) (delta_0 when c = 0) differentiates
-        its quadratic gamma u g^2 + (u + gamma - 1) g + 1 = 0.  Any other
-        law takes g from its flagged solve and g' = (l' / l^2 + (gamma - 1)
-        / v^2) / gamma, with l' from one sweep of its chain's Jacobian at
-        the certified root (:func:`chain_slope`).
+        c MP(gamma) (delta_0 when c = 0) differentiates its quadratic
+        gamma u g^2 + (u + gamma - 1) g + 1 = 0.  Only such a law, or atoms,
+        is ever the base of a chain's last level.
         """
         c = self._c
         if c == 0.0:
             return -1.0 / v, 1.0 / (v * v)
-        if c is not None:
-            u = v / c
-            g = mp_stieltjes_closed(self.gamma, u)
-            dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
-            return g / c, dg / (c * c)
-        g, l, ok = self._solve(v)
-        g, dg = np.where(ok, g, np.nan), np.full_like(g, np.nan)
-        dl = chain_slope(*self._chain(), v[ok], l[:, ok])
-        dg[ok] = (dl / l[0, ok] ** 2 + (self.gamma - 1.0) / v[ok] ** 2) / self.gamma
-        return g, dg
+        u = v / c
+        g = mp_stieltjes_closed(self.gamma, u)
+        dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
+        return g / c, dg / (c * c)
 
     def _pushed_pair(self, w):
         """g(w) and g'(w) of the pushed base a + b base."""
@@ -349,40 +338,65 @@ class MpBoxtimes:
         when every level converged.  Nothing here raises on divergence.
         ``start``, shaped like l, warm-starts the chain: Newton begins from
         it at the requested height, and a point it does not certify is
-        solved again cold.  A closed-form law ignores it.
+        solved again cold.  A closed-form law ignores it.  A point the cold
+        solve leaves goes down :meth:`_descend`, unless ``max_iter`` cut it
+        off: such a point is starved, not stalled, and stays flagged.
         """
         if self._c is not None:
             g, _ = self._stieltjes_pair(z)
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
         else:
-            l, ok, _ = solve_chain_grid(*self._chain(), z, self.support_max(), self.solver, start=start)
+            l, ok, steps = solve_chain_grid(*self._chain(), z, self.support_max(), self.solver, start=start)
             m = l.shape[0]
-            l = l.reshape(m, -1)
-            ok = ok.ravel()
-            bad = np.flatnonzero(~ok)
-            if bad.size and start is not None:
-                _, l[:, bad], ok[bad] = self._solve(z.ravel()[bad])
-            elif bad.size and m > 1:
-                l[:, bad], ok[bad] = self._nested(z.ravel()[bad])
+            l, ok, zf = l.reshape(m, -1), ok.ravel(), z.ravel()
+            # a warm start's failures are solved cold; the cold solve's stalled points descend
+            redo = np.flatnonzero(~ok if start is not None else ~ok & (steps.ravel() < self.solver.max_iter))
+            if redo.size:
+                l[:, redo], ok[redo] = self._solve(zf[redo])[1:] if start is not None else self._descend(zf[redo])
             l, ok = l.reshape((m,) + z.shape), ok.reshape(z.shape)
         g = (-1.0 / l[0] - (self.gamma - 1.0) / z) / self.gamma
         return g, l, ok
 
-    def _nested(self, z):
-        """The fallback for points the stacked solve leaves: Newton on this level alone.
+    def _descend(self, z):
+        """(l, ok) at the flat points z by a descent in height.
 
-        Its bottom is the pushed base's g and g', so the base is solved,
-        again by this rule, at every evaluation.  A base point that is not
-        certified has g NaN, which flags the point instead of raising.  The
-        returned l stacks this level's root over the base's levels, solved
-        at its argument where the root is certified and NaN elsewhere, and
-        the flags cover every level.
+        Solved cold at the cold solve's raised height max(Im z, 1, radius / 4),
+        then at heights halved towards Im z, each warm from the roots at the
+        one above.  A height above Im z hands over at _HANDOVER_TOL (or the
+        solver's tol, if looser); only Im z must meet the solver's tol.
+        Where a height fails, each tail of the chain, levels k+1 to m-1, is
+        solved again at its fixed argument u_{k+1} = (l_k - a_k) / b_k, top
+        first, warm from the stalled iterate, and then the whole chain once
+        more: near the hard edge u_{k+1} cancels digits that the coupled
+        Newton step cannot win back.  A point that still fails leaves flagged.
         """
-        l, ok, _ = solve_chain_grid([self.gamma], [], [], self._pushed_pair, z, self.support_max(), self.solver)
-        l_base = np.full((1 + len(self.base._below), z.size), np.nan, dtype=complex)
-        _, l_base[:, ok], ok[ok] = self.base._solve((l[0, ok] - self.a) / self.b)
-        return np.concatenate([l, l_base]), ok
+        _, shifts, scales, _ = chain = self._chain()
+        cfgs = self.solver, FixedPointConfig(max(self.solver.tol, _HANDOVER_TOL), self.solver.max_iter)
+        radius = self.support_max()
+        l = np.empty((1 + len(self._below), z.size), dtype=complex)
+        ok = np.zeros(z.shape, dtype=bool)
+        live, height = np.arange(z.size), np.maximum(z.imag, max(1.0, radius / 4.0))
+        cold = True
+        while live.size:
+            final = height == z.imag[live]
+            good = np.empty(live.size, dtype=bool)
+            for part, cfg in zip((final, ~final), cfgs):
+                cols, zh = live[part], z.real[live[part]] + 1j * height[part]
+                lp, okp, _ = solve_chain_grid(*chain, zh, radius, cfg, start=None if cold else l[:, cols])
+                bad = ~okp
+                stalled = lp[:, bad]
+                for k, level in enumerate(self._below):
+                    with np.errstate(all="ignore"):
+                        u = (stalled[k] - shifts[k]) / scales[k]
+                    lt, okt, _ = solve_chain_grid(*level._chain(), u, level.support_max(), cfg, start=stalled[k + 1 :])
+                    stalled[k + 1 :, okt] = lt[:, okt]
+                lp[:, bad], okp[bad], _ = solve_chain_grid(*chain, zh[bad], radius, cfg, start=stalled)
+                l[:, cols], good[part] = lp, okp
+            ok[live] = good & final
+            live, height, cold = live[good & ~final], height[good & ~final], False
+            height = np.maximum(height / 2.0, z.imag[live])
+        return l, ok
 
     def stieltjes(self, z):
         g, ok = self.stieltjes_checked(z)

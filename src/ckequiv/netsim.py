@@ -128,11 +128,18 @@ class ExplicitData:
         if np.iscomplexobj(self.x0):
             raise ValueError("x0 must be real")
         x0 = np.array(self.x0, dtype=float)
-        if x0.ndim != 2:
-            raise ValueError("x0 must be a matrix")
+        if x0.ndim != 2 or not x0.size:
+            raise ValueError("x0 must be a nonempty matrix")
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be finite")
+        # |x_j|^2 = s^2 q_j, exact for s a power of two, with no overflow in q
+        s = _pow2_floor(np.max(np.abs(x0)))
+        y = x0 / s
+        q = np.einsum("ij,ij->j", y, y)
+        if not np.all(q / x0.shape[0] <= _DBL_MAX / s / s):
+            raise ValueError("the kernel diagonal |x_j|^2 / d0 of x0 overflows the double range")
         object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "_variance", s * (s * (float(np.mean(q)) / x0.shape[0])))
 
     def materialize(self, d0: int, n: int, rng) -> np.ndarray:
         if self.x0.shape != (d0, n):
@@ -140,8 +147,7 @@ class ExplicitData:
         return self.x0.copy()
 
     def input_variance(self) -> float:
-        d0 = self.x0.shape[0]
-        return float(np.mean(np.einsum("ij,ij->j", self.x0, self.x0)) / d0)
+        return self._variance
 
     def _input_law(self, d0: int, n: int):
         """The spectrum of K_X and its factory, the resolvent map, from one eigh."""

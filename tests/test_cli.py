@@ -976,8 +976,9 @@ class TestClosedFormCommand:
             (["--b", "nan"], "--b must be finite and nonnegative, got nan"),
             (["--b", "inf"], "--b must be finite and nonnegative, got inf"),
             (["--a", "1e308", "--b", "1e308"], "--a + --b must be finite"),
+            (["--a", "0", "--b", "0"], "--a + --b must be positive"),
         ],
-        ids=["a-nan", "a-inf", "b-nan", "b-inf", "sum-overflows"],
+        ids=["a-nan", "a-inf", "b-nan", "b-inf", "sum-overflows", "sum-zero"],
     )
     def test_nonfinite_a_or_b_is_config_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -1150,6 +1151,35 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["density", "compare"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("x, eta", [(1e200, 0.1), (0.5, 1e300)], ids=["far-x", "far-eta"])
+    def test_a_z_point_far_from_the_origin_is_flagged(self, tmp_path, capsys, command, depth, x, eta):
+        # the solve overflows there: the point is flagged, with no RuntimeWarning
+        tree = smoke_tree(tmp_path, z_grid={"x_min": x, "x_max": x, "step": 1.0, "eta": [eta]})
+        tree["network"].update(n=20, d0=20, dims=[20] * depth, layers=tree["network"]["layers"] * depth)
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "density", "compare"])
+    def test_explicit_input_whose_kernel_overflows_is_config_error(self, tmp_path, capsys, command):
+        # |x_j|^2 / d0 overflows at entries near 1e160, not at 1e150; the
+        # input is refused before anything is sampled or solved
+        for scale, code in ((1e160, 2), (1e150, 0 if command == "simulate" else 3)):
+            np.save(tmp_path / "x0.npy", np.random.default_rng(0).standard_normal((20, 20)) * scale)
+            tree = smoke_tree(tmp_path, sim={"seeds": [0], "replicas": 1})
+            tree["network"].update(n=20, d0=20, dims=[20], data={"kind": "explicit", "path": str(tmp_path / "x0.npy")})
+            cpath = write_cfg(tmp_path, tree)
+            assert main([command, "--config", cpath, "--no-timestamp"]) == code
+            err = capsys.readouterr().err
+            if code == 2:
+                assert err == (
+                    "config error: network.data.path: the kernel diagonal |x_j|^2 / d0 of x0 overflows the double range\n"
+                )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["density", "compare"])
     def test_overflowing_support_bound_is_config_error(self, tmp_path, capsys, command):
         # identity layers over iid input, n = d0 = 20: sigma_w2 = 1.5e308 puts
         # layer 1's support bound past the double range, and 1e307 then 1
@@ -1232,7 +1262,7 @@ class TestExitCodes:
         # instead of raising, so only the unconverged rows lose their values
         layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
         grid = {"x_min": -2.0, "x_max": 8.0, "step": 1.0, "eta": [4.0, 0.01]}
-        tree = smoke_tree(tmp_path, z_grid=grid, solver={"max_iter": 13})
+        tree = smoke_tree(tmp_path, z_grid=grid, solver={"max_iter": 14})
         tree["network"].update(dims=[64] * 3, layers=[layer] * 3)
         cpath = write_cfg(tmp_path, tree)
         assert main(["density", "--config", cpath, "--no-timestamp"]) == 3
@@ -1247,7 +1277,7 @@ class TestExitCodes:
         dens = np.array([float(r["density_eta0.01"]) for r in starved])
         want = np.array([float(r["density_eta0.01"]) for r in full])
         solved = ~np.isnan(dens)
-        # x = 0, 1, 2 sit in the bulk near the axis, where 13 Newton steps are too few
+        # x = 0, 1, 2 sit in the bulk near the axis, where 14 Newton steps are too few
         assert (~solved).tolist() == [False, False, True, True, True] + [False] * 6
         assert np.max(np.abs(dens[solved] - want[solved])) <= 1e-10
         # the eta's CDF table did not converge, which clears the whole column

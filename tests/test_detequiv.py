@@ -496,10 +496,10 @@ class TestChain:
         assert np.linalg.norm(g2, 2) <= 1.0 / z.imag + 1e-9
 
     def test_depth_three_builder_matches_layer_by_layer_composition(self, monkeypatch):
-        def no_fallback(*args):
-            raise AssertionError("a point was left to the nested fallback")
+        def no_descent(*args):
+            raise AssertionError("a point was left to the descent in height")
 
-        monkeypatch.setattr(MpBoxtimes, "_nested", no_fallback)
+        monkeypatch.setattr(MpBoxtimes, "_descend", no_descent)
         # explicit input kernel K_X = x0^T x0 / d0: a discrete input law and a full resolvent
         n, d0 = 40, 80
         x0 = np.random.default_rng(3).standard_normal((d0, n))
@@ -551,41 +551,48 @@ class TestChain:
 
     @staticmethod
     def solve_with_spy(monkeypatch, gamma, dims, z):
-        """The top law of tanh layers at gamma, its g and ok at z, the laws sent to the fallback, and the oracle g."""
+        """The top law of tanh layers at gamma, its g and ok at z, the laws sent to the descent, and the oracle g."""
         layers = (LayerSpec(1.0, 0.0, 0.0, tanh_activation(), gamma),) * len(dims)
         net = NetworkSpec(n=4, d0=4, data=IidData(1.0), layers=layers)
         chain = build_chain(net)
-        fallen_back = []
-        nested = MpBoxtimes._nested
+        descended = []
+        descend = MpBoxtimes._descend
 
         def spy(self, z):
-            fallen_back.append(self)
-            return nested(self, z)
+            descended.append(self)
+            return descend(self, z)
 
-        monkeypatch.setattr(MpBoxtimes, "_nested", spy)
+        monkeypatch.setattr(MpBoxtimes, "_descend", spy)
         g, ok = chain.layers[-1].chi.stieltjes_checked(z)
         oracle = chain.chi0
         for layer in chain.layers:
             oracle = PicardLaw(gamma, Pushed(layer.constants.a, layer.constants.b, oracle))
-        return chain.layers[-1].chi, g, ok, fallen_back, complex(oracle.stieltjes(z))
+        return chain.layers[-1].chi, g, ok, descended, complex(oracle.stieltjes(z))
 
     def test_newton_certifies_a_point_where_l_is_small(self, monkeypatch):
         # near the hard edge at 0 of two gamma = 1/4 tanh layers, |l| is about
         # 7e-3; Newton's stop test must be relative to |l| to certify it
-        _, g, ok, fallen_back, want = self.solve_with_spy(monkeypatch, 0.25, (16, 16), 0.0051 + 1e-4j)
-        assert not fallen_back
+        _, g, ok, descended, want = self.solve_with_spy(monkeypatch, 0.25, (16, 16), 0.0051 + 1e-4j)
+        assert not descended
         assert ok and abs(g - want) <= 1e-10 * abs(want)
 
-    def test_nested_fallback_rescues_a_point_newton_leaves(self, monkeypatch):
+    def test_descent_rescues_points_newton_leaves(self, monkeypatch):
         # closer still to the hard edge of two or three gamma = 1/2 tanh
-        # layers, the stacked Newton solve leaves these points uncertified;
-        # the nested route must then give the converged value, so the
-        # fallback is not dead code. At three layers the fallback's pushed
-        # base is itself a chain of two levels
-        for dims, z in (((8, 8), 0.00265872 + 1e-6j), ((8, 8, 8), 0.0010916 + 1e-4j)):
+        # layers, and of four gamma = 1/4 ones, the cold stacked solve leaves
+        # these points uncertified; the descent in height must then give the
+        # converged value, so it is not dead code. The third point also
+        # needs the tail re-solve: at the last heights u_2 = (l_1 - a_1) / b_1
+        # cancels about three digits, which the coupled Newton step cannot
+        # win back
+        cases = (
+            (0.5, (8, 8), 0.00265872 + 1e-6j),
+            (0.5, (8, 8, 8), 0.0010916 + 1e-4j),
+            (0.25, (16, 16, 16, 16), 0.00180717 + 1e-8j),
+        )
+        for gamma, dims, z in cases:
             with monkeypatch.context() as m:
-                chi, g, ok, fallen_back, want = self.solve_with_spy(m, 0.5, dims, z)
-            assert fallen_back and fallen_back[0] is chi
+                chi, g, ok, descended, want = self.solve_with_spy(m, gamma, dims, z)
+            assert descended and descended[0] is chi
             assert ok and abs(g - want) <= 1e-10 * abs(want)
 
     def test_constants_propagate_output_variance(self):

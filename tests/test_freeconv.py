@@ -311,7 +311,7 @@ def test_chain_solve_with_a_closed_form_bottom_does_not_depend_on_the_split(monk
 
     # the four tanh levels over the closed-form MP(1), on two table lines;
     # every step is pointwise, so any split gives bitwise the same roots,
-    # certificates and step count, also at points that leave uncertified
+    # certificates and step counts, also at points that leave uncertified
     gammas, shifts, scales = TANH_CHAIN
     law = MpBoxtimes(1.0, dirac(1.0))
     bottom = law._stieltjes_pair
@@ -354,10 +354,10 @@ def test_chain_solve_with_a_closed_form_bottom_does_not_depend_on_the_split(monk
                 parts = [solve(zs[a:b], None if start is None else start[:, a:b], cfg) for a, b in zip(bounds, bounds[1:])]
                 assert same_bits(np.concatenate([p[0] for p in parts], axis=1), l0)
                 assert same_bits(np.concatenate([p[1] for p in parts]), ok0)
-                assert max(p[2] for p in parts) == steps0
+                assert same_bits(np.concatenate([p[2] for p in parts]), steps0)
             m.setattr(freeconv, "_BLOCK", 37)
             l_small, ok_small, steps_small = solve(zs, start, cfg)
-        assert same_bits(l_small, l0) and same_bits(ok_small, ok0) and steps_small == steps0
+        assert same_bits(l_small, l0) and same_bits(ok_small, ok0) and same_bits(steps_small, steps0)
 
 
 def test_starved_chain_solve_certifies_only_converged_points():
@@ -367,12 +367,14 @@ def test_starved_chain_solve_certifies_only_converged_points():
     zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j])
     l_full, ok_full, steps = solve_chain_grid(gammas, shifts, scales, bottom_pair, zs, edge)
     assert np.all(ok_full)
-    _, _, easy_steps = solve_chain_grid(gammas, shifts, scales, bottom_pair, zs[[0, 2]], edge)
-    assert easy_steps < steps
+    # the point near the axis needs the most Newton steps
+    easy_steps = max(steps[0], steps[2])
+    assert easy_steps < steps[1]
     cfg = FixedPointConfig(max_iter=easy_steps)
     l, ok, used = solve_chain_grid(gammas, shifts, scales, bottom_pair, zs, edge, cfg)
     assert ok.tolist() == [True, False, True]
-    assert used == easy_steps
+    # the certified points take the steps they took uncapped; the cap cut the other
+    assert used.tolist() == [steps[0], easy_steps, steps[2]]
     assert np.max(np.abs(l[:, ok] - l_full[:, ok])) <= 1e-12
 
 

@@ -269,18 +269,6 @@ class TestPushedBase:
         with pytest.raises(TypeError):
             MpBoxtimes(1.0, PicardLaw(1.0, dirac(1.0)))
 
-    def test_solver_backed_base_flags_instead_of_raising(self):
-        inner = MpBoxtimes(1.0, DiscreteMeasure([1.0, 3.0], [0.5, 0.5]), FixedPointConfig(max_iter=2))
-        outer = MpBoxtimes(1.0, inner, a=0.5, b=2.0)
-        w = np.array([2.5 + 2e-3j])
-        with pytest.raises(DivergenceError):
-            inner.stieltjes((w - 0.5) / 2.0)
-        g, ok = inner.stieltjes_checked((w - 0.5) / 2.0)
-        assert not ok[0]
-        # the uncertified point's g is NaN, which flags it in the solve above
-        g_pushed, dg_pushed = outer._pushed_pair(w)
-        assert np.isnan(g_pushed[0]) and np.isnan(dg_pushed[0])
-
 
 class TestMpBoxtimes:
     def test_validation(self):
@@ -457,10 +445,10 @@ class TestLayerChain:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_stacked_route_matches_nested_oracle(self, monkeypatch, depth):
-        def no_fallback(*args):
-            raise AssertionError("a point was left to the nested fallback")
+        def no_descent(*args):
+            raise AssertionError("a point was left to the descent in height")
 
-        monkeypatch.setattr(MpBoxtimes, "_nested", no_fallback)
+        monkeypatch.setattr(MpBoxtimes, "_descend", no_descent)
         chi, oracle = layer_chain(depth)
         zs = chain_grid(chi, (1e-3, 1e-2, 0.5))
         g, ok = chi.stieltjes_checked(zs)
@@ -469,30 +457,62 @@ class TestLayerChain:
         assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
         assert chi._solve(zs)[1].shape == (depth,) + zs.shape
 
-    def test_newton_stage_stubbed_out_gives_nested_values(self, monkeypatch):
-        real = measures.solve_chain_grid
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_descent_alone_gives_nested_values(self, depth):
+        # the descent in height, called on every point with no cold solve
+        # before it, lands on the nested root wherever the cold solve does
+        chi, oracle = layer_chain(depth)
+        zs = chain_grid(chi, (1e-3, 1e-2, 0.5))
+        l, ok = chi._descend(zs)
+        assert np.all(ok)
+        g = (-1.0 / l[0] - (chi.gamma - 1.0) / zs) / chi.gamma
+        want = oracle.stieltjes(zs)
+        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
-        def certifies_nothing(gammas, shifts, scales, bottom, z, radius, cfg, start=None):
-            # only a stacked solve of several levels certifies nothing: the
-            # fallback, one level at a time, then solves every point
-            if len(gammas) == 1:
-                return real(gammas, shifts, scales, bottom, z, radius, cfg, start=start)
-            l = np.full((len(gammas),) + z.shape, np.nan, dtype=complex)
-            return l, np.zeros(z.shape, dtype=bool), 0
+    def test_only_stalled_points_reach_the_descent(self, monkeypatch):
+        # a point that max_iter cut off is starved and stays flagged; one the
+        # line search or a stage's step cap left gets the descent
+        descended = []
+        descend = MpBoxtimes._descend
 
-        monkeypatch.setattr(measures, "solve_chain_grid", certifies_nothing)
-        for depth in (1, 3):
-            chi, oracle = layer_chain(depth)
-            zs = chain_grid(chi, (1e-2, 0.5))
-            g, ok = chi.stieltjes_checked(zs)
-            assert np.all(ok)
-            want = oracle.stieltjes(zs)
-            assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+        def spy(self, z):
+            descended.append(z)
+            return descend(self, z)
+
+        def cold_left(chi, zs):
+            _, ok, steps = freeconv.solve_chain_grid(*chi._chain(), zs, chi.support_max(), chi.solver)
+            assert np.all(steps[~ok] < chi.solver.max_iter)
+            return ~ok
+
+        monkeypatch.setattr(MpBoxtimes, "_descend", spy)
+        zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j])
+        starved, _ = layer_chain(3, FixedPointConfig(max_iter=9))
+        assert starved.stieltjes_checked(zs)[1].tolist() == [True, False, True, False, True]
+        assert not descended
+        # a stage's step cap of 2 leaves five points of the grid
+        chi, _ = layer_chain(3)
+        zs = chain_grid(chi, (1e-3, 1e-2, 0.5))
+        with monkeypatch.context() as m:
+            m.setattr(freeconv, "_STAGE_STEPS", 2)
+            left = cold_left(chi, zs)
+            assert np.sum(left) == 5
+            assert np.all(chi.stieltjes_checked(zs)[1])
+        assert np.array_equal(np.concatenate(descended), zs[left])
+        # the line search leaves this point near the hard edge of two tanh
+        # layers: no cap on a stage's steps would keep it
+        spec = LayerSpec(1.0, 0.0, 0.0, tanh_activation(), 0.5)
+        chi = build_chain(NetworkSpec(n=4, d0=4, data=IidData(1.0), layers=(spec, spec))).layers[-1].chi
+        zs = np.array([0.00265872 + 1e-6j])
+        with monkeypatch.context() as m:
+            m.setattr(freeconv, "_STAGE_STEPS", 10**6)
+            assert cold_left(chi, zs)[0]
+        descended.clear()
+        assert chi.stieltjes_checked(zs)[1][0]
+        assert np.array_equal(np.concatenate(descended), zs)
 
     def test_closed_form_bottoms_give_exact_derivatives(self):
-        # each bottom is the last level's base, pushed by that level's (a, b);
-        # a solver-backed base, of one or two levels, is the bottom of the
-        # nested fallback and takes g' from its chain's Jacobian
+        # each bottom is the last level's base, pushed by that level's (a, b):
+        # atoms or a closed-form law, the only bases a chain ends on
         bases = [
             (DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]), 0.0, 1.0),
             (DiscreteMeasure([0.5, 2.0], [0.5, 0.5]), 0.4, 1.7),
@@ -500,9 +520,6 @@ class TestLayerChain:
             (MpBoxtimes(2.0, dirac(1.5)), 0.0, 1.0),
             (MpBoxtimes(0.5, dirac(0.0)), 0.0, 1.0),
             (MpBoxtimes(1.0, dirac(1.0)), 0.3, 0.6),
-            (MpBoxtimes(0.5, DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3])), 0.2, 0.8),
-            (layer_chain(1)[0], 0.3, 0.6),
-            (layer_chain(2)[0], 0.1, 1.3),
         ]
         v = np.array([0.9 + 0.2j, -0.5 + 1.0j, 3.0 + 0.05j])
         h = 1e-6
@@ -536,7 +553,7 @@ class TestLayerChain:
 
     def test_starved_inner_layers_flag_instead_of_raising(self):
         zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j])
-        starved, _ = layer_chain(3, FixedPointConfig(max_iter=8))
+        starved, _ = layer_chain(3, FixedPointConfig(max_iter=9))
         # no DivergenceError from a nested layer: every failure is a flag
         g, ok = starved.stieltjes_checked(zs)
         assert ok.tolist() == [True, False, True, False, True]
@@ -583,9 +600,9 @@ class TestDeepChains:
     @pytest.mark.parametrize("depth", [32, 64])
     def test_no_point_falls_back(self, monkeypatch, g24, depth):
         def refuse(self, z):
-            raise AssertionError(f"nested fallback at {z}")
+            raise AssertionError(f"descent in height at {z}")
 
-        monkeypatch.setattr(MpBoxtimes, "_nested", refuse)
+        monkeypatch.setattr(MpBoxtimes, "_descend", refuse)
         chi = iid_tanh_law(depth, 1.0, n=1000)
         start = time.perf_counter()
         g, ok = chi.stieltjes_checked(self.Z)
@@ -598,9 +615,9 @@ class TestDeepChains:
         chi = iid_tanh_law(28, 1.0, n=1000)
         z = np.array([5.0 + 0.01j])
         g, ok = chi.stieltjes_checked(z)
-        l, nested_ok = chi._nested(z)
+        l, descent_ok = chi._descend(z)
         want = (-1.0 / l[0] - (chi.gamma - 1.0) / z) / chi.gamma
-        assert ok[0] and nested_ok[0]
+        assert ok[0] and descent_ok[0]
         assert abs(g[0] - want[0]) <= 1e-14 * abs(want[0])
 
 
@@ -685,7 +702,7 @@ class TestWarmTable:
 
     def test_uncertified_warm_points_get_the_cold_solve(self, monkeypatch):
         # a starved solver: the cold solve itself leaves three points unconverged
-        chi, _ = layer_chain(3, FixedPointConfig(max_iter=8))
+        chi, _ = layer_chain(3, FixedPointConfig(max_iter=9))
         zs = np.array([1.0 + 8.0j, 1.0 + 1e-3j, 3.0 + 10.0j, 0.5 + 1e-2j, -1.0 + 0.5j, 2.0 + 0.1j])
         g_cold, l_cold, ok_cold = chi._solve(zs)
         assert ok_cold.tolist() == [True, False, True, False, True, False]
