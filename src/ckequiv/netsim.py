@@ -20,6 +20,8 @@ substreams keyed by (layer, role), so enlarging the evaluation grid or
 adding probes never changes the sampled network.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -161,7 +163,7 @@ DataModel = Union[IidData, EquicorrelatedData, ExplicitData]
 def _width(n: int, gamma: float) -> int:
     """A layer's width d = n / gamma; ValueError unless it is a positive integer."""
     d = n / gamma
-    width = int(round(d))
+    width = int(round(d)) if math.isfinite(d) else 0
     if width < 1 or abs(d - width) > 1e-9:
         raise ValueError(f"n/gamma = {d} is not a positive integer width")
     return width

@@ -1052,6 +1052,48 @@ class TestExitCodes:
         assert err.startswith(f"config error: network.n: the sampled arrays of 2 worker(s) at n = 1000000 need {nbytes:.3g} bytes")
         assert not sampled and not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, gamma, width, sizes",
+        [
+            ("simulate", 1e-6, 10**8, "1e+08 need 1.6e+11"),
+            ("compare", 1e-6, 10**8, "1e+08 need 1.6e+11"),
+            # 1.6e310 bytes, beyond the double range (compare's theory side fails first)
+            ("simulate", 1e-305, 10**307, "1e+307 need inf"),
+        ],
+        ids=["simulate", "compare", "simulate-beyond-double-range"],
+    )
+    def test_layer_wider_than_physical_memory_is_config_error(self, tmp_path, capsys, command, gamma, width, sizes):
+        # n = d0 = 100 is small, but each worker holds the input and layer 1's
+        # width x 100 activations while it samples layer 1: 8e10 bytes at 10^8
+        tree = smoke_tree(tmp_path)
+        tree["network"].update(n=100, d0=100, dims=[width])
+        tree["network"]["layers"][0]["gamma"] = gamma
+        cpath = write_cfg(tmp_path, tree)
+        sampled = []
+        real = netsim.sample_gaussian
+        with pytest.MonkeyPatch.context() as m:
+            m.setenv("CKEQUIV_WORKERS", "2")
+            m.setattr(netsim, "sample_gaussian", lambda *args: sampled.append(1) or real(*args))
+            assert main([command, "--config", cpath, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: layer 1: the sampled arrays of 2 worker(s) at n = 100 and width {sizes} bytes"
+        )
+        assert err.count("\n") == 1
+        assert not sampled and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_wide_layer_that_fits_runs(self, tmp_path, capsys, command):
+        tree = smoke_tree(tmp_path)
+        tree["network"].update(n=16, d0=16, dims=[1024])
+        tree["network"]["layers"][0]["gamma"] = 1 / 64
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        # simulate states layers 0 and 1 of both seeds; compare states layer 1
+        table, count = {"simulate": ("simulate_stats", 4), "compare": ("compare_layers", 1)}[command]
+        assert len(read_csv(tmp_path / f"{table}.csv")) == count
+
     def test_example55_divergence_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # the generic builder raises at the first point that does not converge,
         # so unlike density and compare no flagged table is written
@@ -1348,32 +1390,93 @@ class TestExitCodes:
         assert all(r["converged_eta0.5"] == "0" for r in rows)
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # the package needs numpy only; scipy would add start-up time and
-    # resident memory to every run
+# One command in a fresh interpreter; prints its exit code, the scipy modules
+# it left loaded, whether a bare `import numpy` had already loaded
+# numpy.random, and the thread that first imported numpy.random, if any
+_FRESH_RUN = (
+    "import json, sys, threading\n"
+    "class Watch:\n"
+    "    thread = None\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy.random' and Watch.thread is None:\n"
+    "            Watch.thread = threading.current_thread().name\n"
+    "sys.meta_path.insert(0, Watch())\n"
+    "import numpy\n"
+    "bare = 'numpy.random' in sys.modules\n"
+    "from ckequiv.cli import main\n"
+    "code = main(json.loads(sys.argv[1]) + ['--no-timestamp'])\n"
+    "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    "random = Watch.thread if 'numpy.random' in sys.modules else None\n"
+    "print(json.dumps({'code': code, 'scipy': scipy, 'bare': bare, 'random': random}))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """Every command, each in a fresh interpreter; simulate and compare at one and two workers.
+
+    The in-process tests cannot see what a command imports, or in which
+    thread: the test process has imported all of it already.
+    """
+    tmp_path = tmp_path_factory.mktemp("fresh")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    smoke = write_cfg(tmp_path, smoke_tree(tmp_path / "smoke"))
-    (tmp_path / "explicit").mkdir()
-    explicit = write_cfg(tmp_path, explicit_two_layer_tree(tmp_path / "explicit"), "explicit.json")
     small = write_cfg(tmp_path, {"z_grid": {"x_min": 0.0, "x_max": 1.0, "step": 0.5, "eta": [0.3]}}, "small.json")
-    runs = [
-        ["coeffs", "tanh", "--out", str(tmp_path / "coeffs")],
-        ["density", "--config", smoke],
-        ["simulate", "--config", smoke],
-        ["compare", "--config", explicit],
-        ["example55", "--config", small, "--n", "40", "--out", str(tmp_path / "example55")],
-    ]
-    code = (
-        "import json, sys\n"
-        "from ckequiv.cli import main\n"
-        "codes = [main(argv + ['--no-timestamp']) for argv in json.loads(sys.argv[1])]\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout.strip().splitlines()[-1])
-    assert report == {"codes": [0] * len(runs), "scipy": []}
+    runs = {
+        "coeffs": ("2", ["coeffs", "tanh", "--out", str(tmp_path / "coeffs")]),
+        "density": ("2", ["density", "--config", write_cfg(tmp_path, smoke_tree(tmp_path / "density"), "density.json")]),
+        "example55": ("2", ["example55", "--config", small, "--n", "40", "--out", str(tmp_path / "example55")]),
+    }
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        runs[f"simulate{workers}"] = (workers, ["simulate", "--config", write_cfg(out, smoke_tree(out), "smoke.json")])
+        # two seeds, so that the seeds fan out to the pool
+        explicit = dict(explicit_two_layer_tree(out), sim={"seeds": [0, 1], "replicas": 2})
+        explicit = write_cfg(out, explicit, "explicit.json")
+        runs[f"compare{workers}"] = (workers, ["compare", "--config", explicit])
+    reports = {}
+    for name, (workers, argv) in runs.items():
+        env["CKEQUIV_WORKERS"] = workers
+        out = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        reports[name] = json.loads(out.stdout.strip().splitlines()[-1])
+    return tmp_path, reports
+
+
+_THEORY = ("coeffs", "density", "example55")
+_SAMPLING = ("simulate2", "compare2")
+
+
+def test_no_command_loads_scipy(fresh_runs):
+    # the package needs numpy only; scipy would add start-up time and
+    # resident memory to every run
+    _, reports = fresh_runs
+    assert {name: (r["code"], r["scipy"]) for name, r in reports.items()} == {name: (0, []) for name in reports}
+
+
+def test_only_sampling_commands_load_numpy_random(fresh_runs):
+    # numpy.random costs the theory commands about 6 MiB resident and 20 ms
+    # of start-up; simulate and compare import it in the main thread, since
+    # its first import from a pool thread leaves the process larger
+    _, reports = fresh_runs
+    if any(r["bare"] for r in reports.values()):
+        pytest.skip("this numpy loads numpy.random in `import numpy` itself (numpy < 2)")
+    assert {name: reports[name]["random"] for name in _THEORY + _SAMPLING} == {
+        **{name: None for name in _THEORY},
+        **{name: "MainThread" for name in _SAMPLING},
+    }
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("simulate", ["simulate_eigenvalues", "simulate_stats"]),
+    ("compare", ["compare_rows", "compare_layers"]),
+])
+def test_fresh_process_tables_do_not_depend_on_worker_count(fresh_runs, command, tables):
+    # a fresh process imports numpy.random just before its seeds fan out
+    tmp_path, _ = fresh_runs
+    for table in tables:
+        one, two = ((tmp_path / f"workers{w}" / f"{table}.csv").read_bytes() for w in "12")
+        assert one == two

@@ -584,6 +584,8 @@ class TestRunNetwork:
             NetworkSpec(32, 32, IidData(1.0), (good, identity_layer(gamma=3.0)))
         with pytest.raises(ValueError, match="layer 1: n/gamma = 0.5 is not"):
             NetworkSpec(32, 32, IidData(1.0), (identity_layer(gamma=64.0),))
+        with pytest.raises(ValueError, match="layer 1: n/gamma = inf is not"):
+            NetworkSpec(32, 32, IidData(1.0), (identity_layer(gamma=5e-324),))
         with pytest.raises(TypeError):
             NetworkSpec(32, 32, IidData(1.0), ("not a layer",))
         with pytest.raises(ValueError):
