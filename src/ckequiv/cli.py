@@ -515,14 +515,14 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
     # the checked transform flags unconverged points of every layer; a CDF
     # table that did not converge, None, clears its whole column instead
     columns = []
-    bad = 0
-    for g, ok, cdf in chi.inversion(xs, etas):
+    bad, failed = 0, []
+    for eta, (g, ok, cdf) in zip(etas, chi.inversion(xs, etas)):
         dens = np.where(ok, np.maximum(g.imag, 0.0) / math.pi, np.nan)
-        cdf_ok = cdf is not None
-        if not cdf_ok:
-            cdf = np.full(xs.shape, np.nan)
-        columns.append((dens, cdf, ok & cdf_ok))
-        bad += int(np.sum(~ok)) + int(not cdf_ok)
+        bad += int(np.sum(~ok))
+        if cdf is None:
+            failed.append(_eta_tag(eta))
+            cdf, ok = np.full(xs.shape, np.nan), np.zeros_like(ok)
+        columns.append((dens, cdf, ok))
     header = ["x"]
     for eta in etas:
         t = _eta_tag(eta)
@@ -534,10 +534,11 @@ def cmd_density(cfg: ExperimentConfig, args) -> int:
             row += [dens[i], cdf[i], bool(conv[i])]
         rows.append(row)
     _write_tables(cfg, args, [("density", header, rows)])
-    if bad:
-        print(f"{bad} grid point(s) did not converge; see converged_* columns", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    what = [f"{bad} grid point(s)"] if bad else []
+    what += [f"the CDF table(s) at eta {', '.join(failed)}"] if failed else []
+    if what:
+        print(f"{' and '.join(what)} did not converge; see converged_* columns", file=sys.stderr)
+    return EXIT_NUMERIC if what else EXIT_OK
 
 
 def _resolved_seeds(cfg: ExperimentConfig, args) -> tuple:
@@ -634,7 +635,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     ks_values = [next(done) for _ in chain.layers]
     rows = []
     layer_rows = []
-    n_bad = 0
+    n_bad, failed = 0, []
     for li, (points, ks) in enumerate(zip(solved, ks_values), start=1):
         g_sim = np.array([
             np.mean(1.0 / (factories[li - 1].eigenvalues[None, :] - zs[:, None]), axis=1)
@@ -662,7 +663,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             )
         if ks is None:
             ks = np.nan
-            n_bad += 1
+            failed.append(str(li))
         stats = np.array([st[li - 1] for st, _ in samples])
         layer_rows.append((li, ks, *stats.mean(axis=0)))
     row_header = [
@@ -683,10 +684,11 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         ("compare_layers", ["layer", "kolmogorov", "max_dev", "diag_norm", "spec_norm"], layer_rows),
     ])
     print(f"{len(seeds)} seed(s), {zs.size} grid point(s), {len(chain.layers)} layer(s)")
-    if n_bad:
-        print(f"{n_bad} row(s) did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    what = [f"{n_bad} row(s)"] if n_bad else []
+    what += [f"the CDF table(s) at eta {DEFAULT_ETA:g} of layer(s) {', '.join(failed)}"] if failed else []
+    if what:
+        print(f"{' and '.join(what)} did not converge; see the converged and kolmogorov columns", file=sys.stderr)
+    return EXIT_NUMERIC if what else EXIT_OK
 
 
 def cmd_example55(cfg: ExperimentConfig, args) -> int:

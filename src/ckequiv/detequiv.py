@@ -184,9 +184,10 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     g, l, ok = chi._solve(z)
     coef = np.ones(z.shape, dtype=complex)
     u = z
-    for l_k, level in zip(l[:depth], (chi,) + chi._below):
-        coef = coef * (l_k / (u * level.b))
-        u = (l_k - level.a) / level.b
+    _, shifts, scales, _ = chi._chain
+    for l_k, a, b in zip(l[:depth], shifts, scales):
+        coef = coef * (l_k / (u * b))
+        u = (l_k - a) / b
     ok = ok & (u.imag > 0)
     return [(g[j], _Point(coef[j], H, u[j]) if ok[j] else None, bool(ok[j])) for j in range(z.size)]
 

@@ -20,14 +20,15 @@ the transform of nu itself and its derivative are recovered through
     g_nu(z) = (-1 / l - (gamma - 1) / z) / gamma,
     g_nu'(z) = (l'(z) / l^2 + (gamma - 1) / z^2) / gamma.
 
-When mu is itself the pushforward t -> a + b t of such a law,
-g_mu(l) = g_inner(u) / b at u = (l - a) / b, and g_inner(u) comes from the
-inner law's own l at u.  Solving the outer level alone would then solve
-the inner level afresh at every evaluation, so cost multiplies with depth.
-``solve_chain_grid`` instead solves all levels (l_L, ..., l_1) of a chain
-as one system by complex Newton.  Its Jacobian is tridiagonal and
-analytic: each residual depends on its own level, the level above
-(through its argument, with derivative 1 / b) and the level below (through
+A chain of m levels takes one (gamma_k, a_k, b_k) per level, top first;
+level k's mu is a_k + b_k inner, so g_mu(l) = g_inner(u) / b_k at
+u = (l - a_k) / b_k, and the last inner law, the bottom, gives its own g
+and g' (atoms or a closed form) at u_m.  Solving the top level alone would
+solve the inner one afresh at every evaluation, so cost would multiply
+with depth; ``solve_chain_grid`` instead solves all levels as one system
+by complex Newton.  Its Jacobian is tridiagonal and analytic: each
+residual depends on its own level, the level above (through its argument,
+with derivative 1 / b) and the level below (through
 g_inner = (-1 / l_inner - (gamma_inner - 1) / u) / gamma_inner).  A
 continuation in Im z, projection onto the wedges and pointwise
 backtracking keep every iterate in the wedges, and a point counts once it
@@ -35,7 +36,8 @@ meets the tolerance at its requested height with every level in its wedge
 D(u_k): the root in D(u_k) being unique level by level, such a point is
 the nested solution.  Cost per point is then linear in depth.  A caller
 that knows nearby roots may pass a start for every level instead; Newton
-then begins from it at the requested height, and the certificate is the
+then begins from it at the requested height (only a cold start reads the
+support radius, to raise its first height), and the certificate is the
 same, so a poor start costs a flag, never a wrong value.  Each Newton
 step costs some Python overhead whatever its point count, about 0.25 ms on
 a chain of four levels (2-vCPU host, numpy 2.4): the state is held for the
@@ -123,28 +125,27 @@ _BLOCK = 2048
 
 
 def _chain_args(l, z, shifts, scales):
-    """Level arguments: u_0 = z and u_{i+1} = (l_i - a_i) / b_i."""
-    u = np.empty_like(l)
+    """Level arguments u_0..u_m: u_0 = z and u_{i+1} = (l_i - a_i) / b_i."""
+    u = np.empty((l.shape[0] + 1,) + l.shape[1:], dtype=complex)
     u[0] = z
-    u[1:] = (l[:-1] - shifts) / scales
+    u[1:] = (l - shifts) / scales
     return u
 
 
 def _project_chain(l, z, shifts, scales):
-    """Project each level of l onto its wedge in place, top first; returns u.
+    """Project each level of l onto its wedge in place, top first; returns u_0..u_m.
 
     u_0 = z and u_{i+1} = (l_i - a_i) / b_i is taken from the projected l_i.
     Only the points outside a wedge reach :func:`project_domain`, which
     would keep every other point as it is.
     """
-    u = np.empty_like(l)
+    u = np.empty((l.shape[0] + 1,) + l.shape[1:], dtype=l.dtype)
     u[0] = z
     for i in range(l.shape[0]):
         out = ~((l[i].imag >= u[i].imag) & ((l[i] / u[i]).imag >= 0.0))
         if out.any():
             l[i, out] = project_domain(l[i, out], u[i, out])
-        if i + 1 < l.shape[0]:
-            u[i + 1] = (l[i] - shifts[i]) / scales[i]
+        u[i + 1] = (l[i] - shifts[i]) / scales[i]
     return u
 
 
@@ -153,21 +154,23 @@ def _chain_system(l, u, gammas, scales, bottom):
 
     Level i (top first) has residual
     R_i = u_i + (gamma_i - 1) l_i + gamma_i l_i^2 h_i, where h_i is the
-    transform of level i's base at l_i: g_{i+1}(u_{i+1}) / b_i with the next
-    level's g recovered from l_{i+1}, and ``bottom`` for the last level.
-    Returns R, the diagonal dR_i/dl_i and the upper band dR_i/dl_{i+1}; the
-    lower band dR_{i+1}/dl_i is 1 / b_i.
+    transform of level i's pushed base at l_i, g_{i+1}(u_{i+1}) / b_i: the
+    next level's g recovered from l_{i+1}, and for the last level the
+    bottom's own ``bottom(u_m)``.  Returns R, the diagonal dR_i/dl_i and the
+    upper band dR_i/dl_{i+1}; the lower band dR_{i+1}/dl_i is 1 / b_i.
     """
     g_next = gammas[1:]
     h = np.empty_like(l)
     dh = np.empty_like(l)
-    h[:-1] = (-1.0 / l[1:] - (g_next - 1.0) / u[1:]) / (g_next * scales)
-    dh[:-1] = (g_next - 1.0) / (g_next * scales**2 * u[1:] ** 2)
-    h[-1], dh[-1] = bottom(l[-1])
+    h[:-1] = (-1.0 / l[1:] - (g_next - 1.0) / u[1:-1]) / (g_next * scales[:-1])
+    dh[:-1] = (g_next - 1.0) / (g_next * scales[:-1] ** 2 * u[1:-1] ** 2)
+    g, dg = bottom(u[-1])
+    b_m = float(scales[-1, 0])
+    h[-1], dh[-1] = g / b_m, dg / (b_m * b_m)
     gl2 = gammas * l * l
-    r = u + (gammas - 1.0) * l + gl2 * h
+    r = u[:-1] + (gammas - 1.0) * l + gl2 * h
     diag = (gammas - 1.0) + 2.0 * gammas * l * h + gl2 * dh
-    upper = gl2[:-1] / (scales * g_next * l[1:] ** 2)
+    upper = gl2[:-1] / (scales[:-1] * g_next * l[1:] ** 2)
     return r, diag, upper
 
 
@@ -204,10 +207,11 @@ def solve_chain_grid(
 ):
     """Stacked Newton solve of a chain of nested companion fixed points.
 
-    Level i = 0..m-1, top first, is MP(gamma_i) (x) base_i.  For i < m-1,
-    base_i is the pushforward t -> a_i + b_i t (b_i > 0) of level i+1's
-    law, so level i+1 is evaluated at u_{i+1} = (l_i - a_i) / b_i; the last
-    base is given by ``bottom(v) -> (g(v), g'(v))``.  All unknowns
+    Level i = 0..m-1, top first, is MP(gamma_i) (x) base_i, base_i the
+    pushforward t -> a_i + b_i t (b_i > 0) of the next level's law, or for
+    the last level of the bottom, ``bottom(v) -> (g(v), g'(v))``.  gammas,
+    shifts and scales take one entry per level; level i's base is read at
+    u_{i+1} = (l_i - a_i) / b_i, down to the bottom's u_m.  All unknowns
     (l_0, ..., l_{m-1}) of a grid point are solved together by complex
     Newton with the tridiagonal analytic Jacobian (one Thomas sweep per
     step for the whole grid).  Without ``start`` it starts cold: at
@@ -216,11 +220,11 @@ def solve_chain_grid(
     to Im z whenever the residual falls below a stage tolerance.  With
     ``start``, shaped like the returned l, every point begins at its
     requested height from its start projected onto the wedges, with no
-    continuation.  Every trial step is projected onto the wedges D(u_i),
-    top first, and halved pointwise until the residual falls.  Points are
-    solved independently: nothing carries over between calls, and a point
-    that leaves, certified or not, is dropped from the arrays the later
-    steps work on.
+    continuation, and ``radius`` is not read.  Every trial step is
+    projected onto the wedges D(u_i), top first, and halved pointwise until
+    the residual falls.  Points are solved independently: nothing carries
+    over between calls, and a point that leaves, certified or not, is
+    dropped from the arrays the later steps work on.
 
     A point is certified when its residual, |R_i| / |l_i| at the worst
     level, meets ``cfg.tol`` at the requested height with every level in
@@ -240,6 +244,8 @@ def solve_chain_grid(
     gammas = np.asarray(gammas, dtype=float)[:, None]
     shifts = np.asarray(shifts, dtype=float)[:, None]
     scales = np.asarray(scales, dtype=float)[:, None]
+    if not gammas.shape == shifts.shape == scales.shape:
+        raise ValueError("gammas, shifts and scales need one entry per level")
     if np.any(scales <= 0):
         raise ValueError("chain scales must be positive")
     z = np.asarray(z, dtype=complex)
@@ -265,13 +271,13 @@ def _newton_block(zf, gammas, shifts, scales, bottom, radius, cfg, start):
     # The state is kept for the still-active points only, in their order: a
     # point leaves once, certified or not, and its l is written out then.
     m = gammas.shape[0]
-    lower_band = 1.0 / scales
+    lower_band = 1.0 / scales[:-1]
 
     def system(l, u):
         # bases are evaluated only at points whose levels all lie in their
         # wedges, where every argument is in the upper half-plane; the
         # residual is inf at every other point
-        inside = np.all(in_wedge(l, u), axis=0)
+        inside = np.all(in_wedge(l, u[:-1]), axis=0)
         if inside.all():
             r, diag, upper = _chain_system(l, u, gammas, scales, bottom)
             return r, diag, upper, _scaled_residual(r, l)

@@ -255,10 +255,12 @@ class MpBoxtimes:
     between calls, so a transform depends only on its arguments, whichever
     thread asks.  Only the CDF tables are cached, per eta.
     Construction fixes what the parameters decide, once: the closed-form c
-    (``_c``, None for a solver-backed law), the solver levels nested under
-    the law, top first (``_below``; a walk puts the law itself in front),
-    and the mass at 0 (``_mass0``), the larger of the pushed base's mass
-    there and 1 - 1/gamma.
+    (``_c``, None for a solver-backed law), the chain as
+    :func:`solve_chain_grid` takes it (``_chain``: one (gamma, a, b) per
+    solver level, the law's own first, and the bottom's ``_stieltjes_pair``;
+    numbers and the bottom's method, never the law itself, so no reference
+    cycle), and the mass at 0 (``_mass0``), the larger of the pushed base's
+    mass there and 1 - 1/gamma.
     """
 
     def __init__(
@@ -291,9 +293,9 @@ class MpBoxtimes:
         if a == 0.0 and b == 1.0 and isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
             c = float(base.atoms[0])
             self._c = 0.0 if c < B_ZERO_TOL else c
-        # never the law itself: that cycle would leave the law and its
-        # cached tables to the cyclic collector
-        self._below = (base,) + base._below if isinstance(base, MpBoxtimes) and base._c is None else ()
+        # a solver-backed base hands its levels over; any other base is the bottom
+        below = base._chain if isinstance(base, MpBoxtimes) and base._c is None else ((), (), (), base._stieltjes_pair)
+        self._chain = (gamma,) + below[0], (a,) + below[1], (b,) + below[2], below[3]
         self._mass0 = max(float(base.atom_mass(-a / b)), 1.0 - 1.0 / gamma, 0.0)
         self._lock = threading.Lock()
         self._tables: dict = {}
@@ -316,19 +318,6 @@ class MpBoxtimes:
         dg = -(self.gamma * g * g + g) / (2.0 * self.gamma * u * g + u + self.gamma - 1.0)
         return g / c, dg / (c * c)
 
-    def _pushed_pair(self, w):
-        """g(w) and g'(w) of the pushed base a + b base."""
-        g, dg = self.base._stieltjes_pair((w - self.a) / self.b)
-        return g / self.b, dg / (self.b * self.b)
-
-    def _chain(self):
-        """(gammas, shifts, scales, bottom) of this law's levels, as :func:`solve_chain_grid` takes them."""
-        levels = (self,) + self._below
-        gammas = [level.gamma for level in levels]
-        shifts = [level.a for level in levels[:-1]]
-        scales = [level.b for level in levels[:-1]]
-        return gammas, shifts, scales, levels[-1]._pushed_pair
-
     def _solve(self, z, start=None):
         """The one solve behind every transform, on the upper half-plane.
 
@@ -347,7 +336,7 @@ class MpBoxtimes:
             l = (-1.0 / ((self.gamma - 1.0) / z + self.gamma * g))[None]
             ok = np.ones(z.shape, dtype=bool)
         else:
-            l, ok, steps = solve_chain_grid(*self._chain(), z, self.support_max(), self.solver, start=start)
+            l, ok, steps = solve_chain_grid(*self._chain, z, self.support_max(), self.solver, start=start)
             m = l.shape[0]
             l, ok, zf = l.reshape(m, -1), ok.ravel(), z.ravel()
             # a warm start's failures are solved cold; the cold solve's stalled points descend
@@ -371,10 +360,10 @@ class MpBoxtimes:
         more: near the hard edge u_{k+1} cancels digits that the coupled
         Newton step cannot win back.  A point that still fails leaves flagged.
         """
-        _, shifts, scales, _ = chain = self._chain()
+        gammas, shifts, scales, bottom = chain = self._chain
         cfgs = self.solver, FixedPointConfig(max(self.solver.tol, _HANDOVER_TOL), self.solver.max_iter)
         radius = self.support_max()
-        l = np.empty((1 + len(self._below), z.size), dtype=complex)
+        l = np.empty((len(gammas), z.size), dtype=complex)
         ok = np.zeros(z.shape, dtype=bool)
         live, height = np.arange(z.size), np.maximum(z.imag, max(1.0, radius / 4.0))
         cold = True
@@ -386,10 +375,11 @@ class MpBoxtimes:
                 lp, okp, _ = solve_chain_grid(*chain, zh, radius, cfg, start=None if cold else l[:, cols])
                 bad = ~okp
                 stalled = lp[:, bad]
-                for k, level in enumerate(self._below):
+                for k in range(len(gammas) - 1):
                     with np.errstate(all="ignore"):
                         u = (stalled[k] - shifts[k]) / scales[k]
-                    lt, okt, _ = solve_chain_grid(*level._chain(), u, level.support_max(), cfg, start=stalled[k + 1 :])
+                    tail = gammas[k + 1 :], shifts[k + 1 :], scales[k + 1 :], bottom
+                    lt, okt, _ = solve_chain_grid(*tail, u, radius, cfg, start=stalled[k + 1 :])
                     stalled[k + 1 :, okt] = lt[:, okt]
                 lp[:, bad], okp[bad], _ = solve_chain_grid(*chain, zh[bad], radius, cfg, start=stalled)
                 l[:, cols], good[part] = lp, okp

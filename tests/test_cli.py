@@ -1379,6 +1379,39 @@ class TestExitCodes:
         assert main(["density", "--config", cpath]) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["density", "compare"])
+    def test_a_failed_cdf_table_is_named_not_counted_as_points(self, tmp_path, capsys, monkeypatch, command):
+        # every grid point converges, but the tables at eta 0.01 (density's
+        # column) and 1e-3 (compare's Kolmogorov distance) do not: one
+        # stderr line names them, and counts no point or row
+        real = MpBoxtimes._fill_tables
+
+        def failing(self, etas, extra=()):
+            g, ok, tables = real(self, etas, extra)
+            return g, ok, {eta: None if eta in (0.01, 1e-3) else table for eta, table in tables.items()}
+
+        monkeypatch.setattr(MpBoxtimes, "_fill_tables", failing)
+        layer = {"sigma_w2": 1.0, "sigma_b2": 1.0, "sigma_d2": 0.0, "activation": "tanh", "gamma": 1.0}
+        grid = {"x_min": -0.5, "x_max": 3.0, "step": 0.5, "eta": [0.1, 0.01]}
+        tree = smoke_tree(tmp_path, z_grid=grid)
+        tree["network"].update(n=40, d0=40, dims=[40] * 2, layers=[layer] * 2)
+        cpath = write_cfg(tmp_path, tree)
+        assert main([command, "--config", cpath, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        if command == "density":
+            assert err == "the CDF table(s) at eta 0.01 did not converge; see converged_* columns\n"
+            rows = read_csv(tmp_path / "density.csv")
+            assert len(rows) == 8
+            assert all(r["converged_eta0.1"] == "1" and r["converged_eta0.01"] == "0" for r in rows)
+            assert all(r["cdf_eta0.01"] == "nan" and r["density_eta0.01"] != "nan" for r in rows)
+        else:
+            assert err == (
+                "the CDF table(s) at eta 0.001 of layer(s) 1, 2 did not converge; "
+                "see the converged and kolmogorov columns\n"
+            )
+            assert all(r["converged"] == "1" for r in read_csv(tmp_path / "compare_rows.csv"))
+            assert [r["kolmogorov"] for r in read_csv(tmp_path / "compare_layers.csv")] == ["nan", "nan"]
+
     def test_starved_solver_still_writes_flagged_table(self, tmp_path, capsys):
         tree = smoke_tree(tmp_path, solver={"max_iter": 2})
         cpath = write_cfg(tmp_path, tree)

@@ -210,8 +210,9 @@ def test_only_the_starved_point_is_flagged():
 
 BOTTOM_ATOMS = np.array([0.5, 1.0, 2.5])
 BOTTOM_WEIGHTS = np.array([0.2, 0.5, 0.3])
-# (gammas top first, shifts a_k, scales b_k): constants of tanh layers with
-# unit variances, and a mix of aspect ratios and link scales
+# (gammas top first, shifts a_k, scales b_k) of the links between levels:
+# constants of tanh layers with unit variances, and a mix of aspect ratios
+# and link scales
 TANH_CHAIN = ([1.0] * 4, [0.3298, 0.3250, 0.2896], [0.2865, 0.2802, 0.2304])
 MIXED_CHAIN = ([2.0, 1.0, 2.0, 1.0], [1.0, 0.3, 0.7], [1.0, 0.5, 2.0])
 
@@ -222,22 +223,23 @@ def bottom_pair(v):
 
 
 def chain(spec, depth):
+    """The top ``depth`` levels of spec, the last one over the bottom atoms unpushed (a = 0, b = 1)."""
     gammas, shifts, scales = spec
-    return gammas[:depth], shifts[: depth - 1], scales[: depth - 1]
+    return gammas[:depth], shifts[: depth - 1] + [0.0], scales[: depth - 1] + [1.0]
 
 
 def support_edge(gammas, shifts, scales):
     """Upper edge of the top law: edges multiply by (1 + sqrt(gamma))^2 per level."""
-    hi = BOTTOM_ATOMS[-1] * (1.0 + np.sqrt(gammas[-1])) ** 2
-    for k in range(len(gammas) - 2, -1, -1):
+    hi = BOTTOM_ATOMS[-1]
+    for k in range(len(gammas) - 1, -1, -1):
         hi = (shifts[k] + scales[k] * hi) * (1.0 + np.sqrt(gammas[k])) ** 2
     return hi
 
 
 def nested_picard(gammas, shifts, scales, z):
     """l of the top level by the nested route (one Picard solve per evaluation)."""
-    law = PicardLaw(gammas[-1], DiscreteMeasure(BOTTOM_ATOMS, BOTTOM_WEIGHTS))
-    for k in range(len(gammas) - 2, -1, -1):
+    law = DiscreteMeasure(BOTTOM_ATOMS, BOTTOM_WEIGHTS)
+    for k in range(len(gammas) - 1, -1, -1):
         law = PicardLaw(gammas[k], Pushed(shifts[k], scales[k], law))
     return law.companion_l(z)
 
@@ -266,14 +268,15 @@ def _chain_root_mp(gammas, shifts, scales, z, start, dps=40):
     """Root of the depth-2 stacked system by mpmath Newton at ``dps`` digits,
     checked to lie in every wedge: by uniqueness per level it is the solution."""
     mpmath = pytest.importorskip("mpmath")
-    (g0, g1), (a,), (b,) = gammas, shifts, scales
+    (g0, g1), (a, a1), (b, b1) = gammas, shifts, scales
     with mpmath.workdps(dps):
         zz = mpmath.mpc(z.real, z.imag)
 
         def system(l0, l1):
             u1 = (l0 - a) / b
+            u2 = (l1 - a1) / b1
             h0 = (-1 / l1 - (g1 - 1) / u1) / g1 / b
-            h1 = mpmath.fsum(mpmath.mpf(w) / (mpmath.mpf(t) - l1) for t, w in zip(BOTTOM_ATOMS, BOTTOM_WEIGHTS))
+            h1 = mpmath.fsum(mpmath.mpf(w) / (mpmath.mpf(t) - u2) for t, w in zip(BOTTOM_ATOMS, BOTTOM_WEIGHTS)) / b1
             return [zz + (g0 - 1) * l0 + g0 * l0 * l0 * h0, u1 + (g1 - 1) * l1 + g1 * l1 * l1 * h1]
 
         root = mpmath.findroot(system, [mpmath.mpc(s.real, s.imag) for s in start])
@@ -284,14 +287,16 @@ def _chain_root_mp(gammas, shifts, scales, z, start, dps=40):
 
 
 def test_chain_newton_matches_high_precision_root():
-    gammas, shifts, scales = [0.5, 2.0], [0.7], [1.5]
-    edge = support_edge(gammas, shifts, scales)
-    zs = np.array([-0.5, 0.0, 0.3 * edge, 0.7 * edge, edge + 1.0]) + 1e-3j
-    l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom_pair, zs, edge)
-    assert np.all(ok)
-    for j, z in enumerate(zs):
-        want = _chain_root_mp(gammas, shifts, scales, z, l[:, j])
-        assert np.max(np.abs(l[:, j] - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+    # the bottom atoms unpushed, then pushed by the last level's own (a, b)
+    for a, b in ((0.0, 1.0), (0.2, 0.8)):
+        gammas, shifts, scales = [0.5, 2.0], [0.7, a], [1.5, b]
+        edge = support_edge(gammas, shifts, scales)
+        zs = np.array([-0.5, 0.0, 0.3 * edge, 0.7 * edge, edge + 1.0]) + 1e-3j
+        l, ok, _ = solve_chain_grid(gammas, shifts, scales, bottom_pair, zs, edge)
+        assert np.all(ok)
+        for j, z in enumerate(zs):
+            want = _chain_root_mp(gammas, shifts, scales, z, l[:, j])
+            assert np.max(np.abs(l[:, j] - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
 
 
 def test_chain_grid_solve_matches_pointwise_solves():
@@ -313,11 +318,11 @@ def test_chain_solve_with_a_closed_form_bottom_does_not_depend_on_the_split(monk
     # every step is pointwise, so any split gives bitwise the same roots,
     # certificates and step counts, also at points that leave uncertified
     gammas, shifts, scales = TANH_CHAIN
-    law = MpBoxtimes(1.0, dirac(1.0))
-    bottom = law._stieltjes_pair
-    law = MpBoxtimes(gammas[-1], law)
+    law = MpBoxtimes(gammas[-1], MpBoxtimes(1.0, dirac(1.0)))
     for k in range(len(shifts) - 1, -1, -1):
         law = MpBoxtimes(gammas[k], law, a=shifts[k], b=scales[k])
+    gammas, shifts, scales, bottom = law._chain
+    assert (gammas, shifts, scales) == tuple(map(tuple, chain(TANH_CHAIN, 4)))
     edge = law.support_max()
     xs = np.linspace(-0.5, 6.0, 301)
     zs = np.concatenate([xs + 0.02j, xs + 0.01j])
@@ -381,7 +386,10 @@ def test_starved_chain_solve_certifies_only_converged_points():
 def test_chain_jacobian_matches_finite_differences():
     from ckequiv.freeconv import _chain_args, _chain_system
 
-    gammas, shifts, scales = (np.asarray(v, dtype=float)[:, None] for v in chain(MIXED_CHAIN, 3))
+    # the last level's own push moves the bottom's argument and scales its g and g'
+    gammas, shifts, scales = chain(MIXED_CHAIN, 3)
+    shifts[-1], scales[-1] = 0.4, 1.7
+    gammas, shifts, scales = (np.asarray(v, dtype=float)[:, None] for v in (gammas, shifts, scales))
     z = np.array([0.7 + 0.3j])
     l = np.array([[0.4 + 0.9j], [-0.6 + 1.1j], [0.2 + 0.8j]])
 
@@ -401,6 +409,37 @@ def test_chain_jacobian_matches_finite_differences():
         if k < 2:
             want[k + 1] = 1.0 / scales[k, 0]
         assert np.max(np.abs(column - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_chain_solve_needs_one_push_per_level(depth):
+    # a layout with no push for the last level is refused before any solve
+    gammas, shifts, scales = chain(MIXED_CHAIN, depth)
+    zs = np.array([0.5 + 0.1j])
+    with pytest.raises(ValueError, match="gammas, shifts and scales need one entry per level"):
+        solve_chain_grid(gammas, shifts[:-1], scales[:-1], bottom_pair, zs, 10.0)
+    with pytest.raises(ValueError, match="one entry per level"):
+        solve_chain_grid(gammas, shifts, scales[:-1], bottom_pair, zs, 10.0)
+
+
+def test_last_push_on_the_level_equals_a_pre_pushed_bottom():
+    # the last level's push (a, b) applied by the solver gives bitwise what a
+    # bottom closure that pushes the atoms itself gives under the push (0, 1)
+    gammas, shifts, scales = chain(MIXED_CHAIN, 3)
+    a, b = shifts[-1], scales[-1] = 0.4, 1.7
+
+    def pre_pushed(v):
+        g, dg = bottom_pair((v - a) / b)
+        return g / b, dg / (b * b)
+
+    edge = support_edge(gammas, shifts, scales)
+    xs = np.linspace(-1.0, 1.2 * edge, 40)
+    zs = np.concatenate([xs + 1e-3j, xs + 0.1j, xs + 2.0j])
+    got = solve_chain_grid(gammas, shifts, scales, bottom_pair, zs, edge)
+    want = solve_chain_grid(gammas, shifts[:-1] + [0.0], scales[:-1] + [1.0], pre_pushed, zs, edge)
+    assert np.all(got[1])
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_in_wedge_is_the_closed_wedge():

@@ -230,6 +230,22 @@ class TestFarField:
         assert on["points"] <= 0.75 * off["points"]
 
 
+def pushed_base_pair(law, w):
+    """h(w) and h'(w) of a one-level law's pushed base a + b base, read off the stacked system.
+
+    ``freeconv._chain_system`` at gamma = 1 and u_0 = 0 gives the residual
+    w^2 h(w) and its derivative 2 w h(w) + w^2 h'(w) in l_0 = w.
+    """
+    _, shifts, scales, bottom = law._chain
+    assert len(shifts) == 1
+    col = lambda v: np.asarray(v, dtype=float)[:, None]  # noqa: E731
+    l = np.asarray(w, dtype=complex)[None]
+    u = freeconv._chain_args(l, 0.0, col(shifts), col(scales))
+    r, diag, _ = freeconv._chain_system(l, u, np.ones((1, 1)), col(scales), bottom)
+    h = r[0] / (l[0] * l[0])
+    return h, (diag[0] - 2.0 * l[0] * h) / (l[0] * l[0])
+
+
 class TestPushedBase:
     """MpBoxtimes(gamma, base, a=, b=) is MP(gamma) (x) (a + b base)."""
 
@@ -237,7 +253,7 @@ class TestPushedBase:
         inner = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
         m = MpBoxtimes(1.5, inner, a=0.5, b=2.0)
         z = 1.2 + 0.7j
-        g, _ = m._pushed_pair(np.array([z]))
+        g, _ = pushed_base_pair(m, np.array([z]))
         assert abs(g[0] - inner.stieltjes((z - 0.5) / 2.0) / 2.0) < 1e-15
         # the pushforward of atoms is the law with the atoms moved
         moved = MpBoxtimes(1.5, DiscreteMeasure([2.5, 4.5], [0.5, 0.5]))
@@ -480,7 +496,7 @@ class TestLayerChain:
             return descend(self, z)
 
         def cold_left(chi, zs):
-            _, ok, steps = freeconv.solve_chain_grid(*chi._chain(), zs, chi.support_max(), chi.solver)
+            _, ok, steps = freeconv.solve_chain_grid(*chi._chain, zs, chi.support_max(), chi.solver)
             assert np.all(steps[~ok] < chi.solver.max_iter)
             return ~ok
 
@@ -511,8 +527,9 @@ class TestLayerChain:
         assert np.array_equal(np.concatenate(descended), zs)
 
     def test_closed_form_bottoms_give_exact_derivatives(self):
-        # each bottom is the last level's base, pushed by that level's (a, b):
-        # atoms or a closed-form law, the only bases a chain ends on
+        # each bottom is the last level's base, pushed by that level's (a, b)
+        # inside the stacked system: atoms or a closed-form law, the only
+        # bases a chain ends on
         bases = [
             (DiscreteMeasure([0.5, 1.0, 2.5], [0.2, 0.5, 0.3]), 0.0, 1.0),
             (DiscreteMeasure([0.5, 2.0], [0.5, 0.5]), 0.4, 1.7),
@@ -525,9 +542,9 @@ class TestLayerChain:
         h = 1e-6
         for base, a, b in bases:
             law = MpBoxtimes(1.0, base, a=a, b=b)
-            g, dg = law._pushed_pair(v)
+            g, dg = pushed_base_pair(law, v)
             assert np.max(np.abs(g - base.stieltjes((v - a) / b) / b)) <= 1e-13
-            fd = (law._pushed_pair(v + h)[0] - law._pushed_pair(v - h)[0]) / (2 * h)
+            fd = (pushed_base_pair(law, v + h)[0] - pushed_base_pair(law, v - h)[0]) / (2 * h)
             assert np.max(np.abs(dg - fd) / np.abs(dg)) <= 1e-6
 
     def test_levels_are_freed_without_the_cyclic_collector(self):
@@ -586,14 +603,14 @@ class TestDeepChains:
     @pytest.mark.parametrize("depth", [32, 64])
     def test_the_stacked_solve_certifies_every_point(self, depth):
         chi = iid_tanh_law(depth, 1.0, n=1000)
-        gammas, shifts, scales, bottom = chi._chain()
+        gammas, shifts, scales, bottom = chi._chain
         l, ok, _ = freeconv.solve_chain_grid(gammas, shifts, scales, bottom, self.Z, chi.support_max(), chi.solver)
         assert np.all(ok)
         # what is returned is what was certified: every level in its wedge,
         # within tol, also where the polishing step was refused
         gammas, shifts, scales = (np.asarray(v, dtype=float)[:, None] for v in (gammas, shifts, scales))
         u = freeconv._chain_args(l, self.Z, shifts, scales)
-        assert np.all(freeconv.in_wedge(l, u))
+        assert np.all(freeconv.in_wedge(l, u[:-1]))
         r, _, _ = freeconv._chain_system(l, u, gammas, scales, bottom)
         assert np.max(freeconv._scaled_residual(r, l)) <= chi.solver.tol
 
@@ -686,17 +703,17 @@ class TestWarmTable:
         for depth in (1, 2):
             net = NetworkSpec(n=40, d0=60, data=ExplicitData(x0), layers=(spec,) * depth)
             chi = build_chain(net).layers[-1].chi
-            levels = (chi,) + chi._below
-            assert len(levels) == depth and isinstance(levels[-1].base, DiscreteMeasure)
+            gammas, shifts, scales, bottom = chi._chain
+            assert len(gammas) == depth and isinstance(bottom.__self__, DiscreteMeasure)
             warm.clear()
             g, ok = chi._line_solve([zs])
             assert np.all(ok) and warm and all(np.all(f) for f in warm)
             g_cold, _, ok_cold = chi._solve(zs)
             assert np.all(ok_cold)
             assert rel_gap(g, g_cold) <= 1e-12
-            oracle = levels[-1].base
-            for level in reversed(levels):
-                oracle = PicardLaw(level.gamma, Pushed(level.a, level.b, oracle))
+            oracle = bottom.__self__
+            for gamma, a, b in reversed(list(zip(gammas, shifts, scales))):
+                oracle = PicardLaw(gamma, Pushed(a, b, oracle))
             sub = slice(7, None, 150)
             assert rel_gap(g[sub], oracle.stieltjes(zs[sub])) <= 1e-10
 
@@ -792,16 +809,19 @@ class TestWarmTable:
         assert not chi._tables
 
     def test_warm_table_needs_a_fraction_of_the_bottom_evaluations(self, monkeypatch):
-        # theory-deep's law: four tanh layers with unit variances at gamma = 1
-        chi = iid_tanh_law(4, 1.0, n=1000)
+        # theory-deep's law: four tanh layers with unit variances at gamma = 1,
+        # whose bottom is the closed-form input law; a law takes its bottom's
+        # method when it is built, so the count goes in first
         points = [0]
-        real = MpBoxtimes._pushed_pair
+        real = MpBoxtimes._stieltjes_pair
 
-        def counted(self, w):
-            points[0] += w.size
-            return real(self, w)
+        def counted(self, v):
+            points[0] += v.size
+            return real(self, v)
 
-        monkeypatch.setattr(MpBoxtimes, "_pushed_pair", counted)
+        monkeypatch.setattr(MpBoxtimes, "_stieltjes_pair", counted)
+        chi = iid_tanh_law(4, 1.0, n=1000)
+        assert chi._chain[3].__func__ is counted
         xs, _ = chi._cdf_table(0.01)
         warm = points[0]
         points[0] = 0
