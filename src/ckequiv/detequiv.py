@@ -171,8 +171,10 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     chi's top ``depth`` levels are laws MP(gamma) (x) (a + b t) of the level
     below; H is the equivalent resolvent map under the last of them.  One
     flagged solve gives every level's l at every point; the walk
-    u_0 = z, coef <- coef l_k / (u_k b_k), u_{k+1} = (l_k - a_k) / b_k then
-    gives each point its prefactor and the argument of H.  Returns a list
+    u_0 = z, coef <- coef l_k / (u_k b_k), u_{k+1} = (l_k - a_k) / b_k down
+    chi, chi.base, ..., each law's own (a, b), not the pushes its solver
+    chain holds (atoms are pushed when their law is built), then gives each
+    point its prefactor and the argument of H.  Returns a list
     of (g, build, ok) per point of z, with g chi's transform and build a
     ``_Point``: build() is the point's n x n equivalent, which any thread
     may build, and where H is an explicit input's ``SpectralFactory`` the
@@ -184,10 +186,10 @@ def _compose(chi: MpBoxtimes, depth: int, H: Callable[[complex], np.ndarray], z)
     g, l, ok = chi._solve(z)
     coef = np.ones(z.shape, dtype=complex)
     u = z
-    _, shifts, scales, _ = chi._chain
-    for l_k, a, b in zip(l[:depth], shifts, scales):
-        coef = coef * (l_k / (u * b))
-        u = (l_k - a) / b
+    law = chi
+    for l_k in l[:depth]:
+        coef = coef * (l_k / (u * law.b))
+        u, law = (l_k - law.a) / law.b, law.base
     ok = ok & (u.imag > 0)
     return [(g[j], _Point(coef[j], H, u[j]) if ok[j] else None, bool(ok[j])) for j in range(z.size)]
 
@@ -549,7 +551,8 @@ def build_chain(net: "NetworkSpec", cfg: FixedPointConfig = DEFAULT_CONFIG) -> E
     variance from its ``input_variance``.  Builders evaluate the input map
     once per z at the fully composed argument.  A layer with b = 0 forgets
     its input: its equivalent is g_chi(z) I, which is also the base map of
-    the layers above it.
+    the layers above it.  A layer whose constants or law are refused, say
+    for a support bound that overflows, raises ValueError naming it.
     """
     # H is the equivalent map under the run of b > 0 layers ending here
     chi0, H = net.data._input_law(net.d0, net.n)
@@ -559,14 +562,14 @@ def build_chain(net: "NetworkSpec", cfg: FixedPointConfig = DEFAULT_CONFIG) -> E
     for i, lspec in enumerate(net.layers, start=1):
         try:
             const = layer_constants(lspec, sx2)
+            if const.b == 0.0:
+                chi = MpBoxtimes(lspec.gamma, dirac(const.a), solver=cfg)
+                H, depth = partial(_scalar_equivalent, chi, net.n), 0
+            else:
+                chi = MpBoxtimes(lspec.gamma, prev, solver=cfg, a=const.a, b=const.b)
+                depth += 1
         except ValueError as ex:
             raise ValueError(f"layer {i}: {ex}") from ex
-        if const.b == 0.0:
-            chi = MpBoxtimes(lspec.gamma, dirac(const.a), solver=cfg)
-            H, depth = partial(_scalar_equivalent, chi, net.n), 0
-        else:
-            chi = MpBoxtimes(lspec.gamma, prev, solver=cfg, a=const.a, b=const.b)
-            depth += 1
         layers.append(ChainLayer(constants=const, chi=chi, gbuilder=partial(_compose, chi, depth, H)))
         prev = chi
         sx2 = const.sigma_y2

@@ -107,7 +107,7 @@ class DiscreteMeasure:
             powers = np.cumprod(np.broadcast_to(x, (_TERMS - 1, x.size)), axis=0)
             m = np.concatenate([[self.weights.sum()], (self.weights * powers).sum(axis=1)])
             j = np.arange(_TERMS)
-            coef = np.stack([-m / radius, (j + 1) * m / radius**2], axis=1)
+            coef = np.stack([-m / radius, (j + 1) * (m / radius) / radius], axis=1)
             self._series = (center, radius, coef)
 
     def __repr__(self):
@@ -255,12 +255,14 @@ class MpBoxtimes:
     between calls, so a transform depends only on its arguments, whichever
     thread asks.  Only the CDF tables are cached, per eta.
     Construction fixes what the parameters decide, once: the closed-form c
-    (``_c``, None for a solver-backed law), the chain as
+    (``_c``, None for a solver-backed law), a solver-backed law's chain as
     :func:`solve_chain_grid` takes it (``_chain``: one (gamma, a, b) per
     solver level, the law's own first, and the bottom's ``_stieltjes_pair``;
     numbers and the bottom's method, never the law itself, so no reference
     cycle), and the mass at 0 (``_mass0``), the larger of the pushed base's
-    mass there and 1 - 1/gamma.
+    mass there and 1 - 1/gamma.  Atoms are pushed then, once: a law over
+    atoms has a + b atoms at its bottom and t -> t as its level's push; a
+    closed-form bottom keeps (a, b), which the solver applies.
     """
 
     def __init__(
@@ -289,13 +291,21 @@ class MpBoxtimes:
         self.a = a
         self.b = b
         self.solver = solver
+        # the cold start and every CDF table are laid out up to the support bound
+        edge = self.support_max()
+        if not math.isfinite(edge):
+            raise ValueError(f"support bound {edge!r} overflows")
         self._c = None
         if a == 0.0 and b == 1.0 and isinstance(base, DiscreteMeasure) and base.atoms.size == 1:
             c = float(base.atoms[0])
             self._c = 0.0 if c < B_ZERO_TOL else c
-        # a solver-backed base hands its levels over; any other base is the bottom
-        below = base._chain if isinstance(base, MpBoxtimes) and base._c is None else ((), (), (), base._stieltjes_pair)
-        self._chain = (gamma,) + below[0], (a,) + below[1], (b,) + below[2], below[3]
+        if self._c is None:
+            # a solver-backed base hands its levels over; atoms are pushed here, once
+            if isinstance(base, DiscreteMeasure):
+                push, below = (0.0, 1.0), ((), (), (), DiscreteMeasure(a + b * base.atoms, base.weights)._stieltjes_pair)
+            else:
+                push, below = (a, b), base._chain if base._c is None else ((), (), (), base._stieltjes_pair)
+            self._chain = (gamma,) + below[0], (push[0],) + below[1], (push[1],) + below[2], below[3]
         self._mass0 = max(float(base.atom_mass(-a / b)), 1.0 - 1.0 / gamma, 0.0)
         self._lock = threading.Lock()
         self._tables: dict = {}

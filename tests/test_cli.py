@@ -1207,8 +1207,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["simulate", "density", "compare"])
     def test_explicit_input_whose_kernel_overflows_is_config_error(self, tmp_path, capsys, command):
         # |x_j|^2 / d0 overflows at entries near 1e160, not at 1e150; the
-        # input is refused before anything is sampled or solved
-        for scale, code in ((1e160, 2), (1e150, 0 if command == "simulate" else 3)):
+        # input is refused before anything is sampled or solved, while at
+        # 1e150 every command runs, the theory certifying every point
+        for scale, code in ((1e160, 2), (1e150, 0)):
             np.save(tmp_path / "x0.npy", np.random.default_rng(0).standard_normal((20, 20)) * scale)
             tree = smoke_tree(tmp_path, sim={"seeds": [0], "replicas": 1})
             tree["network"].update(n=20, d0=20, dims=[20], data={"kind": "explicit", "path": str(tmp_path / "x0.npy")})
@@ -1219,6 +1220,18 @@ class TestExitCodes:
                 assert err == (
                     "config error: network.data.path: the kernel diagonal |x_j|^2 / d0 of x0 overflows the double range\n"
                 )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "density", "compare"])
+    @pytest.mark.parametrize("scale", [1e77, 1e150])
+    def test_huge_explicit_input_past_the_series_threshold_runs(self, tmp_path, capsys, command, scale):
+        # 80 columns give the input law more atoms than the direct sum takes,
+        # so its far-field series is built, on a radius near scale^2
+        np.save(tmp_path / "x0.npy", np.random.default_rng(0).standard_normal((80, 80)) * scale)
+        tree = smoke_tree(tmp_path, sim={"seeds": [0], "replicas": 1})
+        tree["network"].update(n=80, d0=80, dims=[80], data={"kind": "explicit", "path": str(tmp_path / "x0.npy")})
+        assert main([command, "--config", write_cfg(tmp_path, tree), "--no-timestamp"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["density", "compare"])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -192,6 +193,20 @@ class TestFarField:
         assert DiscreteMeasure(np.arange(31.0), np.full(31, 1 / 31))._series is None
         assert DiscreteMeasure(np.arange(32.0), np.full(32, 1 / 32))._series is not None
 
+    def test_a_span_beyond_the_square_root_of_the_double_range(self):
+        # 40 atoms spread over about 2^525: 1 / R^2 alone would overflow.  s
+        # is a power of two, so the scaled series is the unscaled one over s
+        s = 2.0**520
+        m = DiscreteMeasure(np.arange(40.0), np.full(40, 1 / 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = DiscreteMeasure(m.atoms * s, m.weights)
+        center, radius, _ = m._series
+        v = center + radius * np.array([2.0 + 1e-12j, -3.0 + 1e-3j, 40.0j, 5.0 + 10.0j])
+        assert np.all(np.abs(v - center) >= 2.0 * radius)
+        want = m.stieltjes(v) / s
+        assert np.all(np.abs(huge.stieltjes(v * s) - want) <= 1e-14 * np.abs(want))
+
     def test_compare_table_needs_a_fraction_of_the_direct_sums(self, monkeypatch):
         # compare's Kolmogorov table at eta = 1e-3 on one tanh layer over an
         # explicit input with n = d0 = 600, against the same solve with the
@@ -260,6 +275,20 @@ class TestPushedBase:
         zs = np.array([z, 0.3 + 0.05j, 6.0 + 1e-2j, -1.0 + 2.0j])
         assert np.max(np.abs(m.stieltjes(zs) - moved.stieltjes(zs))) < 1e-10
 
+    def test_atoms_are_pushed_once_when_the_law_is_built(self):
+        # the chain's bottom holds the moved atoms and its level the push t -> t
+        inner = DiscreteMeasure([1.0, 2.0], [0.25, 0.75])
+        gammas, shifts, scales, bottom = MpBoxtimes(1.5, inner, a=0.5, b=2.0)._chain
+        assert (gammas, shifts, scales) == ((1.5,), (0.0,), (1.0,))
+        assert bottom.__self__.atoms.tolist() == [2.5, 4.5]
+        assert bottom.__self__.weights.tolist() == [0.25, 0.75]
+        # a closed-form law stores no chain, and as a base it keeps its push
+        closed = MpBoxtimes(1.0, dirac(2.0))
+        assert not hasattr(closed, "_chain")
+        gammas, shifts, scales, bottom = MpBoxtimes(1.5, closed, a=0.5, b=2.0)._chain
+        assert (gammas, shifts, scales) == ((1.5,), (0.5,), (2.0,))
+        assert bottom == closed._stieltjes_pair
+
     def test_support_and_atoms(self):
         inner = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
         m = MpBoxtimes(0.25, inner, a=1.0, b=2.0)
@@ -281,9 +310,40 @@ class TestPushedBase:
         with pytest.raises(ValueError, match="nonnegative"):
             MpBoxtimes(1.0, two, a=-1.5, b=1.0)
         MpBoxtimes(1.0, two, a=-1.0, b=1.0)
+        # a support bound beyond the double range is refused before the atoms are pushed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="support bound inf overflows"):
+                MpBoxtimes(1.0, two, b=1e308)
         # a base is a law of this module, not any object with a transform
         with pytest.raises(TypeError):
             MpBoxtimes(1.0, PicardLaw(1.0, dirac(1.0)))
+
+
+class TestHugeExplicitInput:
+    """A layer law over an explicit input certifies at any scale of the input."""
+
+    Z = np.array([0.5j, 1.0 + 0.5j, 2.0 + 0.5j])
+
+    @staticmethod
+    def law(depth, scale):
+        x0 = np.random.default_rng(0).standard_normal((20, 20)) * scale
+        spec = LayerSpec(1.0, 1.0, 0.0, tanh_activation(), 1.0)
+        net = NetworkSpec(n=20, d0=20, data=ExplicitData(x0), layers=(spec,) * depth)
+        return build_chain(net).layers[-1].chi
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_every_scale_certifies_and_huge_ones_agree(self, depth):
+        # at these scales b is 6.5e-155 and 6.5e-301, so an unpushed bottom
+        # would be read at (l - a) / b, beyond the double range
+        g = {}
+        for scale in (1.0, 1e10, 1e77, 1e150):
+            g[scale], ok = self.law(depth, scale).stieltjes_checked(self.Z)
+            assert np.all(ok), scale
+        # from 1e10 on, sigma_b^2 no longer shapes the law (at 1 it moves g
+        # in the second digit), so the huge scales agree with 1e10 to rounding
+        for scale in (1e77, 1e150):
+            assert rel_gap(g[scale], g[1e10]) <= 1e-14, scale
 
 
 class TestMpBoxtimes:
